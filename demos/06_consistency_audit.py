@@ -18,7 +18,7 @@ from redeos.numerics import SCALE_T
 db = rx.builtin_database()
 vo1 = db.get("NC-13", rx.Model.VO1)
 
-e_fn = lambda r, t: rx.vo1_energy(vo1, t)
+e_fn = lambda r, t: rx.cvt_energy(vo1, t)
 p_fn = lambda r, t: rx.vo1_pressure(vo1, r, t)
 
 print("Thermal/caloric compatibility residual (should be rounding noise):")

@@ -9,7 +9,7 @@ oracles.
 
 __version__ = "0.1.0"
 
-from .constants import P_REF, R_UNIVERSAL, T_REF, molar_mass, specific_gas_constant, universal_constants
+from .constants import P_REF, R_UNIVERSAL, T_REF, molar_mass, specific_gas_constant
 from .errors import (
     BracketError,
     ConvergenceError,
@@ -40,8 +40,6 @@ from .types import (
 from .noble_abel import (
     na_convexity,
     na_cp,
-    na_derived,
-    na_energy,
     na_enthalpy,
     na_entropy,
     na_entropy_vt,
@@ -49,31 +47,24 @@ from .noble_abel import (
     na_pressure_ve,
     na_pressure_vt,
     na_sound_speed,
-    na_temperature,
     na_volume,
 )
 from .virial import (
     vo1_convexity,
     vo1_cp,
     vo1_density,
-    vo1_derived,
-    vo1_energy,
     vo1_entropy,
     vo1_entropy_dP,
     vo1_gamma,
     vo1_pressure,
     vo1_pressure_from_energy,
     vo1_sound_speed,
-    vo1_temperature,
 )
 from .virial_cvt import (
     cvt_cv,
-    cvt_density,
     cvt_effective_energy,
     cvt_energy,
     cvt_inert_mixture_state,
-    cvt_pressure,
-    cvt_pressure_from_energy,
     cvt_temperature,
 )
 from .calibration import (

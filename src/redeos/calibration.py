@@ -26,8 +26,9 @@ from .types import (
     InertRunRecord,
     Model,
 )
-from . import noble_abel, virial, virial_cvt
+from . import virial_cvt
 from .constants import T_REF
+from .state import LAWS
 
 
 def _check_two_points(p1: ClosedBombPoint, p2: ClosedBombPoint, T_flame, gamma):
@@ -198,15 +199,8 @@ def predict_closed_bomb(params: GasParams, rho_load) -> ClosedBombPrediction:
         raise DomainError(f"loading density must be positive, got {rho_load!r}")
     if params.e_s_eff is None:
         raise ValidationError(f"record {params.name!r} carries no effective energy")
-    if params.model is Model.NA:
-        T = params.e_s_eff / params.Cv
-        P = noble_abel.na_pressure_vt(params, 1.0 / rho_load, T)
-    elif params.model is Model.VO1:
-        T = params.e_s_eff / params.Cv
-        P = virial.vo1_pressure(params, rho_load, T)
-    else:
-        T = virial_cvt.cvt_temperature(params, params.q + params.e_s_eff)
-        P = virial_cvt.cvt_pressure(params, rho_load, T)
+    T = virial_cvt.cvt_temperature(params, params.q + params.e_s_eff)
+    P = LAWS[params.model].pressure(params, rho_load, T)
     extrapolated = False
     if params.rho_range is not None:
         lo, hi = params.rho_range

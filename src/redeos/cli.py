@@ -13,6 +13,7 @@ Exit codes: 0 success, 2 parse/validation, 3 numerical/convergence,
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from . import __version__
@@ -46,9 +47,8 @@ from .mixture import (
     mvo1_sound_speed,
 )
 from .numerics import SCALE_RHO, SCALE_T, convexity_audit_fd, fd_partial, sound_speed_fd_oracle
-from .state import state_from_P_T, state_from_rho_T, state_from_rho_e
-from .types import GasParams, MixtureSpec, Model
-from . import noble_abel, virial, virial_cvt
+from .state import LAWS, fd_closures, state_from_P_T, state_from_rho_T, state_from_rho_e
+from .types import MODEL_FIELDS, GasParams, MixtureSpec, Model, convexity_signs_ok
 
 _MODEL_FLAGS = {"na": Model.NA, "vo1": Model.VO1, "vo1cvt": Model.VO1_CVT}
 
@@ -65,7 +65,14 @@ _ERROR_TABLE = (
 )
 
 
+#: Most points one LO:HI:STEP grid may hold.
+MAX_GRID_POINTS = 10_000
+
+
 def _fmt(x):
+    """The one formatter of printed numbers; nothing non-finite is printed."""
+    if not math.isfinite(x):
+        raise NumericalError(f"result is not finite ({x!r})")
     return format(x, ".10g")
 
 
@@ -86,7 +93,12 @@ def _parse_range(text):
     parts = text.split(":")
     if len(parts) != 3:
         raise ValidationError(f"range must be LO:HI:STEP, got {text!r}")
-    lo, hi, step = (float(p) for p in parts)
+    try:
+        lo, hi, step = (float(p) for p in parts)
+    except ValueError:
+        raise ValidationError(f"range bounds must be numbers, got {text!r}") from None
+    if not (math.isfinite(lo) and math.isfinite(hi) and math.isfinite(step)):
+        raise ValidationError(f"range bounds and step must be finite, got {text!r}")
     if step <= 0.0 or hi < lo:
         raise ValidationError(f"range needs step > 0 and hi >= lo, got {text!r}")
     values = []
@@ -95,6 +107,8 @@ def _parse_range(text):
         x = lo + k * step
         if x > hi * (1.0 + 1e-12) + 1e-12:
             break
+        if k == MAX_GRID_POINTS:
+            raise ValidationError(f"range {text!r} holds more than {MAX_GRID_POINTS} points")
         values.append(x)
         k += 1
     return values
@@ -118,10 +132,8 @@ def cmd_calibrate(args):
     print(f"Cv (J/kg/K) = {_fmt(params.Cv)}")
     print(f"R (J/kg/K) = {_fmt(params.R)}")
     print(f"e_s_eff (kJ/kg) = {_fmt(params.e_s_eff / 1e3)}")
-    if params.model is Model.NA:
-        print(f"b (m3/kg) = {_fmt(params.b)}")
-    else:
-        print(f"a (m3/kg) = {_fmt(params.a)}")
+    thermal = MODEL_FIELDS[params.model][0]  # b or a
+    print(f"{thermal} (m3/kg) = {_fmt(getattr(params, thermal))}")
     print(f"T_flame (K) = {_fmt(params.T_flame)}")
     print(f"gamma = {_fmt(params.gamma_cal)}")
     print(f"rho_range (kg/m3) = {_fmt(params.rho_range[0])} {_fmt(params.rho_range[1])}")
@@ -213,7 +225,10 @@ def _parse_mixture_spec(spec, sweep_arg):
             if not value:
                 raise ValidationError(f"malformed mixture component {part!r}; use NAME=FRACTION")
             names.append(name.strip())
-            fractions.append(float(value))
+            try:
+                fractions.append(float(value))
+            except ValueError:
+                raise ValidationError(f"mass fraction of {name.strip()!r} is not a number: {value!r}") from None
         return names, [fractions]
     names = [p.strip() for p in spec.split("+")]
     if len(names) != 2:
@@ -264,26 +279,11 @@ def _audit_point(params, rho, T):
     sound speed, so the difference checks are skipped there and the state
     is reported as a convexity violation instead.
     """
-    from .types import convexity_signs_ok
-
-    model = params.model
-    if model is Model.NA:
-        e_fn = lambda r, t: noble_abel.na_energy(params, t)
-        p_fn = lambda r, t: noble_abel.na_pressure_vt(params, 1.0 / r, t)
-    elif model is Model.VO1:
-        e_fn = lambda r, t: virial.vo1_energy(params, t)
-        p_fn = lambda r, t: virial.vo1_pressure(params, r, t)
-    else:
-        e_fn = lambda r, t: virial_cvt.cvt_energy(params, t)
-        p_fn = lambda r, t: virial_cvt.cvt_pressure(params, r, t)
+    laws = LAWS[params.model]
+    e_fn, p_fn = fd_closures(params)
     P = p_fn(rho, T)
 
-    if model is Model.NA:
-        closed = noble_abel.na_convexity(params, 1.0 / rho, P, T)
-    elif model is Model.VO1:
-        closed = virial.vo1_convexity(params, rho, P, T)
-    else:
-        closed = None
+    closed = None if laws.convexity is None else laws.convexity(params, rho, P, T)
     if closed is not None and not (closed.convex and convexity_signs_ok(closed.criteria)):
         return 0.0, 0.0, 0.0, True, False
 
@@ -299,12 +299,7 @@ def _audit_point(params, rho, T):
     oracle = sound_speed_fd_oracle(e_fn, p_fn, rho, T)
     forms_rel = oracle.rel_disagreement
     c_oracle = oracle.c2_energy**0.5
-    if model is Model.NA:
-        c_analytic = noble_abel.na_sound_speed(params, P, rho)
-    elif model is Model.VO1:
-        c_analytic = virial.vo1_sound_speed(params, P, rho)
-    else:
-        c_analytic = None
+    c_analytic = None if laws.sound_speed is None else laws.sound_speed(params, P, rho)
     analytic_rel = abs(c_analytic - c_oracle) / c_oracle if c_analytic is not None else 0.0
 
     if closed is not None:
@@ -329,7 +324,7 @@ def cmd_audit(args):
     skipped = 0
     evaluated = 0
     for rho in rhos:
-        if model is Model.NA and 1.0 / rho <= params.b * (1.0 + 1e-2):
+        if model is Model.NA and rho != 0.0 and 1.0 / rho <= params.b * (1.0 + 1e-2):
             skipped += 1  # at or too near the covolume singularity
             continue
         for T in temps:
@@ -473,6 +468,10 @@ def main(argv=None):
     except FileNotFoundError as exc:
         print(f"E_PARSE: {exc}", file=sys.stderr)
         return 2
+    except (ArithmeticError, ValueError) as exc:
+        # float overflow, division by an underflowed zero or a math-domain error at extreme inputs
+        print(f"E_NUMERICAL: floating-point evaluation failed ({exc})", file=sys.stderr)
+        return 3
 
 
 def entry():

@@ -17,11 +17,6 @@ T_REF = 298.15
 P_REF = 101325.0
 
 
-def universal_constants():
-    """Return ``(R_universal, T_ref, P_ref)`` in SI units."""
-    return (R_UNIVERSAL, T_REF, P_REF)
-
-
 def molar_mass(R):
     """Molar mass in kg/mol implied by a specific gas constant R in J/(kg K)."""
     if not R > 0.0:

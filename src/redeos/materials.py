@@ -25,7 +25,7 @@ from typing import Iterable, NamedTuple
 
 from .constants import R_UNIVERSAL
 from .errors import ParseError, ValidationError
-from .types import ClosedBombPoint, GasParams, InertGasParams, InertRunRecord, Model
+from .types import MODEL_FIELDS, ClosedBombPoint, GasParams, InertGasParams, InertRunRecord, Model
 
 #: Noble inert species usable in Cv(T) calibration runs.  Argon's heat
 #: capacity follows the usual monatomic tabulations; xenon is derived
@@ -37,12 +37,11 @@ INERT_GASES = {
 
 _HEADER_RE = re.compile(r'^\[material\s+"([^"]+)"\s+model\s+(\S+)\]$')
 
-_COMMON_KEYS = ("R", "q_kJ", "e_s_eff_kJ", "T_flame", "gamma", "rho_range", "note")
-_MODEL_KEYS = {
-    Model.NA: ("b", "Cv") + _COMMON_KEYS,
-    Model.VO1: ("a", "Cv") + _COMMON_KEYS,
-    Model.VO1_CVT: ("a", "Cv0", "c") + _COMMON_KEYS,
-}
+#: Scalar keys every record may carry -> (GasParams field, file unit in SI)
+_SCALAR_KEYS = {"q_kJ": ("q", 1e3), "e_s_eff_kJ": ("e_s_eff", 1e3), "T_flame": ("T_flame", 1.0),
+                "gamma": ("gamma_cal", 1.0)}
+_COMMON_KEYS = ("R", *_SCALAR_KEYS, "rho_range", "note")
+_MODEL_KEYS = {model: fields + _COMMON_KEYS for model, fields in MODEL_FIELDS.items()}
 
 
 class DbRecord(NamedTuple):
@@ -85,36 +84,23 @@ def _record_from_fields(name, model, fields, lineno):
     def take(key, default=None):
         return fields.pop(key, default)
 
-    kJ = 1e3
     note = take("note", "")
-    kwargs = dict(
-        q=float(take("q_kJ", 0.0)) * kJ,
-        e_s_eff=None, T_flame=None, gamma_cal=None, rho_range=None,
-    )
-    if (es := take("e_s_eff_kJ")) is not None:
-        kwargs["e_s_eff"] = float(es) * kJ
-    if (tf := take("T_flame")) is not None:
-        kwargs["T_flame"] = float(tf)
-    if (ga := take("gamma")) is not None:
-        kwargs["gamma_cal"] = float(ga)
+    kwargs = {}
+    for key, (field, unit) in _SCALAR_KEYS.items():
+        if (value := take(key)) is not None:
+            kwargs[field] = float(value) * unit
     if (rr := take("rho_range")) is not None:
-        parts = rr.split()
-        if len(parts) != 2:
-            raise ParseError(f"line {lineno}: rho_range needs two values, got {rr!r}")
-        kwargs["rho_range"] = (float(parts[0]), float(parts[1]))
+        try:
+            lo, hi = (float(part) for part in rr.split())
+        except ValueError:
+            raise ParseError(f"line {lineno}: rho_range needs two values, got {rr!r}") from None
+        kwargs["rho_range"] = (lo, hi)
 
     try:
-        if model is Model.NA:
-            params = GasParams.noble_abel(name, R=float(fields.pop("R")),
-                                          b=float(fields.pop("b")), Cv=float(fields.pop("Cv")), **kwargs)
-        elif model is Model.VO1:
-            params = GasParams.virial(name, R=float(fields.pop("R")),
-                                      a=float(fields.pop("a")), Cv=float(fields.pop("Cv")), **kwargs)
-        else:
-            params = GasParams.virial_cvt(name, R=float(fields.pop("R")), a=float(fields.pop("a")),
-                                          Cv0=float(fields.pop("Cv0")), c=float(fields.pop("c")), **kwargs)
+        kwargs.update((key, float(fields.pop(key))) for key in ("R",) + MODEL_FIELDS[model])
     except KeyError as exc:
         raise ParseError(f"record {name!r} ({model}) is missing key {exc.args[0]!r}") from None
+    params = GasParams(name=name, model=model, **kwargs)
     if fields:
         raise ParseError(f"record {name!r} ({model}) has leftover keys: {sorted(fields)}")
     return DbRecord(params=params, note=note)
@@ -186,23 +172,10 @@ def save_material_db(path, db: MaterialDatabase):
         p = record.params
         lines.append(f'[material "{name}" model {model}]')
         lines.append(f"R = {p.R!r}")
-        if model is Model.NA:
-            lines.append(f"b = {p.b!r}")
-            lines.append(f"Cv = {p.Cv!r}")
-        elif model is Model.VO1:
-            lines.append(f"a = {p.a!r}")
-            lines.append(f"Cv = {p.Cv!r}")
-        else:
-            lines.append(f"a = {p.a!r}")
-            lines.append(f"Cv0 = {p.Cv0!r}")
-            lines.append(f"c = {p.c!r}")
-        lines.append(f"q_kJ = {p.q / 1e3!r}")
-        if p.e_s_eff is not None:
-            lines.append(f"e_s_eff_kJ = {p.e_s_eff / 1e3!r}")
-        if p.T_flame is not None:
-            lines.append(f"T_flame = {p.T_flame!r}")
-        if p.gamma_cal is not None:
-            lines.append(f"gamma = {p.gamma_cal!r}")
+        lines.extend(f"{key} = {getattr(p, key)!r}" for key in MODEL_FIELDS[model])
+        for key, (field, unit) in _SCALAR_KEYS.items():
+            if (value := getattr(p, field)) is not None:
+                lines.append(f"{key} = {value / unit!r}")
         if p.rho_range is not None:
             lines.append(f"rho_range = {p.rho_range[0]!r} {p.rho_range[1]!r}")
         if record.note:

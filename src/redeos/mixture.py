@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .constants import R_UNIVERSAL
 from .errors import DomainError, ValidationError
 from .numerics import solve_monotone
 from .types import GasParams, MixtureSpec, Model
@@ -35,11 +34,6 @@ class MnaCoefficients:
     Cv_mix: float   # J/(kg K)
     q_mix: float    # J/kg
     b_mix: float    # m3/kg
-
-    @property
-    def W_mix(self):
-        """Mixture molar mass, kg/mol."""
-        return R_UNIVERSAL / self.R_mix
 
 
 def mna_coefficients(mix: MixtureSpec) -> MnaCoefficients:

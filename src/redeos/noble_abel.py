@@ -1,7 +1,8 @@
 """Noble-Abel equation of state for combustion product gases.
 
 Thermal law P = R T / (v - b) with constant covolume b, caloric law
-e = Cv T + q with constant specific heat.  Pressure diverges as the
+e = Cv T + q with constant specific heat (the c = 0 case of the shared
+caloric law in :mod:`redeos.virial_cvt`).  Pressure diverges as the
 specific volume approaches the covolume; states with v <= b are outside
 the physical domain and raise :class:`~redeos.errors.DomainError`.
 """
@@ -9,7 +10,6 @@ the physical domain and raise :class:`~redeos.errors.DomainError`.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
 
 from .errors import DomainError
 from .types import (
@@ -18,6 +18,7 @@ from .types import (
     EntropyReference,
     GasParams,
     Model,
+    _div,
     require_model,
 )
 
@@ -35,22 +36,6 @@ def na_pressure_vt(params: GasParams, v, T):
     require_model(params, Model.NA)
     _check_vt(params, v, T)
     return params.R * T / (v - params.b)
-
-
-def na_energy(params: GasParams, T):
-    """Specific internal energy Cv T + q."""
-    require_model(params, Model.NA)
-    if not T > 0.0:
-        raise DomainError(f"temperature must be positive, got {T!r}")
-    return params.Cv * T + params.q
-
-
-def na_temperature(params: GasParams, e):
-    """Temperature from specific internal energy, (e - q) / Cv."""
-    require_model(params, Model.NA)
-    if not e > params.q:
-        raise DomainError(f"internal energy {e!r} J/kg does not exceed the reference q = {params.q!r}")
-    return (e - params.q) / params.Cv
 
 
 def na_pressure_ve(params: GasParams, v, e):
@@ -101,26 +86,6 @@ def na_sound_speed(params: GasParams, P, rho):
     return math.sqrt(na_gamma(params) * (P / rho) / cover)
 
 
-class NaDerived(NamedTuple):
-    v: float
-    h: float
-    Cp: float
-    gamma: float
-    c: float
-
-
-def na_derived(params: GasParams, P, T) -> NaDerived:
-    """Specific volume, enthalpy, Cp, gamma and sound speed at (P, T)."""
-    v = na_volume(params, P, T)
-    return NaDerived(
-        v=v,
-        h=na_enthalpy(params, P, T),
-        Cp=na_cp(params),
-        gamma=na_gamma(params),
-        c=na_sound_speed(params, P, 1.0 / v),
-    )
-
-
 def na_entropy(params: GasParams, P, T, ref: EntropyReference = DEFAULT_ENTROPY_REF):
     """Specific entropy at (P, T).
 
@@ -139,15 +104,6 @@ def na_entropy(params: GasParams, P, T, ref: EntropyReference = DEFAULT_ENTROPY_
 def na_entropy_vt(params: GasParams, v, T, ref: EntropyReference = DEFAULT_ENTROPY_REF):
     """Specific entropy as a function of (v, T), through the thermal law."""
     return na_entropy(params, na_pressure_vt(params, v, T), T, ref)
-
-
-def _div(num, den):
-    # criteria values on the analytic continuation may hit a pole
-    if den != 0.0:
-        return num / den
-    if num == 0.0:
-        return math.nan
-    return math.copysign(math.inf, num)
 
 
 def na_convexity(params: GasParams, v, P, T) -> ConvexityReport:

@@ -40,6 +40,22 @@ def _finite(name, value):
         raise ValidationError(f"{name} must be finite, got {value!r}")
 
 
+def _covolume(name, value):
+    if value is None or not math.isfinite(value) or value < 0.0:
+        raise ValidationError(f"covolume {name} must be >= 0, got {value!r}")
+
+
+#: Model-specific GasParams fields, in database order; the others must be None.
+MODEL_FIELDS = {
+    Model.NA: ("b", "Cv"),
+    Model.VO1: ("a", "Cv"),
+    Model.VO1_CVT: ("a", "Cv0", "c"),
+}
+
+#: The check of each model-specific field, in the order fields are checked.
+_FIELD_CHECKS = (("Cv", _positive), ("Cv0", _positive), ("b", _covolume), ("a", _finite), ("c", _finite))
+
+
 @dataclass(frozen=True)
 class GasParams:
     """Calibrated constants for the gas products of one reactive material.
@@ -60,6 +76,9 @@ class GasParams:
 
     A negative ``a`` is representable so that non-convex states can be
     studied; calibration and database loading reject it.
+
+    ``cv_law`` (not a field) is ``(Cv0, c)`` of the caloric law Cv(T) =
+    Cv0 + c T that every model shares; NA and VO1 records supply ``(Cv, 0)``.
     """
 
     name: str
@@ -80,20 +99,11 @@ class GasParams:
         object.__setattr__(self, "model", Model(self.model))
         _positive("R", self.R)
         _finite("q", self.q)
-        if self.model is Model.NA:
-            self._forbid(a=self.a, Cv0=self.Cv0, c=self.c)
-            _positive("Cv", self.Cv)
-            if self.b is None or not math.isfinite(self.b) or self.b < 0.0:
-                raise ValidationError(f"covolume b must be >= 0, got {self.b!r}")
-        elif self.model is Model.VO1:
-            self._forbid(b=self.b, Cv0=self.Cv0, c=self.c)
-            _positive("Cv", self.Cv)
-            _finite("a", self.a)
-        else:  # VO1_CVT
-            self._forbid(b=self.b, Cv=self.Cv)
-            _positive("Cv0", self.Cv0)
-            _finite("a", self.a)
-            _finite("c", self.c)
+        for key, check in _FIELD_CHECKS:
+            if key in MODEL_FIELDS[self.model]:
+                check(key, getattr(self, key))
+            elif getattr(self, key) is not None:
+                raise ValidationError(f"field {key!r} does not apply to model {self.model}")
         if self.e_s_eff is not None:
             _positive("e_s_eff", self.e_s_eff)
         if self.T_flame is not None:
@@ -106,11 +116,8 @@ class GasParams:
             if not hi > lo:
                 raise ValidationError(f"rho_range must satisfy lo < hi, got {self.rho_range!r}")
             object.__setattr__(self, "rho_range", (float(lo), float(hi)))
-
-    def _forbid(self, **fields):
-        for key, value in fields.items():
-            if value is not None:
-                raise ValidationError(f"field {key!r} does not apply to model {self.model}")
+        # set here rather than in a cached property, which would slow every later attribute load
+        object.__setattr__(self, "cv_law", (self.Cv, 0.0) if self.c is None else (self.Cv0, self.c))
 
     @classmethod
     def noble_abel(cls, name, R, b, Cv, **extra):
@@ -306,6 +313,15 @@ def convexity_signs_ok(criteria) -> bool:
     """True when the four criterion values carry the required signs."""
     a, b, c, d = criteria
     return a > 0.0 and b > 0.0 and c < 0.0 and d > 0.0
+
+
+def _div(num, den):
+    # criteria values on the analytic continuation may hit a pole
+    if den != 0.0:
+        return num / den
+    if num == 0.0:
+        return math.nan
+    return math.copysign(math.inf, num)
 
 
 @dataclass(frozen=True)

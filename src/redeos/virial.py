@@ -1,7 +1,9 @@
-"""First-order virial equation of state with constant specific heat.
+"""First-order virial equation of state.
 
-Thermal law P = rho R T (1 + a rho), compressibility factor Z = 1 + a rho,
-caloric law e = Cv T + q.  The virial coefficient a is positive for
+Thermal law P = rho R T (1 + a rho), compressibility factor Z = 1 + a rho.
+The pressure and density kernels serve VO1 and VO1_CVT records alike; the
+heat capacities, sound speed, entropy and convexity criteria assume a
+constant Cv and take VO1 only.  The virial coefficient a is positive for
 calibrated materials, which keeps the model convex at every density;
 negative values are representable for convexity studies only.
 """
@@ -9,7 +11,6 @@ negative values are representable for convexity studies only.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
 
 from .errors import DomainError, NumericalError
 from .types import (
@@ -18,17 +19,21 @@ from .types import (
     EntropyReference,
     GasParams,
     Model,
+    _div,
     require_model,
 )
+from .virial_cvt import cvt_temperature
+
 
 def virial_pressure_rt(R, a, rho, T):
-    """Raw thermal law rho R T (1 + a rho); shared by the Cv(T) variant."""
+    """Raw thermal law rho R T (1 + a rho); shared by both virial models."""
     return rho * R * T * (1.0 + a * rho)
 
 
 def vo1_pressure(params: GasParams, rho, T):
-    """Pressure from density and temperature: rho R T (1 + a rho)."""
-    require_model(params, Model.VO1)
+    """Pressure from density and temperature: rho R T (1 + a rho); VO1 or VO1_CVT."""
+    if params.a is None:  # only NA records lack a; one identity test keeps this path cheap
+        require_model(params, Model.VO1, Model.VO1_CVT)
     if not (rho > 0.0 and T > 0.0):
         raise DomainError(f"density and temperature must be positive, got rho={rho!r}, T={T!r}")
     return virial_pressure_rt(params.R, params.a, rho, T)
@@ -48,32 +53,17 @@ def virial_density_pt(R, a, P, T):
 
 
 def vo1_density(params: GasParams, P, T):
-    """Density from pressure and temperature (inverse of the thermal law)."""
-    require_model(params, Model.VO1)
+    """Density from pressure and temperature (inverse of the thermal law); VO1 or VO1_CVT."""
+    if params.a is None:
+        require_model(params, Model.VO1, Model.VO1_CVT)
     if not (P > 0.0 and T > 0.0):
         raise DomainError(f"pressure and temperature must be positive, got P={P!r}, T={T!r}")
     return virial_density_pt(params.R, params.a, P, T)
 
 
-def vo1_energy(params: GasParams, T):
-    """Specific internal energy Cv T + q."""
-    require_model(params, Model.VO1)
-    if not T > 0.0:
-        raise DomainError(f"temperature must be positive, got {T!r}")
-    return params.Cv * T + params.q
-
-
-def vo1_temperature(params: GasParams, e):
-    """Temperature from specific internal energy, (e - q) / Cv."""
-    require_model(params, Model.VO1)
-    if not e > params.q:
-        raise DomainError(f"internal energy {e!r} J/kg does not exceed the reference q = {params.q!r}")
-    return (e - params.q) / params.Cv
-
-
 def vo1_pressure_from_energy(params: GasParams, rho, e):
-    """Pressure from density and internal energy, rho R (e - q)(1 + a rho) / Cv."""
-    return vo1_pressure(params, rho, vo1_temperature(params, e))
+    """Pressure from density and internal energy through the caloric inversion; VO1 or VO1_CVT."""
+    return vo1_pressure(params, rho, cvt_temperature(params, e))
 
 
 def vo1_cp(params: GasParams, rho):
@@ -102,26 +92,6 @@ def vo1_sound_speed(params: GasParams, P, rho):
     if not c2 > 0.0:
         raise DomainError(f"squared sound speed is not positive at rho={rho!r} (a rho = {ar!r})")
     return math.sqrt(c2)
-
-
-class Vo1Derived(NamedTuple):
-    rho: float
-    h: float
-    Cp: float
-    gamma: float
-    c: float
-
-
-def vo1_derived(params: GasParams, P, T) -> Vo1Derived:
-    """Density, enthalpy, Cp, gamma and sound speed at (P, T)."""
-    rho = vo1_density(params, P, T)
-    return Vo1Derived(
-        rho=rho,
-        h=params.Cv * T + P / rho + params.q,
-        Cp=vo1_cp(params, rho),
-        gamma=vo1_gamma(params, rho),
-        c=vo1_sound_speed(params, P, rho),
-    )
 
 
 def vo1_entropy(params: GasParams, P, T, ref: EntropyReference = DEFAULT_ENTROPY_REF):
@@ -166,14 +136,6 @@ def vo1_entropy_dP(params: GasParams, P, T):
         raise DomainError(f"pressure and temperature must be positive, got P={P!r}, T={T!r}")
     u = math.sqrt(1.0 + 4.0 * params.a * P / (params.R * T))
     return -params.R * (1.0 + u) ** 2 / (4.0 * P * u)
-
-
-def _div(num, den):
-    if den != 0.0:
-        return num / den
-    if num == 0.0:
-        return math.nan
-    return math.copysign(math.inf, num)
 
 
 def vo1_convexity(params: GasParams, rho, P, T) -> ConvexityReport:

@@ -1,11 +1,12 @@
-"""First-order virial EOS with linearly temperature-dependent specific heat.
+"""The caloric law Cv(T) = Cv0 + c T of every model, and the Cv(T) virial EOS.
 
-Cv(T) = Cv0 + c T, hence e(T) = Cv0 T + (c/2) T^2 + q.  The thermal law
-is the same P = rho R T (1 + a rho) as the constant-Cv variant, shared at
-the code level, so thermodynamic compatibility carries over unchanged.
-
-No closed-form entropy or sound speed is provided for this variant; the
-finite-difference oracle in :mod:`redeos.numerics` covers the sound speed.
+e(T) = Cv0 T + (c/2) T^2 + q, with ``(Cv0, c)`` from ``GasParams.cv_law``;
+NA and VO1 records are the c = 0 case with Cv0 = Cv, so the caloric
+functions here accept any model.  VO1_CVT shares the thermal law, and its
+kernels in :mod:`redeos.virial`, with the constant-Cv variant, so
+thermodynamic compatibility carries over unchanged.  No closed-form entropy
+or sound speed is provided for this variant; the finite-difference oracle
+in :mod:`redeos.numerics` covers the sound speed.
 """
 
 from __future__ import annotations
@@ -15,64 +16,44 @@ from typing import NamedTuple
 
 from .errors import DomainError
 from .types import GasParams, InertGasParams, Model, require_model
-from .virial import virial_density_pt, virial_pressure_rt
+from . import virial
 
 
 def cvt_cv(params: GasParams, T):
     """Specific heat at constant volume, Cv0 + c T."""
-    require_model(params, Model.VO1_CVT)
-    return params.Cv0 + params.c * T
+    Cv0, c = params.cv_law
+    return Cv0 + c * T
 
 
 def cvt_energy(params: GasParams, T):
     """Specific internal energy Cv0 T + (c/2) T^2 + q."""
-    require_model(params, Model.VO1_CVT)
     if not T > 0.0:
         raise DomainError(f"temperature must be positive, got {T!r}")
-    return params.Cv0 * T + 0.5 * params.c * T * T + params.q
+    Cv0, c = params.cv_law
+    return Cv0 * T + 0.5 * c * T * T + params.q
 
 
 def cvt_temperature(params: GasParams, e):
     """Temperature from internal energy: positive root of the caloric law.
 
-    The textbook root (-Cv0 + sqrt(Cv0^2 + 2c(e-q))) / c divides a
-    cancellation-prone difference by c; the rationalized equivalent
+    At c = 0 the root is the one division (e-q)/Cv0, exact at any
+    magnitude.  Otherwise the textbook root (-Cv0 + sqrt(Cv0^2 + 2c(e-q))) / c
+    divides a cancellation-prone difference by c; the rationalized equivalent
 
         T = 2 (e-q) / (Cv0 + sqrt(Cv0^2 + 2c(e-q)))
 
-    is exact for every slope, including c = 0 where it degenerates to the
-    constant-Cv inversion (e-q)/Cv0.
+    is free of that cancellation for either sign of the slope.
     """
-    require_model(params, Model.VO1_CVT)
     if not e > params.q:
         raise DomainError(f"internal energy {e!r} J/kg does not exceed the reference q = {params.q!r}")
-    Cv0, c = params.Cv0, params.c
+    Cv0, c = params.cv_law
     E = e - params.q
+    if c == 0.0:
+        return E / Cv0
     disc = Cv0 * Cv0 + 2.0 * c * E
     if disc < 0.0:
         raise DomainError(f"caloric law has no real temperature for e = {e!r} J/kg")
     return 2.0 * E / (Cv0 + math.sqrt(disc))
-
-
-def cvt_pressure(params: GasParams, rho, T):
-    """Thermal law rho R T (1 + a rho); identical to the constant-Cv variant."""
-    require_model(params, Model.VO1_CVT)
-    if not (rho > 0.0 and T > 0.0):
-        raise DomainError(f"density and temperature must be positive, got rho={rho!r}, T={T!r}")
-    return virial_pressure_rt(params.R, params.a, rho, T)
-
-
-def cvt_density(params: GasParams, P, T):
-    """Density from pressure and temperature."""
-    require_model(params, Model.VO1_CVT)
-    if not (P > 0.0 and T > 0.0):
-        raise DomainError(f"pressure and temperature must be positive, got P={P!r}, T={T!r}")
-    return virial_density_pt(params.R, params.a, P, T)
-
-
-def cvt_pressure_from_energy(params: GasParams, rho, e):
-    """Pressure from density and internal energy via the temperature inversion."""
-    return cvt_pressure(params, rho, cvt_temperature(params, e))
 
 
 class InertMixtureState(NamedTuple):
@@ -98,17 +79,17 @@ def cvt_inert_mixture_state(params: GasParams, inert: InertGasParams, Y, rho_mix
     e_inert = inert.Cv_in * T + 0.5 * inert.c_in * T * T + inert.q_in
     e_mix = Y * e_react + (1.0 - Y) * e_inert
     R_mix = Y * params.R + (1.0 - Y) * inert.R_in
-    P = virial_pressure_rt(R_mix, params.a, rho_mix, T)
+    P = virial.virial_pressure_rt(R_mix, params.a, rho_mix, T)
     return InertMixtureState(e_mix=e_mix, P=P, R_mix=R_mix)
 
 
 def cvt_effective_energy(params: GasParams, T_flame):
     """Effective energy delivered to the gas phase, e(T_flame) - q.
 
-    Equals Cv0 T + (c/2) T^2; with c = 0 this reduces to Cv T, the
-    constant-Cv effective energy.
+    Equals Cv0 T + (c/2) T^2; for the constant-Cv models (c = 0) this is
+    Cv T, the effective energy of their closed-bomb calibration.
     """
-    require_model(params, Model.VO1_CVT)
     if T_flame < 0.0:
         raise DomainError(f"flame temperature must be non-negative, got {T_flame!r}")
-    return params.Cv0 * T_flame + 0.5 * params.c * T_flame * T_flame
+    Cv0, c = params.cv_law
+    return Cv0 * T_flame + 0.5 * c * T_flame * T_flame

@@ -1,3 +1,8 @@
+import json
+import resource
+import subprocess
+import sys
+
 import pytest
 
 import redeos as rx
@@ -309,3 +314,62 @@ class TestErrorSurface:
                                "--inert", "argon", "--es-i", "4556")
         assert code == 3
         assert err.startswith("E_RANK_DEFICIENT:")
+
+
+def assert_one_error_line(err, prefix):
+    assert err.startswith(prefix + ":"), err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+# runs argv lists through main() and reports (exit code, stderr) of each
+_CHILD = """
+import contextlib, io, json, sys
+from redeos.cli import main
+results = []
+for argv in json.loads(sys.argv[1]):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        results.append((main(argv), err.getvalue()))
+print(json.dumps(results))
+"""
+
+
+def _limit_memory():
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+
+class TestBoundaryRegressions:
+    """Inputs that used to hang, end in a traceback, or print inf/nan with exit 0."""
+
+    def test_unbounded_ranges_are_refused(self):
+        # in a child with a time and memory limit: unfixed, each of these loops while memory grows
+        argvs = [["sweep", "NC-13", "--model", "vo1", "--rho", "100:inf:50"],
+                 ["sweep", "NC-13", "--model", "vo1", "--rho", "nan:100:1"],
+                 ["audit", "NC-13", "--model", "vo1", "--T", "1500:1e300:1"]]
+        proc = subprocess.run([sys.executable, "-c", _CHILD, json.dumps(argvs)], capture_output=True,
+                              text=True, timeout=60, preexec_fn=_limit_memory)
+        assert proc.returncode == 0, proc.stderr
+        for code, err in json.loads(proc.stdout):
+            assert code == 2
+            assert_one_error_line(err, "E_VALIDATION")
+
+    @pytest.mark.parametrize("argv, code, prefix", [
+        (["mix-sweep", "NC-13=abc,RDX=0.5", "--model", "mna", "--rho", "100", "--same-oxygen-balance"],
+         2, "E_VALIDATION"),
+        (["sweep", "NC-13", "--model", "vo1", "--rho", "a:b:c"], 2, "E_VALIDATION"),
+        (["state", "NC-13", "--model", "vo1", "--rho", "1e308", "--T", "3000"], 3, "E_NUMERICAL"),
+        (["state", "NC-13", "--model", "na", "--rho", "0", "--T", "3000"], 4, "E_DOMAIN"),
+        (["mix-sweep", "NC-13=0.5,RDX=0.5", "--model", "mna", "--rho", "0", "--same-oxygen-balance"],
+         3, "E_NUMERICAL"),
+    ])
+    def test_error_maps_to_one_code_line(self, capsys, argv, code, prefix):
+        got, _, err = run_cli(capsys, *argv)
+        assert got == code
+        assert_one_error_line(err, prefix)
+
+    def test_non_finite_result_is_not_printed(self, capsys):
+        code, out, err = run_cli(capsys, "mix-sweep", "NC-13=0.5,RDX=0.5", "--model", "mvo1",
+                                 "--rho", "1e300", "--same-oxygen-balance")
+        assert code == 3
+        assert_one_error_line(err, "E_NUMERICAL")
+        assert "inf" not in out and "nan" not in out

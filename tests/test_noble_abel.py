@@ -38,24 +38,24 @@ class TestPressure:
 class TestCaloric:
     def test_energy_at_flame_temperature(self, nc13_na):
         # Cv * T with the published Cv; matches the tabulated effective energy scale
-        assert rx.na_energy(nc13_na, 3275.0) == pytest.approx(5.3615e6, rel=1e-4)
+        assert rx.cvt_energy(nc13_na, 3275.0) == pytest.approx(5.3615e6, rel=1e-4)
 
     def test_unit_inversion(self, nc13_na):
         e = nc13_na.q + nc13_na.Cv * 1.0
-        assert rx.na_temperature(nc13_na, e) == pytest.approx(1.0, rel=1e-14)
+        assert rx.cvt_temperature(nc13_na, e) == pytest.approx(1.0, rel=1e-14)
 
     def test_round_trip(self, nc13_na):
-        e = rx.na_energy(nc13_na, 3275.0)
-        assert rx.na_temperature(nc13_na, e) == pytest.approx(3275.0, rel=1e-15)
+        e = rx.cvt_energy(nc13_na, 3275.0)
+        assert rx.cvt_temperature(nc13_na, e) == pytest.approx(3275.0, rel=1e-15)
 
     def test_energy_floor(self, nc13_na):
         with pytest.raises(DomainError):
-            rx.na_temperature(nc13_na, nc13_na.q)
+            rx.cvt_temperature(nc13_na, nc13_na.q)
 
 
 class TestPressureFromEnergy:
     def test_composes_with_caloric_inverse(self, nc13_na):
-        e = rx.na_energy(nc13_na, 3275.0)
+        e = rx.cvt_energy(nc13_na, 3275.0)
         want = rx.na_pressure_vt(nc13_na, 0.01, 3275.0)
         assert rx.na_pressure_ve(nc13_na, 0.01, e) == pytest.approx(want, rel=1e-14)
         assert rx.na_pressure_ve(nc13_na, 0.01, e) == pytest.approx(130.33e6, rel=1e-4)
@@ -75,7 +75,7 @@ class TestPressureFromEnergy:
 class TestDerived:
     def test_volume_inverts_pressure(self, nc13_na):
         P = rx.na_pressure_vt(nc13_na, 0.01, 3275.0)
-        assert rx.na_derived(nc13_na, P, 3275.0).v == pytest.approx(0.01, rel=1e-12)
+        assert rx.state_from_P_T(nc13_na, P, 3275.0).v == pytest.approx(0.01, rel=1e-12)
 
     def test_gamma(self, nc13_na):
         # 1 + 338.9/1637.1
@@ -84,14 +84,14 @@ class TestDerived:
     def test_sound_speed_value(self, nc13_na):
         # gamma P / rho / (1 - rho b) at the calibration state, c about 1359 m/s
         P = rx.na_pressure_vt(nc13_na, 0.01, 3275.0)
-        d = rx.na_derived(nc13_na, P, 3275.0)
+        d = rx.state_from_P_T(nc13_na, P, 3275.0)
         assert d.c == pytest.approx(1359.13, rel=1e-4)
 
     def test_sound_speed_against_fd_oracle(self, nc13_na):
         rho, T = 100.0, 3275.0
         P = rx.na_pressure_vt(nc13_na, 1.0 / rho, T)
         oracle = rx.sound_speed_fd_oracle(
-            lambda r, t: rx.na_energy(nc13_na, t),
+            lambda r, t: rx.cvt_energy(nc13_na, t),
             lambda r, t: rx.na_pressure_vt(nc13_na, 1.0 / r, t), rho, T)
         assert rx.na_sound_speed(nc13_na, P, rho) == pytest.approx(math.sqrt(oracle.c2_energy), rel=1e-5)
 
@@ -115,8 +115,8 @@ class TestDerived:
 
     def test_enthalpy_definition(self, nc13_na):
         P, T = 130.33e6, 3275.0
-        d = rx.na_derived(nc13_na, P, T)
-        assert d.h == pytest.approx(rx.na_energy(nc13_na, T) + P * d.v, rel=1e-12)
+        d = rx.state_from_P_T(nc13_na, P, T)
+        assert d.h == pytest.approx(rx.cvt_energy(nc13_na, T) + P * d.v, rel=1e-12)
         assert d.Cp == nc13_na.R + nc13_na.Cv
 
 
@@ -158,7 +158,7 @@ class TestMaxwellCompatibility:
             v = 1.0 / rho
             for T in (1500.0, 3000.0, 4500.0):
                 P = rx.na_pressure_vt(nc13_na, v, T)
-                dedv = rx.fd_derivative(lambda vv: rx.na_energy(nc13_na, T), v, 1e-4)
+                dedv = rx.fd_derivative(lambda vv: rx.cvt_energy(nc13_na, T), v, 1e-4)
                 dpdT = rx.fd_derivative(lambda t: rx.na_pressure_vt(nc13_na, v, t), T, SCALE_T)
                 assert abs(dedv - (T * dpdT - P)) < 1e-8 * P
 

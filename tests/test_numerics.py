@@ -72,7 +72,7 @@ class TestSoundSpeedOracle:
     def test_ideal_gas(self):
         ideal = rx.GasParams.noble_abel("ideal", R=338.9, b=0.0, Cv=1637.1)
         oracle = rx.sound_speed_fd_oracle(
-            lambda r, t: rx.na_energy(ideal, t),
+            lambda r, t: rx.cvt_energy(ideal, t),
             lambda r, t: rx.na_pressure_vt(ideal, 1.0 / r, t),
             100.0, 3275.0)
         gamma = 1.0 + ideal.R / ideal.Cv
@@ -84,7 +84,7 @@ class TestSoundSpeedOracle:
         rho, T = 100.0, 3275.0
         P = rx.na_pressure_vt(nc13_na, 1.0 / rho, T)
         oracle = rx.sound_speed_fd_oracle(
-            lambda r, t: rx.na_energy(nc13_na, t),
+            lambda r, t: rx.cvt_energy(nc13_na, t),
             lambda r, t: rx.na_pressure_vt(nc13_na, 1.0 / r, t),
             rho, T)
         assert math.sqrt(oracle.c2_energy) == pytest.approx(
@@ -94,7 +94,7 @@ class TestSoundSpeedOracle:
         rho, T = 400.0, 3275.0
         P = rx.vo1_pressure(nc13_vo1, rho, T)
         oracle = rx.sound_speed_fd_oracle(
-            lambda r, t: rx.vo1_energy(nc13_vo1, t),
+            lambda r, t: rx.cvt_energy(nc13_vo1, t),
             lambda r, t: rx.vo1_pressure(nc13_vo1, r, t),
             rho, T)
         assert math.sqrt(oracle.c2_energy) == pytest.approx(
@@ -102,7 +102,7 @@ class TestSoundSpeedOracle:
 
     def test_forms_agree(self, nc13_vo1):
         oracle = rx.sound_speed_fd_oracle(
-            lambda r, t: rx.vo1_energy(nc13_vo1, t),
+            lambda r, t: rx.cvt_energy(nc13_vo1, t),
             lambda r, t: rx.vo1_pressure(nc13_vo1, r, t),
             250.0, 2500.0)
         assert oracle.rel_disagreement < 1e-6
@@ -112,7 +112,7 @@ class TestConvexityAudit:
     def test_noble_abel_valid_state(self, nc13_na):
         rho, T = 100.0, 3275.0
         report = rx.convexity_audit_fd(
-            lambda r, t: rx.na_energy(nc13_na, t),
+            lambda r, t: rx.cvt_energy(nc13_na, t),
             lambda r, t: rx.na_pressure_vt(nc13_na, 1.0 / r, t),
             rho, T)
         assert report.convex
@@ -124,7 +124,7 @@ class TestConvexityAudit:
     def test_virial_valid_state(self, nc13_vo1):
         rho, T = 100.0, 3275.0
         report = rx.convexity_audit_fd(
-            lambda r, t: rx.vo1_energy(nc13_vo1, t),
+            lambda r, t: rx.cvt_energy(nc13_vo1, t),
             lambda r, t: rx.vo1_pressure(nc13_vo1, r, t),
             rho, T)
         assert report.convex
@@ -143,7 +143,7 @@ class TestConvexityAudit:
             return nc13_na.R * t / (1.0 / r - nc13_na.b)
 
         report = rx.convexity_audit_fd(
-            lambda r, t: rx.na_energy(nc13_na, t), p_continued, rho, T)
+            lambda r, t: rx.cvt_energy(nc13_na, t), p_continued, rho, T)
         assert not report.convex
         closed = rx.na_convexity(nc13_na, 1.0 / rho, p_continued(rho, T), T)
         assert not closed.convex

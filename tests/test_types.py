@@ -8,10 +8,9 @@ from redeos.errors import ModelMismatchError, ValidationError
 
 
 def test_universal_constants():
-    r_hat, t_ref, p_ref = rx.universal_constants()
-    assert r_hat == 8.314462618
-    assert t_ref == 298.15
-    assert p_ref == 101325.0
+    assert rx.R_UNIVERSAL == 8.314462618
+    assert rx.T_REF == 298.15
+    assert rx.P_REF == 101325.0
 
 
 def test_molar_mass_of_published_record(nc13_vo1):

@@ -89,7 +89,7 @@ class TestDerived:
         ideal = rx.GasParams.virial("ideal", R=322.0, a=0.0, Cv=1640.5)
         rho, T = 100.0, 3275.0
         P = rx.vo1_pressure(ideal, rho, T)
-        d = rx.vo1_derived(ideal, P, T)
+        d = rx.state_from_P_T(ideal, P, T)
         assert d.Cp == pytest.approx(ideal.Cv + ideal.R, rel=1e-12)
         assert d.gamma == pytest.approx(1.0 + ideal.R / ideal.Cv, rel=1e-12)
         assert d.c == pytest.approx(math.sqrt(d.gamma * P / rho), rel=1e-12)
@@ -98,7 +98,7 @@ class TestDerived:
         rho, T = 100.0, 3275.0
         P = rx.vo1_pressure(nc13_vo1, rho, T)
         oracle = rx.sound_speed_fd_oracle(
-            lambda r, t: rx.vo1_energy(nc13_vo1, t),
+            lambda r, t: rx.cvt_energy(nc13_vo1, t),
             lambda r, t: rx.vo1_pressure(nc13_vo1, r, t), rho, T)
         assert rx.vo1_sound_speed(nc13_vo1, P, rho) == pytest.approx(math.sqrt(oracle.c2_energy), rel=1e-5)
 
@@ -106,7 +106,7 @@ class TestDerived:
         # Cv T + P/rho + q equals the expanded closed form through the
         # density root: 2 a P / (-1 + sqrt(1 + 4 a P/(R T)))
         P, T = 130.33e6, 3275.0
-        d = rx.vo1_derived(nc13_vo1, P, T)
+        d = rx.state_from_P_T(nc13_vo1, P, T)
         x = 4.0 * nc13_vo1.a * P / (nc13_vo1.R * T)
         h_expanded = nc13_vo1.Cv * T + 2.0 * nc13_vo1.a * P / (-1.0 + math.sqrt(1.0 + x)) + nc13_vo1.q
         assert d.h == pytest.approx(h_expanded, rel=1e-12)
@@ -157,7 +157,7 @@ class TestMaxwellCompatibility:
         for rho in (10.0, 150.0, 400.0, 600.0):
             for T in (1500.0, 3000.0, 4500.0):
                 P = rx.vo1_pressure(nc13_vo1, rho, T)
-                dedrho = rx.fd_derivative(lambda r: rx.vo1_energy(nc13_vo1, T), rho, 1.0)
+                dedrho = rx.fd_derivative(lambda r: rx.cvt_energy(nc13_vo1, T), rho, 1.0)
                 dpdT = rx.fd_derivative(lambda t: rx.vo1_pressure(nc13_vo1, rho, t), T, SCALE_T)
                 assert abs(dedrho * rho * rho + T * dpdT - P) < 1e-8 * P
 

@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 import redeos as rx
 from redeos.errors import DomainError
@@ -28,6 +28,23 @@ class TestCaloric:
 
     def test_cv_is_linear(self, nc13_cvt):
         assert rx.cvt_cv(nc13_cvt, 2000.0) == pytest.approx(1416.8 + 0.0637 * 2000.0, rel=1e-15)
+
+    @given(st.booleans(),
+           st.one_of(st.floats(min_value=1e-3, max_value=1e6), st.floats(min_value=1e154, max_value=1e308)),
+           st.floats(min_value=1e-300, max_value=1e308),
+           st.floats(min_value=-1e6, max_value=1e6),
+           st.one_of(st.floats(min_value=1e-300, max_value=1e300), st.floats(min_value=1e307, max_value=1.7e308)))
+    def test_constant_cv_law_is_exact(self, noble_abel, Cv, T, q, E):
+        # NA and VO1 records are the c = 0 case: the shared law must give the
+        # constant-Cv results bit for bit, also where Cv*Cv or 2*(e-q) overflow
+        if noble_abel:
+            params = rx.GasParams.noble_abel("p", R=300.0, b=0.001, Cv=Cv, q=q)
+        else:
+            params = rx.GasParams.virial("p", R=300.0, a=0.002, Cv=Cv, q=q)
+        assert rx.cvt_energy(params, T) == Cv * T + q
+        e = q + E
+        assume(e > q)
+        assert rx.cvt_temperature(params, e) == (e - q) / Cv
 
 
 class TestTemperature:
@@ -75,16 +92,18 @@ class TestPressure:
         # same (R, a): identical code path, identical bits
         for rho in (10.0, 100.0, 400.0):
             for T in (1600.0, 3275.0):
-                assert rx.cvt_pressure(nc13_cvt, rho, T) == rx.vo1_pressure(nc13_vo1, rho, T)
-                assert rx.cvt_pressure(nc13_cvt, rho, T) == virial_pressure_rt(
+                assert rx.vo1_pressure(nc13_cvt, rho, T) == rx.vo1_pressure(nc13_vo1, rho, T)
+                assert rx.vo1_pressure(nc13_cvt, rho, T) == virial_pressure_rt(
                     nc13_cvt.R, nc13_cvt.a, rho, T)
+                assert rx.vo1_pressure(nc13_cvt, rho, T) == pytest.approx(
+                    rho * 322.0 * T * (1.0 + 0.002359 * rho), rel=1e-15)
 
     def test_pressure_from_energy_closed_form(self, nc13_cvt):
         # inserting the temperature root into the thermal law must equal the
         # expanded form rho R/c [sqrt(Cv0^2 + 2c(e-q)) - Cv0] (1 + a rho)
         rho = 100.0
         e = nc13_cvt.q + 4.98163e6
-        got = rx.cvt_pressure_from_energy(nc13_cvt, rho, e)
+        got = rx.vo1_pressure_from_energy(nc13_cvt, rho, e)
         root = math.sqrt(nc13_cvt.Cv0**2 + 2.0 * nc13_cvt.c * (e - nc13_cvt.q)) - nc13_cvt.Cv0
         want = rho * nc13_cvt.R / nc13_cvt.c * root * (1.0 + nc13_cvt.a * rho)
         assert got == pytest.approx(want, rel=1e-12)
@@ -92,23 +111,26 @@ class TestPressure:
 
     def test_energy_floor(self, nc13_cvt):
         with pytest.raises(DomainError):
-            rx.cvt_pressure_from_energy(nc13_cvt, 100.0, nc13_cvt.q)
+            rx.vo1_pressure_from_energy(nc13_cvt, 100.0, nc13_cvt.q)
 
     def test_double_reduction(self):
         params = rx.GasParams.virial_cvt("flat", R=322.0, a=0.0, Cv0=1640.5, c=0.0)
         rho, e = 100.0, 3e6
-        assert rx.cvt_pressure_from_energy(params, rho, e) == pytest.approx(
+        assert rx.vo1_pressure_from_energy(params, rho, e) == pytest.approx(
             rho * params.R * e / params.Cv0, rel=1e-12)
 
     def test_matches_constant_cv_kernel_when_c_is_zero(self, nc13_vo1):
+        # a flat Cv(T) record and the constant-Cv record both follow
+        # e = Cv T + q and P = rho R T (1 + a rho), written out here
         flat = rx.GasParams.virial_cvt("flat", R=nc13_vo1.R, a=nc13_vo1.a, Cv0=nc13_vo1.Cv, c=0.0)
         for T in (1500.0, 3275.0, 4500.0):
-            e_flat = rx.cvt_energy(flat, T)
-            assert e_flat == pytest.approx(rx.vo1_energy(nc13_vo1, T), rel=1e-12)
-            assert rx.cvt_temperature(flat, e_flat) == pytest.approx(
-                rx.vo1_temperature(nc13_vo1, e_flat), rel=1e-12)
-            assert rx.cvt_pressure_from_energy(flat, 200.0, e_flat) == pytest.approx(
-                rx.vo1_pressure_from_energy(nc13_vo1, 200.0, e_flat), rel=1e-12)
+            e_want = 1640.5 * T
+            p_want = 200.0 * 322.0 * T * (1.0 + 0.002359 * 200.0)
+            for params in (flat, nc13_vo1):
+                e = rx.cvt_energy(params, T)
+                assert e == pytest.approx(e_want, rel=1e-12)
+                assert rx.cvt_temperature(params, e) == pytest.approx(T, rel=1e-12)
+                assert rx.vo1_pressure_from_energy(params, 200.0, e) == pytest.approx(p_want, rel=1e-12)
 
 
 class TestInertMixtureState:
@@ -117,7 +139,7 @@ class TestInertMixtureState:
         state = rx.cvt_inert_mixture_state(nc13_cvt, argon, 1.0, 100.0, 3275.0)
         assert state.e_mix == rx.cvt_energy(nc13_cvt, 3275.0)
         assert state.R_mix == nc13_cvt.R
-        assert state.P == rx.cvt_pressure(nc13_cvt, 100.0, 3275.0)
+        assert state.P == rx.vo1_pressure(nc13_cvt, 100.0, 3275.0)
 
     def test_equal_split_gas_constant(self, nc13_cvt):
         # 8.314462618 (0.5/0.02582 + 0.5/0.03995) = 265.1 J/(kg K)
@@ -161,7 +183,7 @@ class TestMaxwellCompatibility:
         from redeos.numerics import SCALE_T
         for rho in (10.0, 150.0, 600.0):
             for T in (1500.0, 3000.0, 4500.0):
-                P = rx.cvt_pressure(nc13_cvt, rho, T)
+                P = rx.vo1_pressure(nc13_cvt, rho, T)
                 dedrho = rx.fd_derivative(lambda r: rx.cvt_energy(nc13_cvt, T), rho, 1.0)
-                dpdT = rx.fd_derivative(lambda t: rx.cvt_pressure(nc13_cvt, rho, t), T, SCALE_T)
+                dpdT = rx.fd_derivative(lambda t: rx.vo1_pressure(nc13_cvt, rho, t), T, SCALE_T)
                 assert abs(dedrho * rho * rho + T * dpdT - P) < 1e-8 * P
