@@ -37,7 +37,7 @@ print(f"{'rho':>6s}{'closed (m/s)':>13s}{'oracle A':>10s}{'oracle B':>10s}{'spre
 for rho in (100.0, 400.0):
     P = p_fn(rho, 3275.0)
     oracle = rx.sound_speed_fd_oracle(e_fn, p_fn, rho, 3275.0)
-    c_closed = rx.vo1_sound_speed(vo1, P, rho)
+    c_closed = rx.vo1_sound_speed(vo1, P, rho, 3275.0)
     print(f"{rho:6.0f}{c_closed:13.3f}{math.sqrt(oracle.c2_energy):10.3f}"
           f"{math.sqrt(oracle.c2_gamma):10.3f}{oracle.rel_disagreement:10.2e}")
 

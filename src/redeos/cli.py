@@ -263,6 +263,8 @@ def cmd_mix_sweep(args):
         y_label = fractions[-1]
         for rho in densities:
             if args.model == "mna":
+                if not rho > 0.0:
+                    raise DomainError(f"density must be positive, got {rho!r}")
                 P = mna_pressure_vt(mix, 1.0 / rho, flame.T_flame)
                 c = mna_sound_speed(mix, P, 1.0 / rho)
             else:
@@ -283,8 +285,8 @@ def _audit_point(params, rho, T):
     e_fn, p_fn = fd_closures(params)
     P = p_fn(rho, T)
 
-    closed = None if laws.convexity is None else laws.convexity(params, rho, P, T)
-    if closed is not None and not (closed.convex and convexity_signs_ok(closed.criteria)):
+    closed = laws.convexity(params, rho, P, T)
+    if not (closed.convex and convexity_signs_ok(closed.criteria)):
         return 0.0, 0.0, 0.0, True, False
 
     # thermal/caloric compatibility residual, scaled to pressure
@@ -293,21 +295,14 @@ def _audit_point(params, rho, T):
     maxwell_rel = abs(dedrho * rho * rho + T * dpdT - P) / P
 
     audit = convexity_audit_fd(e_fn, p_fn, rho, T)
-    if closed is None and not audit.convex:
-        return maxwell_rel, 0.0, 0.0, True, False
-
     oracle = sound_speed_fd_oracle(e_fn, p_fn, rho, T)
     forms_rel = oracle.rel_disagreement
     c_oracle = oracle.c2_energy**0.5
-    c_analytic = None if laws.sound_speed is None else laws.sound_speed(params, P, rho)
-    analytic_rel = abs(c_analytic - c_oracle) / c_oracle if c_analytic is not None else 0.0
+    analytic_rel = abs(laws.sound_speed(params, P, rho, T) - c_oracle) / c_oracle
 
-    if closed is not None:
-        signs_match = audit.convex and all(
-            (x > 0.0) == (y > 0.0)
-            for x, y in zip(closed.criteria, audit.criteria))
-    else:
-        signs_match = audit.convex
+    signs_match = audit.convex and all(
+        (x > 0.0) == (y > 0.0)
+        for x, y in zip(closed.criteria, audit.criteria))
     return maxwell_rel, analytic_rel, forms_rel, signs_match, True
 
 

@@ -159,6 +159,17 @@ def _invert_temperature(p_fn, rho, P_target, T_guess):
     return solve_monotone(g, lo, hi, tol_rel=1e-13, max_iter=200).root
 
 
+def _fd_partials(e_fn, p_fn, rho, T):
+    """(P, e_T, e_rho, P_T, c^2) at (rho, T), the partials by differences and c^2 = (Cp/Cv) P_rho."""
+    P = p_fn(rho, T)
+    eT = fd_derivative(lambda t: e_fn(rho, t), T, SCALE_T)
+    erho = fd_derivative(lambda r: e_fn(r, T), rho, SCALE_RHO)
+    pT = fd_derivative(lambda t: p_fn(rho, t), T, SCALE_T)
+    prho = fd_derivative(lambda r: p_fn(r, T), rho, SCALE_RHO)
+    cp = (eT + pT / rho) - (erho + prho / rho - P / rho**2) * pT / prho
+    return P, eT, erho, pT, (cp / eT) * prho
+
+
 @dataclass(frozen=True)
 class OracleSoundSpeed:
     """Squared frozen sound speed from two independent difference paths.
@@ -172,8 +183,6 @@ class OracleSoundSpeed:
 
     c2_energy: float
     c2_gamma: float
-    cp: float
-    cv: float
 
     @property
     def rel_disagreement(self):
@@ -190,15 +199,7 @@ def sound_speed_fd_oracle(e_fn, p_fn, rho, T) -> OracleSoundSpeed:
     rho, T : float
         Evaluation point.
     """
-    P = p_fn(rho, T)
-    eT = fd_derivative(lambda t: e_fn(rho, t), T, SCALE_T)
-    erho = fd_derivative(lambda r: e_fn(r, T), rho, SCALE_RHO)
-    pT = fd_derivative(lambda t: p_fn(rho, t), T, SCALE_T)
-    prho = fd_derivative(lambda r: p_fn(r, T), rho, SCALE_RHO)
-
-    cv = eT
-    cp = (eT + pT / rho) - (erho + prho / rho - P / rho**2) * pT / prho
-    c2_gamma = (cp / cv) * prho
+    P, _, _, _, c2_gamma = _fd_partials(e_fn, p_fn, rho, T)
 
     def e_at(rho_, P_):
         return e_fn(rho_, _invert_temperature(p_fn, rho_, P_, T))
@@ -206,7 +207,7 @@ def sound_speed_fd_oracle(e_fn, p_fn, rho, T) -> OracleSoundSpeed:
     dedrho_P = fd_derivative(lambda r: e_at(r, P), rho, SCALE_RHO)
     dedP_rho = fd_derivative(lambda p: e_at(rho, p), P, SCALE_P)
     c2_energy = (P / rho**2 - dedrho_P) / dedP_rho
-    return OracleSoundSpeed(c2_energy=c2_energy, c2_gamma=c2_gamma, cp=cp, cv=cv)
+    return OracleSoundSpeed(c2_energy=c2_energy, c2_gamma=c2_gamma)
 
 
 def convexity_audit_fd(e_fn, p_fn, rho, T):
@@ -218,15 +219,7 @@ def convexity_audit_fd(e_fn, p_fn, rho, T):
     """
     from .types import ConvexityReport, convexity_signs_ok
 
-    P = p_fn(rho, T)
-    eT = fd_derivative(lambda t: e_fn(rho, t), T, SCALE_T)
-    erho = fd_derivative(lambda r: e_fn(r, T), rho, SCALE_RHO)
-    pT = fd_derivative(lambda t: p_fn(rho, t), T, SCALE_T)
-    prho = fd_derivative(lambda r: p_fn(r, T), rho, SCALE_RHO)
-
-    cp = (eT + pT / rho) - (erho + prho / rho - P / rho**2) * pT / prho
-    c2 = (cp / eT) * prho
-
+    P, eT, erho, pT, c2 = _fd_partials(e_fn, p_fn, rho, T)
     m = P - rho**2 * erho
     crit_a = rho**2 * c2
     crit_b = m / (pT * eT)

@@ -3,33 +3,30 @@
 Builders accept the three natural input pairs, (rho, T), (P, T) and
 (rho, e), and return a :class:`~redeos.types.ThermoState`.  ``LAWS`` holds
 each model's thermal law and closed forms; energy and temperature come from
-the caloric law every model shares (:mod:`redeos.virial_cvt`).  The Cv(T)
-virial variant has no closed-form entropy, sound speed or convexity
-criteria (``None`` in ``LAWS``): its entropy field is left empty and the
-sound speed, Cp and gamma come from the finite-difference oracle.  The
+the caloric law every model shares (:mod:`redeos.virial_cvt`).  The two
+virial models share one entry, whose closed forms read Cv(T); only the
+entropy needs a constant Cv, so a Cv(T) state leaves that field empty.  The
 entries call the kernels through their modules, so that wrappers installed
 on module attributes see those calls.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Callable, NamedTuple
 
 from .errors import DomainError
-from .numerics import sound_speed_fd_oracle
 from .types import DEFAULT_ENTROPY_REF, GasParams, Model, ThermoState
 from . import noble_abel, virial, virial_cvt
 
 
 class Laws(NamedTuple):
-    """One model's thermal law and closed forms; ``None`` where none exists."""
+    """One model's thermal law and closed forms."""
 
-    pressure: Callable              # P(params, rho, T)
-    density: Callable               # rho(params, P, T)
-    derived: Callable | None        # (h, s, c, Cp, gamma)(params, rho, T, P, ref)
-    sound_speed: Callable | None    # c(params, P, rho)
-    convexity: Callable | None      # ConvexityReport(params, rho, P, T)
+    pressure: Callable      # P(params, rho, T)
+    density: Callable       # rho(params, P, T)
+    derived: Callable       # (h, s, c, Cp, gamma)(params, rho, T, P, ref); s is None without a closed form
+    sound_speed: Callable   # c(params, P, rho, T)
+    convexity: Callable     # ConvexityReport(params, rho, P, T)
 
 
 def _na_pressure(params, rho, T):
@@ -43,17 +40,19 @@ def _na_derived(params, rho, T, P, ref):
             noble_abel.na_sound_speed(params, P, rho), noble_abel.na_cp(params), noble_abel.na_gamma(params))
 
 
-def _vo1_derived(params, rho, T, P, ref):
-    return (params.Cv * T + P / rho + params.q,
-            virial.vo1_entropy(params, P, T, ref) if params.a > 0.0 else None,
-            virial.vo1_sound_speed(params, P, rho), virial.vo1_cp(params, rho), virial.vo1_gamma(params, rho))
+def _virial_derived(params, rho, T, P, ref):
+    # h = (e - q) + P/rho + q; the entropy needs a constant Cv, so records with a slope c get none
+    return (virial_cvt.cvt_effective_energy(params, T) + P / rho + params.q,
+            virial.vo1_entropy(params, P, T, ref) if params.c is None and params.a > 0.0 else None,
+            virial.vo1_sound_speed(params, P, rho, T), virial.vo1_cp(params, rho, T),
+            virial.vo1_gamma(params, rho, T))
 
 
-_VO1_LAWS = Laws(
+_VIRIAL_LAWS = Laws(
     pressure=lambda params, rho, T: virial.vo1_pressure(params, rho, T),
     density=lambda params, P, T: virial.vo1_density(params, P, T),
-    derived=_vo1_derived,
-    sound_speed=lambda params, P, rho: virial.vo1_sound_speed(params, P, rho),
+    derived=_virial_derived,
+    sound_speed=lambda params, P, rho, T: virial.vo1_sound_speed(params, P, rho, T),
     convexity=lambda params, rho, P, T: virial.vo1_convexity(params, rho, P, T))
 
 LAWS = {
@@ -61,11 +60,10 @@ LAWS = {
         pressure=_na_pressure,
         density=lambda params, P, T: 1.0 / noble_abel.na_volume(params, P, T),
         derived=_na_derived,
-        sound_speed=lambda params, P, rho: noble_abel.na_sound_speed(params, P, rho),
+        sound_speed=lambda params, P, rho, T: noble_abel.na_sound_speed(params, P, rho),
         convexity=lambda params, rho, P, T: noble_abel.na_convexity(params, 1.0 / rho, P, T)),
-    Model.VO1: _VO1_LAWS,
-    # the same thermal law; its closed forms assume a constant Cv
-    Model.VO1_CVT: _VO1_LAWS._replace(derived=None, sound_speed=None, convexity=None),
+    Model.VO1: _VIRIAL_LAWS,
+    Model.VO1_CVT: _VIRIAL_LAWS,
 }
 
 
@@ -81,11 +79,7 @@ def state_from_rho_T(params: GasParams, rho, T, ref=DEFAULT_ENTROPY_REF) -> Ther
     laws = LAWS[params.model]
     P = laws.pressure(params, rho, T)
     e = virial_cvt.cvt_energy(params, T)
-    if laws.derived is not None:
-        h, s, c, Cp, gamma = laws.derived(params, rho, T, P, ref)
-    else:
-        oracle = sound_speed_fd_oracle(*fd_closures(params), rho, T)
-        h, s, c, Cp, gamma = e + P / rho, None, math.sqrt(oracle.c2_gamma), oracle.cp, oracle.cp / oracle.cv
+    h, s, c, Cp, gamma = laws.derived(params, rho, T, P, ref)
     return ThermoState(P=P, T=T, rho=rho, v=1.0 / rho, e=e, h=h, s=s, c=c, Cp=Cp, gamma=gamma)
 
 

@@ -1,9 +1,9 @@
 """First-order virial equation of state.
 
 Thermal law P = rho R T (1 + a rho), compressibility factor Z = 1 + a rho.
-The pressure and density kernels serve VO1 and VO1_CVT records alike; the
-heat capacities, sound speed, entropy and convexity criteria assume a
-constant Cv and take VO1 only.  The virial coefficient a is positive for
+Every kernel serves VO1 and VO1_CVT records alike, reading Cv(T) through
+``cvt_cv`` (Cv exactly for VO1), except the entropy, which assumes a
+constant Cv and takes VO1 only.  The virial coefficient a is positive for
 calibrated materials, which keeps the model convex at every density;
 negative values are representable for convexity studies only.
 """
@@ -22,7 +22,7 @@ from .types import (
     _div,
     require_model,
 )
-from .virial_cvt import cvt_temperature
+from .virial_cvt import cvt_cv, cvt_temperature
 
 
 def virial_pressure_rt(R, a, rho, T):
@@ -66,29 +66,31 @@ def vo1_pressure_from_energy(params: GasParams, rho, e):
     return vo1_pressure(params, rho, cvt_temperature(params, e))
 
 
-def vo1_cp(params: GasParams, rho):
-    """Constant-pressure specific heat, Cv + R (1 + a rho)^2 / (1 + 2 a rho).
+def vo1_cp(params: GasParams, rho, T):
+    """Constant-pressure specific heat, Cv(T) + R (1 + a rho)^2 / (1 + 2 a rho).
 
     State dependent: the Mayer relation picks up the compressibility
     correction, so Cp varies with density unlike the Noble-Abel case.
     """
-    require_model(params, Model.VO1)
+    if params.a is None:
+        require_model(params, Model.VO1, Model.VO1_CVT)
     ar = params.a * rho
-    return params.Cv + params.R * (1.0 + ar) ** 2 / (1.0 + 2.0 * ar)
+    return cvt_cv(params, T) + params.R * (1.0 + ar) ** 2 / (1.0 + 2.0 * ar)
 
 
-def vo1_gamma(params: GasParams, rho):
-    """Density-dependent heat-capacity ratio Cp / Cv."""
-    return vo1_cp(params, rho) / params.Cv
+def vo1_gamma(params: GasParams, rho, T):
+    """State-dependent heat-capacity ratio Cp / Cv(T)."""
+    return vo1_cp(params, rho, T) / cvt_cv(params, T)
 
 
-def vo1_sound_speed(params: GasParams, P, rho):
-    """Frozen sound speed at (P, rho)."""
-    require_model(params, Model.VO1)
+def vo1_sound_speed(params: GasParams, P, rho, T):
+    """Frozen sound speed at (P, rho, T)."""
+    if params.a is None:
+        require_model(params, Model.VO1, Model.VO1_CVT)
     if not (P > 0.0 and rho > 0.0):
         raise DomainError(f"pressure and density must be positive, got P={P!r}, rho={rho!r}")
     ar = params.a * rho
-    c2 = (P / rho) * ((params.R / params.Cv) * (1.0 + ar) + (1.0 + 2.0 * ar) / (1.0 + ar))
+    c2 = (P / rho) * ((params.R / cvt_cv(params, T)) * (1.0 + ar) + (1.0 + 2.0 * ar) / (1.0 + ar))
     if not c2 > 0.0:
         raise DomainError(f"squared sound speed is not positive at rho={rho!r} (a rho = {ar!r})")
     return math.sqrt(c2)
@@ -145,10 +147,11 @@ def vo1_convexity(params: GasParams, rho, P, T) -> ConvexityReport:
     criterion values use the caller-supplied (P, T) so constructed
     negative-a records can be probed past the a rho = -1 boundary.
     """
-    require_model(params, Model.VO1)
+    if params.a is None:
+        require_model(params, Model.VO1, Model.VO1_CVT)
     if not rho > 0.0:
         raise DomainError(f"density must be positive, got {rho!r}")
-    R, Cv, a = params.R, params.Cv, params.a
+    R, Cv, a = params.R, cvt_cv(params, T), params.a
     ar = a * rho
     criteria = (
         rho * P * ((R / Cv) * (1.0 + ar) + _div(1.0 + 2.0 * ar, 1.0 + ar)),  # rho^2 c^2

@@ -4,9 +4,9 @@ e(T) = Cv0 T + (c/2) T^2 + q, with ``(Cv0, c)`` from ``GasParams.cv_law``;
 NA and VO1 records are the c = 0 case with Cv0 = Cv, so the caloric
 functions here accept any model.  VO1_CVT shares the thermal law, and its
 kernels in :mod:`redeos.virial`, with the constant-Cv variant, so
-thermodynamic compatibility carries over unchanged.  No closed-form entropy
-or sound speed is provided for this variant; the finite-difference oracle
-in :mod:`redeos.numerics` covers the sound speed.
+thermodynamic compatibility carries over unchanged.  Its energy depends on
+T only, so the virial closed forms hold with Cv replaced by :func:`cvt_cv`,
+except the entropy, which this variant lacks.
 """
 
 from __future__ import annotations
@@ -20,9 +20,9 @@ from . import virial
 
 
 def cvt_cv(params: GasParams, T):
-    """Specific heat at constant volume, Cv0 + c T."""
+    """Specific heat at constant volume, Cv0 + c T; exactly Cv0 at c = 0, even for T = inf."""
     Cv0, c = params.cv_law
-    return Cv0 + c * T
+    return Cv0 + c * T if c else Cv0
 
 
 def cvt_energy(params: GasParams, T):

@@ -108,9 +108,9 @@ def test_criterion_05_maxwell_compatibility_suite(db):
     _report(5, "thermal/caloric compatibility residual below 1e-8 P on the full grid")
 
 
-def test_criterion_06_sound_speed_oracle_suite(db, nc13_na, nc13_vo1, rdx_na, rdx_vo1):
+def test_criterion_06_sound_speed_oracle_suite(db, nc13_na, nc13_vo1, nc13_cvt, rdx_na, rdx_vo1):
     worst_forms = 0.0
-    for params in (nc13_na, nc13_vo1):
+    for params in (nc13_na, nc13_vo1, nc13_cvt):
         e_fn, p_fn = _energy_pressure_fns(params)
         for rho in RHO_GRID:
             for T in T_GRID:
@@ -120,7 +120,7 @@ def test_criterion_06_sound_speed_oracle_suite(db, nc13_na, nc13_vo1, rdx_na, rd
                 if params.model is rx.Model.NA:
                     analytic = rx.na_sound_speed(params, P, rho)
                 else:
-                    analytic = rx.vo1_sound_speed(params, P, rho)
+                    analytic = rx.vo1_sound_speed(params, P, rho, T)
                 assert analytic == pytest.approx(math.sqrt(oracle.c2_energy), rel=1e-5)
 
     fractions = [0.1 * k for k in range(1, 10)]

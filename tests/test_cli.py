@@ -360,12 +360,28 @@ class TestBoundaryRegressions:
         (["state", "NC-13", "--model", "vo1", "--rho", "1e308", "--T", "3000"], 3, "E_NUMERICAL"),
         (["state", "NC-13", "--model", "na", "--rho", "0", "--T", "3000"], 4, "E_DOMAIN"),
         (["mix-sweep", "NC-13=0.5,RDX=0.5", "--model", "mna", "--rho", "0", "--same-oxygen-balance"],
-         3, "E_NUMERICAL"),
+         4, "E_DOMAIN"),
     ])
     def test_error_maps_to_one_code_line(self, capsys, argv, code, prefix):
         got, _, err = run_cli(capsys, *argv)
         assert got == code
         assert_one_error_line(err, prefix)
+
+    @pytest.mark.parametrize("model", ["mna", "mvo1"])
+    def test_mixture_zero_density_names_the_density(self, capsys, model):
+        code, _, err = run_cli(capsys, "mix-sweep", "NC-13=0.5,RDX=0.5", "--model", model,
+                               "--rho", "0", "--same-oxygen-balance")
+        assert code == 4
+        assert_one_error_line(err, "E_DOMAIN")
+        assert "density" in err and "0.0" in err
+
+    def test_tiny_cvt_temperature_names_no_probe_point(self, capsys):
+        # the state path once differenced around T with a 1 K step floor and
+        # reported the probe T - 1e-6 K instead of the input
+        code, out, err = run_cli(capsys, "state", "NC-13", "--model", "vo1cvt", "--rho", "100", "--T", "1e-300")
+        assert "-1e-06" not in err
+        assert code == 0 and err == ""
+        assert out.splitlines()[1].split(",")[1] == "1e-300"
 
     def test_non_finite_result_is_not_printed(self, capsys):
         code, out, err = run_cli(capsys, "mix-sweep", "NC-13=0.5,RDX=0.5", "--model", "mvo1",

@@ -192,7 +192,7 @@ class TestMvo1SoundSpeed:
         P, T = 130.33e6, 3275.0
         rho = rx.vo1_density(nc13_vo1, P, T)
         assert rx.mvo1_sound_speed(mix, P, T) == pytest.approx(
-            rx.vo1_sound_speed(nc13_vo1, P, rho), rel=1e-12)
+            rx.vo1_sound_speed(nc13_vo1, P, rho, T), rel=1e-12)
 
     def test_ideal_mixture_limit(self):
         # a -> 0: c^2 -> (Cp_mix/Cv_mix) P / rho_mix

@@ -98,7 +98,7 @@ class TestSoundSpeedOracle:
             lambda r, t: rx.vo1_pressure(nc13_vo1, r, t),
             rho, T)
         assert math.sqrt(oracle.c2_energy) == pytest.approx(
-            rx.vo1_sound_speed(nc13_vo1, P, rho), rel=1e-5)
+            rx.vo1_sound_speed(nc13_vo1, P, rho, T), rel=1e-5)
 
     def test_forms_agree(self, nc13_vo1):
         oracle = rx.sound_speed_fd_oracle(

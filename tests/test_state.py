@@ -1,4 +1,4 @@
-import math
+import sys
 
 import pytest
 
@@ -35,7 +35,7 @@ class TestVirialStates:
     def test_fields_are_consistent(self, nc13_vo1):
         st = rx.state_from_rho_T(nc13_vo1, 100.0, 3275.0)
         assert st.h == pytest.approx(st.e + st.P * st.v, rel=1e-12)
-        assert st.gamma == pytest.approx(rx.vo1_gamma(nc13_vo1, 100.0), rel=1e-15)
+        assert st.gamma == pytest.approx(rx.vo1_gamma(nc13_vo1, 100.0, 3275.0), rel=1e-15)
         assert st.s == pytest.approx(rx.vo1_entropy(nc13_vo1, st.P, st.T), rel=1e-15)
 
 
@@ -64,5 +64,23 @@ class TestCvtStates:
         st_vo1 = rx.state_from_rho_T(nc13_vo1, 100.0, 3275.0)
         assert st_flat.P == st_vo1.P
         assert st_flat.e == pytest.approx(st_vo1.e, rel=1e-12)
-        assert st_flat.c == pytest.approx(st_vo1.c, rel=1e-6)
-        assert st_flat.gamma == pytest.approx(st_vo1.gamma, rel=1e-6)
+        assert st_flat.c == st_vo1.c
+        assert st_flat.Cp == st_vo1.Cp
+        assert st_flat.gamma == st_vo1.gamma
+
+
+def test_builders_never_call_the_oracle(monkeypatch, db):
+    # the oracle verifies the closed forms; no state may depend on it
+    original = rx.sound_speed_fd_oracle
+
+    def refuse(*args):
+        raise AssertionError("a state builder called the finite-difference oracle")
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "redeos" and getattr(module, "sound_speed_fd_oracle", None) is original:
+            monkeypatch.setattr(module, "sound_speed_fd_oracle", refuse)
+    for model in rx.Model:
+        params = db.get("NC-13", model)
+        st = rx.state_from_rho_T(params, 100.0, 3275.0)
+        assert rx.state_from_P_T(params, st.P, st.T).c > 0.0
+        assert rx.state_from_rho_e(params, st.rho, st.e).c > 0.0

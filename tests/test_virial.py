@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import redeos as rx
-from redeos.errors import DomainError, NumericalError
+from redeos.errors import DomainError, ModelMismatchError, NumericalError
 from redeos.numerics import SCALE_P, SCALE_T
 
 
@@ -83,7 +83,7 @@ class TestPressureFromEnergy:
 class TestDerived:
     def test_gamma_at_mean_calibration_density(self, nc13_vo1):
         # the density-dependent Mayer relation gives the calibration gamma back
-        assert rx.vo1_gamma(nc13_vo1, 125.0) == pytest.approx(1.2070, rel=1e-4)
+        assert rx.vo1_gamma(nc13_vo1, 125.0, 3275.0) == pytest.approx(1.2070, rel=1e-4)
 
     def test_ideal_limits(self):
         ideal = rx.GasParams.virial("ideal", R=322.0, a=0.0, Cv=1640.5)
@@ -100,7 +100,7 @@ class TestDerived:
         oracle = rx.sound_speed_fd_oracle(
             lambda r, t: rx.cvt_energy(nc13_vo1, t),
             lambda r, t: rx.vo1_pressure(nc13_vo1, r, t), rho, T)
-        assert rx.vo1_sound_speed(nc13_vo1, P, rho) == pytest.approx(math.sqrt(oracle.c2_energy), rel=1e-5)
+        assert rx.vo1_sound_speed(nc13_vo1, P, rho, T) == pytest.approx(math.sqrt(oracle.c2_energy), rel=1e-5)
 
     def test_enthalpy_forms_agree(self, nc13_vo1):
         # Cv T + P/rho + q equals the expanded closed form through the
@@ -114,9 +114,25 @@ class TestDerived:
     def test_sound_speed_continuous_as_a_vanishes(self):
         tiny = rx.GasParams.virial("tiny", R=322.0, a=1e-12, Cv=1640.5)
         ideal = rx.GasParams.virial("ideal", R=322.0, a=0.0, Cv=1640.5)
-        P, rho = 1.3e8, 100.0
-        assert rx.vo1_sound_speed(tiny, P, rho) == pytest.approx(
-            rx.vo1_sound_speed(ideal, P, rho), rel=1e-9)
+        P, rho, T = 1.3e8, 100.0, 3275.0
+        assert rx.vo1_sound_speed(tiny, P, rho, T) == pytest.approx(
+            rx.vo1_sound_speed(ideal, P, rho, T), rel=1e-9)
+
+
+class TestModelGuard:
+    @pytest.mark.parametrize("kernel, args", [
+        (rx.vo1_cp, (100.0, 3275.0)),
+        (rx.vo1_gamma, (100.0, 3275.0)),
+        (rx.vo1_sound_speed, (1.3e8, 100.0, 3275.0)),
+        (rx.vo1_convexity, (100.0, 1.3e8, 3275.0)),
+    ], ids=["cp", "gamma", "sound_speed", "convexity"])
+    def test_noble_abel_record_is_refused(self, nc13_na, kernel, args):
+        with pytest.raises(ModelMismatchError):
+            kernel(nc13_na, *args)
+
+    def test_entropy_refuses_cvt_record(self, nc13_cvt):
+        with pytest.raises(ModelMismatchError):
+            rx.vo1_entropy(nc13_cvt, 1.3e8, 3275.0)
 
 
 class TestEntropy:

@@ -26,6 +26,11 @@ class TestCaloric:
         params = rx.GasParams.virial_cvt("anchored", R=322.0, a=0.002359, Cv0=1416.8, c=0.0637, q=q)
         assert rx.cvt_energy(params, t0) == pytest.approx(0.0, abs=1e-9)
 
+    def test_constant_cv_is_exact_at_any_temperature(self, nc13_vo1):
+        # c = 0 must not turn Cv into 0 * inf = nan, which would hide a non-finite input
+        assert rx.cvt_cv(nc13_vo1, math.inf) == nc13_vo1.Cv
+        assert rx.cvt_cv(nc13_vo1, 3275.0) == nc13_vo1.Cv
+
     def test_cv_is_linear(self, nc13_cvt):
         assert rx.cvt_cv(nc13_cvt, 2000.0) == pytest.approx(1416.8 + 0.0637 * 2000.0, rel=1e-15)
 
@@ -131,6 +136,41 @@ class TestPressure:
                 assert e == pytest.approx(e_want, rel=1e-12)
                 assert rx.cvt_temperature(params, e) == pytest.approx(T, rel=1e-12)
                 assert rx.vo1_pressure_from_energy(params, 200.0, e) == pytest.approx(p_want, rel=1e-12)
+
+
+class TestClosedForms:
+    # the energy depends on T only, so the virial closed forms hold with Cv(T) = Cv0 + c T
+    def test_written_out_formulas(self, nc13_cvt):
+        R, a = 322.0, 0.002359
+        for rho in (10.0, 150.0, 600.0):
+            for T in (1500.0, 3275.0, 4500.0):
+                cv = 1416.8 + 0.0637 * T
+                cp = cv + R * (1.0 + a * rho) ** 2 / (1.0 + 2.0 * a * rho)
+                c2 = R * T * (1.0 + 2.0 * a * rho) + T * R * R * (1.0 + a * rho) ** 2 / cv
+                st = rx.state_from_rho_T(nc13_cvt, rho, T)
+                assert st.c == pytest.approx(math.sqrt(c2), rel=1e-13)
+                assert st.Cp == pytest.approx(cp, rel=1e-13)
+                assert st.gamma == pytest.approx(cp / cv, rel=1e-13)
+                assert rx.vo1_sound_speed(nc13_cvt, st.P, rho, T) == st.c
+                assert rx.vo1_cp(nc13_cvt, rho, T) == st.Cp
+                assert rx.vo1_gamma(nc13_cvt, rho, T) == st.gamma
+
+    def test_sound_speed_against_fd_oracle(self, nc13_cvt):
+        for rho in (10.0, 100.0, 250.0, 400.0, 600.0):
+            for T in (1500.0, 2500.0, 3500.0, 4500.0):
+                oracle = rx.sound_speed_fd_oracle(
+                    lambda r, t: rx.cvt_energy(nc13_cvt, t),
+                    lambda r, t: rx.vo1_pressure(nc13_cvt, r, t), rho, T)
+                c = rx.state_from_rho_T(nc13_cvt, rho, T).c
+                assert c == pytest.approx(math.sqrt(oracle.c2_energy), rel=1e-8)
+                assert c == pytest.approx(math.sqrt(oracle.c2_gamma), rel=1e-8)
+
+    def test_convexity_criteria_read_cv_of_t(self, nc13_cvt):
+        rho, T = 100.0, 3275.0
+        P = rx.vo1_pressure(nc13_cvt, rho, T)
+        report = rx.vo1_convexity(nc13_cvt, rho, P, T)
+        assert report.convex and rx.convexity_signs_ok(report.criteria)
+        assert report.criteria[2] == pytest.approx(-P / (1416.8 + 0.0637 * T), rel=1e-15)
 
 
 class TestInertMixtureState:
