@@ -77,9 +77,7 @@ from .calibration import (
     predict_closed_bomb,
 )
 from .mixture import (
-    MnaCoefficients,
     Mvo1Solution,
-    caloric_coefficients,
     mixture_flame_temperature,
     mna_coefficients,
     mna_pressure,

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys
 
 from . import __version__
@@ -46,7 +47,7 @@ from .mixture import (
     mvo1_pressure,
     mvo1_sound_speed,
 )
-from .numerics import SCALE_RHO, SCALE_T, convexity_audit_fd, fd_partial, sound_speed_fd_oracle
+from .numerics import sound_speed_fd_oracle
 from .state import LAWS, fd_closures, state_from_P_T, state_from_rho_T, state_from_rho_e
 from .types import MODEL_FIELDS, GasParams, MixtureSpec, Model, convexity_signs_ok
 
@@ -64,6 +65,9 @@ _ERROR_TABLE = (
     (DomainError, "E_DOMAIN", 4),
 )
 
+
+#: Arguments that argparse must take as values, not options: -1e3, -.5, -10:600:50, -inf.
+_NUMBER_LIKE = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
 
 #: Most points one LO:HI:STEP grid may hold.
 MAX_GRID_POINTS = 10_000
@@ -119,6 +123,12 @@ def _parse_float_list(text):
         return [float(p) for p in text.split(",") if p.strip()]
     except ValueError:
         raise ValidationError(f"expected a comma-separated list of numbers, got {text!r}") from None
+
+
+def _require_finite(flag, value):
+    if not math.isfinite(value):
+        raise ValidationError(f"{flag} must be finite, got {value!r}")
+    return value
 
 
 def cmd_calibrate(args):
@@ -254,7 +264,7 @@ def cmd_mix_sweep(args):
     gases = [db.get(name, model) for name in names]
     for gas in gases:
         _require_convex_record(gas)
-    densities = _parse_float_list(args.rho)
+    densities = [_require_finite("--rho", rho) for rho in _parse_float_list(args.rho)]
 
     print("Y,rho_kg_m3,tflame_K,pmax_MPa,c_m_s")
     for fractions in fraction_sets:
@@ -289,13 +299,12 @@ def _audit_point(params, rho, T):
     if not (closed.convex and convexity_signs_ok(closed.criteria)):
         return 0.0, 0.0, 0.0, True, False
 
-    # thermal/caloric compatibility residual, scaled to pressure
-    dedrho = fd_partial(e_fn, (rho, T), 0, SCALE_RHO)
-    dpdT = fd_partial(p_fn, (rho, T), 1, SCALE_T)
-    maxwell_rel = abs(dedrho * rho * rho + T * dpdT - P) / P
-
-    audit = convexity_audit_fd(e_fn, p_fn, rho, T)
+    # one difference pass serves the oracle, the compatibility residual
+    # (scaled to pressure) and the generic convexity criteria
     oracle = sound_speed_fd_oracle(e_fn, p_fn, rho, T)
+    d = oracle.partials
+    maxwell_rel = abs(d.e_rho * rho * rho + T * d.P_T - P) / P
+    audit = d.convexity()
     forms_rel = oracle.rel_disagreement
     c_oracle = oracle.c2_energy**0.5
     analytic_rel = abs(laws.sound_speed(params, P, rho, T) - c_oracle) / c_oracle
@@ -359,7 +368,8 @@ def cmd_state(args):
     db = _load_db(args.db)
     params = db.get(args.material, _MODEL_FLAGS[args.model])
     _require_convex_record(params)
-    given = {k: getattr(args, k) for k in ("rho", "T", "P", "e") if getattr(args, k) is not None}
+    given = {k: _require_finite(f"--{k}", getattr(args, k))
+             for k in ("rho", "T", "P", "e") if getattr(args, k) is not None}
     keys = frozenset(given)
     if keys == {"rho", "T"}:
         st = state_from_rho_T(params, args.rho, args.T)
@@ -447,6 +457,9 @@ def _build_parser():
     p.add_argument("--db", help="database file (default: built-in table)")
     p.set_defaults(func=cmd_state)
 
+    # argparse takes only plain negative numbers for values; no option name here looks like a number
+    for each in (parser, *sub.choices.values()):
+        each._negative_number_matcher = _NUMBER_LIKE
     return parser
 
 

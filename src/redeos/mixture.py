@@ -2,10 +2,13 @@
 
 The gases are assumed ideally mixed and in temperature and pressure
 equilibrium, with frozen composition (no post-combustion between them,
-which is why every component must share the oxygen-balance sign).  The
-Noble-Abel mixture closes in mass-fraction-weighted coefficients and stays
-explicit; the virial mixture couples the component densities through the
-pressure and needs a scalar iterative solve.
+which is why every component must share the oxygen-balance sign).  A
+mixture is one mass-weighted record, ``MixtureSpec.mixed``, and its caloric
+law is that record's.  The Noble-Abel mixture is a Noble-Abel gas with that
+record and stays explicit: its laws are the kernels of
+:mod:`redeos.noble_abel` applied to it.  The virial mixture couples the
+component densities through the pressure and needs a scalar iterative
+solve.
 """
 
 from __future__ import annotations
@@ -15,9 +18,11 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import DomainError, ValidationError
+from .noble_abel import na_pressure_ve, na_pressure_vt, na_sound_speed
 from .numerics import solve_monotone
 from .types import GasParams, MixtureSpec, Model
-from .virial import virial_density_pt
+from .virial import virial_density_pt, vo1_cp
+from .virial_cvt import cvt_temperature
 
 #: Relative tolerance on the mixture pressure solve.
 MVO1_TOL = 1e-13
@@ -26,34 +31,12 @@ MVO1_TOL = 1e-13
 MVO1_MAX_ITER = 100
 
 
-@dataclass(frozen=True)
-class MnaCoefficients:
-    """Mass-fraction-weighted Noble-Abel mixture coefficients."""
-
-    R_mix: float    # J/(kg K)
-    Cv_mix: float   # J/(kg K)
-    q_mix: float    # J/kg
-    b_mix: float    # m3/kg
-
-
-def mna_coefficients(mix: MixtureSpec) -> MnaCoefficients:
-    """Weighted sums R_mix, Cv_mix, q_mix, b_mix over the components."""
-    mix.uniform_model(Model.NA)
-    pairs = mix.components
-    return MnaCoefficients(
-        R_mix=math.fsum(y * gas.R for gas, y in pairs),
-        Cv_mix=math.fsum(y * gas.Cv for gas, y in pairs),
-        q_mix=math.fsum(y * gas.q for gas, y in pairs),
-        b_mix=math.fsum(y * gas.b for gas, y in pairs),
-    )
-
-
-def caloric_coefficients(mix: MixtureSpec):
-    """(Cv_mix, q_mix) of a constant-Cv mixture, Noble-Abel or virial."""
-    mix.uniform_model(Model.NA, Model.VO1)
-    pairs = mix.components
-    return (math.fsum(y * gas.Cv for gas, y in pairs),
-            math.fsum(y * gas.q for gas, y in pairs))
+def mna_coefficients(mix: MixtureSpec) -> GasParams:
+    """The Noble-Abel mixture record: mass-weighted R, Cv, q and b."""
+    mixed = mix.mixed
+    if mixed.b is None:  # only NA records carry b
+        mix.uniform_model(Model.NA)
+    return mixed
 
 
 class MnaState(NamedTuple):
@@ -62,50 +45,26 @@ class MnaState(NamedTuple):
 
 
 def mna_pressure(mix: MixtureSpec, v_mix, e_mix) -> MnaState:
-    """Mixture pressure and temperature from specific volume and energy.
-
-        T = (e_mix - q_mix) / Cv_mix
-        P = R_mix (e_mix - q_mix) / (Cv_mix (v_mix - b_mix))
-    """
-    coeffs = mna_coefficients(mix)
-    if not e_mix > coeffs.q_mix:
-        raise DomainError(
-            f"mixture energy {e_mix!r} J/kg does not exceed the reference q_mix = {coeffs.q_mix!r}")
-    if not v_mix > coeffs.b_mix:
-        raise DomainError(
-            f"mixture specific volume {v_mix!r} m3/kg does not exceed the mixture covolume {coeffs.b_mix!r}")
-    T = (e_mix - coeffs.q_mix) / coeffs.Cv_mix
-    P = coeffs.R_mix * (e_mix - coeffs.q_mix) / (coeffs.Cv_mix * (v_mix - coeffs.b_mix))
-    return MnaState(P=P, T=T)
+    """Mixture pressure and temperature from specific volume and energy."""
+    mixed = mna_coefficients(mix)
+    return MnaState(P=na_pressure_ve(mixed, v_mix, e_mix), T=cvt_temperature(mixed, e_mix))
 
 
 def mna_pressure_vt(mix: MixtureSpec, v_mix, T):
     """Mixture thermal law R_mix T / (v_mix - b_mix)."""
-    coeffs = mna_coefficients(mix)
-    if not T > 0.0:
-        raise DomainError(f"temperature must be positive, got {T!r}")
-    if not v_mix > coeffs.b_mix:
-        raise DomainError(
-            f"mixture specific volume {v_mix!r} m3/kg does not exceed the mixture covolume {coeffs.b_mix!r}")
-    return coeffs.R_mix * T / (v_mix - coeffs.b_mix)
+    return na_pressure_vt(mna_coefficients(mix), v_mix, T)
 
 
 def mna_sound_speed(mix: MixtureSpec, P, v_mix):
-    """Frozen mixture sound speed.
+    """Frozen mixture sound speed, the Noble-Abel sound speed of the mixture record.
 
-        c^2 = (1 + R_mix/Cv_mix) P v_mix / (1 - b_mix/v_mix)
-
-    This is the form that collapses to the single-gas sound speed at
-    N = 1 and to the ideal mixture value gamma_mix P v_mix at b_mix = 0.
+    It collapses to the single-gas sound speed at N = 1 and to the ideal
+    mixture value gamma_mix P v_mix at b_mix = 0.
     """
-    coeffs = mna_coefficients(mix)
-    if not P > 0.0:
-        raise DomainError(f"pressure must be positive, got {P!r}")
-    if not v_mix > coeffs.b_mix:
-        raise DomainError(
-            f"mixture specific volume {v_mix!r} m3/kg does not exceed the mixture covolume {coeffs.b_mix!r}")
-    c2 = (1.0 + coeffs.R_mix / coeffs.Cv_mix) * P * v_mix / (1.0 - coeffs.b_mix / v_mix)
-    return math.sqrt(c2)
+    mixed = mna_coefficients(mix)
+    if not v_mix > 0.0:
+        raise DomainError(f"mixture specific volume must be positive, got {v_mix!r}")
+    return na_sound_speed(mixed, P, 1.0 / v_mix)
 
 
 def _require_positive_virials(mix: MixtureSpec):
@@ -175,9 +134,8 @@ def mvo1_pressure(mix: MixtureSpec, rho_mix, T) -> Mvo1Solution:
 
     # cheap starting point: Noble-Abel-style closure with the virial
     # coefficients standing in for covolumes
-    R_mix = math.fsum(y * gas.R for gas, y in pairs)
-    a_mix = math.fsum(y * gas.a for gas, y in pairs)
-    x0 = R_mix * T / (v_mix - a_mix) if v_mix > a_mix else P_hi
+    mixed = mix.mixed
+    x0 = mixed.R * T / (v_mix - mixed.a) if v_mix > mixed.a else P_hi
 
     result = solve_monotone(g, P_lo, P_hi, tol_rel=MVO1_TOL, max_iter=MVO1_MAX_ITER, dg=dg, x0=x0)
     P = result.root
@@ -189,11 +147,7 @@ def mvo1_pressure(mix: MixtureSpec, rho_mix, T) -> Mvo1Solution:
 
 def mvo1_pressure_from_energy(mix: MixtureSpec, rho_mix, e_mix) -> Mvo1Solution:
     """Mixture pressure from density and mixture internal energy."""
-    Cv_mix, q_mix = caloric_coefficients(mix)
-    if not e_mix > q_mix:
-        raise DomainError(
-            f"mixture energy {e_mix!r} J/kg does not exceed the reference q_mix = {q_mix!r}")
-    return mvo1_pressure(mix, rho_mix, (e_mix - q_mix) / Cv_mix)
+    return mvo1_pressure(mix, rho_mix, cvt_temperature(mix.mixed, e_mix))
 
 
 def mvo1_sound_speed(mix: MixtureSpec, P, T):
@@ -208,19 +162,17 @@ def mvo1_sound_speed(mix: MixtureSpec, P, T):
     _require_positive_virials(mix)
     if not (P > 0.0 and T > 0.0):
         raise DomainError(f"pressure and temperature must be positive, got P={P!r}, T={T!r}")
-    pairs = mix.components
-    cv_mix = math.fsum(y * gas.Cv for gas, y in pairs)
     cp_mix = 0.0
     vol_sum = 0.0   # sum Y_k / rho_k = 1/rho_mix
     series = 0.0
-    for gas, y in pairs:
+    for gas, y in mix.components:
         rho_k = virial_density_pt(gas.R, gas.a, P, T)
         ar = gas.a * rho_k
-        cp_mix += y * (gas.Cv + gas.R * (1.0 + ar) ** 2 / (1.0 + 2.0 * ar))
+        cp_mix += y * vo1_cp(gas, rho_k, T)
         vol_sum += y / rho_k
         series += y * (1.0 + ar) / (rho_k * (1.0 + 2.0 * ar))
     rho_mix = 1.0 / vol_sum
-    c2 = cp_mix * P / (cv_mix * rho_mix * rho_mix * series)
+    c2 = cp_mix * P / (mix.mixed.Cv * rho_mix * rho_mix * series)
     return math.sqrt(c2)
 
 
@@ -232,14 +184,12 @@ class MixtureFlame(NamedTuple):
 def mixture_flame_temperature(mix: MixtureSpec) -> MixtureFlame:
     """Constant-volume flame state of the mixture.
 
-    The mixture effective energy is the mass-weighted sum of the
-    component effective energies; the flame temperature follows from the
-    mixture caloric law.
+    The closed-bomb rule of a single record applied to the mixture record:
+    the flame temperature follows from its caloric law at its effective
+    energy, the mass-weighted sum of the component effective energies.
     """
-    mix.uniform_model(Model.NA, Model.VO1)
+    mixed = mix.mixed
     for gas, _ in mix.components:
         if gas.e_s_eff is None:
             raise ValidationError(f"record {gas.name!r} carries no effective energy")
-    e_mix = math.fsum(y * gas.e_s_eff for gas, y in mix.components)
-    cv_mix = math.fsum(y * gas.Cv for gas, y in mix.components)
-    return MixtureFlame(T_flame=e_mix / cv_mix, e_s_eff_mix=e_mix)
+    return MixtureFlame(T_flame=cvt_temperature(mixed, mixed.q + mixed.e_s_eff), e_s_eff_mix=mixed.e_s_eff)

@@ -33,14 +33,16 @@ def _check_vt(params, v, T):
 
 def na_pressure_vt(params: GasParams, v, T):
     """Pressure from specific volume and temperature: R T / (v - b)."""
-    require_model(params, Model.NA)
+    if params.b is None:  # only NA records carry b; one identity test keeps this path cheap
+        require_model(params, Model.NA)
     _check_vt(params, v, T)
     return params.R * T / (v - params.b)
 
 
 def na_pressure_ve(params: GasParams, v, e):
     """Pressure from specific volume and internal energy, R (e - q) / (Cv (v - b))."""
-    require_model(params, Model.NA)
+    if params.b is None:
+        require_model(params, Model.NA)
     if not e > params.q:
         raise DomainError(f"internal energy {e!r} J/kg does not exceed the reference q = {params.q!r}")
     if not v > params.b:
@@ -51,7 +53,8 @@ def na_pressure_ve(params: GasParams, v, e):
 
 def na_volume(params: GasParams, P, T):
     """Specific volume from pressure and temperature, R T / P + b."""
-    require_model(params, Model.NA)
+    if params.b is None:
+        require_model(params, Model.NA)
     if not (P > 0.0 and T > 0.0):
         raise DomainError(f"pressure and temperature must be positive, got P={P!r}, T={T!r}")
     return params.R * T / P + params.b
@@ -59,25 +62,29 @@ def na_volume(params: GasParams, P, T):
 
 def na_enthalpy(params: GasParams, P, T):
     """Specific enthalpy (R + Cv) T + b P + q."""
-    require_model(params, Model.NA)
+    if params.b is None:
+        require_model(params, Model.NA)
     return (params.R + params.Cv) * T + params.b * P + params.q
 
 
 def na_cp(params: GasParams):
     """Constant-pressure specific heat, R + Cv (Mayer relation)."""
-    require_model(params, Model.NA)
+    if params.b is None:
+        require_model(params, Model.NA)
     return params.R + params.Cv
 
 
 def na_gamma(params: GasParams):
     """Heat-capacity ratio, 1 + R / Cv; constant for this model."""
-    require_model(params, Model.NA)
+    if params.b is None:
+        require_model(params, Model.NA)
     return 1.0 + params.R / params.Cv
 
 
 def na_sound_speed(params: GasParams, P, rho):
     """Frozen sound speed; the ideal-gas value stiffened by 1 / (1 - rho b)."""
-    require_model(params, Model.NA)
+    if params.b is None:
+        require_model(params, Model.NA)
     if not (P > 0.0 and rho > 0.0):
         raise DomainError(f"pressure and density must be positive, got P={P!r}, rho={rho!r}")
     cover = 1.0 - rho * params.b
@@ -94,7 +101,8 @@ def na_entropy(params: GasParams, P, T, ref: EntropyReference = DEFAULT_ENTROPY_
 
         s = s0 - R ln(P/P0) + (Cv + R) ln(T/T0)
     """
-    require_model(params, Model.NA)
+    if params.b is None:
+        require_model(params, Model.NA)
     if not (P > 0.0 and T > 0.0):
         raise DomainError(f"pressure and temperature must be positive, got P={P!r}, T={T!r}")
     P0, T0, s0 = ref
@@ -113,7 +121,8 @@ def na_convexity(params: GasParams, v, P, T) -> ConvexityReport:
     caller-supplied (P, T) so states below the covolume can be probed on
     the analytic continuation, where criterion (b) changes sign.
     """
-    require_model(params, Model.NA)
+    if params.b is None:
+        require_model(params, Model.NA)
     R, b, Cv = params.R, params.b, params.Cv
     criteria = (
         _div(na_gamma(params) * P, v - b),     # c^2 / v^2

@@ -10,10 +10,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import BracketError, ConvergenceError, NumericalError, RankDeficiencyError, ValidationError
+from .types import ConvexityReport, convexity_signs_ok
 
 #: Per-variable step floors for relative finite-difference steps.
 SCALE_RHO = 1.0    # kg/m3
@@ -159,15 +161,33 @@ def _invert_temperature(p_fn, rho, P_target, T_guess):
     return solve_monotone(g, lo, hi, tol_rel=1e-13, max_iter=200).root
 
 
-def _fd_partials(e_fn, p_fn, rho, T):
-    """(P, e_T, e_rho, P_T, c^2) at (rho, T), the partials by differences and c^2 = (Cp/Cv) P_rho."""
+class FdPartials(NamedTuple):
+    """Partials of an EOS at (rho, T) by differences, and c^2 = (Cp/Cv) P_rho."""
+
+    rho: float
+    P: float
+    e_T: float
+    e_rho: float
+    P_T: float
+    c2: float
+
+    def convexity(self) -> ConvexityReport:
+        """The four convexity criteria in density form, from these partials alone."""
+        rho, P, eT, erho, pT, c2 = self
+        m = P - rho**2 * erho
+        criteria = (rho**2 * c2, m / (pT * eT), -m / eT,
+                    m / eT**2 * ((eT / pT) * rho**2 * c2 + rho**2 * erho - P))
+        return ConvexityReport(convex=convexity_signs_ok(criteria), criteria=criteria)
+
+
+def _fd_partials(e_fn, p_fn, rho, T) -> FdPartials:
     P = p_fn(rho, T)
     eT = fd_derivative(lambda t: e_fn(rho, t), T, SCALE_T)
     erho = fd_derivative(lambda r: e_fn(r, T), rho, SCALE_RHO)
     pT = fd_derivative(lambda t: p_fn(rho, t), T, SCALE_T)
     prho = fd_derivative(lambda r: p_fn(r, T), rho, SCALE_RHO)
     cp = (eT + pT / rho) - (erho + prho / rho - P / rho**2) * pT / prho
-    return P, eT, erho, pT, (cp / eT) * prho
+    return FdPartials(rho, P, eT, erho, pT, (cp / eT) * prho)
 
 
 @dataclass(frozen=True)
@@ -179,10 +199,13 @@ class OracleSoundSpeed:
     ``(Cp/Cv) (dP/drho)_T`` with the heat capacities themselves taken by
     finite differences.  The two are derived from the same definition, so
     their disagreement measures the numerical error of the oracle.
+    ``partials`` holds the differences behind ``c2_gamma``, so a caller
+    can reuse them (for the convexity criteria) without differencing again.
     """
 
     c2_energy: float
     c2_gamma: float
+    partials: FdPartials
 
     @property
     def rel_disagreement(self):
@@ -199,7 +222,8 @@ def sound_speed_fd_oracle(e_fn, p_fn, rho, T) -> OracleSoundSpeed:
     rho, T : float
         Evaluation point.
     """
-    P, _, _, _, c2_gamma = _fd_partials(e_fn, p_fn, rho, T)
+    partials = _fd_partials(e_fn, p_fn, rho, T)
+    P = partials.P
 
     def e_at(rho_, P_):
         return e_fn(rho_, _invert_temperature(p_fn, rho_, P_, T))
@@ -207,26 +231,16 @@ def sound_speed_fd_oracle(e_fn, p_fn, rho, T) -> OracleSoundSpeed:
     dedrho_P = fd_derivative(lambda r: e_at(r, P), rho, SCALE_RHO)
     dedP_rho = fd_derivative(lambda p: e_at(rho, p), P, SCALE_P)
     c2_energy = (P / rho**2 - dedrho_P) / dedP_rho
-    return OracleSoundSpeed(c2_energy=c2_energy, c2_gamma=c2_gamma)
+    return OracleSoundSpeed(c2_energy=c2_energy, c2_gamma=partials.c2, partials=partials)
 
 
-def convexity_audit_fd(e_fn, p_fn, rho, T):
+def convexity_audit_fd(e_fn, p_fn, rho, T) -> ConvexityReport:
     """Evaluate the four convexity criteria from finite differences alone.
 
-    Returns a :class:`~redeos.types.ConvexityReport`; the criterion values
-    follow the density form of the criteria, so their signs are directly
-    comparable with the closed-form reports of the kernels.
+    The criterion values follow the density form of the criteria, so their
+    signs are directly comparable with the closed-form reports of the kernels.
     """
-    from .types import ConvexityReport, convexity_signs_ok
-
-    P, eT, erho, pT, c2 = _fd_partials(e_fn, p_fn, rho, T)
-    m = P - rho**2 * erho
-    crit_a = rho**2 * c2
-    crit_b = m / (pT * eT)
-    crit_c = -m / eT
-    crit_d = m / eT**2 * ((eT / pT) * rho**2 * c2 + rho**2 * erho - P)
-    criteria = (crit_a, crit_b, crit_c, crit_d)
-    return ConvexityReport(convex=convexity_signs_ok(criteria), criteria=criteria)
+    return _fd_partials(e_fn, p_fn, rho, T).convexity()
 
 
 @dataclass(frozen=True)

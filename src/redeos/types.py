@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import NamedTuple
 
 from .constants import R_UNIVERSAL, T_REF, P_REF
@@ -232,6 +233,12 @@ class MixtureSpec:
     under that condition; elemental composition is not stored here, so
     the library cannot check it and the CLI refuses to run mixture
     sweeps without the declaration.
+
+    ``mixed`` (not a field) is the mixture as one record of the components'
+    shared model: ``R``, the model's fields and ``q`` are the mass-weighted
+    sums, and so is ``e_s_eff`` when every component carries one.  It is
+    built on first use; components of different models have no such
+    record and raise :class:`ModelMismatchError`.
     """
 
     components: tuple[tuple[GasParams, float], ...]
@@ -250,12 +257,18 @@ class MixtureSpec:
         object.__setattr__(self, "components", comps)
 
     @property
-    def gases(self):
-        return tuple(gas for gas, _ in self.components)
-
-    @property
     def mass_fractions(self):
         return tuple(y for _, y in self.components)
+
+    @cached_property
+    def mixed(self) -> GasParams:
+        model = self.uniform_model()
+        pairs = self.components
+        keys = ("R", *MODEL_FIELDS[model], "q")
+        if all(gas.e_s_eff is not None for gas, _ in pairs):
+            keys += ("e_s_eff",)
+        fields = {key: math.fsum(y * getattr(gas, key) for gas, y in pairs) for key in keys}
+        return GasParams(name="+".join(gas.name for gas, _ in pairs), model=model, **fields)
 
     def uniform_model(self, *allowed: Model) -> Model:
         """Return the shared model of all components, checking it is allowed."""

@@ -129,8 +129,8 @@ def test_criterion_06_sound_speed_oracle_suite(db, nc13_na, nc13_vo1, nc13_cvt, 
     for Y in fractions:
         mix_na = rx.MixtureSpec(((nc13_na, 1.0 - Y), (rdx_na, Y)))
         mix_vo = rx.MixtureSpec(((nc13_vo1, 1.0 - Y), (rdx_vo1, Y)))
-        cv_na, q_na = rx.caloric_coefficients(mix_na)
-        cv_vo, q_vo = rx.caloric_coefficients(mix_vo)
+        cv_na, q_na = mix_na.mixed.Cv, mix_na.mixed.q
+        cv_vo, q_vo = mix_vo.mixed.Cv, mix_vo.mixed.q
         for rho in mix_rhos:
             for T in mix_temps:
                 P = rx.mna_pressure_vt(mix_na, 1.0 / rho, T)

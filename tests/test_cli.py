@@ -361,11 +361,51 @@ class TestBoundaryRegressions:
         (["state", "NC-13", "--model", "na", "--rho", "0", "--T", "3000"], 4, "E_DOMAIN"),
         (["mix-sweep", "NC-13=0.5,RDX=0.5", "--model", "mna", "--rho", "0", "--same-oxygen-balance"],
          4, "E_DOMAIN"),
+        (["state", "NC-13", "--model", "vo1", "--rho", "inf", "--T", "3000"], 2, "E_VALIDATION"),
+        (["state", "NC-13", "--model", "vo1", "--P", "inf", "--T", "3000"], 2, "E_VALIDATION"),
+        (["state", "NC-13", "--model", "na", "--rho", "100", "--T", "nan"], 2, "E_VALIDATION"),
+        (["state", "NC-13", "--model", "vo1cvt", "--rho", "100", "--e", "-inf"], 2, "E_VALIDATION"),
+        (["mix-sweep", "NC-13=0.5,RDX=0.5", "--model", "mvo1", "--rho", "inf", "--same-oxygen-balance"],
+         2, "E_VALIDATION"),
+        (["mix-sweep", "NC-13=0.5,RDX=0.5", "--model", "mna", "--rho", "100,nan", "--same-oxygen-balance"],
+         2, "E_VALIDATION"),
     ])
     def test_error_maps_to_one_code_line(self, capsys, argv, code, prefix):
         got, _, err = run_cli(capsys, *argv)
         assert got == code
         assert_one_error_line(err, prefix)
+
+    @pytest.mark.parametrize("argv, named", [
+        (["state", "NC-13", "--model", "vo1", "--rho", "inf", "--T", "3000"], "--rho must be finite, got inf"),
+        (["state", "NC-13", "--model", "na", "--P", "inf", "--T", "3000"], "--P must be finite, got inf"),
+        (["mix-sweep", "NC-13=0.5,RDX=0.5", "--model", "mvo1", "--rho", "100,inf", "--same-oxygen-balance"],
+         "--rho must be finite, got inf"),
+    ])
+    def test_non_finite_input_is_named(self, capsys, argv, named):
+        _, _, err = run_cli(capsys, *argv)
+        assert named in err
+
+    @pytest.mark.parametrize("argv, prefix", [
+        (["state", "NC-13", "--model", "vo1", "--rho", "100", "--e", "-1e3"], "E_DOMAIN"),
+        (["audit", "NC-13", "--model", "vo1", "--rho", "-10:600:50"], "E_DOMAIN"),
+        (["mix-sweep", "NC-13=0.5,RDX=0.5", "--model", "mna", "--rho", "-1e2", "--same-oxygen-balance"],
+         "E_DOMAIN"),
+        (["calibrate-cvt", "--runs", "RUNS", "--inert", "argon", "--es-i", "-1e3", "--db", "DB"],
+         "E_VALIDATION"),
+    ])
+    def test_negative_exponent_and_range_are_values(self, capsys, tmp_path, argv, prefix):
+        runs = tmp_path / "runs.csv"
+        write_dilution_runs_csv(runs)
+        argv = [{"RUNS": str(runs), "DB": str(tmp_path / "x.eosdb")}.get(arg, arg) for arg in argv]
+        _, _, err = run_cli(capsys, *argv)
+        assert_one_error_line(err, prefix)
+
+    def test_negative_exponent_reads_as_the_plain_number(self, capsys, tmp_path):
+        runs = tmp_path / "runs.csv"
+        write_dilution_runs_csv(runs)
+        outs = [run_cli(capsys, "calibrate-cvt", "--runs", str(runs), "--inert", "argon", "--es-i", value)
+                for value in ("-1e3", "-1000")]
+        assert outs[0] == outs[1] and outs[0][0] == 0
 
     @pytest.mark.parametrize("model", ["mna", "mvo1"])
     def test_mixture_zero_density_names_the_density(self, capsys, model):

@@ -11,7 +11,9 @@ QX`` compares a real closed form instead of reporting 0.  The commands are
 the 13 of acceptance criterion 11 and, for each model, ``state``, ``sweep``
 and ``audit`` on a record whose caloric reference q is nonzero: the built-in
 records all have q = 0, so they cannot show how the caloric law treats it.
-Temporary paths are replaced by ``<tmp>``.
+For the same reason an MNA and an MVO1 ``mix-sweep`` run on a pair of such
+records (QX+QY); they were recorded before the mixtures were rebuilt on one
+mass-weighted record.  Temporary paths are replaced by ``<tmp>``.
 
 To re-record after an intended output change:
 
@@ -57,6 +59,24 @@ c = 0.0637
 q_kJ = -424.9876543
 e_s_eff_kJ = 4980.7
 T_flame = 3275.0
+rho_range = 100.0 150.0
+
+[material "QY" model NA]
+R = 346.2
+b = 0.00144
+Cv = 1640.9
+q_kJ = 163.4567891
+e_s_eff_kJ = 6629.3
+T_flame = 4040.0
+rho_range = 100.0 150.0
+
+[material "QY" model VO1]
+R = 330.1
+a = 0.002251
+Cv = 1643.2
+q_kJ = -351.9876543
+e_s_eff_kJ = 6638.7
+T_flame = 4040.0
 rho_range = 100.0 150.0
 """
 
@@ -104,6 +124,9 @@ def commands(tmp):
          "--name", "QX-cvt", "--base", "QX", "--base-db", qdb],
         ["state", "QX-cvt", "--model", "vo1cvt", "--rho", "150", "--T", "3000", "--db", out],
     ]
+    for model in ("mna", "mvo1"):
+        argvs.append(["mix-sweep", "QX+QY", "--model", model, "--rho", "100,250,400",
+                      "--fraction-sweep", "0:1:0.25", "--same-oxygen-balance", "--db", qdb])
     return [[str(arg) for arg in argv] for argv in argvs], out
 
 

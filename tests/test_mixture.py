@@ -4,6 +4,7 @@ import pytest
 
 import redeos as rx
 from redeos.errors import DomainError, ModelMismatchError, ValidationError
+from redeos.types import MODEL_FIELDS
 
 
 def bisect_mixture_pressure(mix, rho_mix, T, iters=200):
@@ -34,24 +35,91 @@ def half_vo1(nc13_vo1, rdx_vo1):
     return rx.MixtureSpec(((nc13_vo1, 0.5), (rdx_vo1, 0.5)))
 
 
+def written_out_record(mix):
+    """The mixture record with every mass-weighted sum written out."""
+    pairs = mix.components
+    model = pairs[0][0].model
+    fields = {key: math.fsum(y * getattr(gas, key) for gas, y in pairs)
+              for key in ("R", *MODEL_FIELDS[model], "q", "e_s_eff")}
+    return rx.GasParams(name="+".join(gas.name for gas, _ in pairs), model=model, **fields)
+
+
+def with_q(gas, q):
+    kept = {key: getattr(gas, key) for key in ("R", *MODEL_FIELDS[gas.model], "e_s_eff")}
+    return rx.GasParams(name=gas.name, model=gas.model, q=q, **kept)
+
+
+class TestMixedRecord:
+    @pytest.mark.parametrize("model", list(rx.Model))
+    def test_is_the_written_out_sums(self, db, model):
+        if model is rx.Model.VO1_CVT:  # the built-in table holds one Cv(T) record
+            rdx = rx.GasParams.virial_cvt("RDX-cvt", R=330.1, a=0.002251, Cv0=1420.3, c=0.071,
+                                          q=-3.1e5, e_s_eff=6.2e6)
+        else:
+            rdx = db.get("RDX", model)
+        mix = rx.MixtureSpec(((with_q(db.get("NC-13", model), 1.7e5), 0.3), (rdx, 0.7)))
+        assert mix.mixed == written_out_record(mix)
+        assert mix.mixed.model is model
+        assert mix.mixed is mix.mixed
+
+    def test_no_effective_energy_without_every_component(self, nc13_vo1):
+        bare = rx.GasParams.virial("bare", R=330.0, a=0.0022, Cv=1600.0)
+        mixed = rx.MixtureSpec(((nc13_vo1, 0.5), (bare, 0.5))).mixed
+        assert mixed.e_s_eff is None
+        assert mixed.R == math.fsum((0.5 * nc13_vo1.R, 0.5 * bare.R))
+
+    def test_mixed_models_construct_but_have_no_record(self, nc13_na, nc13_vo1):
+        mix = rx.MixtureSpec(((nc13_na, 0.5), (nc13_vo1, 0.5)))
+        with pytest.raises(ModelMismatchError):
+            mix.mixed
+
+
+class TestMnaIsNobleAbelOnTheRecord:
+    @pytest.fixture
+    def mix(self, nc13_na, rdx_na):
+        return rx.MixtureSpec(((with_q(nc13_na, -2.3e5), 0.35), (with_q(rdx_na, 4.1e5), 0.65)))
+
+    def test_laws_equal_the_kernels(self, mix):
+        mixed = mix.mixed
+        for rho in (50.0, 200.0, 400.0, 600.0):
+            v = 1.0 / rho
+            for T in (1500.0, 3000.0, 4500.0):
+                P = rx.mna_pressure_vt(mix, v, T)
+                assert P == rx.na_pressure_vt(mixed, v, T)
+                assert rx.mna_sound_speed(mix, P, v) == rx.na_sound_speed(mixed, P, 1.0 / v)
+                e = rx.cvt_energy(mixed, T)
+                state = rx.mna_pressure(mix, v, e)
+                assert state.P == rx.na_pressure_ve(mixed, v, e)
+                assert state.T == rx.cvt_temperature(mixed, e)
+
+    def test_flame_is_the_closed_bomb_rule(self, mix, half_vo1):
+        for each in (mix, half_vo1):
+            assert rx.mixture_flame_temperature(each).T_flame == rx.predict_closed_bomb(each.mixed, 150.0).T_flame
+
+    @pytest.mark.parametrize("v", [0.0, -0.01, math.nan])
+    def test_sound_speed_refuses_non_positive_volume(self, mix, v):
+        with pytest.raises(DomainError):
+            rx.mna_sound_speed(mix, 1e8, v)
+
+
 class TestMnaCoefficients:
     def test_equal_split_arithmetic(self, half_na):
         coeffs = rx.mna_coefficients(half_na)
-        assert coeffs.R_mix == pytest.approx(342.55, rel=1e-12)
-        assert coeffs.Cv_mix == pytest.approx(1639.0, rel=1e-12)
-        assert coeffs.b_mix == pytest.approx(0.001462, rel=1e-12)
-        assert coeffs.q_mix == 0.0
+        assert coeffs.R == pytest.approx(342.55, rel=1e-12)
+        assert coeffs.Cv == pytest.approx(1639.0, rel=1e-12)
+        assert coeffs.b == pytest.approx(0.001462, rel=1e-12)
+        assert coeffs.q == 0.0
 
     def test_single_component_degenerates(self, nc13_na):
         coeffs = rx.mna_coefficients(rx.MixtureSpec(((nc13_na, 1.0),)))
-        assert coeffs.R_mix == nc13_na.R
-        assert coeffs.Cv_mix == nc13_na.Cv
-        assert coeffs.b_mix == nc13_na.b
+        assert coeffs.R == nc13_na.R
+        assert coeffs.Cv == nc13_na.Cv
+        assert coeffs.b == nc13_na.b
 
     def test_zero_weight_component(self, nc13_na, rdx_na):
         coeffs = rx.mna_coefficients(rx.MixtureSpec(((nc13_na, 1.0), (rdx_na, 0.0))))
-        assert coeffs.R_mix == nc13_na.R
-        assert coeffs.Cv_mix == nc13_na.Cv
+        assert coeffs.R == nc13_na.R
+        assert coeffs.Cv == nc13_na.Cv
 
     def test_mixed_models_rejected(self, nc13_na, nc13_vo1):
         with pytest.raises(ModelMismatchError):
@@ -77,7 +145,7 @@ class TestMnaPressure:
     def test_covolume_floor(self, half_na):
         coeffs = rx.mna_coefficients(half_na)
         with pytest.raises(DomainError):
-            rx.mna_pressure(half_na, coeffs.b_mix, 6e6)
+            rx.mna_pressure(half_na, coeffs.b, 6e6)
 
     def test_energy_floor(self, half_na):
         with pytest.raises(DomainError):
@@ -97,7 +165,7 @@ class TestMnaSoundSpeed:
         g2 = rx.GasParams.noble_abel("i2", R=350.0, b=0.0, Cv=1700.0)
         mix = rx.MixtureSpec(((g1, 0.4), (g2, 0.6)))
         coeffs = rx.mna_coefficients(mix)
-        gamma_mix = 1.0 + coeffs.R_mix / coeffs.Cv_mix
+        gamma_mix = 1.0 + coeffs.R / coeffs.Cv
         P, v = 5e7, 0.01
         assert rx.mna_sound_speed(mix, P, v) == pytest.approx(math.sqrt(gamma_mix * P * v), rel=1e-12)
 
@@ -106,7 +174,7 @@ class TestMnaSoundSpeed:
         rho, T = 200.0, 3657.7
         P = rx.mna_pressure_vt(half_na, 1.0 / rho, T)
         oracle = rx.sound_speed_fd_oracle(
-            lambda r, t: coeffs.Cv_mix * t + coeffs.q_mix,
+            lambda r, t: coeffs.Cv * t + coeffs.q,
             lambda r, t: rx.mna_pressure_vt(half_na, 1.0 / r, t), rho, T)
         assert rx.mna_sound_speed(half_na, P, 1.0 / rho) == pytest.approx(
             math.sqrt(oracle.c2_energy), rel=1e-5)
@@ -207,7 +275,7 @@ class TestMvo1SoundSpeed:
         assert rx.mvo1_sound_speed(mix, P, T) == pytest.approx(want, rel=1e-9)
 
     def test_against_fd_oracle(self, half_vo1):
-        cv_mix, q_mix = rx.caloric_coefficients(half_vo1)
+        cv_mix, q_mix = half_vo1.mixed.Cv, half_vo1.mixed.q
         rho, T = 200.0, 3657.7
         P = rx.mvo1_pressure(half_vo1, rho, T).P
         oracle = rx.sound_speed_fd_oracle(

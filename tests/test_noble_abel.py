@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import redeos as rx
-from redeos.errors import DomainError
+from redeos.errors import DomainError, ModelMismatchError
 from redeos.numerics import SCALE_P, SCALE_T
 
 
@@ -185,3 +185,24 @@ class TestConvexity:
     def test_boundary_is_exact(self, nc13_na):
         assert not rx.na_convexity(nc13_na, nc13_na.b, 1e6, 300.0).convex
         assert rx.na_convexity(nc13_na, nc13_na.b * (1.0 + 1e-12), 1e6, 300.0).convex
+
+
+class TestModelGuard:
+    KERNELS = [
+        (rx.na_pressure_vt, (0.01, 3000.0)),
+        (rx.na_pressure_ve, (0.01, 5e6)),
+        (rx.na_volume, (1e8, 3000.0)),
+        (rx.na_enthalpy, (1e8, 3000.0)),
+        (rx.na_cp, ()),
+        (rx.na_gamma, ()),
+        (rx.na_sound_speed, (1e8, 100.0)),
+        (rx.na_entropy, (1e8, 3000.0)),
+        (rx.na_entropy_vt, (0.01, 3000.0)),
+        (rx.na_convexity, (0.01, 1e8, 3000.0)),
+    ]
+
+    @pytest.mark.parametrize("kernel, args", KERNELS, ids=[k.__name__ for k, _ in KERNELS])
+    @pytest.mark.parametrize("record", ["nc13_vo1", "nc13_cvt"])
+    def test_virial_records_are_refused(self, request, kernel, args, record):
+        with pytest.raises(ModelMismatchError):
+            kernel(request.getfixturevalue(record), *args)
