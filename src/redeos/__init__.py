@@ -64,7 +64,6 @@ from .virial_cvt import (
     cvt_cv,
     cvt_effective_energy,
     cvt_energy,
-    cvt_inert_mixture_state,
     cvt_temperature,
 )
 from .calibration import (
@@ -72,6 +71,7 @@ from .calibration import (
     calibrate_cvt,
     calibrate_na,
     calibrate_vo1,
+    cvt_inert_mixture_state,
     dilution_flame_temperature,
     frozenness_check,
     predict_closed_bomb,

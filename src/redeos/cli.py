@@ -328,7 +328,7 @@ def cmd_audit(args):
     skipped = 0
     evaluated = 0
     for rho in rhos:
-        if model is Model.NA and rho != 0.0 and 1.0 / rho <= params.b * (1.0 + 1e-2):
+        if model is Model.NA and rho > 0.0 and 1.0 / rho <= params.b * (1.0 + 1e-2):
             skipped += 1  # at or too near the covolume singularity
             continue
         for T in temps:
@@ -374,8 +374,13 @@ def cmd_state(args):
     if keys == {"rho", "T"}:
         st = state_from_rho_T(params, args.rho, args.T)
     elif keys == {"P", "T"}:
+        if not args.P > 0.0:
+            raise DomainError(f"--P must be positive, got {args.P!r} MPa")
         st = state_from_P_T(params, args.P * 1e6, args.T)
     elif keys == {"rho", "e"}:
+        if not args.e * 1e3 > params.q:
+            raise DomainError(
+                f"--e must exceed the reference q = {_fmt(params.q / 1e3)} kJ/kg, got {args.e!r} kJ/kg")
         st = state_from_rho_e(params, args.rho, args.e * 1e3)
     else:
         raise ValidationError(

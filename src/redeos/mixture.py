@@ -8,7 +8,9 @@ law is that record's.  The Noble-Abel mixture is a Noble-Abel gas with that
 record and stays explicit: its laws are the kernels of
 :mod:`redeos.noble_abel` applied to it.  The virial mixture couples the
 component densities through the pressure and needs a scalar iterative
-solve.
+solve; its residual and its slope evaluate each component through the
+virial density root :func:`~redeos.virial.virial_density_pt`, so this
+module writes no thermal or caloric law of its own.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import DomainError, ValidationError
-from .noble_abel import na_pressure_ve, na_pressure_vt, na_sound_speed
+from .noble_abel import na_pressure_vt, na_sound_speed
 from .numerics import solve_monotone
 from .types import GasParams, MixtureSpec, Model
 from .virial import virial_density_pt, vo1_cp
@@ -47,7 +49,8 @@ class MnaState(NamedTuple):
 def mna_pressure(mix: MixtureSpec, v_mix, e_mix) -> MnaState:
     """Mixture pressure and temperature from specific volume and energy."""
     mixed = mna_coefficients(mix)
-    return MnaState(P=na_pressure_ve(mixed, v_mix, e_mix), T=cvt_temperature(mixed, e_mix))
+    T = cvt_temperature(mixed, e_mix)
+    return MnaState(P=na_pressure_vt(mixed, v_mix, T), T=T)
 
 
 def mna_pressure_vt(mix: MixtureSpec, v_mix, T):
@@ -75,6 +78,18 @@ def _require_positive_virials(mix: MixtureSpec):
                 f"mixture pressure solve requires a > 0 for every component; {gas.name!r} has a = {gas.a!r}")
 
 
+def _volume_slope(pairs, P, T):
+    """S = -d(v_mix)/dP at fixed T: the thermal law's dP/drho, inverted and mass-weighted.
+
+        S = sum_k Y_k / (rho_k^2 R_k T (1 + 2 a_k rho_k)),  rho_k = rho_k(P, T)
+    """
+    total = 0.0
+    for gas, y in pairs:
+        rho = virial_density_pt(gas.R, gas.a, P, T)
+        total += y / (rho * rho * gas.R * T * (1.0 + 2.0 * gas.a * rho))
+    return total
+
+
 @dataclass(frozen=True)
 class Mvo1Solution:
     """Solved mixture pressure with the component densities."""
@@ -94,43 +109,33 @@ def mvo1_pressure(mix: MixtureSpec, rho_mix, T) -> Mvo1Solution:
 
         1/rho_mix = sum_k Y_k / rho_k(P, T)
 
-    Each component volume decreases strictly in P, so the residual is
-    monotone and a bracketing Newton solve always converges.  The bracket
-    is [rho_mix min_k(R_k) T, rho_mix max_k(R_k) T (1 + max_k(a_k) rho_mix N)],
-    widened by a small margin to absorb rounding at analytic endpoints.
+    with rho_k the virial kernel's density root.  Each component volume
+    decreases strictly in P, so the residual is monotone with slope -S
+    (:func:`_volume_slope`), and a bracketing Newton solve always converges.
+    The bracket is [rho_mix min_k(R_k) T, rho_mix max_k(R_k) T (1 + max_k(a_k)
+    rho_mix N)], widened by a small margin to absorb rounding at analytic
+    endpoints.
     """
     _require_positive_virials(mix)
     if not (rho_mix > 0.0 and T > 0.0):
         raise DomainError(f"density and temperature must be positive, got rho={rho_mix!r}, T={T!r}")
     pairs = mix.components
     v_mix = 1.0 / rho_mix
-    n = len(pairs)
-
-    RTs = [gas.R * T for gas, _ in pairs]
-    a_s = [gas.a for gas, _ in pairs]
-    Ys = [y for _, y in pairs]
 
     def g(P):
-        # sum of Y_k v_k(P) - v_mix, with v_k in the rationalized form
-        # R_k T (1 + u_k) / (2 P), u_k = sqrt(1 + 4 a_k P / (R_k T))
         total = 0.0
-        for RT, a, y in zip(RTs, a_s, Ys):
-            u = math.sqrt(1.0 + 4.0 * a * P / RT)
-            total += y * RT * (1.0 + u) / (2.0 * P)
+        for gas, y in pairs:
+            total += y / virial_density_pt(gas.R, gas.a, P, T)
         return total - v_mix
 
     def dg(P):
-        total = 0.0
-        for RT, a, y in zip(RTs, a_s, Ys):
-            u = math.sqrt(1.0 + 4.0 * a * P / RT)
-            total -= y * RT * (1.0 + u) ** 2 / (4.0 * u * P * P)
-        return total
+        return -_volume_slope(pairs, P, T)
 
     R_min = min(gas.R for gas, _ in pairs)
     R_max = max(gas.R for gas, _ in pairs)
-    a_max = max(a_s)
+    a_max = max(gas.a for gas, _ in pairs)
     P_lo = rho_mix * R_min * T * (1.0 - 1e-7)
-    P_hi = rho_mix * R_max * T * (1.0 + a_max * rho_mix * n) * (1.0 + 1e-7)
+    P_hi = rho_mix * R_max * T * (1.0 + a_max * rho_mix * len(pairs)) * (1.0 + 1e-7)
 
     # cheap starting point: Noble-Abel-style closure with the virial
     # coefficients standing in for covolumes
@@ -140,7 +145,7 @@ def mvo1_pressure(mix: MixtureSpec, rho_mix, T) -> Mvo1Solution:
     result = solve_monotone(g, P_lo, P_hi, tol_rel=MVO1_TOL, max_iter=MVO1_MAX_ITER, dg=dg, x0=x0)
     P = result.root
     rho_components = tuple(virial_density_pt(gas.R, gas.a, P, T) for gas, _ in pairs)
-    residual = abs(math.fsum(y / rho for y, rho in zip(Ys, rho_components)) - v_mix) / v_mix
+    residual = abs(math.fsum(y / rho for (_, y), rho in zip(pairs, rho_components)) - v_mix) / v_mix
     return Mvo1Solution(P=P, T=T, rho_components=rho_components,
                         iterations=result.iterations, residual_rel=residual)
 
@@ -153,26 +158,24 @@ def mvo1_pressure_from_energy(mix: MixtureSpec, rho_mix, e_mix) -> Mvo1Solution:
 def mvo1_sound_speed(mix: MixtureSpec, P, T):
     """Frozen sound speed of the virial mixture at (P, T).
 
-        c^2 = Cp_mix P / (Cv_mix rho_mix^2 sum_k Y_k (1+a_k rho_k) / (rho_k (1+2 a_k rho_k)))
+        c^2 = (Cp_mix / Cv_mix) v_mix^2 / S
 
-    with the component densities at the common (P, T) and each Cp_k from
-    the density-dependent Mayer relation at its own rho_k.  Collapses to
-    the single-gas sound speed at N = 1.
+    with S = -d(v_mix)/dP at fixed T (see :func:`_volume_slope`), the
+    component densities at the common (P, T) and each Cp_k from the
+    density-dependent Mayer relation at its own rho_k.  Collapses to the
+    single-gas sound speed at N = 1.
     """
     _require_positive_virials(mix)
     if not (P > 0.0 and T > 0.0):
         raise DomainError(f"pressure and temperature must be positive, got P={P!r}, T={T!r}")
+    pairs = mix.components
     cp_mix = 0.0
-    vol_sum = 0.0   # sum Y_k / rho_k = 1/rho_mix
-    series = 0.0
-    for gas, y in mix.components:
+    v_mix = 0.0
+    for gas, y in pairs:
         rho_k = virial_density_pt(gas.R, gas.a, P, T)
-        ar = gas.a * rho_k
         cp_mix += y * vo1_cp(gas, rho_k, T)
-        vol_sum += y / rho_k
-        series += y * (1.0 + ar) / (rho_k * (1.0 + 2.0 * ar))
-    rho_mix = 1.0 / vol_sum
-    c2 = cp_mix * P / (mix.mixed.Cv * rho_mix * rho_mix * series)
+        v_mix += y / rho_k
+    c2 = cp_mix * v_mix * v_mix / (mix.mixed.Cv * _volume_slope(pairs, P, T))
     return math.sqrt(c2)
 
 

@@ -2,9 +2,11 @@
 
 Thermal law P = R T / (v - b) with constant covolume b, caloric law
 e = Cv T + q with constant specific heat (the c = 0 case of the shared
-caloric law in :mod:`redeos.virial_cvt`).  Pressure diverges as the
-specific volume approaches the covolume; states with v <= b are outside
-the physical domain and raise :class:`~redeos.errors.DomainError`.
+caloric law in :mod:`redeos.virial_cvt`).  Each law is written once: the
+energy form P(v, e) is the thermal law at the caloric temperature, as in
+the virial kernels.  Pressure diverges as the specific volume approaches
+the covolume; states with v <= b are outside the physical domain and raise
+:class:`~redeos.errors.DomainError`.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from .types import (
     _div,
     require_model,
 )
+from .virial_cvt import cvt_temperature
 
 
 def _check_vt(params, v, T):
@@ -40,15 +43,10 @@ def na_pressure_vt(params: GasParams, v, T):
 
 
 def na_pressure_ve(params: GasParams, v, e):
-    """Pressure from specific volume and internal energy, R (e - q) / (Cv (v - b))."""
+    """Pressure from specific volume and internal energy: the thermal law at the caloric T(e)."""
     if params.b is None:
         require_model(params, Model.NA)
-    if not e > params.q:
-        raise DomainError(f"internal energy {e!r} J/kg does not exceed the reference q = {params.q!r}")
-    if not v > params.b:
-        raise DomainError(
-            f"specific volume {v!r} m3/kg does not exceed the covolume {params.b!r} m3/kg")
-    return params.R * (e - params.q) / (params.Cv * (v - params.b))
+    return na_pressure_vt(params, v, cvt_temperature(params, e))
 
 
 def na_volume(params: GasParams, P, T):

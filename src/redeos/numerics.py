@@ -27,7 +27,6 @@ SCALE_P = 1e5      # Pa
 class RootResult:
     root: float
     iterations: int
-    residual: float
 
 
 def solve_monotone(g, lo, hi, *, tol_rel=1e-12, max_iter=100, dg=None, x0=None) -> RootResult:
@@ -56,9 +55,9 @@ def solve_monotone(g, lo, hi, *, tol_rel=1e-12, max_iter=100, dg=None, x0=None) 
         lo, hi = hi, lo
     glo, ghi = g(lo), g(hi)
     if glo == 0.0:
-        return RootResult(lo, 0, 0.0)
+        return RootResult(lo, 0)
     if ghi == 0.0:
-        return RootResult(hi, 0, 0.0)
+        return RootResult(hi, 0)
     if (glo > 0.0) == (ghi > 0.0):
         raise BracketError(f"g({lo:g}) = {glo:g} and g({hi:g}) = {ghi:g} have the same sign")
 
@@ -74,7 +73,7 @@ def solve_monotone(g, lo, hi, *, tol_rel=1e-12, max_iter=100, dg=None, x0=None) 
     for it in range(1, max_iter + 1):
         gx = g(x)
         if gx == 0.0:
-            return RootResult(x, it, 0.0)
+            return RootResult(x, it)
         if (gx > 0.0) == sign_high:
             xh, gh = x, gx
             if side == +1:
@@ -104,7 +103,7 @@ def solve_monotone(g, lo, hi, *, tol_rel=1e-12, max_iter=100, dg=None, x0=None) 
 
         tol = max(tol_rel * max(abs(x), abs(xn)), tol_floor)
         if abs(xn - x) <= tol or (xh - xl) <= tol:
-            return RootResult(xn, it, abs(g(xn)))
+            return RootResult(xn, it)
         x = xn
     raise ConvergenceError(f"no convergence within {max_iter} iterations (bracket [{xl:g}, {xh:g}])")
 

@@ -30,7 +30,7 @@ class Laws(NamedTuple):
 
 
 def _na_pressure(params, rho, T):
-    if rho == 0.0:
+    if not rho > 0.0:
         raise DomainError(f"density must be positive, got {rho!r}")
     return noble_abel.na_pressure_vt(params, 1.0 / rho, T)
 

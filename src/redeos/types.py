@@ -149,26 +149,20 @@ def require_model(params: GasParams, *models: Model):
 
 @dataclass(frozen=True)
 class InertGasParams:
-    """Inert diluent used in temperature-varying closed-bomb runs.
+    """Noble inert diluent used in temperature-varying closed-bomb runs.
 
     ``W_in`` is in g/mol to match the usual tabulations; ``R_in`` is
     derived in SI.  Noble gases have no internal structure, so their
-    specific heat is constant (``c_in`` = 0) and the reference energy
-    ``q_in`` is zero.
+    specific heat ``Cv_in`` is constant and their reference energy is zero.
     """
 
     name: str
     Cv_in: float           # J/(kg K)
     W_in: float            # g/mol
-    q_in: float = 0.0      # J/kg
-    c_in: float = 0.0      # J/(kg K^2)
-    noble: bool = True
 
     def __post_init__(self):
         _positive("Cv_in", self.Cv_in)
         _positive("W_in", self.W_in)
-        if self.noble and (self.q_in != 0.0 or self.c_in != 0.0):
-            raise ValidationError("a noble inert gas must have q_in = 0 and c_in = 0")
 
     @property
     def R_in(self):
@@ -287,16 +281,13 @@ class MixtureSpec:
 class InertRunRecord:
     """One inert-diluted closed-bomb run used for Cv(T) fitting."""
 
-    Y: float                       # reactant mass fraction
-    T_flame: float                 # K
-    rho_load: float | None = None  # kg/m3, informational
+    Y: float           # reactant mass fraction
+    T_flame: float     # K
 
     def __post_init__(self):
         if not 0.0 < self.Y <= 1.0:
             raise ValidationError(f"reactant mass fraction must lie in (0,1], got {self.Y!r}")
         _positive("T_flame", self.T_flame)
-        if self.rho_load is not None:
-            _positive("rho_load", self.rho_load)
 
 
 class EntropyReference(NamedTuple):

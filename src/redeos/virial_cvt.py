@@ -7,16 +7,18 @@ kernels in :mod:`redeos.virial`, with the constant-Cv variant, so
 thermodynamic compatibility carries over unchanged.  Its energy depends on
 T only, so the virial closed forms hold with Cv replaced by :func:`cvt_cv`,
 except the entropy, which this variant lacks.
+
+This module imports no thermal kernel: :mod:`redeos.noble_abel` and
+:mod:`redeos.virial` build their energy forms on it, and the inert-diluted
+state lives with the rest of the dilution model in :mod:`redeos.calibration`.
 """
 
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
 
 from .errors import DomainError
-from .types import GasParams, InertGasParams, Model, require_model
-from . import virial
+from .types import GasParams
 
 
 def cvt_cv(params: GasParams, T):
@@ -29,8 +31,7 @@ def cvt_energy(params: GasParams, T):
     """Specific internal energy Cv0 T + (c/2) T^2 + q."""
     if not T > 0.0:
         raise DomainError(f"temperature must be positive, got {T!r}")
-    Cv0, c = params.cv_law
-    return Cv0 * T + 0.5 * c * T * T + params.q
+    return cvt_effective_energy(params, T) + params.q
 
 
 def cvt_temperature(params: GasParams, e):
@@ -54,33 +55,6 @@ def cvt_temperature(params: GasParams, e):
     if disc < 0.0:
         raise DomainError(f"caloric law has no real temperature for e = {e!r} J/kg")
     return 2.0 * E / (Cv0 + math.sqrt(disc))
-
-
-class InertMixtureState(NamedTuple):
-    e_mix: float   # J/kg
-    P: float       # Pa
-    R_mix: float   # J/(kg K)
-
-
-def cvt_inert_mixture_state(params: GasParams, inert: InertGasParams, Y, rho_mix, T) -> InertMixtureState:
-    """State of reactant gas products diluted by an inert species.
-
-    Mass fraction Y of gas products, 1 - Y of inert, in temperature and
-    pressure equilibrium.  The mixture thermal law keeps the reactant's
-    virial coefficient and uses the mass-fraction-weighted specific gas
-    constant.
-    """
-    require_model(params, Model.VO1_CVT)
-    if not 0.0 < Y <= 1.0:
-        raise DomainError(f"reactant mass fraction must lie in (0,1], got {Y!r}")
-    if not (rho_mix > 0.0 and T > 0.0):
-        raise DomainError(f"density and temperature must be positive, got rho={rho_mix!r}, T={T!r}")
-    e_react = cvt_energy(params, T)
-    e_inert = inert.Cv_in * T + 0.5 * inert.c_in * T * T + inert.q_in
-    e_mix = Y * e_react + (1.0 - Y) * e_inert
-    R_mix = Y * params.R + (1.0 - Y) * inert.R_in
-    P = virial.virial_pressure_rt(R_mix, params.a, rho_mix, T)
-    return InertMixtureState(e_mix=e_mix, P=P, R_mix=R_mix)
 
 
 def cvt_effective_energy(params: GasParams, T_flame):

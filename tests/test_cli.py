@@ -400,6 +400,23 @@ class TestBoundaryRegressions:
         _, _, err = run_cli(capsys, *argv)
         assert_one_error_line(err, prefix)
 
+    @pytest.mark.parametrize("argv, named", [
+        (["audit", "NC-13", "--model", "na", "--rho", "-100:-10:45"], "density must be positive, got -100.0"),
+        (["state", "NC-13", "--model", "na", "--rho", "-100", "--T", "3000"],
+         "density must be positive, got -100.0"),
+        (["state", "NC-13", "--model", "vo1", "--P", "-5", "--T", "3000"], "--P must be positive, got -5.0 MPa"),
+        (["state", "NC-13", "--model", "na", "--rho", "100", "--e", "-1e3"],
+         "--e must exceed the reference q = 0 kJ/kg, got -1000.0 kJ/kg"),
+    ])
+    def test_domain_error_names_the_input(self, capsys, argv, named):
+        # a negative NA density once passed the audit as "skipped" and named
+        # the internal specific volume in state; P and e were named in SI units
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 4 and out == ""
+        assert_one_error_line(err, "E_DOMAIN")
+        assert named in err
+        assert "-0.01" not in err and "-1000000" not in err
+
     def test_negative_exponent_reads_as_the_plain_number(self, capsys, tmp_path):
         runs = tmp_path / "runs.csv"
         write_dilution_runs_csv(runs)

@@ -7,7 +7,10 @@ lines were re-recorded when its sound speed, Cp and gamma moved from the
 finite-difference oracle to closed forms: the c of ``state NC-13 --rho 100
 --e 4556.4`` and the Cp of ``state QX --rho 250 --e 5000`` now print the
 correctly rounded digit, and the ``c_analytic - c_oracle`` line of ``audit
-QX`` compares a real closed form instead of reporting 0.  The commands are
+QX`` compares a real closed form instead of reporting 0.  The stderr of the
+three ``state QX ... --e -1000`` commands was re-recorded when ``state``
+began naming the energy in kJ/kg, as given, instead of the converted J/kg
+value.  The commands are
 the 13 of acceptance criterion 11 and, for each model, ``state``, ``sweep``
 and ``audit`` on a record whose caloric reference q is nonzero: the built-in
 records all have q = 0, so they cannot show how the caloric law treats it.

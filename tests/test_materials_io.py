@@ -135,7 +135,6 @@ class TestInertTable:
         argon = rx.INERT_GASES["argon"]
         assert argon.Cv_in == 312.2
         assert argon.W_in == 39.95
-        assert argon.noble
 
     def test_xenon_monatomic_relation(self):
         xenon = rx.INERT_GASES["xenon"]

@@ -64,6 +64,22 @@ class TestPressureFromEnergy:
         with pytest.raises(DomainError):
             rx.na_pressure_ve(nc13_na, 0.01, nc13_na.q)
 
+    def test_domain_errors_name_the_input(self, nc13_na):
+        with pytest.raises(DomainError, match=r"internal energy -1\.0 J/kg does not exceed the reference q = 0\.0"):
+            rx.na_pressure_ve(nc13_na, 0.01, -1.0)
+        with pytest.raises(DomainError, match=r"specific volume 0\.001 m3/kg does not exceed the covolume"):
+            rx.na_pressure_ve(nc13_na, 0.001, 5e6)
+
+    @given(st.floats(min_value=5.0, max_value=650.0), st.floats(min_value=1e4, max_value=1e7),
+           st.sampled_from([0.0, -412345.6789, 287123.4567]))
+    def test_is_the_thermal_law_at_the_caloric_temperature(self, rho, E, q):
+        # one P(rho, e) rule: the kernel, the state builder and the composition agree bit for bit
+        params = rx.GasParams.noble_abel("p", R=338.9, b=0.001484, Cv=1637.1, q=q)
+        v, e = 1.0 / rho, q + E
+        P = rx.na_pressure_ve(params, v, e)
+        assert P == rx.na_pressure_vt(params, v, rx.cvt_temperature(params, e))
+        assert P == rx.state_from_rho_e(params, rho, e).P
+
     def test_ideal_gas_reduction(self):
         # with b = 0 and q = 0 the law collapses to P = (gamma - 1) rho e
         ideal = rx.GasParams.noble_abel("ideal", R=400.0, b=0.0, Cv=1000.0)

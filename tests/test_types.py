@@ -84,14 +84,6 @@ class TestInertGasParams:
         argon = rx.INERT_GASES["argon"]
         assert argon.R_in == pytest.approx(208.1, rel=1e-3)
 
-    def test_noble_forbids_reference_energy(self):
-        with pytest.raises(ValidationError):
-            rx.InertGasParams("weird", Cv_in=300.0, W_in=40.0, q_in=1e5, noble=True)
-
-    def test_non_noble_may_carry_cv_slope(self):
-        gas = rx.InertGasParams("n2ish", Cv_in=740.0, W_in=28.0, c_in=0.1, noble=False)
-        assert gas.c_in == 0.1
-
 
 class TestThermoState:
     def test_volume_density_consistency_enforced(self):

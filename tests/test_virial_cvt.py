@@ -31,6 +31,13 @@ class TestCaloric:
         assert rx.cvt_cv(nc13_vo1, math.inf) == nc13_vo1.Cv
         assert rx.cvt_cv(nc13_vo1, 3275.0) == nc13_vo1.Cv
 
+    @given(st.floats(min_value=1e-3, max_value=1e4), st.sampled_from([0.0, -424987.6543, 287123.4567]))
+    def test_energy_is_effective_energy_plus_q(self, T, q):
+        for params in (rx.GasParams.noble_abel("p", R=338.9, b=0.001484, Cv=1637.1, q=q),
+                       rx.GasParams.virial("p", R=322.0, a=0.002359, Cv=1640.5, q=q),
+                       rx.GasParams.virial_cvt("p", R=322.0, a=0.002359, Cv0=1416.8, c=0.0637, q=q)):
+            assert rx.cvt_energy(params, T) == rx.cvt_effective_energy(params, T) + q
+
     def test_cv_is_linear(self, nc13_cvt):
         assert rx.cvt_cv(nc13_cvt, 2000.0) == pytest.approx(1416.8 + 0.0637 * 2000.0, rel=1e-15)
 
