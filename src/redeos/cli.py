@@ -105,17 +105,14 @@ def _parse_range(text):
         raise ValidationError(f"range bounds and step must be finite, got {text!r}")
     if step <= 0.0 or hi < lo:
         raise ValidationError(f"range needs step > 0 and hi >= lo, got {text!r}")
-    values = []
-    k = 0
-    while True:
-        x = lo + k * step
-        if x > hi * (1.0 + 1e-12) + 1e-12:
-            break
-        if k == MAX_GRID_POINTS:
-            raise ValidationError(f"range {text!r} holds more than {MAX_GRID_POINTS} points")
-        values.append(x)
-        k += 1
-    return values
+    # count by index: at large magnitudes lo + k*step need not advance.  HI
+    # counts as on the grid within rounding of the larger bound, never more
+    # than half a step, whatever the sign of the bounds
+    slack = min(0.5, 1e-12 * (max(abs(lo), abs(hi)) + 1.0) / step)
+    last = (hi - lo) / step + slack
+    if not last < MAX_GRID_POINTS:
+        raise ValidationError(f"range {text!r} holds more than {MAX_GRID_POINTS} points")
+    return [lo + k * step for k in range(math.floor(last) + 1)]
 
 
 def _parse_float_list(text):
@@ -332,7 +329,10 @@ def cmd_audit(args):
             skipped += 1  # at or too near the covolume singularity
             continue
         for T in temps:
-            m, a, f, ok, healthy = _audit_point(params, rho, T)
+            try:
+                m, a, f, ok, healthy = _audit_point(params, rho, T)
+            except DomainError as exc:
+                raise DomainError(f"audit grid rho={args.rho} T={args.T}: {exc}") from None
             evaluated += 1
             if not healthy:
                 violations += 1
@@ -343,6 +343,9 @@ def cmd_audit(args):
             if not ok:
                 mismatches += 1
 
+    if evaluated == 0:
+        raise DomainError(f"audit grid rho={args.rho} T={args.T}: no point to evaluate, "
+                          f"all {skipped} densities lie at or too near the covolume")
     checks = [
         ("maxwell max|res|/P", max_maxwell, 1e-8),
         ("sound-speed max|c_analytic - c_oracle|/c", max_analytic, 1e-5),
@@ -372,19 +375,26 @@ def cmd_state(args):
              for k in ("rho", "T", "P", "e") if getattr(args, k) is not None}
     keys = frozenset(given)
     if keys == {"rho", "T"}:
-        st = state_from_rho_T(params, args.rho, args.T)
+        build, x, y = state_from_rho_T, args.rho, args.T
     elif keys == {"P", "T"}:
         if not args.P > 0.0:
             raise DomainError(f"--P must be positive, got {args.P!r} MPa")
-        st = state_from_P_T(params, args.P * 1e6, args.T)
+        if not args.T > 0.0:
+            raise DomainError(f"--T must be positive, got {args.T!r} K")
+        build, x, y = state_from_P_T, args.P * 1e6, args.T
     elif keys == {"rho", "e"}:
         if not args.e * 1e3 > params.q:
             raise DomainError(
                 f"--e must exceed the reference q = {_fmt(params.q / 1e3)} kJ/kg, got {args.e!r} kJ/kg")
-        st = state_from_rho_e(params, args.rho, args.e * 1e3)
+        build, x, y = state_from_rho_e, args.rho, args.e * 1e3
     else:
         raise ValidationError(
             "pass exactly one input pair: --rho with --T, --P with --T, or --rho with --e")
+    try:
+        st = build(params, x, y)
+    except (ArithmeticError, ValueError):
+        inputs = " ".join(f"--{k} {v!r}" for k, v in given.items())
+        raise NumericalError(f"floating-point evaluation failed at {inputs}") from None
     print("P_MPa,T_K,rho_kg_m3,v_m3_kg,e_kJ_kg,h_kJ_kg,s_J_kgK,c_m_s,Cp_J_kgK,gamma")
     print(",".join([
         _fmt(st.P / 1e6), _fmt(st.T), _fmt(st.rho), _fmt(st.v),

@@ -23,7 +23,7 @@ from .errors import DomainError, ValidationError
 from .noble_abel import na_pressure_vt, na_sound_speed
 from .numerics import solve_monotone
 from .types import GasParams, MixtureSpec, Model
-from .virial import virial_density_pt, vo1_cp
+from .virial import virial_density_pt, virial_pressure_rt, vo1_cp
 from .virial_cvt import cvt_temperature
 
 #: Relative tolerance on the mixture pressure solve.
@@ -70,24 +70,22 @@ def mna_sound_speed(mix: MixtureSpec, P, v_mix):
     return na_sound_speed(mixed, P, 1.0 / v_mix)
 
 
-def _require_positive_virials(mix: MixtureSpec):
-    mix.uniform_model(Model.VO1)
-    for gas, _ in mix.components:
-        if not gas.a > 0.0:
-            raise ValidationError(
-                f"mixture pressure solve requires a > 0 for every component; {gas.name!r} has a = {gas.a!r}")
+def _mixture_volume(pairs, P, T):
+    """Component densities rho_k(P, T), one virial density root each, with
+    the mixture volume v = sum_k Y_k / rho_k and S = -dv/dP at fixed T.
 
+    S is the thermal law's dP/drho, inverted and mass-weighted:
 
-def _volume_slope(pairs, P, T):
-    """S = -d(v_mix)/dP at fixed T: the thermal law's dP/drho, inverted and mass-weighted.
-
-        S = sum_k Y_k / (rho_k^2 R_k T (1 + 2 a_k rho_k)),  rho_k = rho_k(P, T)
+        S = sum_k Y_k / (rho_k^2 R_k T (1 + 2 a_k rho_k))
     """
-    total = 0.0
+    rhos = []
+    v = S = 0.0
     for gas, y in pairs:
         rho = virial_density_pt(gas.R, gas.a, P, T)
-        total += y / (rho * rho * gas.R * T * (1.0 + 2.0 * gas.a * rho))
-    return total
+        rhos.append(rho)
+        v += y / rho
+        S += y / (rho * rho * gas.R * T * (1.0 + 2.0 * gas.a * rho))
+    return rhos, v, S
 
 
 @dataclass(frozen=True)
@@ -111,40 +109,30 @@ def mvo1_pressure(mix: MixtureSpec, rho_mix, T) -> Mvo1Solution:
 
     with rho_k the virial kernel's density root.  Each component volume
     decreases strictly in P, so the residual is monotone with slope -S
-    (:func:`_volume_slope`), and a bracketing Newton solve always converges.
-    The bracket is [rho_mix min_k(R_k) T, rho_mix max_k(R_k) T (1 + max_k(a_k)
-    rho_mix N)], widened by a small margin to absorb rounding at analytic
-    endpoints.
+    (:func:`_mixture_volume`), and a bracketing Newton solve always
+    converges.  It starts from the mixture record's own virial law and
+    rarely needs the bracket [rho_mix min_k(R_k) T, rho_mix max_k(R_k) T
+    (1 + max_k(a_k) rho_mix N)], which is widened by a small margin to
+    absorb rounding at analytic endpoints.
     """
-    _require_positive_virials(mix)
+    R_min, R_max, a_n = mix.virial_bracket
     if not (rho_mix > 0.0 and T > 0.0):
         raise DomainError(f"density and temperature must be positive, got rho={rho_mix!r}, T={T!r}")
     pairs = mix.components
     v_mix = 1.0 / rho_mix
 
     def g(P):
-        total = 0.0
-        for gas, y in pairs:
-            total += y / virial_density_pt(gas.R, gas.a, P, T)
-        return total - v_mix
+        _, v, S = _mixture_volume(pairs, P, T)
+        return v - v_mix, -S
 
-    def dg(P):
-        return -_volume_slope(pairs, P, T)
-
-    R_min = min(gas.R for gas, _ in pairs)
-    R_max = max(gas.R for gas, _ in pairs)
-    a_max = max(gas.a for gas, _ in pairs)
     P_lo = rho_mix * R_min * T * (1.0 - 1e-7)
-    P_hi = rho_mix * R_max * T * (1.0 + a_max * rho_mix * len(pairs)) * (1.0 + 1e-7)
-
-    # cheap starting point: Noble-Abel-style closure with the virial
-    # coefficients standing in for covolumes
+    P_hi = rho_mix * R_max * T * (1.0 + a_n * rho_mix) * (1.0 + 1e-7)
     mixed = mix.mixed
-    x0 = mixed.R * T / (v_mix - mixed.a) if v_mix > mixed.a else P_hi
+    x0 = virial_pressure_rt(mixed.R, mixed.a, rho_mix, T)
 
-    result = solve_monotone(g, P_lo, P_hi, tol_rel=MVO1_TOL, max_iter=MVO1_MAX_ITER, dg=dg, x0=x0)
+    result = solve_monotone(g, P_lo, P_hi, tol_rel=MVO1_TOL, max_iter=MVO1_MAX_ITER, x0=x0)
     P = result.root
-    rho_components = tuple(virial_density_pt(gas.R, gas.a, P, T) for gas, _ in pairs)
+    rho_components = tuple(_mixture_volume(pairs, P, T)[0])
     residual = abs(math.fsum(y / rho for (_, y), rho in zip(pairs, rho_components)) - v_mix) / v_mix
     return Mvo1Solution(P=P, T=T, rho_components=rho_components,
                         iterations=result.iterations, residual_rel=residual)
@@ -160,23 +148,20 @@ def mvo1_sound_speed(mix: MixtureSpec, P, T):
 
         c^2 = (Cp_mix / Cv_mix) v_mix^2 / S
 
-    with S = -d(v_mix)/dP at fixed T (see :func:`_volume_slope`), the
+    with S = -d(v_mix)/dP at fixed T (see :func:`_mixture_volume`), the
     component densities at the common (P, T) and each Cp_k from the
     density-dependent Mayer relation at its own rho_k.  Collapses to the
     single-gas sound speed at N = 1.
     """
-    _require_positive_virials(mix)
+    mix.virial_bracket  # raises unless every component is a VO1 record with a > 0
     if not (P > 0.0 and T > 0.0):
         raise DomainError(f"pressure and temperature must be positive, got P={P!r}, T={T!r}")
     pairs = mix.components
+    rhos, v_mix, S = _mixture_volume(pairs, P, T)
     cp_mix = 0.0
-    v_mix = 0.0
-    for gas, y in pairs:
-        rho_k = virial_density_pt(gas.R, gas.a, P, T)
-        cp_mix += y * vo1_cp(gas, rho_k, T)
-        v_mix += y / rho_k
-    c2 = cp_mix * v_mix * v_mix / (mix.mixed.Cv * _volume_slope(pairs, P, T))
-    return math.sqrt(c2)
+    for (gas, y), rho in zip(pairs, rhos):
+        cp_mix += y * vo1_cp(gas, rho, T)
+    return math.sqrt(cp_mix * v_mix * v_mix / (mix.mixed.Cv * S))
 
 
 class MixtureFlame(NamedTuple):

@@ -29,69 +29,78 @@ class RootResult:
     iterations: int
 
 
-def solve_monotone(g, lo, hi, *, tol_rel=1e-12, max_iter=100, dg=None, x0=None) -> RootResult:
+def solve_monotone(g, lo, hi, *, tol_rel=1e-12, max_iter=100, x0=None) -> RootResult:
     """Find the root of a monotone scalar function on a bracket.
 
-    Newton steps (when ``dg`` is given) or damped secant steps, each
-    safeguarded by bisection so the iterate never leaves the initial
-    bracket.
+    Newton steps where ``g`` gives a slope, damped secant steps otherwise,
+    each safeguarded by bisection so the iterate never leaves the initial
+    bracket.  The residual at the bracket endpoints is evaluated only when
+    a step needs the bracket: no slope; a zero, non-finite or wrongly
+    signed slope; or a Newton step that would leave it.  Until then the
+    sign of the slope gives the orientation of the residual.
 
     Parameters
     ----------
     g : callable
-        Residual; ``g(lo)`` and ``g(hi)`` must differ in sign (or vanish).
+        ``g(x)`` returns ``(residual, slope)``, the slope being the analytic
+        derivative or ``None``.  ``g(lo)`` and ``g(hi)`` must differ in sign
+        (or vanish).
     lo, hi : float
         Bracket endpoints.
     tol_rel : float
         Relative tolerance on the root.
     max_iter : int
         Iteration budget; exceeding it raises :class:`ConvergenceError`.
-    dg : callable, optional
-        Analytic derivative of ``g``; enables Newton steps.
     x0 : float, optional
         Initial guess, clipped into the bracket.
     """
     if hi < lo:
         lo, hi = hi, lo
-    glo, ghi = g(lo), g(hi)
-    if glo == 0.0:
-        return RootResult(lo, 0)
-    if ghi == 0.0:
-        return RootResult(hi, 0)
-    if (glo > 0.0) == (ghi > 0.0):
-        raise BracketError(f"g({lo:g}) = {glo:g} and g({hi:g}) = {ghi:g} have the same sign")
-
-    xl, xh, gl, gh = lo, hi, glo, ghi
+    xl, xh = lo, hi
+    gl = gh = None  # residual at xl and xh, once known
     # orientation is fixed for a monotone residual; never re-read it from the
     # damped endpoint values below (damping can underflow them to zero)
-    sign_high = ghi > 0.0
+    sign_high = None
     # roots below machine epsilon times the problem scale are unresolvable,
     # so the relative criterion carries an absolute floor tied to the bracket
     tol_floor = 1e-15 * (hi - lo)
     x = 0.5 * (lo + hi) if x0 is None else min(max(x0, lo), hi)
     side = 0
     for it in range(1, max_iter + 1):
-        gx = g(x)
+        gx, d = g(x)
         if gx == 0.0:
             return RootResult(x, it)
+        xn = None
+        # a zero, non-finite or wrongly signed slope takes no Newton step
+        if d and math.isfinite(d) and sign_high in (None, d > 0.0):
+            sign_high = d > 0.0
+            cand = x - gx / d
+            if xl < cand < xh:
+                xn = cand
+        if xn is None and (gl is None or gh is None):
+            gl = g(xl)[0] if gl is None else gl
+            gh = g(xh)[0] if gh is None else gh
+            if gl == 0.0:
+                return RootResult(xl, it)
+            if gh == 0.0:
+                return RootResult(xh, it)
+            if (gl > 0.0) == (gh > 0.0):
+                raise BracketError(f"g({xl:g}) = {gl:g} and g({xh:g}) = {gh:g} have the same sign")
+            if sign_high is None:
+                sign_high = gh > 0.0
+        # a Newton step taken above lies on the far side of x, so it stays
+        # inside the bracket narrowed here
         if (gx > 0.0) == sign_high:
             xh, gh = x, gx
-            if side == +1:
+            if side == +1 and gl is not None:
                 gl *= 0.5  # Illinois damping against endpoint stagnation
             side = +1
         else:
             xl, gl = x, gx
-            if side == -1:
+            if side == -1 and gh is not None:
                 gh *= 0.5
             side = -1
 
-        xn = None
-        if dg is not None:
-            d = dg(x)
-            if d != 0.0 and math.isfinite(d):
-                cand = x - gx / d
-                if xl < cand < xh:
-                    xn = cand
         if xn is None:
             denom = gh - gl
             if denom != 0.0:
@@ -101,7 +110,11 @@ def solve_monotone(g, lo, hi, *, tol_rel=1e-12, max_iter=100, dg=None, x0=None) 
         if xn is None:
             xn = 0.5 * (xl + xh)
 
-        tol = max(tol_rel * max(abs(x), abs(xn)), tol_floor)
+        # max(tol_rel * max(|x|, |xn|), tol_floor); max() calls cost more than a secant step
+        ax, axn = abs(x), abs(xn)
+        tol = tol_rel * (axn if axn > ax else ax)
+        if tol_floor > tol:
+            tol = tol_floor
         if abs(xn - x) <= tol or (xh - xl) <= tol:
             return RootResult(xn, it)
         x = xn
@@ -141,18 +154,18 @@ def _invert_temperature(p_fn, rho, P_target, T_guess):
     """
 
     def g(T):
-        return p_fn(rho, T) - P_target
+        return p_fn(rho, T) - P_target, None
 
     lo = T_guess * (1.0 - 1e-4)
     hi = T_guess * (1.0 + 1e-4)
     for _ in range(80):
-        if g(lo) <= 0.0:
+        if g(lo)[0] <= 0.0:
             break
         lo *= 0.5
     else:
         raise NumericalError("temperature inversion failed to bracket from below")
     for _ in range(80):
-        if g(hi) >= 0.0:
+        if g(hi)[0] >= 0.0:
             break
         hi *= 2.0
     else:

@@ -264,6 +264,19 @@ class MixtureSpec:
         fields = {key: math.fsum(y * getattr(gas, key) for gas, y in pairs) for key in keys}
         return GasParams(name="+".join(gas.name for gas, _ in pairs), model=model, **fields)
 
+    @cached_property
+    def virial_bracket(self) -> tuple[float, float, float]:
+        """``(min R_k, max R_k, N max a_k)``, the bracket constants of the virial mixture's
+        pressure solve, which needs VO1 components with a > 0."""
+        self.uniform_model(Model.VO1)
+        pairs = self.components
+        for gas, _ in pairs:
+            if not gas.a > 0.0:
+                raise ValidationError(
+                    f"mixture pressure solve requires a > 0 for every component; {gas.name!r} has a = {gas.a!r}")
+        Rs = [gas.R for gas, _ in pairs]
+        return min(Rs), max(Rs), max(gas.a for gas, _ in pairs) * len(pairs)
+
     def uniform_model(self, *allowed: Model) -> Model:
         """Return the shared model of all components, checking it is allowed."""
         models = {gas.model for gas, _ in self.components}

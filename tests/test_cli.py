@@ -6,7 +6,7 @@ import sys
 import pytest
 
 import redeos as rx
-from redeos.cli import main
+from redeos.cli import _parse_range, main
 
 from conftest import write_dilution_runs_csv
 
@@ -324,7 +324,7 @@ def assert_one_error_line(err, prefix):
 # runs argv lists through main() and reports (exit code, stderr) of each
 _CHILD = """
 import contextlib, io, json, sys
-from redeos.cli import main
+from redeos.cli import _parse_range, main
 results = []
 for argv in json.loads(sys.argv[1]):
     err = io.StringIO()
@@ -446,3 +446,42 @@ class TestBoundaryRegressions:
         assert code == 3
         assert_one_error_line(err, "E_NUMERICAL")
         assert "inf" not in out and "nan" not in out
+
+    @pytest.mark.parametrize("text, want", [
+        ("-100:-50:25", [-100.0, -75.0, -50.0]),
+        ("-100:-100:1", [-100.0]),
+        ("-1:0.5:0.5", [-1.0, -0.5, 0.0, 0.5]),
+        ("1e200:1e200:1", [1e200]),
+        ("0:0.5:0.1", [0.0, 0.1, 0.2, 0.30000000000000004, 0.4, 0.5]),
+    ])
+    def test_range_counts_points_by_index(self, text, want):
+        # a negative HI once shrank the end test and dropped HI; at 1e200
+        # lo + k*step never advanced and one point read as more than 10000
+        assert _parse_range(text) == want
+
+    @pytest.mark.parametrize("argv, named", [
+        (["audit", "NC-13", "--model", "vo1", "--rho", "100:100:1", "--T", "-100:-100:1"],
+         "audit grid rho=100:100:1 T=-100:-100:1: density and temperature must be positive, got rho=100.0, T=-100.0"),
+        (["audit", "NC-13", "--model", "na", "--rho", "5000:6000:500", "--T", "3000:3000:1"],
+         "audit grid rho=5000:6000:500 T=3000:3000:1: no point to evaluate"),
+    ])
+    def test_audit_of_no_point_is_no_pass(self, capsys, argv, named):
+        # both once printed points=0 and RESULT PASS with exit 0
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 4 and out == ""
+        assert_one_error_line(err, "E_DOMAIN")
+        assert named in err
+
+    @pytest.mark.parametrize("argv, code, prefix, named", [
+        (["state", "NC-13", "--model", "vo1cvt", "--P", "100", "--T", "-5"], 4, "E_DOMAIN",
+         "--T must be positive, got -5.0 K"),
+        (["state", "NC-13", "--model", "vo1", "--rho", "1e300", "--T", "1e300"], 3, "E_NUMERICAL",
+         "floating-point evaluation failed at --rho 1e+300 --T 1e+300"),
+    ])
+    def test_state_error_names_the_user_input(self, capsys, argv, code, prefix, named):
+        # these once named P=100000000.0 (Pa) and the Python error (34, 'Numerical result out of range')
+        got, out, err = run_cli(capsys, *argv)
+        assert got == code and out == ""
+        assert_one_error_line(err, prefix)
+        assert named in err
+        assert "100000000" not in err and "34" not in err

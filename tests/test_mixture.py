@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 
@@ -216,6 +217,19 @@ class TestMvo1Pressure:
                 sol = rx.mvo1_pressure(half_vo1, rho, T)
                 assert sol.iterations <= 30
                 assert sol.residual_rel <= 1e-12
+
+    def test_virial_start_converges_in_three_iterations(self, db):
+        # seeded NC-13/RDX/HMX pairs over the closed-bomb ranges; the
+        # mixture record's own virial law starts within ~2e-4 of the root
+        rng = random.Random(401)
+        names = ("NC-13", "RDX", "HMX")
+        for _ in range(300):
+            a, b = rng.sample(names, 2)
+            Y = rng.random()
+            mix = rx.MixtureSpec(((db.get(a, rx.Model.VO1), 1.0 - Y), (db.get(b, rx.Model.VO1), Y)))
+            sol = rx.mvo1_pressure(mix, rng.uniform(10.0, 600.0), rng.uniform(1500.0, 4500.0))
+            assert sol.iterations <= 3
+            assert sol.residual_rel <= 1e-12
 
     def test_rejects_non_positive_virial(self, nc13_vo1):
         flat = rx.GasParams.virial("flat", R=322.0, a=0.0, Cv=1640.5)

@@ -10,7 +10,7 @@ from redeos.numerics import SCALE_P, SCALE_RHO, SCALE_T
 
 class TestSolveMonotone:
     def test_linear(self):
-        result = rx.solve_monotone(lambda x: x - 2.0, 0.0, 10.0)
+        result = rx.solve_monotone(lambda x: (x - 2.0, None), 0.0, 10.0)
         assert result.root == pytest.approx(2.0, rel=1e-12)
 
     def test_mixture_volume_closure_single_component(self, nc13_vo1):
@@ -21,7 +21,7 @@ class TestSolveMonotone:
         a = nc13_vo1.a
 
         def g(P):
-            return RT * (1.0 + math.sqrt(1.0 + 4.0 * a * P / RT)) / (2.0 * P) - 1.0 / rho
+            return RT * (1.0 + math.sqrt(1.0 + 4.0 * a * P / RT)) / (2.0 * P) - 1.0 / rho, None
 
         result = rx.solve_monotone(g, 1e6, 1e10)
         assert result.root == pytest.approx(130_331_834.5, rel=1e-10)
@@ -29,22 +29,49 @@ class TestSolveMonotone:
 
     def test_same_sign_bracket_rejected(self):
         with pytest.raises(BracketError):
-            rx.solve_monotone(lambda x: x + 5.0, 0.0, 10.0)
+            rx.solve_monotone(lambda x: (x + 5.0, None), 0.0, 10.0)
 
     def test_iteration_budget(self):
         with pytest.raises(ConvergenceError):
-            rx.solve_monotone(lambda x: x**3 - 2.0, 0.0, 10.0, max_iter=1, tol_rel=1e-15)
+            rx.solve_monotone(lambda x: (x**3 - 2.0, None), 0.0, 10.0, max_iter=1, tol_rel=1e-15)
 
     def test_newton_path_reports_iterations(self):
-        result = rx.solve_monotone(lambda x: x * x - 2.0, 0.0, 2.0,
-                                   dg=lambda x: 2.0 * x, x0=1.5)
+        result = rx.solve_monotone(lambda x: (x * x - 2.0, 2.0 * x), 0.0, 2.0, x0=1.5)
         assert result.root == pytest.approx(math.sqrt(2.0), rel=1e-12)
         assert result.iterations <= 8
+
+    def test_same_sign_bracket_rejected_after_newton_leaves_it(self):
+        # the slope is good, so the endpoints are first read when the step to -5 leaves [0, 10]
+        with pytest.raises(BracketError):
+            rx.solve_monotone(lambda x: (x + 5.0, 1.0), 0.0, 10.0, x0=5.0)
+
+    @pytest.mark.parametrize("slope", [math.nan, math.inf, 0.0])
+    def test_unusable_slope_falls_back_to_the_bracket(self, slope):
+        seen = []
+
+        def g(x):
+            seen.append(x)
+            return x - 2.0, slope
+
+        result = rx.solve_monotone(g, 0.0, 10.0, x0=7.0)
+        assert result.root == pytest.approx(2.0, rel=1e-12)
+        assert 0.0 in seen and 10.0 in seen
+
+    def test_endpoints_unread_while_newton_stays_inside(self):
+        seen = []
+
+        def g(x):
+            seen.append(x)
+            return x * x - 2.0, 2.0 * x
+
+        result = rx.solve_monotone(g, 0.0, 2.0, x0=1.5)
+        assert result.root == pytest.approx(math.sqrt(2.0), rel=1e-12)
+        assert 0.0 not in seen and 2.0 not in seen
 
     @given(st.floats(min_value=-500.0, max_value=500.0, allow_nan=False))
     def test_root_stays_inside_bracket(self, offset):
         lo, hi = -10.0, 10.0
-        result = rx.solve_monotone(lambda x: x**3 + x + offset, lo, hi)
+        result = rx.solve_monotone(lambda x: (x**3 + x + offset, None), lo, hi)
         assert lo <= result.root <= hi
         assert abs(result.root**3 + result.root + offset) < 1e-6
 
