@@ -13,7 +13,6 @@ Every model in the library ships with three independent self-checks:
 import math
 
 import redeos as rx
-from redeos.numerics import SCALE_T
 
 db = rx.builtin_database()
 vo1 = db.get("NC-13", rx.Model.VO1)
@@ -21,15 +20,13 @@ vo1 = db.get("NC-13", rx.Model.VO1)
 e_fn = lambda r, t: rx.cvt_energy(vo1, t)
 p_fn = lambda r, t: rx.vo1_pressure(vo1, r, t)
 
-print("Thermal/caloric compatibility residual (should be rounding noise):")
-print(f"{'rho':>6s}{'T':>7s}{'|res|/P':>12s}")
-for rho in (50.0, 200.0, 600.0):
-    for T in (1500.0, 3000.0, 4500.0):
-        P = p_fn(rho, T)
-        dedrho = rx.fd_derivative(lambda r: e_fn(r, T), rho, 1.0)
-        dpdT = rx.fd_derivative(lambda t: p_fn(rho, t), T, SCALE_T)
-        res = abs(dedrho * rho * rho + T * dpdT - P) / P
-        print(f"{rho:6.0f}{T:7.0f}{res:12.2e}")
+print("All three checks over a grid, maxima against their limits:")
+report = rx.audit_record(vo1, (50.0, 200.0, 600.0), (1500.0, 3000.0, 4500.0))
+for label, value, limit in zip(("compatibility |res|/P", "sound speed, closed vs oracle", "oracle forms"),
+                               report.residuals, report.LIMITS):
+    print(f"  {label:30s}{value:10.2e}  (limit {limit:g})")
+print(f"  {report.points} points, {report.sign_mismatches} convexity sign mismatches, "
+      f"{report.violations} violations: {'PASS' if report.passed else 'FAIL'}")
 
 print()
 print("Sound speed: closed form vs the two difference-oracle routes")
@@ -57,5 +54,5 @@ probe = rx.GasParams.virial("probe", R=322.0, a=-0.02, Cv=1640.5)
 report = rx.vo1_convexity(probe, 100.0, 1e8, 3000.0)
 print(f"  a rho = {probe.a * 100.0:.1f}: convex = {report.convex}")
 print()
-print("The same checks run over a grid from the command line:")
+print("The same audit from the command line:")
 print("  eos audit NC-13 --model vo1")

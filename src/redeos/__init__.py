@@ -88,9 +88,11 @@ from .mixture import (
     mvo1_sound_speed,
 )
 from .numerics import (
+    AuditReport,
     LsqFit,
     OracleSoundSpeed,
     RootResult,
+    audit_record,
     convexity_audit_fd,
     fd_derivative,
     fd_partial,

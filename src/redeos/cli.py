@@ -47,9 +47,9 @@ from .mixture import (
     mvo1_pressure,
     mvo1_sound_speed,
 )
-from .numerics import sound_speed_fd_oracle
-from .state import LAWS, fd_closures, state_from_P_T, state_from_rho_T, state_from_rho_e
-from .types import MODEL_FIELDS, GasParams, MixtureSpec, Model, convexity_signs_ok
+from .numerics import audit_record
+from .state import state_from_P_T, state_from_rho_T, state_from_rho_e
+from .types import MODEL_FIELDS, GasParams, MixtureSpec, Model
 
 _MODEL_FLAGS = {"na": Model.NA, "vo1": Model.VO1, "vo1cvt": Model.VO1_CVT}
 
@@ -61,9 +61,18 @@ _ERROR_TABLE = (
     (RankDeficiencyError, "E_RANK_DEFICIENT", 3),
     (BracketError, "E_BRACKET", 3),
     (ConvergenceError, "E_CONVERGENCE", 3),
-    (NumericalError, "E_NUMERICAL", 3),
+    # a degenerate state, float overflow, division by an underflowed zero or a
+    # math-domain error: each at extreme inputs
+    ((NumericalError, ArithmeticError, ValueError), "E_NUMERICAL", 3),
     (DomainError, "E_DOMAIN", 4),
+    (FileNotFoundError, "E_PARSE", 2),
 )
+
+#: Options that carry the numbers a command evaluates, named by a floating-point failure.
+_NUMERIC_OPTIONS = ("rho", "P", "T", "e", "fraction_sweep", "tflame", "gamma", "es_i", "t0")
+
+_AUDIT_LABELS = ("maxwell max|res|/P", "sound-speed max|c_analytic - c_oracle|/c",
+                 "oracle-forms max disagreement")
 
 
 #: Arguments that argparse must take as values, not options: -1e3, -.5, -10:600:50, -inf.
@@ -86,7 +95,7 @@ def _load_db(path):
 
 def _require_convex_record(params):
     """Prediction commands refuse non-convex records; only `audit` probes them."""
-    if params.model is not Model.NA and params.a < 0.0:
+    if params.a is not None and params.a < 0.0:
         raise ValidationError(
             f"record {params.name!r} has a negative virial coefficient; "
             "only the audit command accepts non-convex records")
@@ -128,6 +137,22 @@ def _require_finite(flag, value):
     return value
 
 
+def _load_existing(path):
+    """The database in ``path``, or None when there is no such file."""
+    try:
+        return load_material_db(path)
+    except FileNotFoundError:
+        return None
+
+
+def _save_record(path, db, params, note):
+    """Add ``params`` to ``db`` (a new database when None) and write it to ``path``."""
+    db = MaterialDatabase.empty() if db is None else db
+    db.add(params, note=note)
+    save_material_db(path, db)
+    print(f"saved to {path}")
+
+
 def cmd_calibrate(args):
     points = load_closed_bomb_csv(args.points)
     if len(points) != 2:
@@ -145,13 +170,7 @@ def cmd_calibrate(args):
     print(f"gamma = {_fmt(params.gamma_cal)}")
     print(f"rho_range (kg/m3) = {_fmt(params.rho_range[0])} {_fmt(params.rho_range[1])}")
     if args.db:
-        try:
-            db = load_material_db(args.db)
-        except FileNotFoundError:
-            db = MaterialDatabase.empty()
-        db.add(params, note=f"calibrated from {args.points}")
-        save_material_db(args.db, db)
-        print(f"saved to {args.db}")
+        _save_record(args.db, _load_existing(args.db), params, f"calibrated from {args.points}")
     return 0
 
 
@@ -168,13 +187,11 @@ def cmd_calibrate_cvt(args):
     if args.db:
         if not (args.name and args.base):
             raise ValidationError("--db requires --name and --base (a VO1 record supplying R, a)")
+        out_db = _load_existing(args.db)
         if args.base_db is not None:
             base_source = load_material_db(args.base_db)
         else:
-            try:
-                base_source = load_material_db(args.db)
-            except FileNotFoundError:
-                base_source = builtin_database()
+            base_source = out_db if out_db is not None else builtin_database()
         base = base_source.get(args.base, Model.VO1)
         tflame = args.tflame if args.tflame is not None else base.T_flame
         if tflame is None:
@@ -183,13 +200,7 @@ def cmd_calibrate_cvt(args):
             args.name, R=base.R, a=base.a, Cv0=fit.Cv0, c=fit.c, q=fit.q,
             e_s_eff=fit.Cv0 * tflame + 0.5 * fit.c * tflame**2,
             T_flame=tflame, rho_range=base.rho_range)
-        try:
-            out_db = load_material_db(args.db)
-        except FileNotFoundError:
-            out_db = MaterialDatabase.empty()
-        out_db.add(params, note=f"Cv(T) fit from {args.runs} with inert {inert.name}")
-        save_material_db(args.db, out_db)
-        print(f"saved to {args.db}")
+        _save_record(args.db, out_db, params, f"Cv(T) fit from {args.runs} with inert {inert.name}")
     return 0
 
 
@@ -272,8 +283,11 @@ def cmd_mix_sweep(args):
             if args.model == "mna":
                 if not rho > 0.0:
                     raise DomainError(f"density must be positive, got {rho!r}")
-                P = mna_pressure_vt(mix, 1.0 / rho, flame.T_flame)
-                c = mna_sound_speed(mix, P, 1.0 / rho)
+                v = 1.0 / rho
+                if v == math.inf:
+                    raise NumericalError(f"the specific volume 1/rho overflows at rho={rho!r}")
+                P = mna_pressure_vt(mix, v, flame.T_flame)
+                c = mna_sound_speed(mix, P, v)
             else:
                 P = mvo1_pressure(mix, rho, flame.T_flame).P
                 c = mvo1_sound_speed(mix, P, flame.T_flame)
@@ -281,90 +295,25 @@ def cmd_mix_sweep(args):
     return 0
 
 
-def _audit_point(params, rho, T):
-    """(maxwell_rel, analytic_c_rel, forms_rel, signs_match, healthy) at one point.
-
-    States whose closed-form convexity criteria fail carry no meaningful
-    sound speed, so the difference checks are skipped there and the state
-    is reported as a convexity violation instead.
-    """
-    laws = LAWS[params.model]
-    e_fn, p_fn = fd_closures(params)
-    P = p_fn(rho, T)
-
-    closed = laws.convexity(params, rho, P, T)
-    if not (closed.convex and convexity_signs_ok(closed.criteria)):
-        return 0.0, 0.0, 0.0, True, False
-
-    # one difference pass serves the oracle, the compatibility residual
-    # (scaled to pressure) and the generic convexity criteria
-    oracle = sound_speed_fd_oracle(e_fn, p_fn, rho, T)
-    d = oracle.partials
-    maxwell_rel = abs(d.e_rho * rho * rho + T * d.P_T - P) / P
-    audit = d.convexity()
-    forms_rel = oracle.rel_disagreement
-    c_oracle = oracle.c2_energy**0.5
-    analytic_rel = abs(laws.sound_speed(params, P, rho, T) - c_oracle) / c_oracle
-
-    signs_match = audit.convex and all(
-        (x > 0.0) == (y > 0.0)
-        for x, y in zip(closed.criteria, audit.criteria))
-    return maxwell_rel, analytic_rel, forms_rel, signs_match, True
-
-
 def cmd_audit(args):
     db = _load_db(args.db)
-    model = _MODEL_FLAGS[args.model]
-    params = db.get(args.material, model)
+    params = db.get(args.material, _MODEL_FLAGS[args.model])
     rhos = _parse_range(args.rho)
     temps = _parse_range(args.T)
+    try:
+        report = audit_record(params, rhos, temps)
+    except DomainError as exc:
+        raise DomainError(f"audit grid rho={args.rho} T={args.T}: {exc}") from None
 
-    max_maxwell = max_analytic = max_forms = 0.0
-    mismatches = 0
-    violations = 0
-    skipped = 0
-    evaluated = 0
-    for rho in rhos:
-        if model is Model.NA and rho > 0.0 and 1.0 / rho <= params.b * (1.0 + 1e-2):
-            skipped += 1  # at or too near the covolume singularity
-            continue
-        for T in temps:
-            try:
-                m, a, f, ok, healthy = _audit_point(params, rho, T)
-            except DomainError as exc:
-                raise DomainError(f"audit grid rho={args.rho} T={args.T}: {exc}") from None
-            evaluated += 1
-            if not healthy:
-                violations += 1
-                continue
-            max_maxwell = max(max_maxwell, m)
-            max_analytic = max(max_analytic, a)
-            max_forms = max(max_forms, f)
-            if not ok:
-                mismatches += 1
-
-    if evaluated == 0:
-        raise DomainError(f"audit grid rho={args.rho} T={args.T}: no point to evaluate, "
-                          f"all {skipped} densities lie at or too near the covolume")
-    checks = [
-        ("maxwell max|res|/P", max_maxwell, 1e-8),
-        ("sound-speed max|c_analytic - c_oracle|/c", max_analytic, 1e-5),
-        ("oracle-forms max disagreement", max_forms, 1e-6),
-    ]
     print(f"audit material={args.material} model={params.model}")
-    print(f"grid rho={args.rho} T={args.T} points={evaluated} skipped_rho={skipped}")
-    failed = False
-    for label, value, limit in checks:
-        ok = value <= limit
-        failed |= not ok
-        print(f"{label} = {_fmt(value)} limit {_fmt(limit)} {'PASS' if ok else 'FAIL'}")
-    for label, count in (("convexity sign mismatches", mismatches),
-                         ("convexity violations", violations)):
-        ok = count == 0
-        failed |= not ok
-        print(f"{label} = {count} {'PASS' if ok else 'FAIL'}")
-    print(f"RESULT {'FAIL' if failed else 'PASS'}")
-    return 3 if failed else 0
+    print(f"grid rho={args.rho} T={args.T} points={report.points} skipped_rho={report.skipped_rho}")
+    for label, value, limit in zip(_AUDIT_LABELS, report.residuals, report.LIMITS):
+        print(f"{label} = {_fmt(value)} limit {_fmt(limit)} {'PASS' if value <= limit else 'FAIL'}")
+    for label, count in (("convexity sign mismatches", report.sign_mismatches),
+                         ("convexity violations", report.violations)):
+        print(f"{label} = {count} {'PASS' if count == 0 else 'FAIL'}")
+    print(f"RESULT {'PASS' if report.passed else 'FAIL'}")
+    return 0 if report.passed else 3
 
 
 def cmd_state(args):
@@ -390,11 +339,7 @@ def cmd_state(args):
     else:
         raise ValidationError(
             "pass exactly one input pair: --rho with --T, --P with --T, or --rho with --e")
-    try:
-        st = build(params, x, y)
-    except (ArithmeticError, ValueError):
-        inputs = " ".join(f"--{k} {v!r}" for k, v in given.items())
-        raise NumericalError(f"floating-point evaluation failed at {inputs}") from None
+    st = build(params, x, y)
     print("P_MPa,T_K,rho_kg_m3,v_m3_kg,e_kJ_kg,h_kJ_kg,s_J_kgK,c_m_s,Cp_J_kgK,gamma")
     print(",".join([
         _fmt(st.P / 1e6), _fmt(st.T), _fmt(st.rho), _fmt(st.v),
@@ -482,19 +427,16 @@ def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except EosError as exc:
+    except (EosError, FileNotFoundError, ArithmeticError, ValueError) as exc:
         for cls, prefix, code in _ERROR_TABLE:
             if isinstance(exc, cls):
+                if prefix == "E_NUMERICAL":  # named by the command's inputs, not by an internal value
+                    given = " ".join(f"--{k.replace('_', '-')} {getattr(args, k)}"
+                                     for k in _NUMERIC_OPTIONS if getattr(args, k, None) is not None)
+                    exc = f"floating-point evaluation failed at {given}"
                 print(f"{prefix}: {exc}", file=sys.stderr)
                 return code
         raise
-    except FileNotFoundError as exc:
-        print(f"E_PARSE: {exc}", file=sys.stderr)
-        return 2
-    except (ArithmeticError, ValueError) as exc:
-        # float overflow, division by an underflowed zero or a math-domain error at extreme inputs
-        print(f"E_NUMERICAL: floating-point evaluation failed ({exc})", file=sys.stderr)
-        return 3
 
 
 def entry():

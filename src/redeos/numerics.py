@@ -3,7 +3,8 @@
 Scalar root solving for monotone residuals, Richardson-extrapolated
 central differences, a finite-difference frozen sound-speed oracle that
 stays independent of any closed-form sound speed, a generic convexity
-audit, and the 3-parameter least-squares fit used by Cv(T) calibration.
+audit, the grid consistency audit of a record's closed forms against
+them, and the 3-parameter least-squares fit used by Cv(T) calibration.
 """
 
 from __future__ import annotations
@@ -14,8 +15,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import BracketError, ConvergenceError, NumericalError, RankDeficiencyError, ValidationError
-from .types import ConvexityReport, convexity_signs_ok
+from .errors import BracketError, ConvergenceError, DomainError, NumericalError, RankDeficiencyError, ValidationError
+from .state import LAWS
+from .types import ConvexityReport, GasParams, convexity_signs_ok
+from . import virial_cvt
 
 #: Per-variable step floors for relative finite-difference steps.
 SCALE_RHO = 1.0    # kg/m3
@@ -253,6 +256,72 @@ def convexity_audit_fd(e_fn, p_fn, rho, T) -> ConvexityReport:
     signs are directly comparable with the closed-form reports of the kernels.
     """
     return _fd_partials(e_fn, p_fn, rho, T).convexity()
+
+
+class AuditReport(NamedTuple):
+    """A record's closed forms against the difference oracle over a (rho, T) grid.
+
+    ``residuals`` are the maxima, over the points the closed forms call convex,
+    of the compatibility residual over P, the relative sound-speed error and
+    the disagreement of the oracle's two forms; ``LIMITS`` bounds them.
+    """
+
+    points: int
+    skipped_rho: int
+    maxwell: float
+    sound_speed: float
+    forms: float
+    sign_mismatches: int
+    violations: int
+
+    LIMITS = (1e-8, 1e-5, 1e-6)
+
+    @property
+    def residuals(self):
+        return (self.maxwell, self.sound_speed, self.forms)
+
+    @property
+    def passed(self):
+        return (all(x <= limit for x, limit in zip(self.residuals, self.LIMITS))
+                and self.sign_mismatches == 0 and self.violations == 0)
+
+
+def audit_record(params: GasParams, rhos, temperatures) -> AuditReport:
+    """Audit a record on the grid of two sequences, skipping densities within 1 % of a covolume.
+
+    A point that fails the closed-form convexity criteria has no meaningful
+    sound speed: it is a violation, not differenced.  Elsewhere one oracle
+    pass (six differences) serves every check.  Raises :class:`DomainError`
+    at a point outside the domain, or when no point is left.
+    """
+    laws = LAWS[params.model]
+    pressure = laws.pressure
+    e_fn, p_fn = (lambda r, t: virial_cvt.cvt_energy(params, t)), (lambda r, t: pressure(params, r, t))
+    maxwell = sound_speed = forms = 0.0
+    points = skipped = mismatches = violations = 0
+    for rho in rhos:
+        if params.b is not None and rho > 0.0 and 1.0 / rho <= params.b * (1.0 + 1e-2):
+            skipped += 1
+            continue
+        for T in temperatures:
+            P = p_fn(rho, T)
+            points += 1
+            closed = laws.convexity(params, rho, P, T)
+            if not (closed.convex and convexity_signs_ok(closed.criteria)):
+                violations += 1
+                continue
+            oracle = sound_speed_fd_oracle(e_fn, p_fn, rho, T)
+            d = oracle.partials
+            maxwell = max(maxwell, abs(d.e_rho * rho * rho + T * d.P_T - P) / P)
+            c = oracle.c2_energy**0.5
+            sound_speed = max(sound_speed, abs(laws.sound_speed(params, P, rho, T) - c) / c)
+            forms = max(forms, oracle.rel_disagreement)
+            fd = d.convexity()
+            if not (fd.convex and all((x > 0.0) == (y > 0.0) for x, y in zip(closed.criteria, fd.criteria))):
+                mismatches += 1
+    if points == 0:
+        raise DomainError(f"no point to evaluate, all {skipped} densities lie at or too near the covolume")
+    return AuditReport(points, skipped, maxwell, sound_speed, forms, mismatches, violations)
 
 
 @dataclass(frozen=True)

@@ -12,9 +12,10 @@ on module attributes see those calls.
 
 from __future__ import annotations
 
+import math
 from typing import Callable, NamedTuple
 
-from .errors import DomainError
+from .errors import DomainError, NumericalError, ValidationError
 from .types import DEFAULT_ENTROPY_REF, GasParams, Model, ThermoState
 from . import noble_abel, virial, virial_cvt
 
@@ -67,25 +68,28 @@ LAWS = {
 }
 
 
-def fd_closures(params: GasParams):
-    """``(e(rho, T), P(rho, T))`` of a record, the primitives the difference routines take."""
-    pressure = LAWS[params.model].pressure
-    return (lambda r, t: virial_cvt.cvt_energy(params, t),
-            lambda r, t: pressure(params, r, t))
-
-
 def state_from_rho_T(params: GasParams, rho, T, ref=DEFAULT_ENTROPY_REF) -> ThermoState:
-    """Consistent state from density and temperature."""
+    """Consistent state from density and temperature; :class:`NumericalError` if
+    it degenerates in floating point (1/rho or P overflows, gamma rounds to 1)."""
     laws = LAWS[params.model]
     P = laws.pressure(params, rho, T)
+    v = 1.0 / rho
+    if v == math.inf:
+        raise NumericalError(f"the specific volume 1/rho overflows at rho={rho!r}")
     e = virial_cvt.cvt_energy(params, T)
     h, s, c, Cp, gamma = laws.derived(params, rho, T, P, ref)
-    return ThermoState(P=P, T=T, rho=rho, v=1.0 / rho, e=e, h=h, s=s, c=c, Cp=Cp, gamma=gamma)
+    try:
+        return ThermoState(P=P, T=T, rho=rho, v=v, e=e, h=h, s=s, c=c, Cp=Cp, gamma=gamma)
+    except ValidationError as exc:
+        raise NumericalError(f"the state at rho={rho!r}, T={T!r} is degenerate: {exc}") from None
 
 
 def state_from_P_T(params: GasParams, P, T, ref=DEFAULT_ENTROPY_REF) -> ThermoState:
     """Consistent state from pressure and temperature."""
-    return state_from_rho_T(params, LAWS[params.model].density(params, P, T), T, ref)
+    rho = LAWS[params.model].density(params, P, T)
+    if not 0.0 < rho < math.inf:
+        raise NumericalError(f"the density at P={P!r}, T={T!r} under- or overflows, got {rho!r}")
+    return state_from_rho_T(params, rho, T, ref)
 
 
 def state_from_rho_e(params: GasParams, rho, e, ref=DEFAULT_ENTROPY_REF) -> ThermoState:

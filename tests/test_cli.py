@@ -485,3 +485,23 @@ class TestBoundaryRegressions:
         assert_one_error_line(err, prefix)
         assert named in err
         assert "100000000" not in err and "34" not in err
+
+    @pytest.mark.parametrize("argv, inputs", [
+        (["state", "NC-13", "--model", "vo1cvt", "--P", "1e300", "--T", "1e300"], "--P 1e+300 --T 1e+300"),
+        (["state", "NC-13", "--model", "vo1", "--P", "1e300", "--T", "1e-300"], "--P 1e+300 --T 1e-300"),
+        (["state", "NC-13", "--model", "vo1", "--rho", "1e-320", "--T", "3000"], "--rho 1e-320 --T 3000.0"),
+        (["state", "NC-13", "--model", "na", "--rho", "1e-320", "--T", "3000"], "--rho 1e-320 --T 3000.0"),
+        (["mix-sweep", "NC-13=0.5,RDX=0.5", "--model", "mna", "--rho", "1e-320", "--same-oxygen-balance"],
+         "--rho 1e-320"),
+        (["mix-sweep", "NC-13=0.5,RDX=0.5", "--model", "mvo1", "--rho", "1e300", "--same-oxygen-balance"],
+         "--rho 1e300"),
+        (["sweep", "NC-13", "--model", "vo1", "--rho", "1e200:1e200:1"], "--rho 1e200:1e200:1"),
+        (["audit", "NC-13", "--model", "vo1", "--rho", "1e200:1e200:1", "--T", "3000:3000:1"],
+         "--rho 1e200:1e200:1 --T 3000:3000:1"),
+    ])
+    def test_numerical_failure_names_the_input(self, capsys, argv, inputs):
+        # these once ended in E_VALIDATION or E_DOMAIN naming gamma = 1.0, v*rho = inf, rho=0.0 or
+        # P=0.0, or in E_NUMERICAL naming the Python error or the non-finite result
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 3
+        assert err == f"E_NUMERICAL: floating-point evaluation failed at {inputs}\n"

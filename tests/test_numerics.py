@@ -1,11 +1,17 @@
+import json
 import math
+import pathlib
 
 import pytest
 from hypothesis import given, strategies as st
 
 import redeos as rx
-from redeos.errors import BracketError, ConvergenceError, RankDeficiencyError, ValidationError
+from redeos import numerics
+from redeos.cli import _MODEL_FLAGS, _parse_range
+from redeos.errors import BracketError, ConvergenceError, DomainError, RankDeficiencyError, ValidationError
 from redeos.numerics import SCALE_P, SCALE_RHO, SCALE_T
+
+from test_golden_cli import Q_DB
 
 
 class TestSolveMonotone:
@@ -176,6 +182,62 @@ class TestConvexityAudit:
         assert not closed.convex
         for fd_value, cf_value in zip(report.criteria, closed.criteria):
             assert (fd_value > 0.0) == (cf_value > 0.0)
+
+
+def _golden_audits():
+    cases = json.loads(pathlib.Path(__file__).with_name("golden_cli.json").read_text())
+    return [case for case in cases if case.get("argv", [""])[0] == "audit"]
+
+
+class TestAuditRecord:
+    @pytest.mark.parametrize("case", _golden_audits(), ids=lambda case: " ".join(case["argv"][1:4]))
+    def test_reports_the_numbers_eos_audit_prints(self, case, tmp_path):
+        argv = case["argv"]
+        opts = dict(zip(argv[2::2], argv[3::2]))
+        if "--db" in opts:
+            (tmp_path / "q.eosdb").write_text(Q_DB)
+            db = rx.load_material_db(tmp_path / "q.eosdb")
+        else:
+            db = rx.builtin_database()
+        params = db.get(argv[1], _MODEL_FLAGS[opts["--model"]])
+        report = rx.audit_record(params, _parse_range(opts["--rho"]), _parse_range(opts["--T"]))
+        lines = case["stdout"].splitlines()
+        assert lines[1].endswith(f"points={report.points} skipped_rho={report.skipped_rho}")
+        for line, value, limit in zip(lines[2:5], report.residuals, rx.AuditReport.LIMITS):
+            assert line.split(" = ")[1].startswith(f"{value:.10g} limit {limit:.10g}")
+        assert lines[5:7] == [f"convexity sign mismatches = {report.sign_mismatches} PASS",
+                              f"convexity violations = {report.violations} PASS"]
+        assert report.passed and lines[7] == "RESULT PASS"
+
+    def test_six_differences_per_evaluated_point(self, monkeypatch, nc13_cvt):
+        calls = []
+        original = numerics.fd_derivative
+
+        def counted(*args):
+            calls.append(1)
+            return original(*args)
+
+        monkeypatch.setattr(numerics, "fd_derivative", counted)
+        report = rx.audit_record(nc13_cvt, [50.0, 200.0, 600.0], [1500.0, 3000.0, 4500.0])
+        assert report.points == 9 and report.violations == 0
+        assert len(calls) == 6 * report.points
+
+    def test_noble_abel_counts_covolume_skips(self, nc13_na):
+        # 1/b = 673.9 kg/m3: 700 lies beyond it and 670 within 1 % of it
+        report = rx.audit_record(nc13_na, [600.0, 670.0, 700.0], [2000.0, 3000.0])
+        assert (report.points, report.skipped_rho) == (2, 2)
+        assert report.passed
+
+    def test_negative_virial_counts_violations_not_mismatches(self):
+        probe = rx.GasParams.virial("probe", R=322.0, a=-0.02, Cv=1640.0)
+        report = rx.audit_record(probe, [10.0, 40.0, 70.0, 100.0], [2000.0, 2500.0, 3000.0])
+        assert report.points == 12
+        assert report.violations > 0 and report.sign_mismatches == 0
+        assert not report.passed
+
+    def test_no_point_to_evaluate_is_a_domain_error(self, nc13_na):
+        with pytest.raises(DomainError, match="no point to evaluate, all 3 densities"):
+            rx.audit_record(nc13_na, [5000.0, 5500.0, 6000.0], [3000.0])
 
 
 class TestLsqFit3:
