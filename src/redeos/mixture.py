@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import DomainError, ValidationError
+from .errors import DomainError, NumericalError, ValidationError
 from .noble_abel import na_pressure_vt, na_sound_speed
 from .numerics import solve_monotone
 from .types import GasParams, MixtureSpec, Model
@@ -132,6 +132,8 @@ def mvo1_pressure(mix: MixtureSpec, rho_mix, T) -> Mvo1Solution:
 
     result = solve_monotone(g, P_lo, P_hi, tol_rel=MVO1_TOL, max_iter=MVO1_MAX_ITER, x0=x0)
     P = result.root
+    if P == math.inf:
+        raise NumericalError(f"the mixture pressure overflows at rho={rho_mix!r}, T={T!r}")
     rho_components = tuple(_mixture_volume(pairs, P, T)[0])
     residual = abs(math.fsum(y / rho for (_, y), rho in zip(pairs, rho_components)) - v_mix) / v_mix
     return Mvo1Solution(P=P, T=T, rho_components=rho_components,

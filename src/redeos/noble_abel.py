@@ -62,6 +62,8 @@ def na_enthalpy(params: GasParams, P, T):
     """Specific enthalpy (R + Cv) T + b P + q."""
     if params.b is None:
         require_model(params, Model.NA)
+    if not (P > 0.0 and T > 0.0):
+        raise DomainError(f"pressure and temperature must be positive, got P={P!r}, T={T!r}")
     return (params.R + params.Cv) * T + params.b * P + params.q
 
 

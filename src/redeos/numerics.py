@@ -13,8 +13,6 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-import numpy as np
-
 from .errors import BracketError, ConvergenceError, DomainError, NumericalError, RankDeficiencyError, ValidationError
 from .state import LAWS
 from .types import ConvexityReport, GasParams, convexity_signs_ok
@@ -349,6 +347,8 @@ def lsq_fit_3(temperatures, targets) -> LsqFit:
     Exact on consistent systems; raises :class:`RankDeficiencyError` when
     the temperatures do not spread enough to separate the three columns.
     """
+    import numpy as np  # the only numpy user; imported here so that `import redeos` stays without it
+
     T = np.asarray(temperatures, dtype=float)
     y = np.asarray(targets, dtype=float)
     if T.ndim != 1 or T.shape != y.shape:

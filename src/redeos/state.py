@@ -16,7 +16,7 @@ import math
 from typing import Callable, NamedTuple
 
 from .errors import DomainError, NumericalError, ValidationError
-from .types import DEFAULT_ENTROPY_REF, GasParams, Model, ThermoState
+from .types import DEFAULT_ENTROPY_REF, GasParams, Model, ThermoState, _div
 from . import noble_abel, virial, virial_cvt
 
 
@@ -33,7 +33,18 @@ class Laws(NamedTuple):
 def _na_pressure(params, rho, T):
     if not rho > 0.0:
         raise DomainError(f"density must be positive, got {rho!r}")
-    return noble_abel.na_pressure_vt(params, 1.0 / rho, T)
+    v = 1.0 / rho
+    if T > 0.0 and not v > params.b:  # a bad T is left to the kernel, which names it first
+        raise DomainError(
+            f"density {rho!r} kg/m3 is not below the packing limit 1/b = {_div(1.0, params.b)!r} kg/m3")
+    return noble_abel.na_pressure_vt(params, v, T)
+
+
+def _na_density(params, P, T):
+    rho = 1.0 / noble_abel.na_volume(params, P, T)
+    if not 1.0 / rho > params.b:
+        raise NumericalError(f"R T / P underflows against the covolume at P={P!r}, T={T!r}")
+    return rho
 
 
 def _na_derived(params, rho, T, P, ref):
@@ -59,7 +70,7 @@ _VIRIAL_LAWS = Laws(
 LAWS = {
     Model.NA: Laws(
         pressure=_na_pressure,
-        density=lambda params, P, T: 1.0 / noble_abel.na_volume(params, P, T),
+        density=_na_density,
         derived=_na_derived,
         sound_speed=lambda params, P, rho, T: noble_abel.na_sound_speed(params, P, rho),
         convexity=lambda params, rho, P, T: noble_abel.na_convexity(params, 1.0 / rho, P, T)),

@@ -74,6 +74,8 @@ def vo1_cp(params: GasParams, rho, T):
     """
     if params.a is None:
         require_model(params, Model.VO1, Model.VO1_CVT)
+    if not (rho > 0.0 and T > 0.0):
+        raise DomainError(f"density and temperature must be positive, got rho={rho!r}, T={T!r}")
     ar = params.a * rho
     return cvt_cv(params, T) + params.R * (1.0 + ar) ** 2 / (1.0 + 2.0 * ar)
 

@@ -1,7 +1,9 @@
 import json
+import os
 import resource
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -244,6 +246,17 @@ class TestState:
         assert code == 4
         assert err.startswith("E_DOMAIN:")
 
+    @pytest.mark.parametrize("argv", [
+        ["state", "NC-13", "--model", "vo1", "--rho", "100", "--T", "3000"],
+        ["state", "NC-13", "--model", "na", "--rho", "700", "--T", "3000"],
+    ], ids=["state", "domain-error"])
+    def test_module_run_is_the_command(self, capsys, argv):
+        # without a __main__ guard, `python -m redeos.cli` printed nothing and exited 0
+        src = str(Path(rx.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-m", "redeos.cli", *argv], capture_output=True, text=True,
+                              timeout=60, env={**os.environ, "PYTHONPATH": src})
+        assert (proc.returncode, proc.stdout, proc.stderr) == run_cli(capsys, *argv)
+
 
 class TestAudit:
     def test_virial_record_passes(self, capsys):
@@ -407,6 +420,8 @@ class TestBoundaryRegressions:
         (["state", "NC-13", "--model", "vo1", "--P", "-5", "--T", "3000"], "--P must be positive, got -5.0 MPa"),
         (["state", "NC-13", "--model", "na", "--rho", "100", "--e", "-1e3"],
          "--e must exceed the reference q = 0 kJ/kg, got -1000.0 kJ/kg"),
+        (["state", "NC-13", "--model", "na", "--rho", "700", "--T", "3000"],
+         "density 700.0 kg/m3 is not below the packing limit 1/b = 673.8544474393531 kg/m3"),
     ])
     def test_domain_error_names_the_input(self, capsys, argv, named):
         # a negative NA density once passed the audit as "skipped" and named
@@ -415,7 +430,7 @@ class TestBoundaryRegressions:
         assert code == 4 and out == ""
         assert_one_error_line(err, "E_DOMAIN")
         assert named in err
-        assert "-0.01" not in err and "-1000000" not in err
+        assert "-0.01" not in err and "-1000000" not in err and "specific volume" not in err
 
     def test_negative_exponent_reads_as_the_plain_number(self, capsys, tmp_path):
         runs = tmp_path / "runs.csv"
@@ -498,10 +513,12 @@ class TestBoundaryRegressions:
         (["sweep", "NC-13", "--model", "vo1", "--rho", "1e200:1e200:1"], "--rho 1e200:1e200:1"),
         (["audit", "NC-13", "--model", "vo1", "--rho", "1e200:1e200:1", "--T", "3000:3000:1"],
          "--rho 1e200:1e200:1 --T 3000:3000:1"),
+        (["state", "NC-13", "--model", "na", "--P", "1e300", "--T", "1e-300"], "--P 1e+300 --T 1e-300"),
     ])
     def test_numerical_failure_names_the_input(self, capsys, argv, inputs):
-        # these once ended in E_VALIDATION or E_DOMAIN naming gamma = 1.0, v*rho = inf, rho=0.0 or
-        # P=0.0, or in E_NUMERICAL naming the Python error or the non-finite result
+        # these once ended in E_VALIDATION or E_DOMAIN naming gamma = 1.0, v*rho = inf, rho=0.0,
+        # P=0.0 or an NA volume rounded onto the covolume, or in E_NUMERICAL naming the Python
+        # error or the non-finite result
         code, _, err = run_cli(capsys, *argv)
         assert code == 3
         assert err == f"E_NUMERICAL: floating-point evaluation failed at {inputs}\n"

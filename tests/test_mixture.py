@@ -4,7 +4,7 @@ import random
 import pytest
 
 import redeos as rx
-from redeos.errors import DomainError, ModelMismatchError, ValidationError
+from redeos.errors import DomainError, ModelMismatchError, NumericalError, ValidationError
 from redeos.types import MODEL_FIELDS
 
 
@@ -239,6 +239,11 @@ class TestMvo1Pressure:
     def test_rejects_mixed_models(self, nc13_na, nc13_vo1):
         with pytest.raises(ModelMismatchError):
             rx.mvo1_pressure(rx.MixtureSpec(((nc13_na, 0.5), (nc13_vo1, 0.5))), 100.0, 3000.0)
+
+    def test_overflowing_pressure_is_numerical(self, half_vo1):
+        # the solve once returned P = inf with nan component densities and residual
+        with pytest.raises(NumericalError, match=r"mixture pressure overflows at rho=1e\+300"):
+            rx.mvo1_pressure(half_vo1, 1e300, 3657.7)
 
 
 class TestMvo1PressureFromEnergy:

@@ -135,6 +135,11 @@ class TestDerived:
         assert d.h == pytest.approx(rx.cvt_energy(nc13_na, T) + P * d.v, rel=1e-12)
         assert d.Cp == nc13_na.R + nc13_na.Cv
 
+    @pytest.mark.parametrize("P, T", [(-1.3e8, 3275.0), (0.0, 3275.0), (1.3e8, -5.0), (1.3e8, math.nan)])
+    def test_enthalpy_domain(self, nc13_na, P, T):
+        with pytest.raises(DomainError, match=r"pressure and temperature must be positive"):
+            rx.na_enthalpy(nc13_na, P, T)
+
 
 class TestEntropy:
     def test_reference_state_exact(self, nc13_na):

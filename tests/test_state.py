@@ -24,6 +24,18 @@ class TestNobleAbelStates:
         assert st.gamma == pytest.approx(st.Cp / nc13_na.Cv, rel=1e-12)
         assert st.c == pytest.approx(1359.1, rel=1e-3)
 
+    def test_packing_limit_is_named_as_a_density(self, nc13_na):
+        # once named the internal specific volume 1/rho; a bad T is still named first
+        with pytest.raises(rx.DomainError, match=r"^density 700\.0 kg/m3 is not below the packing limit 1/b = 673"):
+            rx.state_from_rho_T(nc13_na, 700.0, 3000.0)
+        with pytest.raises(rx.DomainError, match=r"^temperature must be positive, got -5\.0"):
+            rx.state_from_rho_T(nc13_na, 700.0, -5.0)
+
+    def test_root_on_the_covolume_is_numerical(self, nc13_na):
+        # R T / P underflows against b, so the root is b itself
+        with pytest.raises(rx.NumericalError, match=r"underflows against the covolume"):
+            rx.state_from_P_T(nc13_na, 1e306, 1e-300)
+
 
 class TestVirialStates:
     def test_input_pairs_agree(self, nc13_vo1):

@@ -111,6 +111,18 @@ class TestDerived:
         h_expanded = nc13_vo1.Cv * T + 2.0 * nc13_vo1.a * P / (-1.0 + math.sqrt(1.0 + x)) + nc13_vo1.q
         assert d.h == pytest.approx(h_expanded, rel=1e-12)
 
+    @pytest.mark.parametrize("kernel", [rx.vo1_cp, rx.vo1_gamma], ids=["cp", "gamma"])
+    @pytest.mark.parametrize("rho, T", [(-1.0, 3275.0), (0.0, 3275.0), (100.0, -5.0), (100.0, math.nan)])
+    def test_derived_domain(self, nc13_cvt, kernel, rho, T):
+        # a negative density once returned a value
+        with pytest.raises(DomainError, match=r"density and temperature must be positive"):
+            kernel(nc13_cvt, rho, T)
+
+    def test_cp_at_the_former_pole_is_refused(self, nc13_vo1):
+        # once a bare ZeroDivisionError, at 1 + 2 a rho = 0
+        with pytest.raises(DomainError, match=r"density and temperature must be positive"):
+            rx.vo1_cp(nc13_vo1, -1.0 / (2.0 * nc13_vo1.a), 3275.0)
+
     def test_sound_speed_continuous_as_a_vanishes(self):
         tiny = rx.GasParams.virial("tiny", R=322.0, a=1e-12, Cv=1640.5)
         ideal = rx.GasParams.virial("ideal", R=322.0, a=0.0, Cv=1640.5)
