@@ -48,7 +48,7 @@ from .mixture import (
     mvo1_sound_speed,
 )
 from .numerics import audit_record
-from .state import state_from_P_T, state_from_rho_T, state_from_rho_e
+from .state import na_specific_volume, state_from_P_T, state_from_rho_T, state_from_rho_e
 from .types import MODEL_FIELDS, GasParams, MixtureSpec, Model
 
 _MODEL_FLAGS = {"na": Model.NA, "vo1": Model.VO1, "vo1cvt": Model.VO1_CVT}
@@ -281,9 +281,7 @@ def cmd_mix_sweep(args):
         y_label = fractions[-1]
         for rho in densities:
             if args.model == "mna":
-                if not rho > 0.0:
-                    raise DomainError(f"density must be positive, got {rho!r}")
-                v = 1.0 / rho
+                v = na_specific_volume(mix.mixed, rho, flame.T_flame)
                 if v == math.inf:
                     raise NumericalError(f"the specific volume 1/rho overflows at rho={rho!r}")
                 P = mna_pressure_vt(mix, v, flame.T_flame)

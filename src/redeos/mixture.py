@@ -16,7 +16,6 @@ module writes no thermal or caloric law of its own.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import DomainError, NumericalError, ValidationError
@@ -88,8 +87,7 @@ def _mixture_volume(pairs, P, T):
     return rhos, v, S
 
 
-@dataclass(frozen=True)
-class Mvo1Solution:
+class Mvo1Solution(NamedTuple):
     """Solved mixture pressure with the component densities."""
 
     P: float                            # Pa

@@ -24,8 +24,7 @@ SCALE_T = 1.0      # K
 SCALE_P = 1e5      # Pa
 
 
-@dataclass(frozen=True)
-class RootResult:
+class RootResult(NamedTuple):
     root: float
     iterations: int
 
@@ -203,8 +202,7 @@ def _fd_partials(e_fn, p_fn, rho, T) -> FdPartials:
     return FdPartials(rho, P, eT, erho, pT, (cp / eT) * prho)
 
 
-@dataclass(frozen=True)
-class OracleSoundSpeed:
+class OracleSoundSpeed(NamedTuple):
     """Squared frozen sound speed from two independent difference paths.
 
     ``c2_energy`` differentiates the internal energy on constant-pressure

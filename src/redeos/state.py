@@ -30,14 +30,21 @@ class Laws(NamedTuple):
     convexity: Callable     # ConvexityReport(params, rho, P, T)
 
 
-def _na_pressure(params, rho, T):
+def na_specific_volume(params: GasParams, rho, T):
+    """1/rho for a Noble-Abel record entered by density; :class:`DomainError`
+    naming rho unless 0 < rho < 1/b.  A bad T is left to the thermal law,
+    which names it first."""
     if not rho > 0.0:
         raise DomainError(f"density must be positive, got {rho!r}")
     v = 1.0 / rho
-    if T > 0.0 and not v > params.b:  # a bad T is left to the kernel, which names it first
+    if T > 0.0 and not v > params.b:
         raise DomainError(
             f"density {rho!r} kg/m3 is not below the packing limit 1/b = {_div(1.0, params.b)!r} kg/m3")
-    return noble_abel.na_pressure_vt(params, v, T)
+    return v
+
+
+def _na_pressure(params, rho, T):
+    return noble_abel.na_pressure_vt(params, na_specific_volume(params, rho, T), T)
 
 
 def _na_density(params, P, T):
@@ -54,10 +61,11 @@ def _na_derived(params, rho, T, P, ref):
 
 def _virial_derived(params, rho, T, P, ref):
     # h = (e - q) + P/rho + q; the entropy needs a constant Cv, so records with a slope c get none
-    return (virial_cvt.cvt_effective_energy(params, T) + P / rho + params.q,
-            virial.vo1_entropy(params, P, T, ref) if params.c is None and params.a > 0.0 else None,
-            virial.vo1_sound_speed(params, P, rho, T), virial.vo1_cp(params, rho, T),
-            virial.vo1_gamma(params, rho, T))
+    h = virial_cvt.cvt_effective_energy(params, T) + P / rho + params.q
+    s = virial.vo1_entropy(params, P, T, ref) if params.c is None and params.a > 0.0 else None
+    c = virial.vo1_sound_speed(params, P, rho, T)
+    Cp = virial.vo1_cp(params, rho, T)
+    return h, s, c, Cp, Cp / virial_cvt.cvt_cv(params, T)  # vo1_gamma without a second vo1_cp
 
 
 _VIRIAL_LAWS = Laws(
@@ -90,7 +98,7 @@ def state_from_rho_T(params: GasParams, rho, T, ref=DEFAULT_ENTROPY_REF) -> Ther
     e = virial_cvt.cvt_energy(params, T)
     h, s, c, Cp, gamma = laws.derived(params, rho, T, P, ref)
     try:
-        return ThermoState(P=P, T=T, rho=rho, v=v, e=e, h=h, s=s, c=c, Cp=Cp, gamma=gamma)
+        return ThermoState(P, T, rho, v, e, h, s, c, Cp, gamma)
     except ValidationError as exc:
         raise NumericalError(f"the state at rho={rho!r}, T={T!r} is degenerate: {exc}") from None
 

@@ -1,8 +1,9 @@
 """Domain types shared by every module.
 
 All values are immutable once constructed, so they can be shared freely
-between threads.  Validation happens in ``__post_init__``; anything that
-passes construction satisfies the documented invariants.
+between threads.  Records with invariants validate them on construction,
+so anything constructed satisfies them; plain result records are
+``NamedTuple``s.
 """
 
 from __future__ import annotations
@@ -170,12 +171,17 @@ class InertGasParams:
         return R_UNIVERSAL / (self.W_in * 1e-3)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ThermoState:
     """One thermodynamically consistent point for a gas or a mixture.
 
     Entropy is ``None`` for models without a closed-form entropy
     (the Cv(T) virial variant).
+
+    Every state builder returns one, so the constructor is written by hand
+    (``init=False``): it stores the ten fields in one write and checks a
+    valid state with one comparison chain.  ``dataclasses.replace`` and the
+    other dataclass helpers still apply.
     """
 
     P: float               # Pa
@@ -189,7 +195,17 @@ class ThermoState:
     Cp: float              # J/(kg K)
     gamma: float
 
-    def __post_init__(self):
+    def __init__(self, P, T, rho, v, e, h, s, c, Cp, gamma):
+        self.__dict__.update(P=P, T=T, rho=rho, v=v, e=e, h=h, s=s, c=c, Cp=Cp, gamma=gamma)
+        try:
+            if (0.0 < P < math.inf and 0.0 < T < math.inf and 0.0 < rho < math.inf
+                    and abs(v * rho - 1.0) <= 1e-12 and gamma > 1.0 and 0.0 < c < math.inf):
+                return
+        except TypeError:  # a None field, which the checks below name
+            pass
+        self._validate()  # the failure, with the message of the first failing check
+
+    def _validate(self):
         _positive("P", self.P)
         _positive("T", self.T)
         _positive("rho", self.rho)
@@ -315,8 +331,7 @@ class EntropyReference(NamedTuple):
 DEFAULT_ENTROPY_REF = EntropyReference()
 
 
-@dataclass(frozen=True)
-class ConvexityReport:
+class ConvexityReport(NamedTuple):
     """Verdict plus the four signed criterion values (a, b, c, d).
 
     Convexity requires (a) > 0, (b) > 0, (c) < 0 and (d) > 0.
@@ -341,8 +356,7 @@ def _div(num, den):
     return math.copysign(math.inf, num)
 
 
-@dataclass(frozen=True)
-class FrozennessReport:
+class FrozennessReport(NamedTuple):
     """Outcome of the molar-mass composition-frozenness screen."""
 
     frozen: bool

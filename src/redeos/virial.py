@@ -77,7 +77,10 @@ def vo1_cp(params: GasParams, rho, T):
     if not (rho > 0.0 and T > 0.0):
         raise DomainError(f"density and temperature must be positive, got rho={rho!r}, T={T!r}")
     ar = params.a * rho
-    return cvt_cv(params, T) + params.R * (1.0 + ar) ** 2 / (1.0 + 2.0 * ar)
+    try:
+        return cvt_cv(params, T) + params.R * (1.0 + ar) ** 2 / (1.0 + 2.0 * ar)
+    except ZeroDivisionError:  # only a negative a reaches the pole
+        raise DomainError(f"Cp has a pole at 1 + 2 a rho = 0: rho={rho!r} (a rho = {ar!r})") from None
 
 
 def vo1_gamma(params: GasParams, rho, T):

@@ -432,6 +432,13 @@ class TestBoundaryRegressions:
         assert named in err
         assert "-0.01" not in err and "-1000000" not in err and "specific volume" not in err
 
+    def test_mna_packing_limit_names_the_density(self, capsys):
+        # once named the mixture's specific volume and a mixed covolume with rounding noise
+        code, out, err = run_cli(capsys, "mix-sweep", "NC-13=0.5,RDX=0.5", "--model", "mna",
+                                 "--rho", "700", "--same-oxygen-balance")
+        assert code == 4 and out == "Y,rho_kg_m3,tflame_K,pmax_MPa,c_m_s\n"
+        assert err == "E_DOMAIN: density 700.0 kg/m3 is not below the packing limit 1/b = 683.9945280437755 kg/m3\n"
+
     def test_negative_exponent_reads_as_the_plain_number(self, capsys, tmp_path):
         runs = tmp_path / "runs.csv"
         write_dilution_runs_csv(runs)

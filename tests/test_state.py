@@ -1,3 +1,4 @@
+import random
 import sys
 
 import pytest
@@ -79,6 +80,17 @@ class TestCvtStates:
         assert st_flat.c == st_vo1.c
         assert st_flat.Cp == st_vo1.Cp
         assert st_flat.gamma == st_vo1.gamma
+
+
+@pytest.mark.parametrize("model", [rx.Model.VO1, rx.Model.VO1_CVT])
+def test_virial_cp_and_gamma_are_the_kernels_bit_for_bit(db, model):
+    # the state builder takes Cp once and divides by Cv(T), as vo1_gamma does
+    params = db.get("NC-13", model)
+    rng = random.Random(1010)
+    for _ in range(200):
+        rho, T = rng.uniform(1.0, 600.0), rng.uniform(300.0, 4000.0)
+        st = rx.state_from_rho_T(params, rho, T)
+        assert (st.Cp, st.gamma) == (rx.vo1_cp(params, rho, T), rx.vo1_gamma(params, rho, T))
 
 
 def test_builders_never_call_the_oracle(monkeypatch, db):

@@ -1,3 +1,5 @@
+import dataclasses
+import inspect
 import math
 
 import pytest
@@ -85,7 +87,38 @@ class TestInertGasParams:
         assert argon.R_in == pytest.approx(208.1, rel=1e-3)
 
 
+_STATE = dict(P=1e6, T=300.0, rho=10.0, v=0.1, e=1e5, h=2e5, s=0.0, c=300.0, Cp=1000.0, gamma=1.3)
+
+
 class TestThermoState:
+    def test_constructor_takes_the_fields_in_order(self):
+        # the constructor is written by hand; its parameter list must not drift from the fields
+        names = list(inspect.signature(rx.ThermoState.__init__).parameters)[1:]
+        assert names == [f.name for f in dataclasses.fields(rx.ThermoState)]
+        assert rx.ThermoState(*_STATE.values()) == rx.ThermoState(**_STATE)
+
+    def test_replace_validates_and_fields_are_frozen(self):
+        st_ = rx.ThermoState(**_STATE)
+        assert dataclasses.replace(st_) == st_ and hash(dataclasses.replace(st_)) == hash(st_)
+        with pytest.raises(ValidationError, match=r"^c must be positive and finite, got inf$"):
+            dataclasses.replace(st_, c=math.inf)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            st_.P = 2e6
+
+    @pytest.mark.parametrize("changes, message", [
+        *[({name: value}, f"{name} must be positive and finite, got {value!r}")
+          for name in ("P", "T", "rho", "c") for value in (None, math.nan, math.inf, 0.0)],
+        ({"v": 0.2}, "v and rho are inconsistent: v*rho = 2.0"),
+        ({"gamma": 1.0}, "gamma must exceed 1, got 1.0"),
+        ({"gamma": 0.9}, "gamma must exceed 1, got 0.9"),
+        ({"gamma": math.nan}, "gamma must exceed 1, got nan"),
+        ({"P": -1.0, "c": 0.0, "gamma": 0.5}, "P must be positive and finite, got -1.0"),
+    ])
+    def test_first_failing_check_is_reported(self, changes, message):
+        with pytest.raises(ValidationError) as exc:
+            rx.ThermoState(**{**_STATE, **changes})
+        assert str(exc.value) == message
+
     def test_volume_density_consistency_enforced(self):
         with pytest.raises(ValidationError):
             rx.ThermoState(P=1e6, T=300.0, rho=10.0, v=0.2, e=1e5, h=2e5,
@@ -116,3 +149,14 @@ def test_inert_run_record_bounds():
     with pytest.raises(ValidationError):
         rx.InertRunRecord(Y=0.5, T_flame=-1.0)
     assert rx.InertRunRecord(Y=1.0, T_flame=3275.0).Y == 1.0
+
+
+@pytest.mark.parametrize("record, fields", [
+    (rx.RootResult, ("root", "iterations")),
+    (rx.Mvo1Solution, ("P", "T", "rho_components", "iterations", "residual_rel")),
+    (rx.ConvexityReport, ("convex", "criteria")),
+    (rx.FrozennessReport, ("frozen", "max_rel_spread")),
+    (rx.OracleSoundSpeed, ("c2_energy", "c2_gamma", "partials")),
+])
+def test_result_records_keep_their_fields(record, fields):
+    assert record._fields == fields

@@ -123,6 +123,13 @@ class TestDerived:
         with pytest.raises(DomainError, match=r"density and temperature must be positive"):
             rx.vo1_cp(nc13_vo1, -1.0 / (2.0 * nc13_vo1.a), 3275.0)
 
+    @pytest.mark.parametrize("kernel", [rx.vo1_cp, rx.vo1_gamma], ids=["cp", "gamma"])
+    def test_negative_a_pole_is_refused(self, kernel):
+        # once a bare ZeroDivisionError at rho = -1/(2a) > 0
+        neg = rx.GasParams.virial("neg", R=322.0, a=-0.002, Cv=1640.5)
+        with pytest.raises(DomainError, match=r"pole at 1 \+ 2 a rho = 0: rho=250\.0 \(a rho = -0\.5\)$"):
+            kernel(neg, 250.0, 3000.0)
+
     def test_sound_speed_continuous_as_a_vanishes(self):
         tiny = rx.GasParams.virial("tiny", R=322.0, a=1e-12, Cv=1640.5)
         ideal = rx.GasParams.virial("ideal", R=322.0, a=0.0, Cv=1640.5)
