@@ -9,7 +9,7 @@ oracles.
 
 __version__ = "0.1.0"
 
-from .constants import P_REF, R_UNIVERSAL, T_REF, molar_mass, specific_gas_constant
+from .constants import P_REF, R_UNIVERSAL, T_REF, molar_mass
 from .errors import (
     BracketError,
     ConvergenceError,

@@ -13,6 +13,7 @@ Exit codes: 0 success, 2 parse/validation, 3 numerical/convergence,
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import re
 import sys
@@ -348,6 +349,7 @@ def cmd_state(args):
     return 0
 
 
+@functools.cache  # one tree per process: it costs ~1 ms to build, and a parse leaves no state on it
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="eos",

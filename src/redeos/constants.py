@@ -23,9 +23,3 @@ def molar_mass(R):
         raise ValidationError(f"specific gas constant must be positive, got {R!r}")
     return R_UNIVERSAL / R
 
-
-def specific_gas_constant(molar_mass_kg):
-    """Specific gas constant in J/(kg K) for a molar mass in kg/mol."""
-    if not molar_mass_kg > 0.0:
-        raise ValidationError(f"molar mass must be positive, got {molar_mass_kg!r}")
-    return R_UNIVERSAL / molar_mass_kg

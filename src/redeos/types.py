@@ -266,10 +266,6 @@ class MixtureSpec:
             raise ValidationError(f"mass fractions must sum to 1 within {MASS_FRACTION_TOL}, got {total!r}")
         object.__setattr__(self, "components", comps)
 
-    @property
-    def mass_fractions(self):
-        return tuple(y for _, y in self.components)
-
     @cached_property
     def mixed(self) -> GasParams:
         model = self.uniform_model()

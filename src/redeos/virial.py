@@ -95,7 +95,12 @@ def vo1_sound_speed(params: GasParams, P, rho, T):
     if not (P > 0.0 and rho > 0.0):
         raise DomainError(f"pressure and density must be positive, got P={P!r}, rho={rho!r}")
     ar = params.a * rho
-    c2 = (P / rho) * ((params.R / cvt_cv(params, T)) * (1.0 + ar) + (1.0 + 2.0 * ar) / (1.0 + ar))
+    try:
+        c2 = (P / rho) * ((params.R / cvt_cv(params, T)) * (1.0 + ar) + (1.0 + 2.0 * ar) / (1.0 + ar))
+    except ZeroDivisionError:
+        if 1.0 + ar != 0.0:  # Cv(T) = 0, on a Cv(T) record with a negative slope c
+            raise
+        raise DomainError(f"sound speed has a pole at 1 + a rho = 0: rho={rho!r} (a rho = {ar!r})") from None
     if not c2 > 0.0:
         raise DomainError(f"squared sound speed is not positive at rho={rho!r} (a rho = {ar!r})")
     return math.sqrt(c2)
@@ -113,7 +118,8 @@ def vo1_entropy(params: GasParams, P, T, ref: EntropyReference = DEFAULT_ENTROPY
     s(P0, T0) = s0 holds exactly.  The closed form is singular at a = 0;
     for an ideal gas use the Noble-Abel kernel with b = 0.
     """
-    require_model(params, Model.VO1)
+    if params.model is not Model.VO1:
+        require_model(params, Model.VO1)
     if params.a <= 0.0:
         raise DomainError(
             "the virial entropy form requires a > 0; use the Noble-Abel kernel with b = 0 instead")
@@ -138,7 +144,8 @@ def vo1_entropy_dP(params: GasParams, P, T):
     rationalized equivalent of differentiating the entropy expression,
     stable for small a and reducing to -R/P in the ideal-gas limit.
     """
-    require_model(params, Model.VO1)
+    if params.model is not Model.VO1:
+        require_model(params, Model.VO1)
     if not (P > 0.0 and T > 0.0):
         raise DomainError(f"pressure and temperature must be positive, got P={P!r}, T={T!r}")
     u = math.sqrt(1.0 + 4.0 * params.a * P / (params.R * T))

@@ -23,7 +23,7 @@ def test_molar_mass_of_published_record(nc13_vo1):
 @given(st.floats(min_value=1.0, max_value=5000.0, allow_nan=False))
 def test_molar_mass_round_trip(R):
     W = rx.molar_mass(R)
-    assert rx.specific_gas_constant(W) == pytest.approx(R, rel=1e-14)
+    assert rx.R_UNIVERSAL / W == pytest.approx(R, rel=1e-14)
 
 
 class TestGasParams:
@@ -65,7 +65,7 @@ class TestGasParams:
 class TestMixtureSpec:
     def test_accepts_exact_closure(self, nc13_na, rdx_na):
         mix = rx.MixtureSpec(((nc13_na, 0.25), (rdx_na, 0.75)))
-        assert mix.mass_fractions == (0.25, 0.75)
+        assert tuple(y for _, y in mix.components) == (0.25, 0.75)
 
     def test_rejects_closure_violation(self, nc13_na, rdx_na):
         with pytest.raises(ValidationError):

@@ -123,12 +123,16 @@ class TestDerived:
         with pytest.raises(DomainError, match=r"density and temperature must be positive"):
             rx.vo1_cp(nc13_vo1, -1.0 / (2.0 * nc13_vo1.a), 3275.0)
 
-    @pytest.mark.parametrize("kernel", [rx.vo1_cp, rx.vo1_gamma], ids=["cp", "gamma"])
-    def test_negative_a_pole_is_refused(self, kernel):
-        # once a bare ZeroDivisionError at rho = -1/(2a) > 0
+    @pytest.mark.parametrize("kernel, args, pole", [
+        (rx.vo1_cp, (250.0, 3000.0), r"1 \+ 2 a rho = 0: rho=250\.0 \(a rho = -0\.5\)"),
+        (rx.vo1_gamma, (250.0, 3000.0), r"1 \+ 2 a rho = 0: rho=250\.0 \(a rho = -0\.5\)"),
+        (rx.vo1_sound_speed, (1e8, 500.0, 3000.0), r"1 \+ a rho = 0: rho=500\.0 \(a rho = -1\.0\)"),
+    ], ids=["cp", "gamma", "sound_speed"])
+    def test_negative_a_pole_is_refused(self, kernel, args, pole):
+        # once a bare ZeroDivisionError, at rho = -1/(2a) > 0 and at a rho = -1
         neg = rx.GasParams.virial("neg", R=322.0, a=-0.002, Cv=1640.5)
-        with pytest.raises(DomainError, match=r"pole at 1 \+ 2 a rho = 0: rho=250\.0 \(a rho = -0\.5\)$"):
-            kernel(neg, 250.0, 3000.0)
+        with pytest.raises(DomainError, match=f"pole at {pole}$"):
+            kernel(neg, *args)
 
     def test_sound_speed_continuous_as_a_vanishes(self):
         tiny = rx.GasParams.virial("tiny", R=322.0, a=1e-12, Cv=1640.5)
