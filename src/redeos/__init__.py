@@ -9,7 +9,7 @@ oracles.
 
 __version__ = "0.1.0"
 
-from .constants import P_REF, R_UNIVERSAL, T_REF, molar_mass
+from .constants import P_REF, R_UNIVERSAL, T_REF
 from .errors import (
     BracketError,
     ConvergenceError,
@@ -44,7 +44,6 @@ from .noble_abel import (
     na_entropy,
     na_entropy_vt,
     na_gamma,
-    na_pressure_ve,
     na_pressure_vt,
     na_sound_speed,
     na_volume,
@@ -57,7 +56,6 @@ from .virial import (
     vo1_entropy_dP,
     vo1_gamma,
     vo1_pressure,
-    vo1_pressure_from_energy,
     vo1_sound_speed,
 )
 from .virial_cvt import (
@@ -71,7 +69,6 @@ from .calibration import (
     calibrate_cvt,
     calibrate_na,
     calibrate_vo1,
-    cvt_inert_mixture_state,
     dilution_flame_temperature,
     frozenness_check,
     predict_closed_bomb,

@@ -9,9 +9,9 @@ no separate loss term enters: the effective energy absorbs it.
 The Cv(T) fit uses inert-diluted runs: diluting the reactant with a noble
 gas makes the flame temperature vary, and a linear-least-squares system in
 (Cv0, c, q) falls out of energy conservation across the runs.  The same
-dilution model gives the forward flame temperature and the diluted state;
-a noble inert has the constant specific heat Cv_in and no reference
-energy, so its energy is Cv_in T throughout.
+dilution model gives the forward flame temperature; a noble inert has the
+constant specific heat Cv_in and no reference energy, so its energy is
+Cv_in T throughout.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from .types import (
     Model,
     require_model,
 )
-from . import virial, virial_cvt
+from . import virial_cvt
 from .constants import T_REF
 from .state import LAWS
 
@@ -156,31 +156,6 @@ def dilution_flame_temperature(params: GasParams, inert: InertGasParams, Y,
     if disc < 0.0:
         raise DomainError("energy balance has no real flame temperature")
     return 2.0 * C / (B + disc**0.5)
-
-
-class InertMixtureState(NamedTuple):
-    e_mix: float   # J/kg
-    P: float       # Pa
-    R_mix: float   # J/(kg K)
-
-
-def cvt_inert_mixture_state(params: GasParams, inert: InertGasParams, Y, rho_mix, T) -> InertMixtureState:
-    """State of reactant gas products diluted by a noble inert.
-
-    Mass fraction Y of gas products, 1 - Y of inert, in temperature and
-    pressure equilibrium.  The inert's energy is Cv_in T.  The mixture
-    thermal law keeps the reactant's virial coefficient and uses the
-    mass-fraction-weighted specific gas constant.
-    """
-    require_model(params, Model.VO1_CVT)
-    if not 0.0 < Y <= 1.0:
-        raise DomainError(f"reactant mass fraction must lie in (0,1], got {Y!r}")
-    if not (rho_mix > 0.0 and T > 0.0):
-        raise DomainError(f"density and temperature must be positive, got rho={rho_mix!r}, T={T!r}")
-    e_mix = Y * virial_cvt.cvt_energy(params, T) + (1.0 - Y) * (inert.Cv_in * T)
-    R_mix = Y * params.R + (1.0 - Y) * inert.R_in
-    P = virial.virial_pressure_rt(R_mix, params.a, rho_mix, T)
-    return InertMixtureState(e_mix=e_mix, P=P, R_mix=R_mix)
 
 
 def frozenness_check(molar_masses: Iterable[tuple[float, float]],

@@ -5,8 +5,6 @@ J/(kg K).  The command-line layer converts to and from MPa and kJ/kg at
 the boundary; no other module does unit conversion.
 """
 
-from .errors import ValidationError
-
 #: Universal gas constant, J/(mol K) (CODATA 2018).
 R_UNIVERSAL = 8.314462618
 
@@ -15,11 +13,3 @@ T_REF = 298.15
 
 #: Reference pressure for the entropy anchor, Pa.
 P_REF = 101325.0
-
-
-def molar_mass(R):
-    """Molar mass in kg/mol implied by a specific gas constant R in J/(kg K)."""
-    if not R > 0.0:
-        raise ValidationError(f"specific gas constant must be positive, got {R!r}")
-    return R_UNIVERSAL / R
-

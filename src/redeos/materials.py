@@ -69,15 +69,8 @@ class MaterialDatabase:
         except KeyError:
             raise ValidationError(f"material {name!r} with model {model} is not in the database") from None
 
-    def __contains__(self, key):
-        name, model = key
-        return (name, Model(model)) in self.records
-
     def __len__(self):
         return len(self.records)
-
-    def names(self):
-        return sorted({name for name, _ in self.records})
 
 
 def _record_from_fields(name, model, fields, lineno):

@@ -2,10 +2,10 @@
 
 Thermal law P = R T / (v - b) with constant covolume b, caloric law
 e = Cv T + q with constant specific heat (the c = 0 case of the shared
-caloric law in :mod:`redeos.virial_cvt`).  Each law is written once: the
-energy form P(v, e) is the thermal law at the caloric temperature, as in
-the virial kernels.  Pressure diverges as the specific volume approaches
-the covolume; states with v <= b are outside the physical domain and raise
+caloric law in :mod:`redeos.virial_cvt`).  Each law is written once, so
+P(v, e) is ``na_pressure_vt`` at ``cvt_temperature(params, e)``.  Pressure
+diverges as the specific volume approaches the covolume; states with
+v <= b are outside the physical domain and raise
 :class:`~redeos.errors.DomainError`.
 """
 
@@ -23,7 +23,6 @@ from .types import (
     _div,
     require_model,
 )
-from .virial_cvt import cvt_temperature
 
 
 def _check_vt(params, v, T):
@@ -40,13 +39,6 @@ def na_pressure_vt(params: GasParams, v, T):
         require_model(params, Model.NA)
     _check_vt(params, v, T)
     return params.R * T / (v - params.b)
-
-
-def na_pressure_ve(params: GasParams, v, e):
-    """Pressure from specific volume and internal energy: the thermal law at the caloric T(e)."""
-    if params.b is None:
-        require_model(params, Model.NA)
-    return na_pressure_vt(params, v, cvt_temperature(params, e))
 
 
 def na_volume(params: GasParams, P, T):

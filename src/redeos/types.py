@@ -14,7 +14,7 @@ from enum import Enum
 from functools import cached_property
 from typing import NamedTuple
 
-from .constants import R_UNIVERSAL, T_REF, P_REF
+from .constants import T_REF, P_REF
 from .errors import ModelMismatchError, ValidationError
 
 #: Tolerance on the mass-fraction closure sum of a mixture.
@@ -133,11 +133,6 @@ class GasParams:
     def virial_cvt(cls, name, R, a, Cv0, c, **extra):
         return cls(name=name, model=Model.VO1_CVT, R=R, a=a, Cv0=Cv0, c=c, **extra)
 
-    @property
-    def molar_mass(self):
-        """Molar mass in kg/mol, R_universal / R."""
-        return R_UNIVERSAL / self.R
-
 
 def require_model(params: GasParams, *models: Model):
     """Raise :class:`ModelMismatchError` unless ``params`` carries one of ``models``."""
@@ -152,9 +147,9 @@ def require_model(params: GasParams, *models: Model):
 class InertGasParams:
     """Noble inert diluent used in temperature-varying closed-bomb runs.
 
-    ``W_in`` is in g/mol to match the usual tabulations; ``R_in`` is
-    derived in SI.  Noble gases have no internal structure, so their
-    specific heat ``Cv_in`` is constant and their reference energy is zero.
+    ``W_in`` is in g/mol to match the usual tabulations.  Noble gases have
+    no internal structure, so their specific heat ``Cv_in`` is constant and
+    their reference energy is zero.
     """
 
     name: str
@@ -164,11 +159,6 @@ class InertGasParams:
     def __post_init__(self):
         _positive("Cv_in", self.Cv_in)
         _positive("W_in", self.W_in)
-
-    @property
-    def R_in(self):
-        """Specific gas constant, J/(kg K)."""
-        return R_UNIVERSAL / (self.W_in * 1e-3)
 
 
 @dataclass(frozen=True, init=False)

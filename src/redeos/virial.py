@@ -22,7 +22,7 @@ from .types import (
     _div,
     require_model,
 )
-from .virial_cvt import cvt_cv, cvt_temperature
+from .virial_cvt import cvt_cv
 
 
 def virial_pressure_rt(R, a, rho, T):
@@ -61,11 +61,6 @@ def vo1_density(params: GasParams, P, T):
     return virial_density_pt(params.R, params.a, P, T)
 
 
-def vo1_pressure_from_energy(params: GasParams, rho, e):
-    """Pressure from density and internal energy through the caloric inversion; VO1 or VO1_CVT."""
-    return vo1_pressure(params, rho, cvt_temperature(params, e))
-
-
 def vo1_cp(params: GasParams, rho, T):
     """Constant-pressure specific heat, Cv(T) + R (1 + a rho)^2 / (1 + 2 a rho).
 
@@ -97,9 +92,7 @@ def vo1_sound_speed(params: GasParams, P, rho, T):
     ar = params.a * rho
     try:
         c2 = (P / rho) * ((params.R / cvt_cv(params, T)) * (1.0 + ar) + (1.0 + 2.0 * ar) / (1.0 + ar))
-    except ZeroDivisionError:
-        if 1.0 + ar != 0.0:  # Cv(T) = 0, on a Cv(T) record with a negative slope c
-            raise
+    except ZeroDivisionError:  # only a negative a reaches the pole
         raise DomainError(f"sound speed has a pole at 1 + a rho = 0: rho={rho!r} (a rho = {ar!r})") from None
     if not c2 > 0.0:
         raise DomainError(f"squared sound speed is not positive at rho={rho!r} (a rho = {ar!r})")

@@ -6,11 +6,11 @@ functions here accept any model.  VO1_CVT shares the thermal law, and its
 kernels in :mod:`redeos.virial`, with the constant-Cv variant, so
 thermodynamic compatibility carries over unchanged.  Its energy depends on
 T only, so the virial closed forms hold with Cv replaced by :func:`cvt_cv`,
-except the entropy, which this variant lacks.
+except the entropy, which this variant lacks.  A negative slope c is
+allowed; where it drives Cv(T) to zero or below, :func:`cvt_cv` refuses T.
 
-This module imports no thermal kernel: :mod:`redeos.noble_abel` and
-:mod:`redeos.virial` build their energy forms on it, and the inert-diluted
-state lives with the rest of the dilution model in :mod:`redeos.calibration`.
+This module imports no thermal kernel.  P(rho, e) is a thermal law at
+:func:`cvt_temperature`: ``vo1_pressure(params, rho, cvt_temperature(params, e))``.
 """
 
 from __future__ import annotations
@@ -24,7 +24,11 @@ from .types import GasParams
 def cvt_cv(params: GasParams, T):
     """Specific heat at constant volume, Cv0 + c T; exactly Cv0 at c = 0, even for T = inf."""
     Cv0, c = params.cv_law
-    return Cv0 + c * T if c else Cv0
+    if not c:
+        return Cv0
+    if not (cv := Cv0 + c * T) > 0.0:  # a negative slope c reaches Cv(T) <= 0 at high T
+        raise DomainError(f"specific heat Cv0 + c T = {cv!r} J/(kg K) is not positive at T={T!r}")
+    return cv
 
 
 def cvt_energy(params: GasParams, T):

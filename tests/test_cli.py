@@ -462,6 +462,19 @@ class TestBoundaryRegressions:
         assert code == 0 and err == ""
         assert out.splitlines()[1].split(",")[1] == "1e-300"
 
+    @pytest.mark.parametrize("argv", [
+        ["state", "X", "--model", "vo1cvt", "--rho", "100", "--T", "1000"],
+        ["audit", "X", "--model", "vo1cvt", "--rho", "100:200:100", "--T", "500:1500:1000"],
+    ], ids=["state", "audit"])
+    def test_non_positive_cv_is_a_domain_error(self, capsys, tmp_path, argv):
+        # Cv(T) = 1000 - T: the state once failed as E_NUMERICAL and the audit as RESULT FAIL
+        dbfile = tmp_path / "falling.eosdb"
+        dbfile.write_text('[material "X" model VO1_CVT]\nR = 322\na = 0.002\nCv0 = 1000\nc = -1\n')
+        code, out, err = run_cli(capsys, *argv, "--db", str(dbfile))
+        assert code == 4 and out == ""
+        assert_one_error_line(err, "E_DOMAIN")
+        assert "specific heat Cv0 + c T" in err
+
     def test_non_finite_result_is_not_printed(self, capsys):
         code, out, err = run_cli(capsys, "mix-sweep", "NC-13=0.5,RDX=0.5", "--model", "mvo1",
                                  "--rho", "1e300", "--same-oxygen-balance")

@@ -90,7 +90,7 @@ class TestMnaIsNobleAbelOnTheRecord:
                 assert rx.mna_sound_speed(mix, P, v) == rx.na_sound_speed(mixed, P, 1.0 / v)
                 e = rx.cvt_energy(mixed, T)
                 state = rx.mna_pressure(mix, v, e)
-                assert state.P == rx.na_pressure_ve(mixed, v, e)
+                assert state.P == rx.na_pressure_vt(mixed, v, rx.cvt_temperature(mixed, e))
                 assert state.T == rx.cvt_temperature(mixed, e)
 
     def test_flame_is_the_closed_bomb_rule(self, mix, half_vo1):
@@ -140,7 +140,7 @@ class TestMnaPressure:
         mix = rx.MixtureSpec(((nc13_na, 1.0),))
         e = 5361.5e3
         state = rx.mna_pressure(mix, 0.01, e)
-        assert state.P == pytest.approx(rx.na_pressure_ve(nc13_na, 0.01, e), rel=1e-15)
+        assert state.P == pytest.approx(rx.na_pressure_vt(nc13_na, 0.01, rx.cvt_temperature(nc13_na, e)), rel=1e-15)
         assert state.P == pytest.approx(130.33e6, rel=1e-3)
 
     def test_covolume_floor(self, half_na):

@@ -3,7 +3,6 @@ import inspect
 import math
 
 import pytest
-from hypothesis import given, strategies as st
 
 import redeos as rx
 from redeos.errors import ModelMismatchError, ValidationError
@@ -17,13 +16,7 @@ def test_universal_constants():
 
 def test_molar_mass_of_published_record(nc13_vo1):
     # 8.314462618 / 322.0 in g/mol
-    assert nc13_vo1.molar_mass * 1e3 == pytest.approx(25.82, rel=1e-3)
-
-
-@given(st.floats(min_value=1.0, max_value=5000.0, allow_nan=False))
-def test_molar_mass_round_trip(R):
-    W = rx.molar_mass(R)
-    assert rx.R_UNIVERSAL / W == pytest.approx(R, rel=1e-14)
+    assert rx.R_UNIVERSAL / nc13_vo1.R * 1e3 == pytest.approx(25.82, rel=1e-3)
 
 
 class TestGasParams:
@@ -84,7 +77,7 @@ class TestMixtureSpec:
 class TestInertGasParams:
     def test_argon_specific_gas_constant(self):
         argon = rx.INERT_GASES["argon"]
-        assert argon.R_in == pytest.approx(208.1, rel=1e-3)
+        assert rx.R_UNIVERSAL / (argon.W_in * 1e-3) == pytest.approx(208.1, rel=1e-3)
 
 
 _STATE = dict(P=1e6, T=300.0, rho=10.0, v=0.1, e=1e5, h=2e5, s=0.0, c=300.0, Cp=1000.0, gamma=1.3)

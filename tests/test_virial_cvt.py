@@ -115,7 +115,7 @@ class TestPressure:
         # expanded form rho R/c [sqrt(Cv0^2 + 2c(e-q)) - Cv0] (1 + a rho)
         rho = 100.0
         e = nc13_cvt.q + 4.98163e6
-        got = rx.vo1_pressure_from_energy(nc13_cvt, rho, e)
+        got = rx.vo1_pressure(nc13_cvt, rho, rx.cvt_temperature(nc13_cvt, e))
         root = math.sqrt(nc13_cvt.Cv0**2 + 2.0 * nc13_cvt.c * (e - nc13_cvt.q)) - nc13_cvt.Cv0
         want = rho * nc13_cvt.R / nc13_cvt.c * root * (1.0 + nc13_cvt.a * rho)
         assert got == pytest.approx(want, rel=1e-12)
@@ -123,12 +123,12 @@ class TestPressure:
 
     def test_energy_floor(self, nc13_cvt):
         with pytest.raises(DomainError):
-            rx.vo1_pressure_from_energy(nc13_cvt, 100.0, nc13_cvt.q)
+            rx.vo1_pressure(nc13_cvt, 100.0, rx.cvt_temperature(nc13_cvt, nc13_cvt.q))
 
     def test_double_reduction(self):
         params = rx.GasParams.virial_cvt("flat", R=322.0, a=0.0, Cv0=1640.5, c=0.0)
         rho, e = 100.0, 3e6
-        assert rx.vo1_pressure_from_energy(params, rho, e) == pytest.approx(
+        assert rx.vo1_pressure(params, rho, rx.cvt_temperature(params, e)) == pytest.approx(
             rho * params.R * e / params.Cv0, rel=1e-12)
 
     def test_matches_constant_cv_kernel_when_c_is_zero(self, nc13_vo1):
@@ -142,8 +142,7 @@ class TestPressure:
                 e = rx.cvt_energy(params, T)
                 assert e == pytest.approx(e_want, rel=1e-12)
                 assert rx.cvt_temperature(params, e) == pytest.approx(T, rel=1e-12)
-                assert rx.vo1_pressure_from_energy(params, 200.0, e) == pytest.approx(p_want, rel=1e-12)
-
+                assert rx.vo1_pressure(params, 200.0, rx.cvt_temperature(params, e)) == pytest.approx(p_want, rel=1e-12)
 
 class TestClosedForms:
     # the energy depends on T only, so the virial closed forms hold with Cv(T) = Cv0 + c T
@@ -179,33 +178,18 @@ class TestClosedForms:
         assert report.convex and rx.convexity_signs_ok(report.criteria)
         assert report.criteria[2] == pytest.approx(-P / (1416.8 + 0.0637 * T), rel=1e-15)
 
-
-class TestInertMixtureState:
-    def test_pure_reactant_degenerate(self, nc13_cvt):
-        argon = rx.INERT_GASES["argon"]
-        state = rx.cvt_inert_mixture_state(nc13_cvt, argon, 1.0, 100.0, 3275.0)
-        assert state.e_mix == rx.cvt_energy(nc13_cvt, 3275.0)
-        assert state.R_mix == nc13_cvt.R
-        assert state.P == rx.vo1_pressure(nc13_cvt, 100.0, 3275.0)
-
-    def test_equal_split_gas_constant(self, nc13_cvt):
-        # 8.314462618 (0.5/0.02582 + 0.5/0.03995) = 265.1 J/(kg K)
-        argon = rx.INERT_GASES["argon"]
-        state = rx.cvt_inert_mixture_state(nc13_cvt, argon, 0.5, 100.0, 3275.0)
-        assert state.R_mix == pytest.approx(265.1, rel=1e-3)
-
-    def test_heavily_diluted_state_is_finite(self, nc13_cvt):
-        argon = rx.INERT_GASES["argon"]
-        state = rx.cvt_inert_mixture_state(nc13_cvt, argon, 0.15, 100.0, 1600.0)
-        assert math.isfinite(state.e_mix)
-        assert state.P > 0.0
-
-    def test_fraction_bounds(self, nc13_cvt):
-        argon = rx.INERT_GASES["argon"]
-        with pytest.raises(DomainError):
-            rx.cvt_inert_mixture_state(nc13_cvt, argon, 0.0, 100.0, 2000.0)
-        with pytest.raises(DomainError):
-            rx.cvt_inert_mixture_state(nc13_cvt, argon, 1.5, 100.0, 2000.0)
+    @pytest.mark.parametrize("T", [1000.0, 1500.0], ids=["cv_zero", "cv_negative"])
+    @pytest.mark.parametrize("kernel", [
+        lambda p, T: rx.vo1_gamma(p, 100.0, T),
+        lambda p, T: rx.vo1_sound_speed(p, 1e7, 100.0, T),
+        lambda p, T: rx.vo1_convexity(p, 100.0, 1e7, T),
+        lambda p, T: rx.state_from_rho_T(p, 100.0, T),
+    ], ids=["gamma", "sound_speed", "convexity", "state"])
+    def test_non_positive_cv_is_refused(self, kernel, T):
+        # Cv(T) = 1000 - T: once a bare ZeroDivisionError at 1000 K and a "degenerate" state at 1500 K
+        falling = rx.GasParams.virial_cvt("falling", R=322.0, a=0.002, Cv0=1000.0, c=-1.0)
+        with pytest.raises(DomainError, match=rf"is not positive at T={T!r}"):
+            kernel(falling, T)
 
 
 class TestEffectiveEnergy:
