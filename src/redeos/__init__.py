@@ -40,7 +40,6 @@ from .types import (
 from .noble_abel import (
     na_convexity,
     na_cp,
-    na_enthalpy,
     na_entropy,
     na_entropy_vt,
     na_gamma,
@@ -54,7 +53,6 @@ from .virial import (
     vo1_density,
     vo1_entropy,
     vo1_entropy_dP,
-    vo1_gamma,
     vo1_pressure,
     vo1_sound_speed,
 )

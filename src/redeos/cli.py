@@ -66,7 +66,7 @@ _ERROR_TABLE = (
     # math-domain error: each at extreme inputs
     ((NumericalError, ArithmeticError, ValueError), "E_NUMERICAL", 3),
     (DomainError, "E_DOMAIN", 4),
-    (FileNotFoundError, "E_PARSE", 2),
+    (OSError, "E_PARSE", 2),  # a path that cannot be opened: missing, unreadable or a directory
 )
 
 #: Options that carry the numbers a command evaluates, named by a floating-point failure.
@@ -147,12 +147,12 @@ def _load_existing(path):
 
 
 def _save_record(path, db, params, note):
-    """Add ``params`` to ``db`` (a new database when None) and write it to ``path``."""
+    """Add ``params`` to ``db`` (new when None), write it to ``path`` and return the line reporting
+    it; callers print only after the write, so that an error from ``--db`` leaves stdout empty."""
     db = MaterialDatabase.empty() if db is None else db
     db.add(params, note=note)
     save_material_db(path, db)
-    print(f"saved to {path}")
-
+    return f"saved to {path}"
 
 def cmd_calibrate(args):
     points = load_closed_bomb_csv(args.points)
@@ -161,17 +161,18 @@ def cmd_calibrate(args):
     name = args.name or "calibrated"
     fn = calibrate_na if args.model == "na" else calibrate_vo1
     params = fn(points[0], points[1], args.tflame, args.gamma, name=name)
-    print(f"material {params.name} model {params.model}")
-    print(f"Cv (J/kg/K) = {_fmt(params.Cv)}")
-    print(f"R (J/kg/K) = {_fmt(params.R)}")
-    print(f"e_s_eff (kJ/kg) = {_fmt(params.e_s_eff / 1e3)}")
     thermal = MODEL_FIELDS[params.model][0]  # b or a
-    print(f"{thermal} (m3/kg) = {_fmt(getattr(params, thermal))}")
-    print(f"T_flame (K) = {_fmt(params.T_flame)}")
-    print(f"gamma = {_fmt(params.gamma_cal)}")
-    print(f"rho_range (kg/m3) = {_fmt(params.rho_range[0])} {_fmt(params.rho_range[1])}")
+    lines = [f"material {params.name} model {params.model}",
+             f"Cv (J/kg/K) = {_fmt(params.Cv)}",
+             f"R (J/kg/K) = {_fmt(params.R)}",
+             f"e_s_eff (kJ/kg) = {_fmt(params.e_s_eff / 1e3)}",
+             f"{thermal} (m3/kg) = {_fmt(getattr(params, thermal))}",
+             f"T_flame (K) = {_fmt(params.T_flame)}",
+             f"gamma = {_fmt(params.gamma_cal)}",
+             f"rho_range (kg/m3) = {_fmt(params.rho_range[0])} {_fmt(params.rho_range[1])}"]
     if args.db:
-        _save_record(args.db, _load_existing(args.db), params, f"calibrated from {args.points}")
+        lines.append(_save_record(args.db, _load_existing(args.db), params, f"calibrated from {args.points}"))
+    print("\n".join(lines))
     return 0
 
 
@@ -179,12 +180,12 @@ def cmd_calibrate_cvt(args):
     runs = load_inert_runs_csv(args.runs)
     inert = INERT_GASES[args.inert]
     fit = calibrate_cvt(runs, inert, args.es_i * 1e3, T0=args.t0)
-    print(f"runs = {len(runs)} inert = {inert.name}")
-    print(f"Cv0 (J/kg/K) = {_fmt(fit.Cv0)}")
-    print(f"c (J/kg/K2) = {_fmt(fit.c)}")
-    print(f"q (kJ/kg) = {_fmt(fit.q / 1e3)}")
-    print(f"residual norm (kJ/kg) = {_fmt(fit.residual_norm / 1e3)}")
-    print(f"condition = {_fmt(fit.condition)}")
+    lines = [f"runs = {len(runs)} inert = {inert.name}",
+             f"Cv0 (J/kg/K) = {_fmt(fit.Cv0)}",
+             f"c (J/kg/K2) = {_fmt(fit.c)}",
+             f"q (kJ/kg) = {_fmt(fit.q / 1e3)}",
+             f"residual norm (kJ/kg) = {_fmt(fit.residual_norm / 1e3)}",
+             f"condition = {_fmt(fit.condition)}"]
     if args.db:
         if not (args.name and args.base):
             raise ValidationError("--db requires --name and --base (a VO1 record supplying R, a)")
@@ -201,7 +202,8 @@ def cmd_calibrate_cvt(args):
             args.name, R=base.R, a=base.a, Cv0=fit.Cv0, c=fit.c, q=fit.q,
             e_s_eff=fit.Cv0 * tflame + 0.5 * fit.c * tflame**2,
             T_flame=tflame, rho_range=base.rho_range)
-        _save_record(args.db, out_db, params, f"Cv(T) fit from {args.runs} with inert {inert.name}")
+        lines.append(_save_record(args.db, out_db, params, f"Cv(T) fit from {args.runs} with inert {inert.name}"))
+    print("\n".join(lines))
     return 0
 
 
@@ -209,6 +211,8 @@ def cmd_sweep(args):
     db = _load_db(args.db)
     params = db.get(args.material, _MODEL_FLAGS[args.model])
     _require_convex_record(params)
+    if params.e_s_eff is None:  # predict_closed_bomb refuses it too, but only after the header
+        raise ValidationError(f"record {params.name!r} carries no effective energy")
     densities = _parse_range(args.rho)
     reference = {}
     if args.reference:
@@ -274,23 +278,27 @@ def cmd_mix_sweep(args):
     for gas in gases:
         _require_convex_record(gas)
     densities = [_require_finite("--rho", rho) for rho in _parse_float_list(args.rho)]
-
-    print("Y,rho_kg_m3,tflame_K,pmax_MPa,c_m_s")
+    # mixtures, flames and solve brackets are built before the header: an exit 2 leaves stdout empty
+    mixtures = []
     for fractions in fraction_sets:
         mix = MixtureSpec(tuple(zip(gases, fractions)), oxygen_balance_declared_uniform=True)
-        flame = mixture_flame_temperature(mix)
-        y_label = fractions[-1]
+        if args.model == "mvo1":
+            mix.virial_bracket  # raises unless every component has a > 0
+        mixtures.append((fractions[-1], mix, mixture_flame_temperature(mix).T_flame))
+
+    print("Y,rho_kg_m3,tflame_K,pmax_MPa,c_m_s")
+    for y_label, mix, T_flame in mixtures:
         for rho in densities:
             if args.model == "mna":
-                v = na_specific_volume(mix.mixed, rho, flame.T_flame)
+                v = na_specific_volume(mix.mixed, rho, T_flame)
                 if v == math.inf:
                     raise NumericalError(f"the specific volume 1/rho overflows at rho={rho!r}")
-                P = mna_pressure_vt(mix, v, flame.T_flame)
+                P = mna_pressure_vt(mix, v, T_flame)
                 c = mna_sound_speed(mix, P, v)
             else:
-                P = mvo1_pressure(mix, rho, flame.T_flame).P
-                c = mvo1_sound_speed(mix, P, flame.T_flame)
-            print(",".join([_fmt(y_label), _fmt(rho), _fmt(flame.T_flame), _fmt(P / 1e6), _fmt(c)]))
+                P = mvo1_pressure(mix, rho, T_flame).P
+                c = mvo1_sound_speed(mix, P, T_flame)
+            print(",".join([_fmt(y_label), _fmt(rho), _fmt(T_flame), _fmt(P / 1e6), _fmt(c)]))
     return 0
 
 
@@ -427,7 +435,7 @@ def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (EosError, FileNotFoundError, ArithmeticError, ValueError) as exc:
+    except (EosError, OSError, ArithmeticError, ValueError) as exc:
         for cls, prefix, code in _ERROR_TABLE:
             if isinstance(exc, cls):
                 if prefix == "E_NUMERICAL":  # named by the command's inputs, not by an internal value

@@ -99,9 +99,17 @@ def _record_from_fields(name, model, fields, lineno):
     return DbRecord(params=params, note=note)
 
 
+def _read_lines(path):
+    """The lines of a text file; :class:`ParseError` naming ``path`` unless it is UTF-8."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read().splitlines()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+
+
 def load_material_db(path) -> MaterialDatabase:
-    with open(path, "r", encoding="utf-8") as fh:
-        return _parse_material_db(fh.read().splitlines())
+    return _parse_material_db(_read_lines(path))
 
 
 def _parse_material_db(lines: Iterable[str]) -> MaterialDatabase:
@@ -191,11 +199,9 @@ def builtin_database() -> MaterialDatabase:
 
 
 def _parse_csv_rows(path, header: str, n_fields: int):
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
     rows = []
     seen_header = False
-    for lineno, raw in enumerate(lines, start=1):
+    for lineno, raw in enumerate(_read_lines(path), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

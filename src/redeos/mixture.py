@@ -124,6 +124,8 @@ def mvo1_pressure(mix: MixtureSpec, rho_mix, T) -> Mvo1Solution:
         return v - v_mix, -S
 
     P_lo = rho_mix * R_min * T * (1.0 - 1e-7)
+    if not P_lo < math.inf:  # the root lies above P_lo; P_hi may overflow while the root is finite
+        raise NumericalError(f"the mixture pressure overflows at rho={rho_mix!r}, T={T!r}")
     P_hi = rho_mix * R_max * T * (1.0 + a_n * rho_mix) * (1.0 + 1e-7)
     mixed = mix.mixed
     x0 = virial_pressure_rt(mixed.R, mixed.a, rho_mix, T)

@@ -50,15 +50,6 @@ def na_volume(params: GasParams, P, T):
     return params.R * T / P + params.b
 
 
-def na_enthalpy(params: GasParams, P, T):
-    """Specific enthalpy (R + Cv) T + b P + q."""
-    if params.b is None:
-        require_model(params, Model.NA)
-    if not (P > 0.0 and T > 0.0):
-        raise DomainError(f"pressure and temperature must be positive, got P={P!r}, T={T!r}")
-    return (params.R + params.Cv) * T + params.b * P + params.q
-
-
 def na_cp(params: GasParams):
     """Constant-pressure specific heat, R + Cv (Mayer relation)."""
     if params.b is None:

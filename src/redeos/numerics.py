@@ -310,7 +310,7 @@ def audit_record(params: GasParams, rhos, temperatures) -> AuditReport:
             d = oracle.partials
             maxwell = max(maxwell, abs(d.e_rho * rho * rho + T * d.P_T - P) / P)
             c = oracle.c2_energy**0.5
-            sound_speed = max(sound_speed, abs(laws.sound_speed(params, P, rho, T) - c) / c)
+            sound_speed = max(sound_speed, abs(laws.derived(params, rho, T, P)[1] - c) / c)
             forms = max(forms, oracle.rel_disagreement)
             fd = d.convexity()
             if not (fd.convex and all((x > 0.0) == (y > 0.0) for x, y in zip(closed.criteria, fd.criteria))):
@@ -354,8 +354,11 @@ def lsq_fit_3(temperatures, targets) -> LsqFit:
     if T.size < 3:
         raise ValidationError(f"at least 3 rows are required, got {T.size}")
 
-    A = np.column_stack((T * _COL_SCALE[0], 0.5 * T * T * _COL_SCALE[1], np.ones_like(T)))
-    M = A.T @ A
+    with np.errstate(all="ignore"):  # an overflow is refused below, not printed by numpy
+        A = np.column_stack((T * _COL_SCALE[0], 0.5 * T * T * _COL_SCALE[1], np.ones_like(T)))
+        M = A.T @ A
+    if not np.isfinite(M).all():  # LAPACK would print to stderr on a non-finite matrix
+        raise RankDeficiencyError(f"the normal matrix overflows at the largest temperature {float(T.max())!r} K")
     condition = float(np.linalg.cond(M))
     if not math.isfinite(condition) or condition > _COND_LIMIT:
         raise RankDeficiencyError(

@@ -2,12 +2,13 @@
 
 Builders accept the three natural input pairs, (rho, T), (P, T) and
 (rho, e), and return a :class:`~redeos.types.ThermoState`.  ``LAWS`` holds
-each model's thermal law and closed forms; energy and temperature come from
-the caloric law every model shares (:mod:`redeos.virial_cvt`).  The two
-virial models share one entry, whose closed forms read Cv(T); only the
-entropy needs a constant Cv, so a Cv(T) state leaves that field empty.  The
-entries call the kernels through their modules, so that wrappers installed
-on module attributes see those calls.
+what differs between models: the thermal law and the closed forms of s, c
+and Cp.  The rest holds for any model and is written once here: e and T
+from the shared caloric law (:mod:`redeos.virial_cvt`), h = e + P/rho and
+gamma = Cp/Cv(T).  The two virial models share one entry, which reads
+Cv(T); only the entropy needs a constant Cv, so a Cv(T) state has none.
+The entries call the kernels through their modules, so that wrappers
+installed on module attributes see those calls.
 """
 
 from __future__ import annotations
@@ -16,17 +17,16 @@ import math
 from typing import Callable, NamedTuple
 
 from .errors import DomainError, NumericalError, ValidationError
-from .types import DEFAULT_ENTROPY_REF, GasParams, Model, ThermoState, _div
+from .types import GasParams, Model, ThermoState, _div
 from . import noble_abel, virial, virial_cvt
 
 
 class Laws(NamedTuple):
-    """One model's thermal law and closed forms."""
+    """One model's thermal law, closed forms of s, c and Cp, and convexity criteria."""
 
     pressure: Callable      # P(params, rho, T)
     density: Callable       # rho(params, P, T)
-    derived: Callable       # (h, s, c, Cp, gamma)(params, rho, T, P, ref); s is None without a closed form
-    sound_speed: Callable   # c(params, P, rho, T)
+    derived: Callable       # (s, c, Cp)(params, rho, T, P); s is None without a closed form
     convexity: Callable     # ConvexityReport(params, rho, P, T)
 
 
@@ -54,25 +54,21 @@ def _na_density(params, P, T):
     return rho
 
 
-def _na_derived(params, rho, T, P, ref):
-    return (noble_abel.na_enthalpy(params, P, T), noble_abel.na_entropy(params, P, T, ref),
-            noble_abel.na_sound_speed(params, P, rho), noble_abel.na_cp(params), noble_abel.na_gamma(params))
+def _na_derived(params, rho, T, P):
+    return (noble_abel.na_entropy(params, P, T), noble_abel.na_sound_speed(params, P, rho),
+            noble_abel.na_cp(params))
 
 
-def _virial_derived(params, rho, T, P, ref):
-    # h = (e - q) + P/rho + q; the entropy needs a constant Cv, so records with a slope c get none
-    h = virial_cvt.cvt_effective_energy(params, T) + P / rho + params.q
-    s = virial.vo1_entropy(params, P, T, ref) if params.c is None and params.a > 0.0 else None
-    c = virial.vo1_sound_speed(params, P, rho, T)
-    Cp = virial.vo1_cp(params, rho, T)
-    return h, s, c, Cp, Cp / virial_cvt.cvt_cv(params, T)  # vo1_gamma without a second vo1_cp
+def _virial_derived(params, rho, T, P):
+    # the entropy needs a constant Cv, so records with a slope c get none
+    s = virial.vo1_entropy(params, P, T) if params.c is None and params.a > 0.0 else None
+    return s, virial.vo1_sound_speed(params, P, rho, T), virial.vo1_cp(params, rho, T)
 
 
 _VIRIAL_LAWS = Laws(
     pressure=lambda params, rho, T: virial.vo1_pressure(params, rho, T),
     density=lambda params, P, T: virial.vo1_density(params, P, T),
     derived=_virial_derived,
-    sound_speed=lambda params, P, rho, T: virial.vo1_sound_speed(params, P, rho, T),
     convexity=lambda params, rho, P, T: virial.vo1_convexity(params, rho, P, T))
 
 LAWS = {
@@ -80,14 +76,13 @@ LAWS = {
         pressure=_na_pressure,
         density=_na_density,
         derived=_na_derived,
-        sound_speed=lambda params, P, rho, T: noble_abel.na_sound_speed(params, P, rho),
         convexity=lambda params, rho, P, T: noble_abel.na_convexity(params, 1.0 / rho, P, T)),
     Model.VO1: _VIRIAL_LAWS,
     Model.VO1_CVT: _VIRIAL_LAWS,
 }
 
 
-def state_from_rho_T(params: GasParams, rho, T, ref=DEFAULT_ENTROPY_REF) -> ThermoState:
+def state_from_rho_T(params: GasParams, rho, T) -> ThermoState:
     """Consistent state from density and temperature; :class:`NumericalError` if
     it degenerates in floating point (1/rho or P overflows, gamma rounds to 1)."""
     laws = LAWS[params.model]
@@ -96,21 +91,21 @@ def state_from_rho_T(params: GasParams, rho, T, ref=DEFAULT_ENTROPY_REF) -> Ther
     if v == math.inf:
         raise NumericalError(f"the specific volume 1/rho overflows at rho={rho!r}")
     e = virial_cvt.cvt_energy(params, T)
-    h, s, c, Cp, gamma = laws.derived(params, rho, T, P, ref)
+    s, c, Cp = laws.derived(params, rho, T, P)
     try:
-        return ThermoState(P, T, rho, v, e, h, s, c, Cp, gamma)
+        return ThermoState(P, T, rho, v, e, e + P / rho, s, c, Cp, Cp / virial_cvt.cvt_cv(params, T))
     except ValidationError as exc:
         raise NumericalError(f"the state at rho={rho!r}, T={T!r} is degenerate: {exc}") from None
 
 
-def state_from_P_T(params: GasParams, P, T, ref=DEFAULT_ENTROPY_REF) -> ThermoState:
+def state_from_P_T(params: GasParams, P, T) -> ThermoState:
     """Consistent state from pressure and temperature."""
     rho = LAWS[params.model].density(params, P, T)
     if not 0.0 < rho < math.inf:
         raise NumericalError(f"the density at P={P!r}, T={T!r} under- or overflows, got {rho!r}")
-    return state_from_rho_T(params, rho, T, ref)
+    return state_from_rho_T(params, rho, T)
 
 
-def state_from_rho_e(params: GasParams, rho, e, ref=DEFAULT_ENTROPY_REF) -> ThermoState:
+def state_from_rho_e(params: GasParams, rho, e) -> ThermoState:
     """Consistent state from density and specific internal energy."""
-    return state_from_rho_T(params, rho, virial_cvt.cvt_temperature(params, e), ref)
+    return state_from_rho_T(params, rho, virial_cvt.cvt_temperature(params, e))

@@ -77,7 +77,8 @@ class GasParams:
     optional for records built by hand.
 
     A negative ``a`` is representable so that non-convex states can be
-    studied; calibration and database loading reject it.
+    studied; calibration rejects it, and database loading accepts it so
+    that ``eos audit`` can probe such a record.
 
     ``cv_law`` (not a field) is ``(Cv0, c)`` of the caloric law Cv(T) =
     Cv0 + c T that every model shares; NA and VO1 records supply ``(Cv, 0)``.

@@ -78,11 +78,6 @@ def vo1_cp(params: GasParams, rho, T):
         raise DomainError(f"Cp has a pole at 1 + 2 a rho = 0: rho={rho!r} (a rho = {ar!r})") from None
 
 
-def vo1_gamma(params: GasParams, rho, T):
-    """State-dependent heat-capacity ratio Cp / Cv(T)."""
-    return vo1_cp(params, rho, T) / cvt_cv(params, T)
-
-
 def vo1_sound_speed(params: GasParams, P, rho, T):
     """Frozen sound speed at (P, rho, T)."""
     if params.a is None:

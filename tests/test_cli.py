@@ -534,11 +534,78 @@ class TestBoundaryRegressions:
         (["audit", "NC-13", "--model", "vo1", "--rho", "1e200:1e200:1", "--T", "3000:3000:1"],
          "--rho 1e200:1e200:1 --T 3000:3000:1"),
         (["state", "NC-13", "--model", "na", "--P", "1e300", "--T", "1e-300"], "--P 1e+300 --T 1e-300"),
+        (["mix-sweep", "NC-13+RDX", "--model", "mvo1", "--rho", "100,2e302", "--fraction-sweep", "0:1:1",
+          "--same-oxygen-balance"], "--rho 100,2e302 --fraction-sweep 0:1:1"),
+        (["mix-sweep", "NC-13+RDX", "--model", "mvo1", "--rho", "100,1e308", "--fraction-sweep", "0:1:1",
+          "--same-oxygen-balance"], "--rho 100,1e308 --fraction-sweep 0:1:1"),
     ])
     def test_numerical_failure_names_the_input(self, capsys, argv, inputs):
         # these once ended in E_VALIDATION or E_DOMAIN naming gamma = 1.0, v*rho = inf, rho=0.0,
         # P=0.0 or an NA volume rounded onto the covolume, or in E_NUMERICAL naming the Python
-        # error or the non-finite result
+        # error or the non-finite result; an MVO1 density from about 2e302 in E_BRACKET naming g(inf)
         code, _, err = run_cli(capsys, *argv)
         assert code == 3
         assert err == f"E_NUMERICAL: floating-point evaluation failed at {inputs}\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["state", "NC-13", "--model", "na", "--rho", "100", "--T", "3000", "--db", "DIR"],
+        ["calibrate", "na", "--points", "DIR", "--tflame", "3275", "--gamma", "1.2"],
+        ["calibrate-cvt", "--runs", "DIR", "--inert", "argon", "--es-i", "5000"],
+        ["sweep", "NC-13", "--model", "na", "--rho", "100:200:100", "--reference", "DIR"],
+        ["state", "NC-13", "--model", "na", "--rho", "100", "--T", "3000", "--db", "UTF16"],
+        ["calibrate-cvt", "--runs", "UTF16", "--inert", "argon", "--es-i", "5000"],
+    ], ids=["db-dir", "points-dir", "runs-dir", "reference-dir", "db-utf16", "runs-utf16"])
+    def test_unreadable_input_file_is_a_parse_error(self, capsys, tmp_path, argv):
+        # a directory once ended in an IsADirectoryError traceback, and a file that is
+        # not UTF-8 in E_NUMERICAL naming --rho and --T
+        utf16 = tmp_path / "utf16.txt"
+        utf16.write_bytes(b"\xff\xfe[\x00m\x00")
+        argv = [{"DIR": str(tmp_path), "UTF16": str(utf16)}.get(arg, arg) for arg in argv]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert_one_error_line(err, "E_PARSE")
+        assert str(tmp_path) in err
+
+    @pytest.mark.parametrize("exponent", [81, 100, 300])
+    def test_cvt_fit_overflow_writes_one_line(self, capfd, tmp_path, exponent):
+        # numpy's overflow warning, or LAPACK's DLASCL complaint written to fd 2, once came first
+        runs = tmp_path / "runs.csv"
+        runs.write_text(f"Y,tflame_K\n0.5,1e{exponent}\n0.7,2e{exponent}\n1.0,3e{exponent}\n")
+        code = main(["calibrate-cvt", "--runs", str(runs), "--inert", "argon", "--es-i", "5000"])
+        out, err = capfd.readouterr()
+        assert code == 3 and out == ""
+        assert_one_error_line(err, "E_RANK_DEFICIENT")
+        assert f"the largest temperature {float(f'3e{exponent}')!r} K" in err
+
+    @pytest.mark.parametrize("argv, prefix", [
+        (["calibrate", "na", "--points", "POINTS", "--tflame", "3275", "--gamma", "1.2", "--db", "GARBAGE"],
+         "E_PARSE"),
+        (["calibrate", "na", "--points", "POINTS", "--tflame", "3275", "--gamma", "1.2", "--db", "UNWRITABLE"],
+         "E_PARSE"),
+        (["calibrate-cvt", "--runs", "RUNS", "--inert", "argon", "--es-i", "5000", "--db", "NEW"], "E_VALIDATION"),
+        (["calibrate-cvt", "--runs", "RUNS", "--inert", "argon", "--es-i", "5000", "--db", "NEW",
+          "--name", "N", "--base", "NOPE"], "E_VALIDATION"),
+        (["mix-sweep", "NC-13=0.7,RDX=0.5", "--model", "mna", "--rho", "100", "--same-oxygen-balance"],
+         "E_VALIDATION"),
+        (["mix-sweep", "X+NC-13", "--model", "mna", "--rho", "100", "--fraction-sweep", "0:1:1",
+          "--same-oxygen-balance", "--db", "NO_E"], "E_VALIDATION"),
+        (["mix-sweep", "Z+NC-13", "--model", "mvo1", "--rho", "100", "--fraction-sweep", "0:1:1",
+          "--same-oxygen-balance", "--db", "NO_E"], "E_VALIDATION"),
+        (["sweep", "X", "--model", "na", "--rho", "100:200:100", "--db", "NO_E"], "E_VALIDATION"),
+    ], ids=["calibrate-db", "calibrate-unwritable", "cvt-no-name", "cvt-no-base", "mix-fractions", "mix-no-energy", "mvo1-zero-a",
+            "sweep-no-energy"])
+    def test_exit_2_prints_nothing(self, capsys, tmp_path, points_nc13, argv, prefix):
+        # each once printed its result or header before the error
+        runs, garbage, no_e = tmp_path / "runs.csv", tmp_path / "garbage.eosdb", tmp_path / "no_e.eosdb"
+        write_dilution_runs_csv(runs)
+        garbage.write_text("garbage\n")
+        # X carries no effective energy and Z has a = 0, which the MVO1 solve refuses
+        no_e.write_text('[material "X" model NA]\nR = 338.9\nb = 0.001484\nCv = 1637.1\n\n'
+                        '[material "Z" model VO1]\nR = 322\na = 0\nCv = 1640.5\ne_s_eff_kJ = 5371.9\n\n'
+                        '[material "NC-13" model VO1]\nR = 322\na = 0.002359\nCv = 1640.5\ne_s_eff_kJ = 5371.9\n\n'
+                        '[material "NC-13" model NA]\nR = 338.9\nb = 0.001484\nCv = 1637.1\ne_s_eff_kJ = 5360.7\n')
+        names = {"POINTS": points_nc13, "GARBAGE": str(garbage), "UNWRITABLE": str(tmp_path / "no" / "x.eosdb"),
+                 "RUNS": str(runs), "NEW": str(tmp_path / "new.eosdb"), "NO_E": str(no_e)}
+        code, out, err = run_cli(capsys, *[names.get(arg, arg) for arg in argv])
+        assert code == 2 and out == ""
+        assert_one_error_line(err, prefix)

@@ -3,7 +3,8 @@
 Every command must end with exit code 0, 2, 3 or 4, print no traceback,
 report a failure as exactly one ``E_*`` line on stderr (or, for the two
 documented in-band failures, an ``E_DOMAIN`` sweep row or an audit
-``RESULT FAIL``), and print only finite numbers.  Grids stay small so the
+``RESULT FAIL``), print nothing on stdout with exit 2, and print only finite
+numbers.  Grids stay small so the
 whole test costs a second or two.
 """
 
@@ -61,6 +62,8 @@ def test_cli_keeps_exit_code_contract(argv):
         code = main(argv)
     out, err = out.getvalue(), err.getvalue()
     assert code in (0, 2, 3, 4)
+    if code == 2:
+        assert out == "", out
     if err:
         assert code != 0 and err.count("\n") == 1 and err.startswith("E_"), err
     elif code != 0:

@@ -137,7 +137,7 @@ class TestDerived:
     @pytest.mark.parametrize("P, T", [(-1.3e8, 3275.0), (0.0, 3275.0), (1.3e8, -5.0), (1.3e8, math.nan)])
     def test_enthalpy_domain(self, nc13_na, P, T):
         with pytest.raises(DomainError, match=r"pressure and temperature must be positive"):
-            rx.na_enthalpy(nc13_na, P, T)
+            rx.state_from_P_T(nc13_na, P, T).h
 
 
 class TestEntropy:
@@ -211,7 +211,6 @@ class TestModelGuard:
     KERNELS = [
         (rx.na_pressure_vt, (0.01, 3000.0)),
         (rx.na_volume, (1e8, 3000.0)),
-        (rx.na_enthalpy, (1e8, 3000.0)),
         (rx.na_cp, ()),
         (rx.na_gamma, ()),
         (rx.na_sound_speed, (1e8, 100.0)),

@@ -14,9 +14,6 @@ CALLER_DIRS = (PACKAGE, ROOT / "demos", ROOT / "benchmarks")
 KEEP = {
     # acceptance criterion 9 (the entropy suite) calls these two directly
     "na_entropy_vt", "vo1_entropy_dP",
-    # the virial Cp / Cv(T), counterpart of na_gamma; the state builder divides
-    # the Cp it already holds instead of calling vo1_cp a second time
-    "vo1_gamma",
 }
 
 

@@ -48,7 +48,7 @@ class TestVirialStates:
     def test_fields_are_consistent(self, nc13_vo1):
         st = rx.state_from_rho_T(nc13_vo1, 100.0, 3275.0)
         assert st.h == pytest.approx(st.e + st.P * st.v, rel=1e-12)
-        assert st.gamma == pytest.approx(rx.vo1_gamma(nc13_vo1, 100.0, 3275.0), rel=1e-15)
+        assert st.gamma == pytest.approx(rx.vo1_cp(nc13_vo1, 100.0, 3275.0) / nc13_vo1.Cv, rel=1e-15)
         assert st.s == pytest.approx(rx.vo1_entropy(nc13_vo1, st.P, st.T), rel=1e-15)
 
 
@@ -82,15 +82,18 @@ class TestCvtStates:
         assert st_flat.gamma == st_vo1.gamma
 
 
-@pytest.mark.parametrize("model", [rx.Model.VO1, rx.Model.VO1_CVT])
+@pytest.mark.parametrize("model", [rx.Model.NA, rx.Model.VO1, rx.Model.VO1_CVT])
 def test_virial_cp_and_gamma_are_the_kernels_bit_for_bit(db, model):
-    # the state builder takes Cp once and divides by Cv(T), as vo1_gamma does
+    # Cp is the model's kernel; h = e + P/rho and gamma = Cp/Cv(T) are written once, for every model
     params = db.get("NC-13", model)
+    cp = (lambda rho, T: rx.na_cp(params)) if model is rx.Model.NA else (lambda rho, T: rx.vo1_cp(params, rho, T))
     rng = random.Random(1010)
     for _ in range(200):
         rho, T = rng.uniform(1.0, 600.0), rng.uniform(300.0, 4000.0)
         st = rx.state_from_rho_T(params, rho, T)
-        assert (st.Cp, st.gamma) == (rx.vo1_cp(params, rho, T), rx.vo1_gamma(params, rho, T))
+        assert st.Cp == cp(rho, T)
+        assert st.h == st.e + st.P / st.rho
+        assert st.gamma == st.Cp / rx.cvt_cv(params, T)
 
 
 def test_builders_never_call_the_oracle(monkeypatch, db):
