@@ -9,6 +9,9 @@ oracles.
 
 __version__ = "0.1.0"
 
+from importlib import import_module as _import_module
+from types import ModuleType as _ModuleType
+
 from .constants import P_REF, R_UNIVERSAL, T_REF
 from .errors import (
     BracketError,
@@ -62,39 +65,6 @@ from .virial_cvt import (
     cvt_energy,
     cvt_temperature,
 )
-from .calibration import (
-    ClosedBombPrediction,
-    calibrate_cvt,
-    calibrate_na,
-    calibrate_vo1,
-    dilution_flame_temperature,
-    frozenness_check,
-    predict_closed_bomb,
-)
-from .mixture import (
-    Mvo1Solution,
-    mixture_flame_temperature,
-    mna_coefficients,
-    mna_pressure,
-    mna_pressure_vt,
-    mna_sound_speed,
-    mvo1_pressure,
-    mvo1_pressure_from_energy,
-    mvo1_sound_speed,
-)
-from .numerics import (
-    AuditReport,
-    LsqFit,
-    OracleSoundSpeed,
-    RootResult,
-    audit_record,
-    convexity_audit_fd,
-    fd_derivative,
-    fd_partial,
-    lsq_fit_3,
-    solve_monotone,
-    sound_speed_fd_oracle,
-)
 from .state import state_from_P_T, state_from_rho_T, state_from_rho_e
 from .materials import (
     INERT_GASES,
@@ -105,3 +75,58 @@ from .materials import (
     load_material_db,
     save_material_db,
 )
+
+#: Exports of the modules that only some commands run, by module.  Each is
+#: imported on first access of one of its names, so `import redeos` and
+#: `eos state` do not compile or run them.
+_LAZY_EXPORTS = {
+    "calibration": (
+        "ClosedBombPrediction",
+        "calibrate_cvt",
+        "calibrate_na",
+        "calibrate_vo1",
+        "dilution_flame_temperature",
+        "frozenness_check",
+        "predict_closed_bomb",
+    ),
+    "mixture": (
+        "Mvo1Solution",
+        "mixture_flame_temperature",
+        "mna_coefficients",
+        "mna_pressure",
+        "mna_pressure_vt",
+        "mna_sound_speed",
+        "mvo1_pressure",
+        "mvo1_pressure_from_energy",
+        "mvo1_sound_speed",
+    ),
+    "numerics": (
+        "AuditReport",
+        "LsqFit",
+        "OracleSoundSpeed",
+        "RootResult",
+        "audit_record",
+        "convexity_audit_fd",
+        "fd_derivative",
+        "fd_partial",
+        "lsq_fit_3",
+        "solve_monotone",
+        "sound_speed_fd_oracle",
+    ),
+}
+_HOME = {name: module for module, names in _LAZY_EXPORTS.items() for name in names}
+
+__all__ = [name for name, value in globals().items()
+           if not name.startswith("_") and not isinstance(value, _ModuleType)] + list(_HOME)
+
+
+def __getattr__(name):
+    module = _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(_import_module(f".{module}", __name__), name)
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_HOME})

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import DegenerateDataError, DomainError, ValidationError
-from .numerics import LsqFit, lsq_fit_3
 from .types import (
     ClosedBombPoint,
     FrozennessReport,
@@ -123,6 +122,8 @@ def calibrate_cvt(runs: Sequence[InertRunRecord], inert: InertGasParams,
     T0 the initial mixture temperature.  Needs at least three runs with
     enough temperature spread to separate the three parameters.
     """
+    from .numerics import lsq_fit_3  # the fit is the only numerics user here; other commands skip the module
+
     runs = list(runs)
     if len(runs) < 3:
         raise ValidationError(f"at least 3 runs are required, got {len(runs)}")

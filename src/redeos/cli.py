@@ -7,7 +7,11 @@ the decimal separator and newline line endings, so identical inputs give
 byte-identical output.
 
 Exit codes: 0 success, 2 parse/validation, 3 numerical/convergence,
-4 physical-domain violation.
+4 physical-domain violation.  A stdout whose reader stops early (a pipe into
+`head`) ends the command quietly with exit 0: no `E_*` line, no traceback.
+
+A command imports the library modules it runs when it starts, so `state`
+never loads `calibration`, `mixture` or `numerics`.
 """
 
 from __future__ import annotations
@@ -15,11 +19,11 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import os
 import re
 import sys
 
 from . import __version__
-from .calibration import calibrate_cvt, calibrate_na, calibrate_vo1, predict_closed_bomb
 from .errors import (
     BracketError,
     ConvergenceError,
@@ -41,14 +45,6 @@ from .materials import (
     load_material_db,
     save_material_db,
 )
-from .mixture import (
-    mixture_flame_temperature,
-    mna_pressure_vt,
-    mna_sound_speed,
-    mvo1_pressure,
-    mvo1_sound_speed,
-)
-from .numerics import audit_record
 from .state import na_specific_volume, state_from_P_T, state_from_rho_T, state_from_rho_e
 from .types import MODEL_FIELDS, GasParams, MixtureSpec, Model
 
@@ -84,10 +80,13 @@ MAX_GRID_POINTS = 10_000
 
 
 def _fmt(x):
-    """The one formatter of printed numbers; nothing non-finite is printed."""
+    """The one formatter of printed numbers; nothing non-finite is printed, nor reads back so."""
+    if abs(x) < 1.79769313e308:  # finite, and too far below the float maximum for 10 digits to round past it
+        return format(x, ".10g")
     if not math.isfinite(x):
         raise NumericalError(f"result is not finite ({x!r})")
-    return format(x, ".10g")
+    text = format(x, ".10g")
+    return repr(x) if math.isinf(float(text)) else text
 
 
 def _load_db(path):
@@ -155,6 +154,8 @@ def _save_record(path, db, params, note):
     return f"saved to {path}"
 
 def cmd_calibrate(args):
+    from .calibration import calibrate_na, calibrate_vo1
+
     points = load_closed_bomb_csv(args.points)
     if len(points) != 2:
         raise ValidationError(f"exactly two points required, got {len(points)}")
@@ -177,6 +178,8 @@ def cmd_calibrate(args):
 
 
 def cmd_calibrate_cvt(args):
+    from .calibration import calibrate_cvt
+
     runs = load_inert_runs_csv(args.runs)
     inert = INERT_GASES[args.inert]
     fit = calibrate_cvt(runs, inert, args.es_i * 1e3, T0=args.t0)
@@ -208,6 +211,8 @@ def cmd_calibrate_cvt(args):
 
 
 def cmd_sweep(args):
+    from .calibration import predict_closed_bomb
+
     db = _load_db(args.db)
     params = db.get(args.material, _MODEL_FLAGS[args.model])
     _require_convex_record(params)
@@ -266,6 +271,9 @@ def _parse_mixture_spec(spec, sweep_arg):
 
 
 def cmd_mix_sweep(args):
+    from .mixture import (mixture_flame_temperature, mna_pressure_vt, mna_sound_speed,
+                          mvo1_pressure, mvo1_sound_speed)
+
     if not args.same_oxygen_balance:
         raise ValidationError(
             "mixture rules assume every component shares the oxygen-balance sign "
@@ -303,6 +311,8 @@ def cmd_mix_sweep(args):
 
 
 def cmd_audit(args):
+    from .numerics import audit_record
+
     db = _load_db(args.db)
     params = db.get(args.material, _MODEL_FLAGS[args.model])
     rhos = _parse_range(args.rho)
@@ -434,7 +444,16 @@ def _build_parser():
 def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a reader that stopped early shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # stdout's reader stopped early (`eos sweep ... | head -1`); point stdout at devnull so that
+        # the flush at exit cannot fail, and end as a success
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 0
     except (EosError, OSError, ArithmeticError, ValueError) as exc:
         for cls, prefix, code in _ERROR_TABLE:
             if isinstance(exc, cls):

@@ -482,6 +482,33 @@ class TestBoundaryRegressions:
         assert_one_error_line(err, "E_NUMERICAL")
         assert "inf" not in out and "nan" not in out
 
+    def test_value_near_the_float_maximum_reads_back_finite(self, capsys):
+        # 10 digits once rounded it to 1.797693135e+308, which reads back as inf
+        code, out, err = run_cli(capsys, "sweep", "NC-13", "--model", "na",
+                                 "--rho", "1.7976931345e+308:1.7976931345e+308:1e-300")
+        assert code == 4 and err == ""
+        assert out.splitlines()[1] == "1.7976931345e+308,,,E_DOMAIN,"
+
+    @pytest.mark.parametrize("argv, first_line", [
+        (["sweep", "NC-13", "--model", "vo1", "--rho", "10:5000:1"],
+         b"rho_kg_m3,tflame_K,pmax_MPa,extrapolated,c_m_s\n"),
+        # closed before the child writes: its one buffered block fails only when flushed
+        (["state", "NC-13", "--model", "vo1", "--rho", "100", "--T", "3000"], None),
+    ], ids=["sweep-head-1", "state-unread"])
+    def test_closed_stdout_pipe_ends_quietly(self, argv, first_line):
+        # a reader that stops early (`| head -1`) once ended as E_PARSE: [Errno 32] Broken pipe,
+        # exit 2, and an unflushed block as "Exception ignored ... BrokenPipeError", exit 120
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = str(Path(rx.__file__).resolve().parents[1])
+        proc = subprocess.Popen([sys.executable, "-m", "redeos.cli", *argv],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        if first_line is not None:
+            assert proc.stdout.readline() == first_line
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 0
+        assert proc.stderr.read() == b""
+        proc.stderr.close()
+
     @pytest.mark.parametrize("text, want", [
         ("-100:-50:25", [-100.0, -75.0, -50.0]),
         ("-100:-100:1", [-100.0]),

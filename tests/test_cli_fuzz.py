@@ -12,7 +12,7 @@ import contextlib
 import io
 import re
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from redeos.cli import main
 
@@ -56,6 +56,8 @@ NUMBER_TOKEN = re.compile(r"[^\s,=]+")
 
 @settings(max_examples=200)
 @given(ARGV)
+# found only at 4,000 examples: 10 digits once printed a value that reads back as inf
+@example(["sweep", "NC-13", "--model=na", "--rho=1.7976931345e+308:1.7976931345e+308:1e-300"])
 def test_cli_keeps_exit_code_contract(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

@@ -1,11 +1,18 @@
 """Every name ``redeos`` exports has a caller outside the tests.
 
 A public name whose only callers are tests is code kept alive by its own
-tests.  This check reads the sources with ``ast`` and imports nothing.
+tests.  This check reads the sources with ``ast`` and imports nothing.  The
+exports are the names ``__init__.py`` imports and the names of its table of
+exports loaded on first access; the later tests check that the table
+resolves.
 """
 
 import ast
 from pathlib import Path
+
+import pytest
+
+import redeos as rx
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "redeos"
@@ -17,11 +24,21 @@ KEEP = {
 }
 
 
+def lazy_exports():
+    """``_LAZY_EXPORTS`` of ``__init__.py``: module -> the names it exports on first access."""
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    [table] = [node.value for node in tree.body if isinstance(node, ast.Assign)
+               and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["_LAZY_EXPORTS"]]
+    return ast.literal_eval(table)
+
+
 def exported_names():
     tree = ast.parse((PACKAGE / "__init__.py").read_text())
-    return {alias.asname or alias.name
-            for node in tree.body if isinstance(node, ast.ImportFrom)
-            for alias in node.names}
+    imported = {alias.asname or alias.name
+                for node in tree.body if isinstance(node, ast.ImportFrom)
+                for alias in node.names}
+    lazy = {name for names in lazy_exports().values() for name in names}
+    return {name for name in imported | lazy if not name.startswith("_")}
 
 
 class _Uses(ast.NodeVisitor):
@@ -70,3 +87,22 @@ def test_keep_list_names_exports():
 def test_every_export_has_a_caller_outside_the_tests():
     unused = exported_names() - used_names() - KEEP
     assert not unused, f"exported but called only by tests: {sorted(unused)}"
+
+
+@pytest.mark.parametrize("module, name", [(m, n) for m, names in lazy_exports().items() for n in names])
+def test_lazy_export_resolves_to_its_module_attribute(module, name):
+    home = __import__(f"redeos.{module}", fromlist=[name])
+    assert getattr(rx, name) is getattr(home, name)
+    assert vars(rx)[name] is getattr(home, name)  # stored: later lookups skip ``__getattr__``
+
+
+def test_dir_and_all_list_every_export():
+    assert exported_names() <= set(dir(rx))
+    assert exported_names() == set(rx.__all__)
+    assert len(rx.__all__) == len(set(rx.__all__))
+
+
+def test_unknown_attribute_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        rx.no_such_name
+    assert not hasattr(rx, "vo1_gamma")
