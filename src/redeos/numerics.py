@@ -29,7 +29,7 @@ class RootResult(NamedTuple):
     iterations: int
 
 
-def solve_monotone(g, lo, hi, *, tol_rel=1e-12, max_iter=100, x0=None) -> RootResult:
+def solve_monotone(g, lo, hi, *, tol_rel=1e-12, max_iter=100, x0=None, ends=None) -> RootResult:
     """Find the root of a monotone scalar function on a bracket.
 
     Newton steps where ``g`` gives a slope, damped secant steps otherwise,
@@ -53,11 +53,16 @@ def solve_monotone(g, lo, hi, *, tol_rel=1e-12, max_iter=100, x0=None) -> RootRe
         Iteration budget; exceeding it raises :class:`ConvergenceError`.
     x0 : float, optional
         Initial guess, clipped into the bracket.
+    ends : (float, float), optional
+        ``g(lo)[0]`` and ``g(hi)[0]``, when the caller has evaluated them;
+        they are checked where evaluated ones would be, and ``g`` is then
+        never called at an endpoint.
     """
+    gl, gh = (None, None) if ends is None else ends  # residual at xl and xh, once known
     if hi < lo:
-        lo, hi = hi, lo
+        lo, hi, gl, gh = hi, lo, gh, gl
     xl, xh = lo, hi
-    gl = gh = None  # residual at xl and xh, once known
+    unchecked = ends is not None  # given endpoint residuals not yet checked
     # orientation is fixed for a monotone residual; never re-read it from the
     # damped endpoint values below (damping can underflow them to zero)
     sign_high = None
@@ -77,7 +82,8 @@ def solve_monotone(g, lo, hi, *, tol_rel=1e-12, max_iter=100, x0=None) -> RootRe
             cand = x - gx / d
             if xl < cand < xh:
                 xn = cand
-        if xn is None and (gl is None or gh is None):
+        if xn is None and (unchecked or gl is None or gh is None):
+            unchecked = False
             gl = g(xl)[0] if gl is None else gl
             gh = g(xh)[0] if gh is None else gh
             if gl == 0.0:
@@ -121,13 +127,17 @@ def solve_monotone(g, lo, hi, *, tol_rel=1e-12, max_iter=100, x0=None) -> RootRe
     raise ConvergenceError(f"no convergence within {max_iter} iterations (bracket [{xl:g}, {xh:g}])")
 
 
+def _fd_step(x, scale_floor):
+    return max(abs(x), scale_floor) * 1e-6
+
+
 def fd_derivative(f, x, scale_floor=1.0):
     """Derivative of ``f`` at ``x`` by central differences.
 
     Step ``h = max(|x|, scale_floor) * 1e-6``, Richardson-extrapolated
     once, leaving a truncation error of order h^4.
     """
-    h = max(abs(x), scale_floor) * 1e-6
+    h = _fd_step(x, scale_floor)
     d1 = (f(x + h) - f(x - h)) / (2.0 * h)
     h2 = 0.5 * h
     d2 = (f(x + h2) - f(x - h2)) / (2.0 * h2)
@@ -146,31 +156,44 @@ def fd_partial(f, point, arg, scale_floor=1.0):
     return fd_derivative(along, point[arg], scale_floor)
 
 
-def _invert_temperature(p_fn, rho, P_target, T_guess):
+def _bracket_start(p_fn, rho, T_guess):
+    """The first bracket of a temperature inversion at ``rho``, T_guess (1 -/+ 1e-4), with ``p_fn`` at its ends."""
+    lo = T_guess * (1.0 - 1e-4)
+    hi = T_guess * (1.0 + 1e-4)
+    return lo, hi, p_fn(rho, lo), p_fn(rho, hi)
+
+
+def _invert_temperature(p_fn, rho, P_target, T_guess, start=None):
     """Solve ``p_fn(rho, T) = P_target`` for T near ``T_guess``.
 
     Assumes pressure strictly increasing in temperature, which holds for
-    every model in this library.
+    every model in this library.  ``start``, the :func:`_bracket_start` of
+    ``(rho, T_guess)``, lets inversions to several targets share its two
+    pressures.  Each end widens (halving or doubling T) until the bracket
+    holds the target; the residuals at its final ends seed the solve.
     """
 
     def g(T):
         return p_fn(rho, T) - P_target, None
 
-    lo = T_guess * (1.0 - 1e-4)
-    hi = T_guess * (1.0 + 1e-4)
-    for _ in range(80):
-        if g(lo)[0] <= 0.0:
+    lo, hi, p_lo, p_hi = _bracket_start(p_fn, rho, T_guess) if start is None else start
+    g_lo = p_lo - P_target
+    for _ in range(79):
+        if g_lo <= 0.0:
             break
         lo *= 0.5
-    else:
+        g_lo = g(lo)[0]
+    if not g_lo <= 0.0:
         raise NumericalError("temperature inversion failed to bracket from below")
-    for _ in range(80):
-        if g(hi)[0] >= 0.0:
+    g_hi = p_hi - P_target
+    for _ in range(79):
+        if g_hi >= 0.0:
             break
         hi *= 2.0
-    else:
+        g_hi = g(hi)[0]
+    if not g_hi >= 0.0:
         raise NumericalError("temperature inversion failed to bracket from above")
-    return solve_monotone(g, lo, hi, tol_rel=1e-13, max_iter=200).root
+    return solve_monotone(g, lo, hi, tol_rel=1e-13, max_iter=200, ends=(g_lo, g_hi)).root
 
 
 class FdPartials(NamedTuple):
@@ -236,11 +259,10 @@ def sound_speed_fd_oracle(e_fn, p_fn, rho, T) -> OracleSoundSpeed:
     partials = _fd_partials(e_fn, p_fn, rho, T)
     P = partials.P
 
-    def e_at(rho_, P_):
-        return e_fn(rho_, _invert_temperature(p_fn, rho_, P_, T))
-
-    dedrho_P = fd_derivative(lambda r: e_at(r, P), rho, SCALE_RHO)
-    dedP_rho = fd_derivative(lambda p: e_at(rho, p), P, SCALE_P)
+    dedrho_P = fd_derivative(lambda r: e_fn(r, _invert_temperature(p_fn, r, P, T)), rho, SCALE_RHO)
+    # the four inversions at constant density share one first bracket
+    start = _bracket_start(p_fn, rho, T)
+    dedP_rho = fd_derivative(lambda p: e_fn(rho, _invert_temperature(p_fn, rho, p, T, start)), P, SCALE_P)
     c2_energy = (P / rho**2 - dedrho_P) / dedP_rho
     return OracleSoundSpeed(c2_energy=c2_energy, c2_gamma=partials.c2, partials=partials)
 
@@ -282,13 +304,23 @@ class AuditReport(NamedTuple):
                 and self.sign_mismatches == 0 and self.violations == 0)
 
 
+def _require_above_step(name, x, unit, scale_floor):
+    """Refuse a grid value that the lowest difference point, ``x - h``, would take to zero or below."""
+    h = _fd_step(x, scale_floor)
+    if x - h <= 0.0:
+        raise DomainError(f"{name} {x!r} {unit} does not exceed its difference step {h!r} {unit}")
+
+
 def audit_record(params: GasParams, rhos, temperatures) -> AuditReport:
     """Audit a record on the grid of two sequences, skipping densities within 1 % of a covolume.
 
     A point that fails the closed-form convexity criteria has no meaningful
     sound speed: it is a violation, not differenced.  Elsewhere one oracle
     pass (six differences) serves every check.  Raises :class:`DomainError`
-    at a point outside the domain, or when no point is left.
+    at a point outside the domain, at a density or temperature that does not
+    exceed its difference step (the differences would leave the domain), or
+    when no point is left; raises :class:`NumericalError` where the oracle or
+    a residual is not finite.
     """
     laws = LAWS[params.model]
     pressure = laws.pressure
@@ -306,12 +338,23 @@ def audit_record(params: GasParams, rhos, temperatures) -> AuditReport:
             if not (closed.convex and convexity_signs_ok(closed.criteria)):
                 violations += 1
                 continue
+            _require_above_step("density", rho, "kg/m3", SCALE_RHO)
+            _require_above_step("temperature", T, "K", SCALE_T)
             oracle = sound_speed_fd_oracle(e_fn, p_fn, rho, T)
             d = oracle.partials
-            maxwell = max(maxwell, abs(d.e_rho * rho * rho + T * d.P_T - P) / P)
-            c = oracle.c2_energy**0.5
-            sound_speed = max(sound_speed, abs(laws.derived(params, rho, T, P)[1] - c) / c)
-            forms = max(forms, oracle.rel_disagreement)
+            c2 = oracle.c2_energy
+            if not 0.0 < c2 < math.inf:
+                raise NumericalError(f"the difference oracle gives c^2 = {c2!r} at rho={rho!r}, T={T!r}")
+            c = c2**0.5
+            r_maxwell = abs(d.e_rho * rho * rho + T * d.P_T - P) / P
+            r_c = abs(laws.derived(params, rho, T, P)[1] - c) / c
+            r_forms = oracle.rel_disagreement
+            # max() would drop a nan; each residual is >= 0, so < inf means finite
+            if not (r_maxwell < math.inf and r_c < math.inf and r_forms < math.inf):
+                raise NumericalError(f"an audit residual is not finite at rho={rho!r}, T={T!r}")
+            maxwell = max(maxwell, r_maxwell)
+            sound_speed = max(sound_speed, r_c)
+            forms = max(forms, r_forms)
             fd = d.convexity()
             if not (fd.convex and all((x > 0.0) == (y > 0.0) for x, y in zip(closed.criteria, fd.criteria))):
                 mismatches += 1

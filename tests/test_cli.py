@@ -534,6 +534,30 @@ class TestBoundaryRegressions:
         assert_one_error_line(err, "E_DOMAIN")
         assert named in err
 
+    @pytest.mark.parametrize("argv", [
+        ["audit", "NC-13", "--model", "vo1", "--rho", "0.001004133605308749:0.001004133605308749:1",
+         "--T", "6.810794049859548e+301:6.810794049859548e+301:1"],
+        ["audit", "RDX", "--model", "na", "--rho", "0.041467826828875134:0.041467826828875134:1",
+         "--T", "1.4416867988549154e+304:1.4416867988549154e+304:1"],
+    ])
+    def test_audit_with_non_finite_oracle_is_no_pass(self, capsys, argv):
+        # the oracle's c^2 is not finite here; both once printed a residual of 0 and RESULT PASS
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 3 and out == ""
+        assert err == f"E_NUMERICAL: floating-point evaluation failed at --rho {argv[5]} --T {argv[7]}\n"
+
+    @pytest.mark.parametrize("model", ["na", "vo1", "vo1cvt"])
+    @pytest.mark.parametrize("rho, T, named", [
+        ("1e-10", "3000", "density 1e-10 kg/m3 does not exceed its difference step 1e-06 kg/m3"),
+        ("100", "1e-7", "temperature 1e-07 K does not exceed its difference step 1e-06 K"),
+    ], ids=["rho", "T"])
+    def test_audit_point_within_a_difference_step_names_the_grid_value(self, capsys, model, rho, T, named):
+        # these once named a difference point, -9.999e-07 kg/m3 or -9e-07 K
+        code, out, err = run_cli(capsys, "audit", "NC-13", "--model", model,
+                                 "--rho", f"{rho}:{rho}:1", "--T", f"{T}:{T}:1")
+        assert code == 4 and out == ""
+        assert err == f"E_DOMAIN: audit grid rho={rho}:{rho}:1 T={T}:{T}:1: {named}\n"
+
     @pytest.mark.parametrize("argv, code, prefix, named", [
         (["state", "NC-13", "--model", "vo1cvt", "--P", "100", "--T", "-5"], 4, "E_DOMAIN",
          "--T must be positive, got -5.0 K"),

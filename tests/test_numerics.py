@@ -1,6 +1,7 @@
 import json
 import math
 import pathlib
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -8,7 +9,8 @@ from hypothesis import given, strategies as st
 import redeos as rx
 from redeos import numerics
 from redeos.cli import _MODEL_FLAGS, _parse_range
-from redeos.errors import BracketError, ConvergenceError, DomainError, RankDeficiencyError, ValidationError
+from redeos.errors import (BracketError, ConvergenceError, DomainError, NumericalError, RankDeficiencyError,
+                           ValidationError)
 from redeos.numerics import SCALE_P, SCALE_RHO, SCALE_T
 
 from test_golden_cli import Q_DB
@@ -74,6 +76,28 @@ class TestSolveMonotone:
         assert result.root == pytest.approx(math.sqrt(2.0), rel=1e-12)
         assert 0.0 not in seen and 2.0 not in seen
 
+    @pytest.mark.parametrize("lo, hi", [(0.0, 10.0), (10.0, 0.0)])
+    def test_given_endpoint_residuals_are_not_evaluated_again(self, lo, hi):
+        def g(x):
+            seen.append(x)
+            return x**3 + x - 30.0, None
+
+        seen = []
+        plain = rx.solve_monotone(g, lo, hi)
+        seen.clear()
+        seeded = rx.solve_monotone(g, lo, hi, ends=(g(lo)[0], g(hi)[0]))
+        assert seeded == plain
+        solve_calls = seen[2:]  # after the two evaluations made here
+        assert 0.0 not in solve_calls and 10.0 not in solve_calls
+
+    @pytest.mark.parametrize("ends, root", [((0.0, 3.0), 0.0), ((-3.0, 0.0), 10.0)])
+    def test_given_zero_endpoint_residual_returns_that_endpoint(self, ends, root):
+        assert rx.solve_monotone(lambda x: (x - 2.0, None), 0.0, 10.0, ends=ends) == (root, 1)
+
+    def test_given_same_sign_endpoint_residuals_rejected(self):
+        with pytest.raises(BracketError):
+            rx.solve_monotone(lambda x: (x - 2.0, None), 0.0, 10.0, ends=(1.0, 3.0))
+
     @given(st.floats(min_value=-500.0, max_value=500.0, allow_nan=False))
     def test_root_stays_inside_bracket(self, offset):
         lo, hi = -10.0, 10.0
@@ -133,12 +157,68 @@ class TestSoundSpeedOracle:
         assert math.sqrt(oracle.c2_energy) == pytest.approx(
             rx.vo1_sound_speed(nc13_vo1, P, rho, T), rel=1e-5)
 
+    @pytest.mark.parametrize("model", [rx.Model.NA, rx.Model.VO1, rx.Model.VO1_CVT])
+    def test_evaluations_per_call(self, db, model):
+        # 9 pressures for the partials, 2 for the bracket the four constant-density
+        # inversions share, 2 per constant-pressure inversion and 2 secant steps in
+        # each of the 8 inversions; the solve once evaluated every bracket again
+        params = db.get("NC-13", model)
+        pressure = rx.state.LAWS[model].pressure
+        calls = {"P": 0, "e": 0}
+
+        def e_fn(rho, T):
+            calls["e"] += 1
+            return rx.cvt_energy(params, T)
+
+        def p_fn(rho, T):
+            calls["P"] += 1
+            return pressure(params, rho, T)
+
+        rx.sound_speed_fd_oracle(e_fn, p_fn, 200.0, 3000.0)
+        assert calls == {"P": 35, "e": 16}
+
     def test_forms_agree(self, nc13_vo1):
         oracle = rx.sound_speed_fd_oracle(
             lambda r, t: rx.cvt_energy(nc13_vo1, t),
             lambda r, t: rx.vo1_pressure(nc13_vo1, r, t),
             250.0, 2500.0)
         assert oracle.rel_disagreement < 1e-6
+
+
+def _curved_pressure(rho, T):
+    return rho * 322.0 * T + 50.0 * T**1.5
+
+
+class TestTemperatureInversion:
+    """Edge paths of the inversion behind the oracle's constant-P and constant-rho paths.
+
+    The expected temperatures are the results before the bracket pressures
+    were shared, bit for bit.
+    """
+
+    @pytest.mark.parametrize("T_true, want", [
+        (777.7, 777.7),                   # the first bracket misses low: T halves twice
+        (23456.7, 23456.700000000004),    # it misses high: T doubles three times
+    ], ids=["widen-below", "widen-above"])
+    def test_guess_far_off_widens_the_bracket(self, T_true, want):
+        got = numerics._invert_temperature(_curved_pressure, 200.0, _curved_pressure(200.0, T_true), 3000.0)
+        assert got.hex() == want.hex()
+
+    @pytest.mark.parametrize("end", [
+        3000.0 * (1.0 - 1e-4), 3000.0 * (1.0 + 1e-4),
+        3000.0 * (1.0 - 1e-4) * 0.25, 3000.0 * (1.0 + 1e-4) * 4.0,
+    ], ids=["first-low", "first-high", "widened-low", "widened-high"])
+    def test_zero_residual_at_a_bracket_end_returns_that_end(self, end):
+        got = numerics._invert_temperature(_curved_pressure, 200.0, _curved_pressure(200.0, end), 3000.0)
+        assert got.hex() == end.hex()
+
+    @pytest.mark.parametrize("p_fn, target, side", [
+        (_curved_pressure, -1.0, "below"),
+        (lambda rho, T: min(T, 5000.0), 1e4, "above"),
+    ])
+    def test_no_bracket_is_a_numerical_error(self, p_fn, target, side):
+        with pytest.raises(NumericalError, match=f"failed to bracket from {side}"):
+            numerics._invert_temperature(p_fn, 200.0, target, 3000.0)
 
 
 class TestConvexityAudit:
@@ -221,6 +301,36 @@ class TestAuditRecord:
         report = rx.audit_record(nc13_cvt, [50.0, 200.0, 600.0], [1500.0, 3000.0, 4500.0])
         assert report.points == 9 and report.violations == 0
         assert len(calls) == 6 * report.points
+
+    @pytest.mark.parametrize("model, residuals", [
+        (rx.Model.NA, ("0x1.137b10f070fe0p-31", "0x1.943b00e488749p-26", "0x1.954473ab5d3d2p-25")),
+        (rx.Model.VO1, ("0x1.3948da103bf23p-31", "0x1.3fd30d3735d7ep-31", "0x1.46f509dde2adcp-30")),
+        (rx.Model.VO1_CVT, ("0x1.3948da103bf23p-31", "0x1.5966d9b455b03p-31", "0x1.59f99f35ec31cp-30")),
+    ])
+    def test_default_grid_residuals_are_pinned(self, db, model, residuals):
+        # the bits of the 156-point default grid of `eos audit NC-13`; sharing
+        # bracket pressures in the oracle must not move one of them
+        report = rx.audit_record(db.get("NC-13", model), _parse_range("10:600:50"), _parse_range("1500:4500:250"))
+        assert (report.points, report.skipped_rho) == (156, 0)
+        assert tuple(x.hex() for x in report.residuals) == residuals
+
+    @pytest.mark.parametrize("material, model, rho, T, c2", [
+        ("NC-13", rx.Model.VO1, 0.001004133605308749, 6.810794049859548e+301, "inf"),
+        ("RDX", rx.Model.NA, 0.041467826828875134, 1.4416867988549154e+304, "nan"),
+    ])
+    def test_non_finite_oracle_is_a_numerical_error(self, db, material, model, rho, T, c2):
+        # max() once dropped the nan residual there, and the audit passed
+        with pytest.raises(NumericalError, match=re.escape(f"c^2 = {c2} at rho={rho!r}, T={T!r}")):
+            rx.audit_record(db.get(material, model), [rho], [T])
+
+    @pytest.mark.parametrize("model", [rx.Model.NA, rx.Model.VO1, rx.Model.VO1_CVT])
+    @pytest.mark.parametrize("rhos, temps, named", [
+        ([100.0, 1e-10], [3000.0], "density 1e-10 kg/m3 does not exceed its difference step 1e-06 kg/m3"),
+        ([100.0], [3000.0, 1e-06], "temperature 1e-06 K does not exceed its difference step 1e-06 K"),
+    ], ids=["rho", "T"])
+    def test_point_within_a_difference_step_of_zero_is_refused(self, db, model, rhos, temps, named):
+        with pytest.raises(DomainError, match=named):
+            rx.audit_record(db.get("NC-13", model), rhos, temps)
 
     def test_noble_abel_counts_covolume_skips(self, nc13_na):
         # 1/b = 673.9 kg/m3: 700 lies beyond it and 670 within 1 % of it
