@@ -82,11 +82,13 @@ from .materials import (
 _LAZY_EXPORTS = {
     "calibration": (
         "ClosedBombPrediction",
+        "LsqFit",
         "calibrate_cvt",
         "calibrate_na",
         "calibrate_vo1",
         "dilution_flame_temperature",
         "frozenness_check",
+        "lsq_fit_3",
         "predict_closed_bomb",
     ),
     "mixture": (
@@ -102,14 +104,12 @@ _LAZY_EXPORTS = {
     ),
     "numerics": (
         "AuditReport",
-        "LsqFit",
         "OracleSoundSpeed",
         "RootResult",
         "audit_record",
         "convexity_audit_fd",
         "fd_derivative",
         "fd_partial",
-        "lsq_fit_3",
         "solve_monotone",
         "sound_speed_fd_oracle",
     ),

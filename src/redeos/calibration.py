@@ -8,7 +8,9 @@ no separate loss term enters: the effective energy absorbs it.
 
 The Cv(T) fit uses inert-diluted runs: diluting the reactant with a noble
 gas makes the flame temperature vary, and a linear-least-squares system in
-(Cv0, c, q) falls out of energy conservation across the runs.  The same
+(Cv0, c, q) falls out of energy conservation across the runs.  Its 3x3
+normal equations are solved in plain Python, through the eigen-decomposition
+by Jacobi rotations that also gives their condition number.  The same
 dilution model gives the forward flame temperature; a noble inert has the
 constant specific heat Cv_in and no reference energy, so its energy is
 Cv_in T throughout.
@@ -16,10 +18,10 @@ Cv_in T throughout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 from typing import Iterable, NamedTuple, Sequence
 
-from .errors import DegenerateDataError, DomainError, ValidationError
+from .errors import DegenerateDataError, DomainError, RankDeficiencyError, ValidationError
 from .types import (
     ClosedBombPoint,
     FrozennessReport,
@@ -110,6 +112,89 @@ def calibrate_vo1(p1: ClosedBombPoint, p2: ClosedBombPoint, T_flame, gamma,
         rho_range=(min(r1, r2), max(r1, r2)))
 
 
+class LsqFit(NamedTuple):
+    """Result of the 3-parameter heat-capacity fit."""
+
+    Cv0: float             # J/(kg K)
+    c: float               # J/(kg K^2)
+    q: float               # J/kg
+    residual_norm: float   # J/kg, 2-norm over the rows
+    condition: float       # condition number of the scaled normal matrix
+
+
+#: Column scales conditioning the normal equations (T in the thousands,
+#: T^2/2 in the millions).
+_COL_SCALE = (1e-3, 1e-7, 1.0)
+
+#: Condition-number ceiling beyond which the fit is declared rank deficient.
+_COND_LIMIT = 1e12
+
+
+def _symmetric_eigen(M):
+    """Eigenvalues and unit eigenvectors of a symmetric 3x3 matrix, by cyclic Jacobi rotations.
+
+    Each rotation zeroes one off-diagonal entry; the sweeps end when all
+    three are zero, which the quadratic convergence reaches by underflow.
+    Returns ``(values, vectors)``, ``vectors[k]`` belonging to ``values[k]``.
+    """
+    a = [list(row) for row in M]
+    v = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]  # row k is eigenvector k
+    for _ in range(50):
+        if a[0][1] == a[0][2] == a[1][2] == 0.0:
+            break
+        for p, q, r in ((0, 1, 2), (0, 2, 1), (1, 2, 0)):
+            apq = a[p][q]
+            if apq == 0.0:
+                continue
+            theta = (a[q][q] - a[p][p]) / (2.0 * apq)
+            t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(theta, 1.0))
+            c = 1.0 / math.hypot(t, 1.0)
+            s = t * c
+            a[p][p] -= t * apq
+            a[q][q] += t * apq
+            a[p][q] = a[q][p] = 0.0
+            arp, arq = a[r][p], a[r][q]
+            a[r][p] = a[p][r] = c * arp - s * arq
+            a[r][q] = a[q][r] = s * arp + c * arq
+            v[p], v[q] = [c * x - s * z for x, z in zip(v[p], v[q])], [s * x + c * z for x, z in zip(v[p], v[q])]
+    return [a[k][k] for k in range(3)], v
+
+
+def lsq_fit_3(temperatures, targets) -> LsqFit:
+    """Fit ``y = Cv0*T + (c/2)*T^2 + q`` by column-scaled normal equations.
+
+    Exact on consistent systems; raises :class:`RankDeficiencyError` when
+    the temperatures do not spread enough to separate the three columns.
+    """
+    try:
+        T = [float(t) for t in temperatures]
+        y = [float(v) for v in targets]
+    except TypeError:
+        T, y = None, ()
+    if T is None or len(T) != len(y):
+        raise ValidationError("temperatures and targets must be 1-d arrays of equal length")
+    if len(T) < 3:
+        raise ValidationError(f"at least 3 rows are required, got {len(T)}")
+
+    rows = [(t * _COL_SCALE[0], 0.5 * t * t * _COL_SCALE[1], 1.0) for t in T]
+    M = [[math.fsum(row[i] * row[j] for row in rows) for j in range(3)] for i in range(3)]
+    if not all(math.isfinite(m) for line in M for m in line):
+        raise RankDeficiencyError(f"the normal matrix overflows at the largest temperature {max(T)!r} K")
+    values, vectors = _symmetric_eigen(M)
+    smallest, largest = min(map(abs, values)), max(map(abs, values))
+    condition = largest / smallest if smallest > 0.0 else math.inf
+    if not condition <= _COND_LIMIT:
+        raise RankDeficiencyError(
+            f"insufficient temperature spread: condition {condition:.3g} exceeds {_COND_LIMIT:g}")
+    rhs = [math.fsum(row[i] * yj for row, yj in zip(rows, y)) for i in range(3)]
+    # M^-1 rhs = sum over the eigenpairs of v (v . rhs) / lambda
+    weights = [sum(vi * bi for vi, bi in zip(vec, rhs)) / lam for lam, vec in zip(values, vectors)]
+    beta = [sum(w * vec[i] for w, vec in zip(weights, vectors)) for i in range(3)]
+    Cv0, c, q = (b * scale for b, scale in zip(beta, _COL_SCALE))
+    resid = [yj - (Cv0 * t + 0.5 * c * t * t + q) for t, yj in zip(T, y)]
+    return LsqFit(Cv0=Cv0, c=c, q=q, residual_norm=math.hypot(*resid), condition=condition)
+
+
 def calibrate_cvt(runs: Sequence[InertRunRecord], inert: InertGasParams,
                   e_s_i, T0=T_REF) -> LsqFit:
     """Least-squares fit of (Cv0, c, q) from inert-diluted runs.
@@ -122,8 +207,6 @@ def calibrate_cvt(runs: Sequence[InertRunRecord], inert: InertGasParams,
     T0 the initial mixture temperature.  Needs at least three runs with
     enough temperature spread to separate the three parameters.
     """
-    from .numerics import lsq_fit_3  # the fit is the only numerics user here; other commands skip the module
-
     runs = list(runs)
     if len(runs) < 3:
         raise ValidationError(f"at least 3 runs are required, got {len(runs)}")

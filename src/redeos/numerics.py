@@ -3,17 +3,16 @@
 Scalar root solving for monotone residuals, Richardson-extrapolated
 central differences, a finite-difference frozen sound-speed oracle that
 stays independent of any closed-form sound speed, a generic convexity
-audit, the grid consistency audit of a record's closed forms against
-them, and the 3-parameter least-squares fit used by Cv(T) calibration.
+audit, and the grid consistency audit of a record's closed forms against
+them.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import BracketError, ConvergenceError, DomainError, NumericalError, RankDeficiencyError, ValidationError
+from .errors import BracketError, ConvergenceError, DomainError, NumericalError
 from .state import LAWS
 from .types import ConvexityReport, GasParams, convexity_signs_ok
 from . import virial_cvt
@@ -304,11 +303,15 @@ class AuditReport(NamedTuple):
                 and self.sign_mismatches == 0 and self.violations == 0)
 
 
-def _require_above_step(name, x, unit, scale_floor):
-    """Refuse a grid value that the lowest difference point, ``x - h``, would take to zero or below."""
+def _require_above_step(name, x, unit, scale_floor, point=None):
+    """Refuse a value that the lowest difference point, ``x - h``, would take to zero or below.
+
+    ``point``, the grid (rho, T) of a value that is not a grid value, is named with it.
+    """
     h = _fd_step(x, scale_floor)
     if x - h <= 0.0:
-        raise DomainError(f"{name} {x!r} {unit} does not exceed its difference step {h!r} {unit}")
+        at = "" if point is None else f" at rho={point[0]!r}, T={point[1]!r}"
+        raise DomainError(f"{name} {x!r} {unit}{at} does not exceed its difference step {h!r} {unit}")
 
 
 def audit_record(params: GasParams, rhos, temperatures) -> AuditReport:
@@ -317,10 +320,10 @@ def audit_record(params: GasParams, rhos, temperatures) -> AuditReport:
     A point that fails the closed-form convexity criteria has no meaningful
     sound speed: it is a violation, not differenced.  Elsewhere one oracle
     pass (six differences) serves every check.  Raises :class:`DomainError`
-    at a point outside the domain, at a density or temperature that does not
-    exceed its difference step (the differences would leave the domain), or
-    when no point is left; raises :class:`NumericalError` where the oracle or
-    a residual is not finite.
+    at a point outside the domain, at a density, temperature or pressure that
+    does not exceed its difference step (the differences would leave the
+    domain), or when no point is left; raises :class:`NumericalError` where
+    the oracle or a residual is not finite.
     """
     laws = LAWS[params.model]
     pressure = laws.pressure
@@ -340,6 +343,8 @@ def audit_record(params: GasParams, rhos, temperatures) -> AuditReport:
                 continue
             _require_above_step("density", rho, "kg/m3", SCALE_RHO)
             _require_above_step("temperature", T, "K", SCALE_T)
+            # the constant-density path differences the pressure itself
+            _require_above_step("pressure", P, "Pa", SCALE_P, (rho, T))
             oracle = sound_speed_fd_oracle(e_fn, p_fn, rho, T)
             d = oracle.partials
             c2 = oracle.c2_energy
@@ -361,54 +366,3 @@ def audit_record(params: GasParams, rhos, temperatures) -> AuditReport:
     if points == 0:
         raise DomainError(f"no point to evaluate, all {skipped} densities lie at or too near the covolume")
     return AuditReport(points, skipped, maxwell, sound_speed, forms, mismatches, violations)
-
-
-@dataclass(frozen=True)
-class LsqFit:
-    """Result of the 3-parameter heat-capacity fit."""
-
-    Cv0: float             # J/(kg K)
-    c: float               # J/(kg K^2)
-    q: float               # J/kg
-    residual_norm: float   # J/kg, 2-norm over the rows
-    condition: float       # condition estimate of the scaled normal matrix
-
-
-#: Column scales conditioning the normal equations (T in the thousands,
-#: T^2/2 in the millions).
-_COL_SCALE = (1e-3, 1e-7, 1.0)
-
-#: Condition-number ceiling beyond which the fit is declared rank deficient.
-_COND_LIMIT = 1e12
-
-
-def lsq_fit_3(temperatures, targets) -> LsqFit:
-    """Fit ``y = Cv0*T + (c/2)*T^2 + q`` by column-scaled normal equations.
-
-    Exact on consistent systems; raises :class:`RankDeficiencyError` when
-    the temperatures do not spread enough to separate the three columns.
-    """
-    import numpy as np  # the only numpy user; imported here so that `import redeos` stays without it
-
-    T = np.asarray(temperatures, dtype=float)
-    y = np.asarray(targets, dtype=float)
-    if T.ndim != 1 or T.shape != y.shape:
-        raise ValidationError("temperatures and targets must be 1-d arrays of equal length")
-    if T.size < 3:
-        raise ValidationError(f"at least 3 rows are required, got {T.size}")
-
-    with np.errstate(all="ignore"):  # an overflow is refused below, not printed by numpy
-        A = np.column_stack((T * _COL_SCALE[0], 0.5 * T * T * _COL_SCALE[1], np.ones_like(T)))
-        M = A.T @ A
-    if not np.isfinite(M).all():  # LAPACK would print to stderr on a non-finite matrix
-        raise RankDeficiencyError(f"the normal matrix overflows at the largest temperature {float(T.max())!r} K")
-    condition = float(np.linalg.cond(M))
-    if not math.isfinite(condition) or condition > _COND_LIMIT:
-        raise RankDeficiencyError(
-            f"insufficient temperature spread: condition {condition:.3g} exceeds {_COND_LIMIT:g}")
-    beta = np.linalg.solve(M, A.T @ y)
-    Cv0 = float(beta[0] * _COL_SCALE[0])
-    c = float(beta[1] * _COL_SCALE[1])
-    q = float(beta[2])
-    resid = y - (Cv0 * T + 0.5 * c * T * T + q)
-    return LsqFit(Cv0=Cv0, c=c, q=q, residual_norm=float(np.linalg.norm(resid)), condition=condition)

@@ -558,6 +558,20 @@ class TestBoundaryRegressions:
         assert code == 4 and out == ""
         assert err == f"E_DOMAIN: audit grid rho={rho}:{rho}:1 T={T}:{T}:1: {named}\n"
 
+    @pytest.mark.parametrize("model, rho, T, P", [
+        ("vo1", "1e-5", "1", "0.0032200000759598"),
+        ("na", "1e-5", "1", "0.003389000050292761"),
+        ("vo1cvt", "1e-4", "2", "0.06440001519196"),
+    ])
+    def test_audit_pressure_within_its_difference_step_names_the_grid_point(self, capsys, model, rho, T, P):
+        # these once ended in E_NUMERICAL (exit 3): the oracle's difference in P went below zero
+        code, out, err = run_cli(capsys, "audit", "NC-13", "--model", model,
+                                 "--rho", f"{rho}:{rho}:1", "--T", f"{T}:{T}:1")
+        assert code == 4 and out == ""
+        assert err == (f"E_DOMAIN: audit grid rho={rho}:{rho}:1 T={T}:{T}:1: pressure {P} Pa at "
+                       f"rho={float(rho)!r}, T={float(T)!r} does not exceed its difference step "
+                       f"{1e5 * 1e-6!r} Pa\n")
+
     @pytest.mark.parametrize("argv, code, prefix, named", [
         (["state", "NC-13", "--model", "vo1cvt", "--P", "100", "--T", "-5"], 4, "E_DOMAIN",
          "--T must be positive, got -5.0 K"),
@@ -627,6 +641,18 @@ class TestBoundaryRegressions:
         assert code == 3 and out == ""
         assert_one_error_line(err, "E_RANK_DEFICIENT")
         assert f"the largest temperature {float(f'3e{exponent}')!r} K" in err
+
+    def test_cvt_fit_of_huge_targets_writes_nothing_to_stderr(self, tmp_path):
+        # T0 = 1e300 K makes the targets ~1e303 J/kg; the residual norm once overflowed
+        # in numpy, which printed its RuntimeWarning and then E_NUMERICAL (exit 3)
+        runs = tmp_path / "runs.csv"
+        write_dilution_runs_csv(runs)
+        argv = ["calibrate-cvt", "--runs", str(runs), "--inert", "argon", "--es-i", "4556.380981", "--t0", "1e300"]
+        proc = subprocess.run([sys.executable, "-m", "redeos.cli", *argv], capture_output=True, text=True,
+                              timeout=60, env={**os.environ, "PYTHONPATH": str(Path(rx.__file__).parents[1])})
+        assert (proc.returncode, proc.stderr) == (0, "")
+        values = [float(line.rsplit(" = ", 1)[1]) for line in proc.stdout.splitlines()[1:]]
+        assert len(values) == 5 and all(abs(v) < float("inf") for v in values)
 
     @pytest.mark.parametrize("argv, prefix", [
         (["calibrate", "na", "--points", "POINTS", "--tflame", "3275", "--gamma", "1.2", "--db", "GARBAGE"],

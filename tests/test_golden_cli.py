@@ -10,7 +10,13 @@ correctly rounded digit, and the ``c_analytic - c_oracle`` line of ``audit
 QX`` compares a real closed form instead of reporting 0.  The stderr of the
 three ``state QX ... --e -1000`` commands was re-recorded when ``state``
 began naming the energy in kJ/kg, as given, instead of the converted J/kg
-value.  The commands are
+value.  When the Cv(T) fit moved from numpy's LU solve to a plain-Python
+eigen-solve of the same normal equations, the ``residual norm`` line of the
+two ``calibrate-cvt`` commands (3.157201804e-06 to 3.157201798e-06 kJ/kg,
+the rounding noise of a clean fit) and the Cv0, c, q_kJ and e_s_eff_kJ of
+the written ``QX-cvt`` record (each within 2e-11 relative) were
+re-recorded; the printed Cv0, c, q and condition did not change.  The
+commands are
 the 13 of acceptance criterion 11 and, for each model, ``state``, ``sweep``
 and ``audit`` on a record whose caloric reference q is nonzero: the built-in
 records all have q = 0, so they cannot show how the caloric law treats it.

@@ -1,8 +1,8 @@
-"""The import budget: numpy is loaded by the Cv(T) fit and by nothing else,
+"""The import budget: the library needs nothing outside the standard library,
 and a command loads only the library modules it runs.
 
-numpy costs about as much start-up time as the rest of an `eos` process, and
-only `lsq_fit_3` (the `calibrate-cvt` command) uses it.  `calibration`,
+The Cv(T) fit, once the one numpy user, is plain Python, so every `eos`
+command runs in an interpreter started without site-packages.  `calibration`,
 `mixture` and `numerics` load on first use, so `import redeos` and `eos state`
 compile and run none of them.  The library import and the commands run in a
 fresh interpreter here, so that no module the test runner has already
@@ -17,19 +17,20 @@ from pathlib import Path
 
 import redeos as rx
 
+from conftest import write_dilution_runs_csv
+
 SRC = Path(rx.__file__).resolve().parents[1]
 
 _CHILD = """
 import contextlib, io, json, sys
 import redeos, redeos.cli
-loaded = {"import": "numpy" in sys.modules}
+codes = {}
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
-        code = redeos.cli.main(argv)
-    loaded[argv[0]] = ("numpy" in sys.modules, code)
+        codes[argv[0]] = redeos.cli.main(argv)
 fit = redeos.lsq_fit_3(*json.loads(sys.argv[2]))
-loaded["fit"] = ("numpy" in sys.modules, [float.hex(x) for x in fit.__dict__.values()])
-print(json.dumps(loaded))
+print(json.dumps({"codes": codes, "fit": [float.hex(x) for x in fit],
+                  "site": "site" in sys.modules, "numpy": "numpy" in sys.modules}))
 """
 
 #: A consistent Cv(T) system: Cv0 = 1416.8 J/kg/K, c = 0.0637 J/kg/K2, q = -450 kJ/kg.
@@ -37,9 +38,10 @@ TEMPERATURES = [1500.0, 2000.0, 2500.0, 3000.0, 3500.0, 4000.0]
 TARGETS = [1416.8 * t + 0.5 * 0.0637 * t * t - 450e3 for t in TEMPERATURES]
 
 
-def test_numpy_is_loaded_only_by_the_fit(tmp_path):
-    points = tmp_path / "points.csv"
+def test_every_command_runs_without_site_packages(tmp_path):
+    points, runs = tmp_path / "points.csv", tmp_path / "runs.csv"
     points.write_text("rho_kg_m3,pmax_MPa\n100,130.3\n150,214.1\n")
+    e_s_i = f"{write_dilution_runs_csv(runs) / 1e3:.10g}"
     argvs = [
         ["state", "NC-13", "--model", "vo1", "--rho", "100", "--T", "3000"],
         ["sweep", "NC-13", "--model", "na", "--rho", "50:150:50"],
@@ -47,25 +49,26 @@ def test_numpy_is_loaded_only_by_the_fit(tmp_path):
         ["audit", "NC-13", "--model", "vo1", "--rho", "100:200:100", "--T", "3000:3500:500"],
         ["calibrate", "na", "--points", str(points), "--tflame", "3275", "--gamma", "1.207",
          "--db", str(tmp_path / "out.eosdb")],
+        ["calibrate-cvt", "--runs", str(runs), "--inert", "argon", "--es-i", e_s_i,
+         "--db", str(tmp_path / "cvt.eosdb"), "--name", "NC-13-cvt", "--base", "NC-13"],
     ]
+    # -S: no site module, so no site-packages on the path and numpy cannot be imported
     proc = subprocess.run(
-        [sys.executable, "-c", _CHILD, json.dumps(argvs), json.dumps([TEMPERATURES, TARGETS])],
+        [sys.executable, "-S", "-c", _CHILD, json.dumps(argvs), json.dumps([TEMPERATURES, TARGETS])],
         capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": str(SRC)})
     assert proc.returncode == 0, proc.stderr
-    loaded = json.loads(proc.stdout)
+    child = json.loads(proc.stdout)
 
-    assert loaded.pop("import") is False
-    fit_loaded, fit = loaded.pop("fit")
-    assert loaded == {argv[0]: [False, 0] for argv in argvs}
-    # the fit loads numpy itself and returns what an in-process fit returns, bit for bit
-    assert fit_loaded is True
-    assert fit == [float.hex(x) for x in rx.lsq_fit_3(TEMPERATURES, TARGETS).__dict__.values()]
+    assert child["codes"] == {argv[0]: 0 for argv in argvs}
+    assert child["site"] is False and child["numpy"] is False
+    # the fit returns what an in-process fit returns, bit for bit
+    assert child["fit"] == [float.hex(x) for x in rx.lsq_fit_3(TEMPERATURES, TARGETS)]
 
 
 _MODULES_CHILD = """
 import contextlib, io, json, sys
 import redeos, redeos.cli
-watched = ("redeos.calibration", "redeos.mixture", "redeos.numerics", "numpy")
+watched = ("redeos.calibration", "redeos.mixture", "redeos.numerics")
 loaded = [["import", [m for m in watched if m in sys.modules], 0]]
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
@@ -76,12 +79,14 @@ print(json.dumps(loaded))
 
 
 def test_commands_load_only_the_modules_they_run(tmp_path):
-    points = tmp_path / "points.csv"
+    points, runs = tmp_path / "points.csv", tmp_path / "runs.csv"
     points.write_text("rho_kg_m3,pmax_MPa\n100,130.3\n150,214.1\n")
+    e_s_i = f"{write_dilution_runs_csv(runs) / 1e3:.10g}"
     argvs = [
         ["state", "NC-13", "--model", "vo1", "--rho", "100", "--T", "3000"],
         ["sweep", "NC-13", "--model", "na", "--rho", "50:150:50"],
         ["calibrate", "na", "--points", str(points), "--tflame", "3275", "--gamma", "1.207"],
+        ["calibrate-cvt", "--runs", str(runs), "--inert", "argon", "--es-i", e_s_i],
     ]
     proc = subprocess.run(
         [sys.executable, "-c", _MODULES_CHILD, json.dumps(argvs)],
@@ -93,4 +98,5 @@ def test_commands_load_only_the_modules_they_run(tmp_path):
         ["state", [], 0],
         ["sweep", ["redeos.calibration"], 0],
         ["calibrate", ["redeos.calibration"], 0],
+        ["calibrate-cvt", ["redeos.calibration"], 0],
     ]

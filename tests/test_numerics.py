@@ -2,6 +2,7 @@ import json
 import math
 import pathlib
 import re
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
@@ -351,6 +352,8 @@ class TestAuditRecord:
 
 
 class TestLsqFit3:
+    """The Cv(T) least-squares fit, ``redeos.calibration.lsq_fit_3``."""
+
     def test_exact_rows_recovered(self):
         cv0, c, q = 1000.0, 0.1, 5e5
         temps = [1500.0, 2500.0, 3500.0]
@@ -394,3 +397,30 @@ class TestLsqFit3:
         beta, *_ = np.linalg.lstsq(A, targets, rcond=None)
         resid_ref = float(np.linalg.norm(targets - A @ beta))
         assert fit.residual_norm == pytest.approx(resid_ref, rel=1e-10)
+
+    @pytest.mark.parametrize("noise", [0.0, 1e-6], ids=["consistent", "noisy"])
+    def test_agrees_with_an_svd_solver(self, noise):
+        import numpy as np
+
+        eps = sys.float_info.epsilon
+        rng = np.random.default_rng(18)
+        conditions = []
+        for _ in range(80):
+            n = int(rng.integers(3, 40))
+            center = rng.uniform(1000.0, 4000.0)
+            temps = center + center * 10.0 ** rng.uniform(-2.3, -0.2) * (rng.random(n) - 0.5)
+            cv0, c = rng.uniform(500.0, 2000.0), rng.uniform(0.05, 0.2)
+            q = rng.choice([-1.0, 1.0]) * rng.uniform(1e5, 1e6)
+            targets = (cv0 * temps + 0.5 * c * temps**2 + q) * (1.0 + noise * rng.standard_normal(n))
+            # the column-scaled design matrix whose normal matrix the fit solves
+            A = np.column_stack((temps * 1e-3, 0.5 * temps**2 * 1e-7, np.ones_like(temps)))
+            cond = np.linalg.cond(A.T @ A)
+            if cond > 1e9:
+                continue
+            conditions.append(cond)
+            want = np.linalg.lstsq(A, targets, rcond=None)[0] * (1e-3, 1e-7, 1.0)
+            fit = rx.lsq_fit_3(temps, targets)
+            for got, ref in zip((fit.Cv0, fit.c, fit.q), want):
+                assert abs(got - ref) <= 10.0 * eps * cond * abs(ref)
+            assert abs(fit.condition - cond) <= eps * cond * cond
+        assert len(conditions) >= 20 and max(conditions) > 1e8
