@@ -43,3 +43,13 @@ p_na = rx.na_pressure_vt(na, 1.0 / 400.0, 3275.0)
 p_vo = rx.vo1_pressure(vo1, 400.0, 3275.0)
 print(f"  P_NA  = {p_na / 1e6:8.1f} MPa")
 print(f"  P_VO1 = {p_vo / 1e6:8.1f} MPa   (gap {abs(p_na - p_vo) / 1e6:.1f} MPa)")
+
+print()
+print("A flow solver asks each cell only for P and the sound speed c from its")
+print("density and energy; closure_from_rho_e answers without a full state:")
+print(f"{'rho (kg/m3)':>12s}{'e (kJ/kg)':>11s}{'model':>8s}{'T (K)':>9s}{'P (MPa)':>10s}{'c (m/s)':>10s}")
+cells = [(50.0, 4000e3), (100.0, 5000e3), (200.0, 5360e3), (300.0, 6000e3)]
+for params, label in ((na, "NA"), (vo1, "VO1")):
+    for rho, e in cells:
+        P, T, c = rx.closure_from_rho_e(params, rho, e)
+        print(f"{rho:12.0f}{e / 1e3:11.0f}{label:>8s}{T:9.1f}{P / 1e6:10.2f}{c:10.1f}")

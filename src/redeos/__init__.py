@@ -65,7 +65,14 @@ from .virial_cvt import (
     cvt_energy,
     cvt_temperature,
 )
-from .state import state_from_P_T, state_from_rho_T, state_from_rho_e
+from .state import (
+    Closure,
+    closure_from_rho_T,
+    closure_from_rho_e,
+    state_from_P_T,
+    state_from_rho_T,
+    state_from_rho_e,
+)
 from .materials import (
     INERT_GASES,
     MaterialDatabase,

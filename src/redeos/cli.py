@@ -45,7 +45,7 @@ from .materials import (
     load_material_db,
     save_material_db,
 )
-from .state import na_specific_volume, state_from_P_T, state_from_rho_T, state_from_rho_e
+from .state import closure_from_rho_T, na_specific_volume, state_from_P_T, state_from_rho_T, state_from_rho_e
 from .types import MODEL_FIELDS, GasParams, MixtureSpec, Model
 
 _MODEL_FLAGS = {"na": Model.NA, "vo1": Model.VO1, "vo1cvt": Model.VO1_CVT}
@@ -232,9 +232,9 @@ def cmd_sweep(args):
     for rho in densities:
         try:
             pred = predict_closed_bomb(params, rho)
-            st = state_from_rho_T(params, rho, pred.T_flame)
+            c = closure_from_rho_T(params, rho, pred.T_flame).c  # a row prints c, not a full state
             row = [_fmt(rho), _fmt(pred.T_flame), _fmt(pred.P_max / 1e6),
-                   "1" if pred.extrapolated else "0", _fmt(st.c)]
+                   "1" if pred.extrapolated else "0", _fmt(c)]
         except DomainError:
             had_domain_error = True
             row = [_fmt(rho), "", "", "E_DOMAIN", ""]

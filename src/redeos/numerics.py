@@ -10,6 +10,7 @@ them.
 from __future__ import annotations
 
 import math
+import sys
 from typing import NamedTuple
 
 from .errors import BracketError, ConvergenceError, DomainError, NumericalError
@@ -17,10 +18,9 @@ from .state import LAWS
 from .types import ConvexityReport, GasParams, convexity_signs_ok
 from . import virial_cvt
 
-#: Per-variable step floors for relative finite-difference steps.
-SCALE_RHO = 1.0    # kg/m3
-SCALE_T = 1.0      # K
-SCALE_P = 1e5      # Pa
+#: The oracle's difference steps are relative, 1e-6 |x|, and never below the
+#: smallest normal float: ``fd_derivative(f, x, STEP_FLOOR)``.
+STEP_FLOOR = 1e6 * sys.float_info.min
 
 
 class RootResult(NamedTuple):
@@ -216,10 +216,10 @@ class FdPartials(NamedTuple):
 
 def _fd_partials(e_fn, p_fn, rho, T) -> FdPartials:
     P = p_fn(rho, T)
-    eT = fd_derivative(lambda t: e_fn(rho, t), T, SCALE_T)
-    erho = fd_derivative(lambda r: e_fn(r, T), rho, SCALE_RHO)
-    pT = fd_derivative(lambda t: p_fn(rho, t), T, SCALE_T)
-    prho = fd_derivative(lambda r: p_fn(r, T), rho, SCALE_RHO)
+    eT = fd_derivative(lambda t: e_fn(rho, t), T, STEP_FLOOR)
+    erho = fd_derivative(lambda r: e_fn(r, T), rho, STEP_FLOOR)
+    pT = fd_derivative(lambda t: p_fn(rho, t), T, STEP_FLOOR)
+    prho = fd_derivative(lambda r: p_fn(r, T), rho, STEP_FLOOR)
     cp = (eT + pT / rho) - (erho + prho / rho - P / rho**2) * pT / prho
     return FdPartials(rho, P, eT, erho, pT, (cp / eT) * prho)
 
@@ -258,10 +258,10 @@ def sound_speed_fd_oracle(e_fn, p_fn, rho, T) -> OracleSoundSpeed:
     partials = _fd_partials(e_fn, p_fn, rho, T)
     P = partials.P
 
-    dedrho_P = fd_derivative(lambda r: e_fn(r, _invert_temperature(p_fn, r, P, T)), rho, SCALE_RHO)
+    dedrho_P = fd_derivative(lambda r: e_fn(r, _invert_temperature(p_fn, r, P, T)), rho, STEP_FLOOR)
     # the four inversions at constant density share one first bracket
     start = _bracket_start(p_fn, rho, T)
-    dedP_rho = fd_derivative(lambda p: e_fn(rho, _invert_temperature(p_fn, rho, p, T, start)), P, SCALE_P)
+    dedP_rho = fd_derivative(lambda p: e_fn(rho, _invert_temperature(p_fn, rho, p, T, start)), P, STEP_FLOOR)
     c2_energy = (P / rho**2 - dedrho_P) / dedP_rho
     return OracleSoundSpeed(c2_energy=c2_energy, c2_gamma=partials.c2, partials=partials)
 
@@ -303,15 +303,14 @@ class AuditReport(NamedTuple):
                 and self.sign_mismatches == 0 and self.violations == 0)
 
 
-def _require_above_step(name, x, unit, scale_floor, point=None):
-    """Refuse a value that the lowest difference point, ``x - h``, would take to zero or below.
+def _require_above_step(name, x, unit):
+    """Refuse a grid value that the lowest difference point, ``x - h``, would take to zero or below.
 
-    ``point``, the grid (rho, T) of a value that is not a grid value, is named with it.
+    With the oracle's steps that is a value below the smallest normal float.
     """
-    h = _fd_step(x, scale_floor)
+    h = _fd_step(x, STEP_FLOOR)
     if x - h <= 0.0:
-        at = "" if point is None else f" at rho={point[0]!r}, T={point[1]!r}"
-        raise DomainError(f"{name} {x!r} {unit}{at} does not exceed its difference step {h!r} {unit}")
+        raise DomainError(f"{name} {x!r} {unit} does not exceed its difference step {h!r} {unit}")
 
 
 def audit_record(params: GasParams, rhos, temperatures) -> AuditReport:
@@ -319,11 +318,12 @@ def audit_record(params: GasParams, rhos, temperatures) -> AuditReport:
 
     A point that fails the closed-form convexity criteria has no meaningful
     sound speed: it is a violation, not differenced.  Elsewhere one oracle
-    pass (six differences) serves every check.  Raises :class:`DomainError`
-    at a point outside the domain, at a density, temperature or pressure that
-    does not exceed its difference step (the differences would leave the
-    domain), or when no point is left; raises :class:`NumericalError` where
-    the oracle or a residual is not finite.
+    pass (six differences) serves every check.  Each difference step is
+    relative to its value, 1e-6 |x|, down to the smallest normal float.
+    Raises :class:`DomainError` at a point outside the domain, at a grid
+    density or temperature that does not exceed its step (a subnormal value),
+    or when no point is left; raises :class:`NumericalError` where the oracle
+    or a residual is not finite.
     """
     laws = LAWS[params.model]
     pressure = laws.pressure
@@ -337,14 +337,14 @@ def audit_record(params: GasParams, rhos, temperatures) -> AuditReport:
         for T in temperatures:
             P = p_fn(rho, T)
             points += 1
+            _require_above_step("density", rho, "kg/m3")
+            _require_above_step("temperature", T, "K")
+            # the oracle differences P too; a P that does not exceed its step underflows
+            # P^2 in the closed-form criteria, so it is a violation here
             closed = laws.convexity(params, rho, P, T)
             if not (closed.convex and convexity_signs_ok(closed.criteria)):
                 violations += 1
                 continue
-            _require_above_step("density", rho, "kg/m3", SCALE_RHO)
-            _require_above_step("temperature", T, "K", SCALE_T)
-            # the constant-density path differences the pressure itself
-            _require_above_step("pressure", P, "Pa", SCALE_P, (rho, T))
             oracle = sound_speed_fd_oracle(e_fn, p_fn, rho, T)
             d = oracle.partials
             c2 = oracle.c2_energy
@@ -352,7 +352,7 @@ def audit_record(params: GasParams, rhos, temperatures) -> AuditReport:
                 raise NumericalError(f"the difference oracle gives c^2 = {c2!r} at rho={rho!r}, T={T!r}")
             c = c2**0.5
             r_maxwell = abs(d.e_rho * rho * rho + T * d.P_T - P) / P
-            r_c = abs(laws.derived(params, rho, T, P)[1] - c) / c
+            r_c = abs(laws.sound_speed(params, rho, T, P) - c) / c
             r_forms = oracle.rel_disagreement
             # max() would drop a nan; each residual is >= 0, so < inf means finite
             if not (r_maxwell < math.inf and r_c < math.inf and r_forms < math.inf):

@@ -1,8 +1,11 @@
 """Full consistent-state assembly for any of the three gas models.
 
 Builders accept the three natural input pairs, (rho, T), (P, T) and
-(rho, e), and return a :class:`~redeos.types.ThermoState`.  ``LAWS`` holds
-what differs between models: the thermal law and the closed forms of s, c
+(rho, e), and return a :class:`~redeos.types.ThermoState`.  A flow solver
+that needs only P, T and the sound speed c of a cell calls
+:func:`closure_from_rho_e` (or :func:`closure_from_rho_T`) instead: the
+same values and refusals, without e, h, s, Cp and gamma.  ``LAWS`` holds
+what differs between models: the thermal law and the closed forms of c, s
 and Cp.  The rest holds for any model and is written once here: e and T
 from the shared caloric law (:mod:`redeos.virial_cvt`), h = e + P/rho and
 gamma = Cp/Cv(T).  The two virial models share one entry, which reads
@@ -22,12 +25,21 @@ from . import noble_abel, virial, virial_cvt
 
 
 class Laws(NamedTuple):
-    """One model's thermal law, closed forms of s, c and Cp, and convexity criteria."""
+    """One model's thermal law, closed forms of c, s and Cp, and convexity criteria."""
 
     pressure: Callable      # P(params, rho, T)
     density: Callable       # rho(params, P, T)
-    derived: Callable       # (s, c, Cp)(params, rho, T, P); s is None without a closed form
+    sound_speed: Callable   # c(params, rho, T, P)
+    derived: Callable       # (s, Cp)(params, rho, T, P); s is None without a closed form
     convexity: Callable     # ConvexityReport(params, rho, P, T)
+
+
+class Closure(NamedTuple):
+    """What a flow solver asks of a cell: pressure, temperature and frozen sound speed."""
+
+    P: float               # Pa
+    T: float               # K
+    c: float               # m/s
 
 
 def na_specific_volume(params: GasParams, rho, T):
@@ -54,20 +66,16 @@ def _na_density(params, P, T):
     return rho
 
 
-def _na_derived(params, rho, T, P):
-    return (noble_abel.na_entropy(params, P, T), noble_abel.na_sound_speed(params, P, rho),
-            noble_abel.na_cp(params))
-
-
 def _virial_derived(params, rho, T, P):
     # the entropy needs a constant Cv, so records with a slope c get none
     s = virial.vo1_entropy(params, P, T) if params.c is None and params.a > 0.0 else None
-    return s, virial.vo1_sound_speed(params, P, rho, T), virial.vo1_cp(params, rho, T)
+    return s, virial.vo1_cp(params, rho, T)
 
 
 _VIRIAL_LAWS = Laws(
     pressure=lambda params, rho, T: virial.vo1_pressure(params, rho, T),
     density=lambda params, P, T: virial.vo1_density(params, P, T),
+    sound_speed=lambda params, rho, T, P: virial.vo1_sound_speed(params, P, rho, T),
     derived=_virial_derived,
     convexity=lambda params, rho, P, T: virial.vo1_convexity(params, rho, P, T))
 
@@ -75,26 +83,55 @@ LAWS = {
     Model.NA: Laws(
         pressure=_na_pressure,
         density=_na_density,
-        derived=_na_derived,
+        sound_speed=lambda params, rho, T, P: noble_abel.na_sound_speed(params, P, rho),
+        derived=lambda params, rho, T, P: (noble_abel.na_entropy(params, P, T), noble_abel.na_cp(params)),
         convexity=lambda params, rho, P, T: noble_abel.na_convexity(params, 1.0 / rho, P, T)),
     Model.VO1: _VIRIAL_LAWS,
     Model.VO1_CVT: _VIRIAL_LAWS,
 }
 
 
+def closure_from_rho_T(params: GasParams, rho, T) -> Closure:
+    """P, T and c from density and temperature, bit for bit as :func:`state_from_rho_T` gives them.
+
+    Raises what the state builder raises first about these three: a
+    :class:`DomainError` outside the model's domain, and a
+    :class:`NumericalError` where 1/rho overflows or P or c is not positive
+    and finite.  It skips e, h, s, Cp and gamma, and so their refusals.
+    """
+    laws = LAWS[params.model]
+    P = laws.pressure(params, rho, T)
+    if 1.0 / rho == math.inf:
+        raise NumericalError(f"the specific volume 1/rho overflows at rho={rho!r}")
+    c = laws.sound_speed(params, rho, T, P)
+    if not (0.0 < P < math.inf and 0.0 < c < math.inf):
+        raise NumericalError(f"the state at rho={rho!r}, T={T!r} is degenerate: P={P!r}, c={c!r}")
+    return Closure(P, T, c)
+
+
+def closure_from_rho_e(params: GasParams, rho, e) -> Closure:
+    """P, T and c from density and specific internal energy: a flow solver's cell update."""
+    return closure_from_rho_T(params, rho, virial_cvt.cvt_temperature(params, e))
+
+
 def state_from_rho_T(params: GasParams, rho, T) -> ThermoState:
-    """Consistent state from density and temperature; :class:`NumericalError` if
-    it degenerates in floating point (1/rho or P overflows, gamma rounds to 1)."""
+    """Consistent state from density and temperature; :class:`NumericalError` if it
+    degenerates in floating point (1/rho, P, c or Cp overflows, gamma rounds to 1).
+
+    P and c come first, and an overflow in s or Cp is a :class:`NumericalError`,
+    so a state raises what its :func:`closure_from_rho_T` raises.
+    """
     laws = LAWS[params.model]
     P = laws.pressure(params, rho, T)
     v = 1.0 / rho
     if v == math.inf:
         raise NumericalError(f"the specific volume 1/rho overflows at rho={rho!r}")
+    c = laws.sound_speed(params, rho, T, P)
     e = virial_cvt.cvt_energy(params, T)
-    s, c, Cp = laws.derived(params, rho, T, P)
     try:
+        s, Cp = laws.derived(params, rho, T, P)
         return ThermoState(P, T, rho, v, e, e + P / rho, s, c, Cp, Cp / virial_cvt.cvt_cv(params, T))
-    except ValidationError as exc:
+    except (ValidationError, ArithmeticError) as exc:
         raise NumericalError(f"the state at rho={rho!r}, T={T!r} is degenerate: {exc}") from None
 
 

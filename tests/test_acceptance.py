@@ -13,7 +13,7 @@ import pytest
 
 import redeos as rx
 from redeos.cli import main
-from redeos.numerics import SCALE_T
+from redeos.numerics import STEP_FLOOR
 
 from conftest import CLOSED_BOMB_RUNS, PUBLISHED_PARAMS, closed_bomb_points, write_dilution_runs_csv
 
@@ -101,7 +101,7 @@ def test_criterion_05_maxwell_compatibility_suite(db):
             for T in T_GRID:
                 P = p_fn(rho, T)
                 dedrho = rx.fd_derivative(lambda r: e_fn(r, T), rho, 1.0)
-                dpdT = rx.fd_derivative(lambda t: p_fn(rho, t), T, SCALE_T)
+                dpdT = rx.fd_derivative(lambda t: p_fn(rho, t), T, STEP_FLOOR)
                 assert abs(dedrho * rho * rho + T * dpdT - P) < 1e-8 * P
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0
@@ -215,8 +215,6 @@ def test_criterion_08_cvt_fit_recovery():
 
 
 def test_criterion_09_entropy_suite(db):
-    from redeos.numerics import SCALE_P
-
     ref = rx.EntropyReference(P0=101325.0, T0=298.15, s0=0.0)
     shifted = rx.EntropyReference(P0=3e5, T0=500.0, s0=42.0)
     for material in CLOSED_BOMB_RUNS:
@@ -228,17 +226,17 @@ def test_criterion_09_entropy_suite(db):
         assert rx.vo1_entropy(vo1, shifted.P0, shifted.T0, shifted) == 42.0
         for rho, T in ((50.0, 2000.0), (100.0, 3275.0), (400.0, 4000.0)):
             v = 1.0 / rho
-            got = rx.fd_derivative(lambda t: rx.na_entropy_vt(na, v, t), T, SCALE_T)
+            got = rx.fd_derivative(lambda t: rx.na_entropy_vt(na, v, t), T, STEP_FLOOR)
             assert got == pytest.approx(na.Cv / T, rel=1e-6)
             P = rx.na_pressure_vt(na, v, T)
-            got = rx.fd_derivative(lambda p: rx.na_entropy(na, p, T), P, SCALE_P)
+            got = rx.fd_derivative(lambda p: rx.na_entropy(na, p, T), P, STEP_FLOOR)
             assert got == pytest.approx(-na.R / P, rel=1e-6)
 
             got = rx.fd_derivative(
-                lambda t: rx.vo1_entropy(vo1, rx.vo1_pressure(vo1, rho, t), t), T, SCALE_T)
+                lambda t: rx.vo1_entropy(vo1, rx.vo1_pressure(vo1, rho, t), t), T, STEP_FLOOR)
             assert got == pytest.approx(vo1.Cv / T, rel=1e-6)
             P = rx.vo1_pressure(vo1, rho, T)
-            got = rx.fd_derivative(lambda p: rx.vo1_entropy(vo1, p, T), P, SCALE_P)
+            got = rx.fd_derivative(lambda p: rx.vo1_entropy(vo1, p, T), P, STEP_FLOOR)
             assert got == pytest.approx(rx.vo1_entropy_dP(vo1, P, T), rel=1e-6)
     _report(9, "entropy anchors exact, differential identities verified to 1e-6")
 

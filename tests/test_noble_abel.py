@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 
 import redeos as rx
 from redeos.errors import DomainError, ModelMismatchError
-from redeos.numerics import SCALE_P, SCALE_T
+from redeos.numerics import STEP_FLOOR
 
 
 class TestPressure:
@@ -150,12 +150,12 @@ class TestEntropy:
     def test_temperature_slope_is_cv_over_t(self, nc13_na):
         # (ds/dT) at constant volume must equal Cv/T
         v, T = 0.01, 3275.0
-        got = rx.fd_derivative(lambda t: rx.na_entropy_vt(nc13_na, v, t), T, SCALE_T)
+        got = rx.fd_derivative(lambda t: rx.na_entropy_vt(nc13_na, v, t), T, STEP_FLOOR)
         assert got == pytest.approx(nc13_na.Cv / T, rel=1e-6)
 
     def test_pressure_slope_is_minus_r_over_p(self, nc13_na):
         P, T = 130.33e6, 3275.0
-        got = rx.fd_derivative(lambda p: rx.na_entropy(nc13_na, p, T), P, SCALE_P)
+        got = rx.fd_derivative(lambda p: rx.na_entropy(nc13_na, p, T), P, STEP_FLOOR)
         assert got == pytest.approx(-nc13_na.R / P, rel=1e-6)
 
 
@@ -179,7 +179,7 @@ class TestMaxwellCompatibility:
             for T in (1500.0, 3000.0, 4500.0):
                 P = rx.na_pressure_vt(nc13_na, v, T)
                 dedv = rx.fd_derivative(lambda vv: rx.cvt_energy(nc13_na, T), v, 1e-4)
-                dpdT = rx.fd_derivative(lambda t: rx.na_pressure_vt(nc13_na, v, t), T, SCALE_T)
+                dpdT = rx.fd_derivative(lambda t: rx.na_pressure_vt(nc13_na, v, t), T, STEP_FLOOR)
                 assert abs(dedv - (T * dpdT - P)) < 1e-8 * P
 
 

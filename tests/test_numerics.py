@@ -12,7 +12,7 @@ from redeos import numerics
 from redeos.cli import _MODEL_FLAGS, _parse_range
 from redeos.errors import (BracketError, ConvergenceError, DomainError, NumericalError, RankDeficiencyError,
                            ValidationError)
-from redeos.numerics import SCALE_P, SCALE_RHO, SCALE_T
+from redeos.numerics import STEP_FLOOR
 
 from test_golden_cli import Q_DB
 
@@ -110,18 +110,18 @@ class TestSolveMonotone:
 class TestFdDerivative:
     def test_linear_function(self):
         cv = 1637.1
-        assert rx.fd_derivative(lambda T: cv * T, 3275.0, SCALE_T) == pytest.approx(cv, rel=1e-9)
+        assert rx.fd_derivative(lambda T: cv * T, 3275.0, STEP_FLOOR) == pytest.approx(cv, rel=1e-9)
 
     def test_na_pressure_temperature_slope(self, nc13_na):
         # closed form R/(v - b) as the oracle
         v = 0.01
-        got = rx.fd_partial(lambda vv, T: rx.na_pressure_vt(nc13_na, vv, T), (v, 3275.0), 1, SCALE_T)
+        got = rx.fd_partial(lambda vv, T: rx.na_pressure_vt(nc13_na, vv, T), (v, 3275.0), 1, STEP_FLOOR)
         assert got == pytest.approx(nc13_na.R / (v - nc13_na.b), rel=1e-8)
 
     def test_vo1_pressure_density_slope(self, nc13_vo1):
         # closed form R T (1 + 2 a rho) as the oracle
         rho, T = 100.0, 3275.0
-        got = rx.fd_partial(lambda r, t: rx.vo1_pressure(nc13_vo1, r, t), (rho, T), 0, SCALE_RHO)
+        got = rx.fd_partial(lambda r, t: rx.vo1_pressure(nc13_vo1, r, t), (rho, T), 0, STEP_FLOOR)
         want = nc13_vo1.R * T * (1.0 + 2.0 * nc13_vo1.a * rho)
         assert got == pytest.approx(want, rel=1e-8)
 
@@ -326,10 +326,14 @@ class TestAuditRecord:
 
     @pytest.mark.parametrize("model", [rx.Model.NA, rx.Model.VO1, rx.Model.VO1_CVT])
     @pytest.mark.parametrize("rhos, temps, named", [
-        ([100.0, 1e-10], [3000.0], "density 1e-10 kg/m3 does not exceed its difference step 1e-06 kg/m3"),
-        ([100.0], [3000.0, 1e-06], "temperature 1e-06 K does not exceed its difference step 1e-06 K"),
+        ([100.0, 1e-310], [3000.0],
+         "density 1e-310 kg/m3 does not exceed its difference step 2.2250738585072014e-308 kg/m3"),
+        ([100.0], [3000.0, 1e-310],
+         "temperature 1e-310 K does not exceed its difference step 2.2250738585072014e-308 K"),
     ], ids=["rho", "T"])
     def test_point_within_a_difference_step_of_zero_is_refused(self, db, model, rhos, temps, named):
+        # steps are relative down to the smallest normal float, so only a subnormal value lies within
+        # one of zero; it is refused before the closed-form criteria, which underflow there
         with pytest.raises(DomainError, match=named):
             rx.audit_record(db.get("NC-13", model), rhos, temps)
 

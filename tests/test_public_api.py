@@ -21,7 +21,15 @@ CALLER_DIRS = (PACKAGE, ROOT / "demos", ROOT / "benchmarks")
 KEEP = {
     # acceptance criterion 9 (the entropy suite) calls these two directly
     "na_entropy_vt", "vo1_entropy_dP",
+    # no caller, but `Tracer.install` looks up every name of the tracer's COUNTS table, so the
+    # benchmark must drop its counter before the library can drop the function
+    "fd_partial",
 }
+
+#: The tracer's tables in ``benchmarks/tracing.py`` name the functions it wraps; naming a
+#: function there is no call of it.
+TRACER = ROOT / "benchmarks" / "tracing.py"
+TRACER_TABLES = {"SPANS", "COUNTS"}
 
 
 def lazy_exports():
@@ -71,17 +79,30 @@ class _Uses(ast.NodeVisitor):
             self._use(node.value)
 
 
+def _is_tracer_table(node):
+    return isinstance(node, ast.Assign) and any(
+        isinstance(t, ast.Name) and t.id in TRACER_TABLES for t in node.targets)
+
+
 def used_names():
     uses = _Uses()
     for folder in CALLER_DIRS:
         for path in sorted(folder.rglob("*.py")):
             if path != PACKAGE / "__init__.py" and "tests" not in path.relative_to(folder).parts:
-                uses.visit(ast.parse(path.read_text()))
+                tree = ast.parse(path.read_text())
+                if path == TRACER:
+                    tree.body = [node for node in tree.body if not _is_tracer_table(node)]
+                uses.visit(tree)
     return uses.used
 
 
 def test_keep_list_names_exports():
     assert KEEP <= exported_names()
+
+
+def test_the_tracer_tables_are_left_out():
+    skipped = [node for node in ast.parse(TRACER.read_text()).body if _is_tracer_table(node)]
+    assert len(skipped) == len(TRACER_TABLES)
 
 
 def test_every_export_has_a_caller_outside_the_tests():

@@ -1,9 +1,11 @@
+import math
 import random
 import sys
 
 import pytest
 
 import redeos as rx
+from redeos import state
 
 
 class TestNobleAbelStates:
@@ -111,3 +113,62 @@ def test_builders_never_call_the_oracle(monkeypatch, db):
         st = rx.state_from_rho_T(params, 100.0, 3275.0)
         assert rx.state_from_P_T(params, st.P, st.T).c > 0.0
         assert rx.state_from_rho_e(params, st.rho, st.e).c > 0.0
+
+
+def _extreme_points(db, n=300):
+    """Seeded (record, input pair, rho, T or e): rho from 1e-320 to 1e308, T and e from 1e-300 to 1e300."""
+    rng = random.Random(1919)
+    points = []
+    for params in (record.params for record in db.records.values()):
+        for _ in range(n):
+            rho = 10.0 ** rng.uniform(-320.0, 308.0)
+            points.append((params, "rho_T", rho, 10.0 ** rng.uniform(-300.0, 300.0)))
+            points.append((params, "rho_e", rho, 10.0 ** rng.uniform(-300.0, 300.0)))
+    return points
+
+
+_PAIRS = {"rho_T": (rx.closure_from_rho_T, rx.state_from_rho_T),
+          "rho_e": (rx.closure_from_rho_e, rx.state_from_rho_e)}
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args), None
+    except (rx.EosError, ArithmeticError, ValueError) as exc:
+        return None, exc
+
+
+class TestClosure:
+    """The (P, T, c) closure is the state builder's P, T and c, bit for bit, and its refusals."""
+
+    def test_closure_is_the_state_or_raises_what_the_state_raises(self, db):
+        returned = 0
+        for params, pair, rho, y in _extreme_points(db):
+            closure, build = _PAIRS[pair]
+            got, got_exc = _outcome(closure, params, rho, y)
+            st, st_exc = _outcome(build, params, rho, y)
+            if st is not None:
+                returned += 1
+                assert got is not None, (params, pair, rho, y, got_exc)
+                assert tuple(x.hex() for x in got) == (st.P.hex(), st.T.hex(), st.c.hex())
+            if got_exc is not None:
+                assert type(st_exc) is type(got_exc), (params, pair, rho, y)
+        assert returned > 1000  # the grid reaches the states, not only their refusals
+
+    def test_state_fails_beyond_the_closure_only_in_s_cp_or_gamma(self, db, monkeypatch):
+        # with s and Cp that cannot fail, a state exists wherever its closure does
+        for model, laws in list(state.LAWS.items()):
+            monkeypatch.setitem(state.LAWS, model, laws._replace(derived=lambda *args: (None, math.inf)))
+        for params, pair, rho, y in _extreme_points(db):
+            closure, build = _PAIRS[pair]
+            got, got_exc = _outcome(closure, params, rho, y)
+            st, st_exc = _outcome(build, params, rho, y)
+            assert (st is None) == (got is None), (params, pair, rho, y)
+            if got is None:
+                assert type(st_exc) is type(got_exc)
+
+    def test_closure_fields(self, nc13_vo1):
+        got = rx.closure_from_rho_e(nc13_vo1, 100.0, rx.cvt_energy(nc13_vo1, 3275.0))
+        assert got._fields == ("P", "T", "c")
+        st = rx.state_from_rho_T(nc13_vo1, 100.0, got.T)
+        assert (got.P, got.c) == (st.P, st.c)

@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 
 import redeos as rx
 from redeos.errors import DomainError, ModelMismatchError, NumericalError
-from redeos.numerics import SCALE_P, SCALE_T
+from redeos.numerics import STEP_FLOOR
 
 
 class TestPressure:
@@ -171,12 +171,12 @@ class TestEntropy:
         # at constant density: s(rho, T) through the thermal law
         rho, T = 100.0, 3275.0
         got = rx.fd_derivative(
-            lambda t: rx.vo1_entropy(nc13_vo1, rx.vo1_pressure(nc13_vo1, rho, t), t), T, SCALE_T)
+            lambda t: rx.vo1_entropy(nc13_vo1, rx.vo1_pressure(nc13_vo1, rho, t), t), T, STEP_FLOOR)
         assert got == pytest.approx(nc13_vo1.Cv / T, rel=1e-6)
 
     def test_pressure_slope_matches_closed_form(self, nc13_vo1):
         P, T = 130.33e6, 3275.0
-        got = rx.fd_derivative(lambda p: rx.vo1_entropy(nc13_vo1, p, T), P, SCALE_P)
+        got = rx.fd_derivative(lambda p: rx.vo1_entropy(nc13_vo1, p, T), P, STEP_FLOOR)
         assert got == pytest.approx(rx.vo1_entropy_dP(nc13_vo1, P, T), rel=1e-6)
 
     def test_rejects_ideal_gas(self):
@@ -199,7 +199,7 @@ class TestMaxwellCompatibility:
             for T in (1500.0, 3000.0, 4500.0):
                 P = rx.vo1_pressure(nc13_vo1, rho, T)
                 dedrho = rx.fd_derivative(lambda r: rx.cvt_energy(nc13_vo1, T), rho, 1.0)
-                dpdT = rx.fd_derivative(lambda t: rx.vo1_pressure(nc13_vo1, rho, t), T, SCALE_T)
+                dpdT = rx.fd_derivative(lambda t: rx.vo1_pressure(nc13_vo1, rho, t), T, STEP_FLOOR)
                 assert abs(dedrho * rho * rho + T * dpdT - P) < 1e-8 * P
 
 

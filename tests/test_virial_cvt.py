@@ -210,10 +210,10 @@ class TestEffectiveEnergy:
 
 class TestMaxwellCompatibility:
     def test_residual_on_grid(self, nc13_cvt):
-        from redeos.numerics import SCALE_T
+        from redeos.numerics import STEP_FLOOR
         for rho in (10.0, 150.0, 600.0):
             for T in (1500.0, 3000.0, 4500.0):
                 P = rx.vo1_pressure(nc13_cvt, rho, T)
                 dedrho = rx.fd_derivative(lambda r: rx.cvt_energy(nc13_cvt, T), rho, 1.0)
-                dpdT = rx.fd_derivative(lambda t: rx.vo1_pressure(nc13_cvt, rho, t), T, SCALE_T)
+                dpdT = rx.fd_derivative(lambda t: rx.vo1_pressure(nc13_cvt, rho, t), T, STEP_FLOOR)
                 assert abs(dedrho * rho * rho + T * dpdT - P) < 1e-8 * P
