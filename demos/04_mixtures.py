@@ -49,6 +49,13 @@ for (gas, y), rho_k in zip(mix_vo.components, sol.rho_components):
     print(f"  {gas.name:6s} Y = {y:.1f}  rho_k = {rho_k:7.2f} kg/m3")
 print(f"  volume closure residual: {sol.residual_rel:.2e} (relative)")
 print()
+print("A flow solver's cell update of the 50/50 virial mixture: P, T and c from")
+print("(rho, e) in one pressure solve, mvo1_closure_from_rho_e:")
+print(f"{'rho (kg/m3)':>12s}{'e (kJ/kg)':>11s}{'T (K)':>9s}{'P (MPa)':>10s}{'c (m/s)':>10s}")
+for rho, e in ((50.0, 4000e3), (100.0, 5000e3), (200.0, 5500e3), (300.0, 6000e3)):
+    P, T, c = rx.mvo1_closure_from_rho_e(mix_vo, rho, e)
+    print(f"{rho:12.0f}{e / 1e3:11.0f}{T:9.1f}{P / 1e6:10.2f}{c:10.1f}")
+print()
 print("Same tables from the command line:")
 print("  eos mix-sweep NC-13+RDX --model mvo1 --rho 200 \\")
 print("      --fraction-sweep 0:0.5:0.1 --same-oxygen-balance")

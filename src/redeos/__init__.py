@@ -105,6 +105,8 @@ _LAZY_EXPORTS = {
         "mna_pressure",
         "mna_pressure_vt",
         "mna_sound_speed",
+        "mvo1_closure_from_rho_T",
+        "mvo1_closure_from_rho_e",
         "mvo1_pressure",
         "mvo1_pressure_from_energy",
         "mvo1_sound_speed",

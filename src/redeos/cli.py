@@ -271,8 +271,7 @@ def _parse_mixture_spec(spec, sweep_arg):
 
 
 def cmd_mix_sweep(args):
-    from .mixture import (mixture_flame_temperature, mna_pressure_vt, mna_sound_speed,
-                          mvo1_pressure, mvo1_sound_speed)
+    from .mixture import mixture_flame_temperature, mna_pressure_vt, mna_sound_speed, mvo1_closure_from_rho_T
 
     if not args.same_oxygen_balance:
         raise ValidationError(
@@ -304,8 +303,7 @@ def cmd_mix_sweep(args):
                 P = mna_pressure_vt(mix, v, T_flame)
                 c = mna_sound_speed(mix, P, v)
             else:
-                P = mvo1_pressure(mix, rho, T_flame).P
-                c = mvo1_sound_speed(mix, P, T_flame)
+                P, _, c = mvo1_closure_from_rho_T(mix, rho, T_flame)
             print(",".join([_fmt(y_label), _fmt(rho), _fmt(T_flame), _fmt(P / 1e6), _fmt(c)]))
     return 0
 

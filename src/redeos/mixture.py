@@ -10,7 +10,11 @@ record and stays explicit: its laws are the kernels of
 component densities through the pressure and needs a scalar iterative
 solve; its residual and its slope evaluate each component through the
 virial density root :func:`~redeos.virial.virial_density_pt`, so this
-module writes no thermal or caloric law of its own.
+module writes no thermal or caloric law of its own.  A flow solver's cell
+update calls :func:`mvo1_closure_from_rho_e`, which takes c from the
+component densities of the solve's last pass: one solve per cell, where
+:func:`mvo1_pressure` followed by :func:`mvo1_sound_speed` finds every
+component density once more.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from typing import NamedTuple
 from .errors import DomainError, NumericalError, ValidationError
 from .noble_abel import na_pressure_vt, na_sound_speed
 from .numerics import solve_monotone
+from .state import Closure
 from .types import GasParams, MixtureSpec, Model
 from .virial import virial_density_pt, virial_pressure_rt, vo1_cp
 from .virial_cvt import cvt_temperature
@@ -69,22 +74,33 @@ def mna_sound_speed(mix: MixtureSpec, P, v_mix):
     return na_sound_speed(mixed, P, 1.0 / v_mix)
 
 
-def _mixture_volume(pairs, P, T):
+def _mixture_volume(terms, P, T):
     """Component densities rho_k(P, T), one virial density root each, with
     the mixture volume v = sum_k Y_k / rho_k and S = -dv/dP at fixed T.
 
-    S is the thermal law's dP/drho, inverted and mass-weighted:
+    ``terms`` is :attr:`~redeos.types.MixtureSpec.virial_terms`.  S is the
+    thermal law's dP/drho, inverted and mass-weighted:
 
         S = sum_k Y_k / (rho_k^2 R_k T (1 + 2 a_k rho_k))
     """
     rhos = []
     v = S = 0.0
-    for gas, y in pairs:
-        rho = virial_density_pt(gas.R, gas.a, P, T)
+    for R, a, y in terms:
+        rho = virial_density_pt(R, a, P, T)
         rhos.append(rho)
         v += y / rho
-        S += y / (rho * rho * gas.R * T * (1.0 + 2.0 * gas.a * rho))
+        S += y / (rho * rho * R * T * (1.0 + 2.0 * a * rho))
     return rhos, v, S
+
+
+def _sound_speed(mix, T, volume):
+    """c from the ``(rhos, v, S)`` of one :func:`_mixture_volume` pass at (P, T);
+    see :func:`mvo1_sound_speed`."""
+    rhos, v, S = volume
+    cp_mix = 0.0
+    for (gas, y), rho in zip(mix.components, rhos):
+        cp_mix += y * vo1_cp(gas, rho, T)
+    return math.sqrt(cp_mix * v * v / (mix.mixed.Cv * S))
 
 
 class Mvo1Solution(NamedTuple):
@@ -95,6 +111,32 @@ class Mvo1Solution(NamedTuple):
     rho_components: tuple[float, ...]   # kg/m3, one per component
     iterations: int
     residual_rel: float                 # |sum Y_k/rho_k - v_mix| / v_mix
+
+
+def _solve_pressure(mix, rho_mix, T):
+    """The pressure solve of :func:`mvo1_pressure`: ``(P, iterations, (rhos, v, S))``,
+    the last from the :func:`_mixture_volume` pass at the root."""
+    R_min, R_max, a_n = mix.virial_bracket
+    if not (rho_mix > 0.0 and T > 0.0):
+        raise DomainError(f"density and temperature must be positive, got rho={rho_mix!r}, T={T!r}")
+    terms = mix.virial_terms
+    v_mix = 1.0 / rho_mix
+
+    def g(P):
+        _, v, S = _mixture_volume(terms, P, T)
+        return v - v_mix, -S
+
+    P_lo = rho_mix * R_min * T * (1.0 - 1e-7)
+    if not P_lo < math.inf:  # the root lies above P_lo; P_hi may overflow while the root is finite
+        raise NumericalError(f"the mixture pressure overflows at rho={rho_mix!r}, T={T!r}")
+    P_hi = rho_mix * R_max * T * (1.0 + a_n * rho_mix) * (1.0 + 1e-7)
+    mixed = mix.mixed
+    x0 = virial_pressure_rt(mixed.R, mixed.a, rho_mix, T)
+
+    P, iterations = solve_monotone(g, P_lo, P_hi, tol_rel=MVO1_TOL, max_iter=MVO1_MAX_ITER, x0=x0)
+    if P == math.inf:
+        raise NumericalError(f"the mixture pressure overflows at rho={rho_mix!r}, T={T!r}")
+    return P, iterations, _mixture_volume(terms, P, T)
 
 
 def mvo1_pressure(mix: MixtureSpec, rho_mix, T) -> Mvo1Solution:
@@ -113,31 +155,10 @@ def mvo1_pressure(mix: MixtureSpec, rho_mix, T) -> Mvo1Solution:
     (1 + max_k(a_k) rho_mix N)], which is widened by a small margin to
     absorb rounding at analytic endpoints.
     """
-    R_min, R_max, a_n = mix.virial_bracket
-    if not (rho_mix > 0.0 and T > 0.0):
-        raise DomainError(f"density and temperature must be positive, got rho={rho_mix!r}, T={T!r}")
-    pairs = mix.components
+    P, iterations, (rhos, _, _) = _solve_pressure(mix, rho_mix, T)
     v_mix = 1.0 / rho_mix
-
-    def g(P):
-        _, v, S = _mixture_volume(pairs, P, T)
-        return v - v_mix, -S
-
-    P_lo = rho_mix * R_min * T * (1.0 - 1e-7)
-    if not P_lo < math.inf:  # the root lies above P_lo; P_hi may overflow while the root is finite
-        raise NumericalError(f"the mixture pressure overflows at rho={rho_mix!r}, T={T!r}")
-    P_hi = rho_mix * R_max * T * (1.0 + a_n * rho_mix) * (1.0 + 1e-7)
-    mixed = mix.mixed
-    x0 = virial_pressure_rt(mixed.R, mixed.a, rho_mix, T)
-
-    result = solve_monotone(g, P_lo, P_hi, tol_rel=MVO1_TOL, max_iter=MVO1_MAX_ITER, x0=x0)
-    P = result.root
-    if P == math.inf:
-        raise NumericalError(f"the mixture pressure overflows at rho={rho_mix!r}, T={T!r}")
-    rho_components = tuple(_mixture_volume(pairs, P, T)[0])
-    residual = abs(math.fsum(y / rho for (_, y), rho in zip(pairs, rho_components)) - v_mix) / v_mix
-    return Mvo1Solution(P=P, T=T, rho_components=rho_components,
-                        iterations=result.iterations, residual_rel=residual)
+    residual = abs(math.fsum([y / rho for (_, _, y), rho in zip(mix.virial_terms, rhos)]) - v_mix) / v_mix
+    return Mvo1Solution(P=P, T=T, rho_components=tuple(rhos), iterations=iterations, residual_rel=residual)
 
 
 def mvo1_pressure_from_energy(mix: MixtureSpec, rho_mix, e_mix) -> Mvo1Solution:
@@ -155,15 +176,26 @@ def mvo1_sound_speed(mix: MixtureSpec, P, T):
     density-dependent Mayer relation at its own rho_k.  Collapses to the
     single-gas sound speed at N = 1.
     """
-    mix.virial_bracket  # raises unless every component is a VO1 record with a > 0
+    terms = mix.virial_terms  # raises unless every component is a VO1 record with a > 0
     if not (P > 0.0 and T > 0.0):
         raise DomainError(f"pressure and temperature must be positive, got P={P!r}, T={T!r}")
-    pairs = mix.components
-    rhos, v_mix, S = _mixture_volume(pairs, P, T)
-    cp_mix = 0.0
-    for (gas, y), rho in zip(pairs, rhos):
-        cp_mix += y * vo1_cp(gas, rho, T)
-    return math.sqrt(cp_mix * v_mix * v_mix / (mix.mixed.Cv * S))
+    return _sound_speed(mix, T, _mixture_volume(terms, P, T))
+
+
+def mvo1_closure_from_rho_T(mix: MixtureSpec, rho_mix, T) -> Closure:
+    """P, T and c of the virial mixture from one pressure solve.
+
+    c comes from the component densities of the solve's last pass, so P, T
+    and c are bit for bit those of :func:`mvo1_pressure` followed by
+    :func:`mvo1_sound_speed`, with the refusals of :func:`mvo1_pressure`.
+    """
+    P, _, volume = _solve_pressure(mix, rho_mix, T)
+    return Closure(P, T, _sound_speed(mix, T, volume))
+
+
+def mvo1_closure_from_rho_e(mix: MixtureSpec, rho_mix, e_mix) -> Closure:
+    """P, T and c of the virial mixture from density and internal energy: a flow solver's cell update."""
+    return mvo1_closure_from_rho_T(mix, rho_mix, cvt_temperature(mix.mixed, e_mix))
 
 
 class MixtureFlame(NamedTuple):

@@ -76,7 +76,7 @@ def solve_monotone(g, lo, hi, *, tol_rel=1e-12, max_iter=100, x0=None, ends=None
             return RootResult(x, it)
         xn = None
         # a zero, non-finite or wrongly signed slope takes no Newton step
-        if d and math.isfinite(d) and sign_high in (None, d > 0.0):
+        if d and -math.inf < d < math.inf and sign_high in (None, d > 0.0):
             sign_high = d > 0.0
             cand = x - gx / d
             if xl < cand < xh:
@@ -322,7 +322,8 @@ def audit_record(params: GasParams, rhos, temperatures) -> AuditReport:
     relative to its value, 1e-6 |x|, down to the smallest normal float.
     Raises :class:`DomainError` at a point outside the domain, at a grid
     density or temperature that does not exceed its step (a subnormal value),
-    or when no point is left; raises :class:`NumericalError` where the oracle
+    at a convex point whose closed-form criteria underflow to zero, or when
+    no point is left; raises :class:`NumericalError` where the oracle
     or a residual is not finite.
     """
     laws = LAWS[params.model]
@@ -339,9 +340,11 @@ def audit_record(params: GasParams, rhos, temperatures) -> AuditReport:
             points += 1
             _require_above_step("density", rho, "kg/m3")
             _require_above_step("temperature", T, "K")
-            # the oracle differences P too; a P that does not exceed its step underflows
-            # P^2 in the closed-form criteria, so it is a violation here
             closed = laws.convexity(params, rho, P, T)
+            # a convex point whose criteria underflow (P^2 or rho P below the smallest float)
+            # shows no sign to audit, and calling it a violation would fail a convex record
+            if closed.convex and 0.0 in closed.criteria:
+                raise DomainError(f"the closed-form convexity criteria underflow to zero at rho={rho!r}, T={T!r}")
             if not (closed.convex and convexity_signs_ok(closed.criteria)):
                 violations += 1
                 continue

@@ -131,7 +131,7 @@ def state_from_rho_T(params: GasParams, rho, T) -> ThermoState:
     try:
         s, Cp = laws.derived(params, rho, T, P)
         return ThermoState(P, T, rho, v, e, e + P / rho, s, c, Cp, Cp / virial_cvt.cvt_cv(params, T))
-    except (ValidationError, ArithmeticError) as exc:
+    except (ValidationError, ArithmeticError, ValueError) as exc:  # ValueError: a log of an underflowed P
         raise NumericalError(f"the state at rho={rho!r}, T={T!r} is degenerate: {exc}") from None
 
 

@@ -280,6 +280,13 @@ class MixtureSpec:
         Rs = [gas.R for gas, _ in pairs]
         return min(Rs), max(Rs), max(gas.a for gas, _ in pairs) * len(pairs)
 
+    @cached_property
+    def virial_terms(self) -> tuple[tuple[float, float, float], ...]:
+        """``(R_k, a_k, Y_k)`` of each component, what the virial mixture's volume
+        sum reads; raises as :attr:`virial_bracket` does."""
+        self.virial_bracket
+        return tuple((gas.R, gas.a, y) for gas, y in self.components)
+
     def uniform_model(self, *allowed: Model) -> Model:
         """Return the shared model of all components, checking it is allowed."""
         models = {gas.model for gas, _ in self.components}

@@ -559,6 +559,24 @@ class TestBoundaryRegressions:
         assert err == f"E_DOMAIN: audit grid rho={rho}:{rho}:1 T={T}:{T}:1: {named}\n"
 
     @pytest.mark.parametrize("model", ["na", "vo1", "vo1cvt"])
+    def test_audit_where_the_criteria_underflow_is_a_domain_error(self, capsys, model):
+        # once `convexity violations = 1 FAIL` and RESULT FAIL (exit 3) for a convex record
+        code, out, err = run_cli(capsys, "audit", "NC-13", "--model", model,
+                                 "--rho", "1e-200:1e-200:1", "--T", "3000:3000:1")
+        assert code == 4 and out == ""
+        assert err == ("E_DOMAIN: audit grid rho=1e-200:1e-200:1 T=3000:3000:1: the closed-form convexity "
+                       "criteria underflow to zero at rho=1e-200, T=3000.0\n")
+        # the criteria are still positive floats here
+        code, out, err = run_cli(capsys, "audit", "NC-13", "--model", model,
+                                 "--rho", "1e-160:1e-160:1", "--T", "3000:3000:1")
+        assert code == 0 and err == "" and out.endswith("RESULT PASS\n")
+
+    def test_state_whose_entropy_underflows_is_numerical(self, capsys):
+        code, out, err = run_cli(capsys, "state", "NC-13", "--model", "na", "--rho", "1e-300", "--T", "1e-25")
+        assert code == 3 and out == ""
+        assert err == "E_NUMERICAL: floating-point evaluation failed at --rho 1e-300 --T 1e-25\n"
+
+    @pytest.mark.parametrize("model", ["na", "vo1", "vo1cvt"])
     def test_sweep_row_at_a_subnormal_density_is_numerical(self, capsys, model):
         # 1/rho overflows here; a sound speed taken without the state's guards printed a subnormal
         # pressure with exit 0 (vo1) or an E_DOMAIN row (na, whose P underflows to 0)

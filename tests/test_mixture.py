@@ -304,6 +304,86 @@ class TestMvo1SoundSpeed:
             math.sqrt(oracle.c2_energy), rel=1e-5)
 
 
+def _outcome(fn, *args):
+    try:
+        return fn(*args), None
+    except Exception as exc:  # the refusal is compared, not raised
+        return None, exc
+
+
+def _two_calls(mix, rho, T):
+    sol = rx.mvo1_pressure(mix, rho, T)
+    return sol.P, sol.T, rx.mvo1_sound_speed(mix, sol.P, sol.T)
+
+
+def _hex(values):
+    return tuple(x.hex() for x in values)
+
+
+class TestMvo1Closure:
+    """One mixture solve gives P, T and c bit for bit as the pressure solve and the sound speed do."""
+
+    def test_is_the_two_call_path_bit_for_bit(self, db):
+        rng = random.Random(2001)
+        names = ("NC-13", "RDX", "HMX")
+        mixes = [rx.MixtureSpec(((db.get(a, rx.Model.VO1), 1.0 - y), (db.get(b, rx.Model.VO1), y)))
+                 for a, b, y in ((*rng.sample(names, 2), rng.random()) for _ in range(30))]
+        mixes.append(rx.MixtureSpec(tuple((db.get(name, rx.Model.VO1), y) for name, y in zip(names, (0.2, 0.3, 0.5)))))
+        for mix in mixes:
+            for _ in range(10):
+                rho, T = 10.0 ** rng.uniform(-3.0, 3.0), rng.uniform(300.0, 6000.0)
+                got = rx.mvo1_closure_from_rho_T(mix, rho, T)
+                assert _hex(got) == _hex(_two_calls(mix, rho, T)), (mix, rho, T)
+                e = rx.cvt_energy(mix.mixed, T)
+                want = rx.mvo1_closure_from_rho_T(mix, rho, rx.cvt_temperature(mix.mixed, e))
+                assert _hex(rx.mvo1_closure_from_rho_e(mix, rho, e)) == _hex(want)
+
+    def test_closure_fields(self, half_vo1):
+        got = rx.mvo1_closure_from_rho_T(half_vo1, 200.0, 3657.7)
+        assert isinstance(got, rx.Closure) and got._fields == ("P", "T", "c")
+
+    @pytest.mark.parametrize("rho, T, raised", [
+        (0.0, 3000.0, DomainError), (-1.0, 3000.0, DomainError),
+        (100.0, 0.0, DomainError), (100.0, -5.0, DomainError),
+        (1e300, 3657.7, NumericalError),
+    ])
+    def test_refuses_what_the_two_call_path_refuses(self, half_vo1, rho, T, raised):
+        _, got = _outcome(rx.mvo1_closure_from_rho_T, half_vo1, rho, T)
+        _, want = _outcome(_two_calls, half_vo1, rho, T)
+        assert type(got) is type(want) is raised
+        assert str(got) == str(want)
+
+    @pytest.mark.parametrize("other, raised", [
+        ("na", ModelMismatchError),
+        (rx.GasParams.virial("flat", R=322.0, a=0.0, Cv=1640.5), ValidationError),
+        (rx.GasParams.virial("neg", R=322.0, a=-0.002, Cv=1640.5), ValidationError),
+    ], ids=["na-component", "a-zero", "a-negative"])
+    def test_refuses_the_components_the_solve_refuses(self, nc13_na, nc13_vo1, other, raised):
+        mix = rx.MixtureSpec(((nc13_vo1, 0.5), (nc13_na if other == "na" else other, 0.5)))
+        for closure in (rx.mvo1_closure_from_rho_T, rx.mvo1_closure_from_rho_e):
+            _, got = _outcome(closure, mix, 100.0, 3000.0)
+            _, want = _outcome(_two_calls, mix, 100.0, 3000.0)
+            assert type(got) is type(want) is raised
+            assert str(got) == str(want)
+
+    @pytest.mark.parametrize("spec", ["NC-13=0.5,RDX=0.5", "NC-13=0.2,RDX=0.3,HMX=0.5"])
+    def test_a_mix_sweep_row_finds_each_density_once_per_pass(self, db, monkeypatch, capsys, spec):
+        # N components, one root each per residual pass of the solve and one at the root;
+        # a sound speed taken after the solve would find every rho_k once more
+        from redeos import mixture
+        from redeos.cli import main
+        parts = [part.split("=") for part in spec.split(",")]
+        mix = rx.MixtureSpec(tuple((db.get(name, rx.Model.VO1), float(y)) for name, y in parts))
+        T = rx.mixture_flame_temperature(mix).T_flame
+        iterations = rx.mvo1_pressure(mix, 200.0, T).iterations
+        calls = []
+        root = mixture.virial_density_pt
+        monkeypatch.setattr(mixture, "virial_density_pt", lambda *args: calls.append(args) or root(*args))
+        assert main(["mix-sweep", spec, "--model", "mvo1", "--rho", "200", "--same-oxygen-balance"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 2
+        assert len(calls) == len(parts) * (iterations + 1)
+
+
 class TestMixtureFlameTemperature:
     def test_equal_split(self, half_na):
         flame = rx.mixture_flame_temperature(half_na)

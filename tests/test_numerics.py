@@ -337,6 +337,23 @@ class TestAuditRecord:
         with pytest.raises(DomainError, match=named):
             rx.audit_record(db.get("NC-13", model), rhos, temps)
 
+    @pytest.mark.parametrize("model", [rx.Model.NA, rx.Model.VO1, rx.Model.VO1_CVT])
+    def test_convex_point_whose_criteria_underflow_is_refused(self, db, model):
+        # rho P and P^2 underflow to 0 below about 1e-154 kg/m3; the point was counted as a
+        # violation, and the audit of a convex record failed
+        with pytest.raises(DomainError, match=re.escape("criteria underflow to zero at rho=1e-200, T=3000.0")):
+            rx.audit_record(db.get("NC-13", model), [100.0, 1e-200], [3000.0])
+        assert rx.audit_record(db.get("NC-13", model), [1e-160], [3000.0]).passed
+
+    def test_non_convex_point_is_a_violation_even_where_its_criteria_underflow(self):
+        # past a rho = -1 the verdict is not convex: counted, never refused; at 1e-300 K the
+        # criterion P^2 underflows to 0 as well
+        probe = rx.GasParams.virial("probe", R=322.0, a=-0.02, Cv=1640.0)
+        assert rx.vo1_convexity(probe, 100.0, rx.vo1_pressure(probe, 100.0, 1e-300), 1e-300).criteria[3] == 0.0
+        report = rx.audit_record(probe, [100.0, 200.0], [3000.0, 1e-300])
+        assert (report.points, report.violations) == (4, 4)
+        assert not report.passed
+
     def test_noble_abel_counts_covolume_skips(self, nc13_na):
         # 1/b = 673.9 kg/m3: 700 lies beyond it and 670 within 1 % of it
         report = rx.audit_record(nc13_na, [600.0, 670.0, 700.0], [2000.0, 3000.0])

@@ -172,3 +172,9 @@ class TestClosure:
         assert got._fields == ("P", "T", "c")
         st = rx.state_from_rho_T(nc13_vo1, 100.0, got.T)
         assert (got.P, got.c) == (st.P, st.c)
+
+    def test_entropy_of_an_underflowed_pressure_ratio_is_numerical(self, nc13_na):
+        # P is positive but P / P0 underflows, and the entropy's log(P/P0) raised a bare ValueError
+        assert rx.closure_from_rho_T(nc13_na, 1e-300, 1e-25).P == 3.5e-323
+        with pytest.raises(rx.NumericalError, match=r"rho=1e-300, T=1e-25"):
+            rx.state_from_rho_T(nc13_na, 1e-300, 1e-25)
