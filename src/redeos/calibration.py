@@ -47,6 +47,14 @@ def _check_two_points(p1: ClosedBombPoint, p2: ClosedBombPoint, T_flame, gamma):
         raise ValidationError(f"heat-capacity ratio must exceed 1, got {gamma!r}")
 
 
+def _gas_constant(R, T_flame):
+    """The calibrated R; :class:`ValidationError` naming the flame temperature unless positive and finite."""
+    if not 0.0 < R < math.inf:
+        raise ValidationError(
+            f"calibrated gas constant {R!r} J/(kg K) is not positive and finite at flame temperature {T_flame!r} K")
+    return R
+
+
 def calibrate_na(p1: ClosedBombPoint, p2: ClosedBombPoint, T_flame, gamma,
                  name="calibrated") -> GasParams:
     """Two-point Noble-Abel calibration.
@@ -70,7 +78,7 @@ def calibrate_na(p1: ClosedBombPoint, p2: ClosedBombPoint, T_flame, gamma,
         raise ValidationError(
             f"calibrated covolume {b!r} m3/kg reaches the smaller specific volume; "
             "the model would be non-convex inside its own calibration range")
-    R = P1 * (v1 - b) / T_flame
+    R = _gas_constant(P1 * (v1 - b) / T_flame, T_flame)
     Cv = R / (gamma - 1.0)
     return GasParams.noble_abel(
         name, R=R, b=b, Cv=Cv,
@@ -100,9 +108,7 @@ def calibrate_vo1(p1: ClosedBombPoint, p2: ClosedBombPoint, T_flame, gamma,
         raise ValidationError(
             f"calibrated virial coefficient is not positive ({a!r} m3/kg); the data are "
             "indistinguishable from an ideal gas or imply a non-convex model")
-    R = denom / (T_flame * r1 * r2 * (r2 - r1))
-    if R <= 0.0:
-        raise ValidationError(f"calibrated gas constant is not positive ({R!r} J/(kg K))")
+    R = _gas_constant(denom / (T_flame * r1 * r2 * (r2 - r1)), T_flame)
     rho_bar = 0.5 * (r1 + r2)
     ar = a * rho_bar
     Cv = R / (gamma - 1.0) * (1.0 + ar) ** 2 / (1.0 + 2.0 * ar)

@@ -10,8 +10,11 @@ Exit codes: 0 success, 2 parse/validation, 3 numerical/convergence,
 4 physical-domain violation.  A stdout whose reader stops early (a pipe into
 `head`) ends the command quietly with exit 0: no `E_*` line, no traceback.
 
-A command imports the library modules it runs when it starts, so `state`
-never loads `calibration`, `mixture` or `numerics`.
+A number flag that is not finite is refused, naming the flag, before any
+command runs.  A command imports the library modules it runs when it
+starts, so `state` never loads `calibration`, `mixture` or `numerics`.  A
+`mix-sweep` row is one closure call: the single-gas closure of the mixed
+record for MNA, the virial-mixture closure for MVO1.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ from .materials import (
     load_material_db,
     save_material_db,
 )
-from .state import closure_from_rho_T, na_specific_volume, state_from_P_T, state_from_rho_T, state_from_rho_e
+from .state import closure_from_rho_T, state_from_P_T, state_from_rho_T, state_from_rho_e
 from .types import MODEL_FIELDS, GasParams, MixtureSpec, Model
 
 _MODEL_FLAGS = {"na": Model.NA, "vo1": Model.VO1, "vo1cvt": Model.VO1_CVT}
@@ -65,7 +68,8 @@ _ERROR_TABLE = (
     (OSError, "E_PARSE", 2),  # a path that cannot be opened: missing, unreadable or a directory
 )
 
-#: Options that carry the numbers a command evaluates, named by a floating-point failure.
+#: Options that carry the numbers a command evaluates, named by a floating-point failure;
+#: ``main`` refuses a float-typed one that is not finite.
 _NUMERIC_OPTIONS = ("rho", "P", "T", "e", "fraction_sweep", "tflame", "gamma", "es_i", "t0")
 
 _AUDIT_LABELS = ("maxwell max|res|/P", "sound-speed max|c_analytic - c_oracle|/c",
@@ -125,16 +129,15 @@ def _parse_range(text):
 
 
 def _parse_float_list(text):
+    """The numbers of the comma-separated --rho list, each finite."""
     try:
-        return [float(p) for p in text.split(",") if p.strip()]
+        values = [float(p) for p in text.split(",") if p.strip()]
     except ValueError:
         raise ValidationError(f"expected a comma-separated list of numbers, got {text!r}") from None
-
-
-def _require_finite(flag, value):
-    if not math.isfinite(value):
-        raise ValidationError(f"{flag} must be finite, got {value!r}")
-    return value
+    for value in values:
+        if not math.isfinite(value):
+            raise ValidationError(f"--rho must be finite, got {value!r}")
+    return values
 
 
 def _load_existing(path):
@@ -271,7 +274,7 @@ def _parse_mixture_spec(spec, sweep_arg):
 
 
 def cmd_mix_sweep(args):
-    from .mixture import mixture_flame_temperature, mna_pressure_vt, mna_sound_speed, mvo1_closure_from_rho_T
+    from .mixture import mixture_flame_temperature, mvo1_closure_from_rho_T
 
     if not args.same_oxygen_balance:
         raise ValidationError(
@@ -279,32 +282,28 @@ def cmd_mix_sweep(args):
             "(no post-combustion between the product gases is modelled); "
             "pass --same-oxygen-balance to declare this holds")
     db = _load_db(args.db)
-    model = Model.NA if args.model == "mna" else Model.VO1
+    # the Noble-Abel mixture is the single-gas law of its mixed record; the virial one solves for P
+    mna = args.model == "mna"
+    closure = closure_from_rho_T if mna else mvo1_closure_from_rho_T
     names, fraction_sets = _parse_mixture_spec(args.spec, args.fraction_sweep)
-    gases = [db.get(name, model) for name in names]
+    gases = [db.get(name, Model.NA if mna else Model.VO1) for name in names]
     for gas in gases:
         _require_convex_record(gas)
-    densities = [_require_finite("--rho", rho) for rho in _parse_float_list(args.rho)]
+    densities = [(rho, _fmt(rho)) for rho in _parse_float_list(args.rho)]
     # mixtures, flames and solve brackets are built before the header: an exit 2 leaves stdout empty
     mixtures = []
     for fractions in fraction_sets:
         mix = MixtureSpec(tuple(zip(gases, fractions)), oxygen_balance_declared_uniform=True)
-        if args.model == "mvo1":
+        if not mna:
             mix.virial_bracket  # raises unless every component has a > 0
-        mixtures.append((fractions[-1], mix, mixture_flame_temperature(mix).T_flame))
+        mixtures.append((fractions[-1], mix.mixed if mna else mix, mixture_flame_temperature(mix).T_flame))
 
     print("Y,rho_kg_m3,tflame_K,pmax_MPa,c_m_s")
-    for y_label, mix, T_flame in mixtures:
-        for rho in densities:
-            if args.model == "mna":
-                v = na_specific_volume(mix.mixed, rho, T_flame)
-                if v == math.inf:
-                    raise NumericalError(f"the specific volume 1/rho overflows at rho={rho!r}")
-                P = mna_pressure_vt(mix, v, T_flame)
-                c = mna_sound_speed(mix, P, v)
-            else:
-                P, _, c = mvo1_closure_from_rho_T(mix, rho, T_flame)
-            print(",".join([_fmt(y_label), _fmt(rho), _fmt(T_flame), _fmt(P / 1e6), _fmt(c)]))
+    for y, target, T_flame in mixtures:
+        lead, flame = _fmt(y), _fmt(T_flame)
+        for rho, rho_text in densities:
+            P, _, c = closure(target, rho, T_flame)
+            print(f"{lead},{rho_text},{flame},{_fmt(P / 1e6)},{_fmt(c)}")
     return 0
 
 
@@ -335,9 +334,7 @@ def cmd_state(args):
     db = _load_db(args.db)
     params = db.get(args.material, _MODEL_FLAGS[args.model])
     _require_convex_record(params)
-    given = {k: _require_finite(f"--{k}", getattr(args, k))
-             for k in ("rho", "T", "P", "e") if getattr(args, k) is not None}
-    keys = frozenset(given)
+    keys = frozenset(k for k in ("rho", "T", "P", "e") if getattr(args, k) is not None)
     if keys == {"rho", "T"}:
         build, x, y = state_from_rho_T, args.rho, args.T
     elif keys == {"P", "T"}:
@@ -442,6 +439,10 @@ def _build_parser():
 def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
+        for k in _NUMERIC_OPTIONS:
+            value = getattr(args, k, None)
+            if isinstance(value, float) and not math.isfinite(value):  # grids and lists are texts here
+                raise ValidationError(f"--{k.replace('_', '-')} must be finite, got {value!r}")
         code = args.func(args)
         sys.stdout.flush()  # a reader that stopped early shows here, not at interpreter exit
         return code

@@ -10,7 +10,8 @@ Blank lines and lines starting with ``#`` are ignored.  Keys carry the
 file units: R and Cv in J/(kg K), covolume b and virial coefficient a in
 m3/kg, energies in kJ/kg (keys ``q_kJ`` and ``e_s_eff_kJ``), temperatures
 in K, ``rho_range`` as two space-separated densities in kg/m3, and a
-free-text ``note`` for provenance.
+free-text ``note`` for provenance.  Every number, in a database or a CSV
+file, must be finite, also once converted to SI units.
 
 Closed-bomb CSV format: header ``rho_kg_m3,pmax_MPa`` and one point per
 line.  Inert-run CSV format: header ``Y,tflame_K``.
@@ -19,6 +20,7 @@ line.  Inert-run CSV format: header ``Y,tflame_K``.
 from __future__ import annotations
 
 import importlib.resources
+import math
 import re
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
@@ -73,30 +75,16 @@ class MaterialDatabase:
         return len(self.records)
 
 
-def _record_from_fields(name, model, fields, lineno):
-    def take(key, default=None):
-        return fields.pop(key, default)
-
-    note = take("note", "")
-    kwargs = {}
-    for key, (field, unit) in _SCALAR_KEYS.items():
-        if (value := take(key)) is not None:
-            kwargs[field] = float(value) * unit
-    if (rr := take("rho_range")) is not None:
-        try:
-            lo, hi = (float(part) for part in rr.split())
-        except ValueError:
-            raise ParseError(f"line {lineno}: rho_range needs two values, got {rr!r}") from None
-        kwargs["rho_range"] = (lo, hi)
-
+def _number_in_si(lineno, key, text, unit=1.0):
+    """The number ``text`` of a file's ``key`` in SI units, refused unless finite there."""
     try:
-        kwargs.update((key, float(fields.pop(key))) for key in ("R",) + MODEL_FIELDS[model])
-    except KeyError as exc:
-        raise ParseError(f"record {name!r} ({model}) is missing key {exc.args[0]!r}") from None
-    params = GasParams(name=name, model=model, **kwargs)
-    if fields:
-        raise ParseError(f"record {name!r} ({model}) has leftover keys: {sorted(fields)}")
-    return DbRecord(params=params, note=note)
+        value = float(text) * unit
+    except ValueError:
+        raise ParseError(f"line {lineno}: value of {key!r} is not a number: {text!r}") from None
+    if abs(value) < math.inf:
+        return value
+    # nan or inf as written, or once converted to SI units
+    raise ValidationError(f"line {lineno}: value of {key!r} is not finite in SI units: {text!r}")
 
 
 def _read_lines(path):
@@ -115,17 +103,19 @@ def load_material_db(path) -> MaterialDatabase:
 def _parse_material_db(lines: Iterable[str]) -> MaterialDatabase:
     db = MaterialDatabase.empty()
     name = model = None
-    fields: dict[str, str] = {}
-    start_line = 0
 
     def flush():
         if name is None:
             return
-        record = _record_from_fields(name, model, dict(fields), start_line)
-        key = (name, model)
-        if key in db.records:
+        for key in ("R",) + MODEL_FIELDS[model]:
+            if key not in fields:
+                raise ParseError(f"record {name!r} ({model}) is missing key {key!r}")
+        kwargs = {_SCALAR_KEYS[key][0] if key in _SCALAR_KEYS else key: value
+                  for key, value in fields.items() if key != "note"}
+        params = GasParams(name=name, model=model, **kwargs)
+        if (name, model) in db.records:
             raise ParseError(f"duplicate record for material {name!r} model {model}")
-        db.records[key] = record
+        db.records[(name, model)] = DbRecord(params=params, note=fields.get("note", ""))
 
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
@@ -142,7 +132,6 @@ def _parse_material_db(lines: Iterable[str]) -> MaterialDatabase:
             except ValueError:
                 raise ParseError(f"line {lineno}: unknown model {m.group(2)!r}") from None
             fields = {}
-            start_line = lineno
             continue
         if "=" not in line:
             raise ParseError(f"line {lineno}: expected 'key = value', got {line!r}")
@@ -155,11 +144,13 @@ def _parse_material_db(lines: Iterable[str]) -> MaterialDatabase:
             raise ParseError(f"line {lineno}: unknown key {key!r} for model {model}")
         if key in fields:
             raise ParseError(f"line {lineno}: duplicate key {key!r}")
-        if key != "note" and key != "rho_range":
-            try:
-                float(value)
-            except ValueError:
-                raise ParseError(f"line {lineno}: value of {key!r} is not a number: {value!r}") from None
+        if key == "rho_range":
+            parts = value.split()
+            if len(parts) != 2:
+                raise ParseError(f"line {lineno}: rho_range needs two values, got {value!r}")
+            value = (_number_in_si(lineno, key, parts[0]), _number_in_si(lineno, key, parts[1]))
+        elif key != "note":
+            value = _number_in_si(lineno, key, value, _SCALAR_KEYS[key][1] if key in _SCALAR_KEYS else 1.0)
         fields[key] = value
     flush()
     return db
@@ -198,7 +189,9 @@ def builtin_database() -> MaterialDatabase:
     return _BUILTIN_CACHE
 
 
-def _parse_csv_rows(path, header: str, n_fields: int):
+def _parse_csv_rows(path, header: str, units):
+    """The ``(line number, values)`` of each data row in file units; each stays finite in SI ``units``."""
+    names = header.split(",")
     rows = []
     seen_header = False
     for lineno, raw in enumerate(_read_lines(path), start=1):
@@ -211,14 +204,15 @@ def _parse_csv_rows(path, header: str, n_fields: int):
             seen_header = True
             continue
         parts = [p.strip() for p in line.split(",")]
-        if len(parts) != n_fields:
-            raise ParseError(f"line {lineno}: expected {n_fields} fields, got {len(parts)}")
+        if len(parts) != len(names):
+            raise ParseError(f"line {lineno}: expected {len(names)} fields, got {len(parts)}")
         values = []
-        for col, part in enumerate(parts, start=1):
+        for col, (name, unit, part) in enumerate(zip(names, units, parts), start=1):
             try:
                 values.append(float(part))
             except ValueError:
                 raise ParseError(f"line {lineno}, column {col}: not a number: {part!r}") from None
+            _number_in_si(lineno, name, part, unit)  # refused unless finite in SI units too
         rows.append((lineno, values))
     if not rows:
         raise ParseError(f"{path}: no data rows")
@@ -228,7 +222,7 @@ def _parse_csv_rows(path, header: str, n_fields: int):
 def load_closed_bomb_csv(path) -> list[ClosedBombPoint]:
     """Closed-bomb points from a ``rho_kg_m3,pmax_MPa`` CSV file."""
     points = []
-    for lineno, (rho, pmax_mpa) in _parse_csv_rows(path, "rho_kg_m3,pmax_MPa", 2):
+    for lineno, (rho, pmax_mpa) in _parse_csv_rows(path, "rho_kg_m3,pmax_MPa", (1.0, 1e6)):
         if rho <= 0.0:
             raise ValidationError(f"line {lineno}: loading density must be positive, got {rho!r}")
         if pmax_mpa <= 0.0:
@@ -240,7 +234,7 @@ def load_closed_bomb_csv(path) -> list[ClosedBombPoint]:
 def load_inert_runs_csv(path) -> list[InertRunRecord]:
     """Inert-diluted runs from a ``Y,tflame_K`` CSV file."""
     runs = []
-    for lineno, (y, tflame) in _parse_csv_rows(path, "Y,tflame_K", 2):
+    for lineno, (y, tflame) in _parse_csv_rows(path, "Y,tflame_K", (1.0, 1.0)):
         if not 0.0 < y <= 1.0:
             raise ValidationError(f"line {lineno}: mass fraction must lie in (0,1], got {y!r}")
         if tflame <= 0.0:

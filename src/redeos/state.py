@@ -4,14 +4,16 @@ Builders accept the three natural input pairs, (rho, T), (P, T) and
 (rho, e), and return a :class:`~redeos.types.ThermoState`.  A flow solver
 that needs only P, T and the sound speed c of a cell calls
 :func:`closure_from_rho_e` (or :func:`closure_from_rho_T`) instead: the
-same values and refusals, without e, h, s, Cp and gamma.  ``LAWS`` holds
-what differs between models: the thermal law and the closed forms of c, s
-and Cp.  The rest holds for any model and is written once here: e and T
-from the shared caloric law (:mod:`redeos.virial_cvt`), h = e + P/rho and
-gamma = Cp/Cv(T).  The two virial models share one entry, which reads
-Cv(T); only the entropy needs a constant Cv, so a Cv(T) state has none.
-The entries call the kernels through their modules, so that wrappers
-installed on module attributes see those calls.
+same values and refusals, without e, h, s, Cp and gamma.  A Noble-Abel
+mixture is one Noble-Abel record, ``MixtureSpec.mixed``, so these closures
+serve it too.  ``LAWS`` holds what differs between models: the thermal law
+and the closed forms of c, s and Cp.  The rest holds for any model and is
+written once here: e and T from the shared caloric law
+(:mod:`redeos.virial_cvt`), h = e + P/rho and gamma = Cp/Cv(T).  The two
+virial models share one entry, which reads Cv(T); only the entropy needs a
+constant Cv, so a Cv(T) state has none.  The entries call the kernels
+through their modules, so that wrappers installed on module attributes see
+those calls.
 """
 
 from __future__ import annotations
@@ -42,21 +44,16 @@ class Closure(NamedTuple):
     c: float               # m/s
 
 
-def na_specific_volume(params: GasParams, rho, T):
-    """1/rho for a Noble-Abel record entered by density; :class:`DomainError`
-    naming rho unless 0 < rho < 1/b.  A bad T is left to the thermal law,
-    which names it first."""
+def _na_pressure(params, rho, T):
+    """The Noble-Abel law entered by density; :class:`DomainError` naming rho
+    unless 0 < rho < 1/b.  A bad T is left to the law, which names it first."""
     if not rho > 0.0:
         raise DomainError(f"density must be positive, got {rho!r}")
     v = 1.0 / rho
     if T > 0.0 and not v > params.b:
         raise DomainError(
             f"density {rho!r} kg/m3 is not below the packing limit 1/b = {_div(1.0, params.b)!r} kg/m3")
-    return v
-
-
-def _na_pressure(params, rho, T):
-    return noble_abel.na_pressure_vt(params, na_specific_volume(params, rho, T), T)
+    return noble_abel.na_pressure_vt(params, v, T)
 
 
 def _na_density(params, P, T):

@@ -684,35 +684,119 @@ class TestBoundaryRegressions:
         values = [float(line.rsplit(" = ", 1)[1]) for line in proc.stdout.splitlines()[1:]]
         assert len(values) == 5 and all(abs(v) < float("inf") for v in values)
 
-    @pytest.mark.parametrize("argv, prefix", [
+    @pytest.mark.parametrize("argv, prefix, named", [
         (["calibrate", "na", "--points", "POINTS", "--tflame", "3275", "--gamma", "1.2", "--db", "GARBAGE"],
-         "E_PARSE"),
+         "E_PARSE", "line 1: expected 'key = value', got 'garbage'"),
         (["calibrate", "na", "--points", "POINTS", "--tflame", "3275", "--gamma", "1.2", "--db", "UNWRITABLE"],
-         "E_PARSE"),
-        (["calibrate-cvt", "--runs", "RUNS", "--inert", "argon", "--es-i", "5000", "--db", "NEW"], "E_VALIDATION"),
+         "E_PARSE", "No such file or directory"),
+        (["calibrate-cvt", "--runs", "RUNS", "--inert", "argon", "--es-i", "5000", "--db", "NEW"], "E_VALIDATION",
+         "--db requires --name and --base"),
         (["calibrate-cvt", "--runs", "RUNS", "--inert", "argon", "--es-i", "5000", "--db", "NEW",
-          "--name", "N", "--base", "NOPE"], "E_VALIDATION"),
+          "--name", "N", "--base", "NOPE"], "E_VALIDATION", "material 'NOPE' with model VO1 is not in the database"),
         (["mix-sweep", "NC-13=0.7,RDX=0.5", "--model", "mna", "--rho", "100", "--same-oxygen-balance"],
-         "E_VALIDATION"),
+         "E_VALIDATION", "mass fractions must sum to 1"),
         (["mix-sweep", "X+NC-13", "--model", "mna", "--rho", "100", "--fraction-sweep", "0:1:1",
-          "--same-oxygen-balance", "--db", "NO_E"], "E_VALIDATION"),
+          "--same-oxygen-balance", "--db", "NO_E"], "E_VALIDATION", "record 'X' carries no effective energy"),
         (["mix-sweep", "Z+NC-13", "--model", "mvo1", "--rho", "100", "--fraction-sweep", "0:1:1",
-          "--same-oxygen-balance", "--db", "NO_E"], "E_VALIDATION"),
-        (["sweep", "X", "--model", "na", "--rho", "100:200:100", "--db", "NO_E"], "E_VALIDATION"),
+          "--same-oxygen-balance", "--db", "NO_E"], "E_VALIDATION", "'Z' has a = 0.0"),
+        (["sweep", "X", "--model", "na", "--rho", "100:200:100", "--db", "NO_E"], "E_VALIDATION",
+         "record 'X' carries no effective energy"),
+        # refusals of the argument parsers
+        (["mix-sweep", "NC-13=", "--model", "mna", "--rho", "100", "--same-oxygen-balance"], "E_VALIDATION",
+         "malformed mixture component 'NC-13='; use NAME=FRACTION"),
+        (["mix-sweep", "NC-13+RDX+HMX", "--model", "mna", "--rho", "100", "--fraction-sweep", "0:1:1",
+          "--same-oxygen-balance"], "E_VALIDATION", "fraction sweeps need exactly two materials as A+B"),
+        (["mix-sweep", "NC-13+RDX", "--model", "mna", "--rho", "100", "--fraction-sweep", "0:2:1",
+          "--same-oxygen-balance"], "E_VALIDATION", "swept fraction 2.0 is outside [0,1]"),
+        (["mix-sweep", "NC-13=0.5,RDX=0.5", "--model", "mvo1", "--rho", "100,fast", "--same-oxygen-balance"],
+         "E_VALIDATION", "expected a comma-separated list of numbers, got '100,fast'"),
+        # a float flag that is not finite, named as given rather than by a record field it fills
+        (["calibrate", "na", "--points", "POINTS", "--tflame", "inf", "--gamma", "1.2"], "E_VALIDATION",
+         "--tflame must be finite, got inf"),
+        (["calibrate", "vo1", "--points", "POINTS", "--tflame", "3275", "--gamma", "inf"], "E_VALIDATION",
+         "--gamma must be finite, got inf"),
+        (["calibrate-cvt", "--runs", "RUNS", "--inert", "argon", "--es-i", "5000", "--db", "NEW",
+          "--name", "N", "--base", "NC-13", "--tflame", "inf"], "E_VALIDATION", "--tflame must be finite, got inf"),
+        (["calibrate-cvt", "--runs", "RUNS", "--inert", "argon", "--es-i", "inf"], "E_VALIDATION",
+         "--es-i must be finite, got inf"),
+        (["calibrate-cvt", "--runs", "RUNS", "--inert", "argon", "--es-i", "5000", "--t0", "nan"], "E_VALIDATION",
+         "--t0 must be finite, got nan"),
+        # two-point calibrations that fail on the data or the flame temperature
+        (["calibrate", "na", "--points", "B_NEGATIVE", "--tflame", "3275", "--gamma", "1.2"], "E_VALIDATION",
+         "calibrated covolume is negative"),
+        (["calibrate", "na", "--points", "B_PACKED", "--tflame", "3275", "--gamma", "1.2"], "E_VALIDATION",
+         "reaches the smaller specific volume"),
+        (["calibrate", "na", "--points", "POINTS", "--tflame", "1e-320", "--gamma", "1.2"], "E_VALIDATION",
+         "calibrated gas constant inf J/(kg K) is not positive and finite at flame temperature 1e-320 K"),
+        (["calibrate", "vo1", "--points", "SINGULAR", "--tflame", "3275", "--gamma", "1.2"], "E_DEGENERATE",
+         "the virial system is singular"),
+        (["calibrate", "vo1", "--points", "POINTS", "--tflame", "1e305", "--gamma", "1.2"], "E_VALIDATION",
+         "calibrated gas constant 0.0 J/(kg K) is not positive and finite at flame temperature 1e+305 K"),
+        # file values, named by line and by key or column in file units
+        (["state", "X", "--model", "na", "--rho", "100", "--T", "3000", "--db", "DB_RANGE"], "E_PARSE",
+         "line 5: rho_range needs two values, got '100'"),
+        (["state", "X", "--model", "na", "--rho", "100", "--T", "3000", "--db", "DB_OUTSIDE"], "E_PARSE",
+         "line 1: key outside any [material ...] section"),
+        (["state", "X", "--model", "na", "--rho", "100", "--T", "3000", "--db", "DB_TWICE"], "E_PARSE",
+         "line 5: duplicate key 'R'"),
+        (["state", "X", "--model", "na", "--rho", "100", "--T", "3000", "--db", "DB_WORD"], "E_PARSE",
+         "line 3: value of 'b' is not a number: 'small'"),
+        (["state", "X", "--model", "na", "--rho", "100", "--T", "3000", "--db", "DB_INF"], "E_VALIDATION",
+         "line 2: value of 'R' is not finite in SI units: 'inf'"),
+        (["state", "X", "--model", "na", "--rho", "100", "--T", "3000", "--db", "DB_OVERFLOW"], "E_VALIDATION",
+         "line 5: value of 'e_s_eff_kJ' is not finite in SI units: '1e306'"),
+        (["calibrate", "na", "--points", "P_FIELDS", "--tflame", "3275", "--gamma", "1.2"], "E_PARSE",
+         "line 3: expected 2 fields, got 3"),
+        (["calibrate", "na", "--points", "P_OVERFLOW", "--tflame", "3275", "--gamma", "1.2"], "E_VALIDATION",
+         "line 2: value of 'pmax_MPa' is not finite in SI units: '1e308'"),
+        (["calibrate", "na", "--points", "P_NAN", "--tflame", "3275", "--gamma", "1.2"], "E_VALIDATION",
+         "line 2: value of 'rho_kg_m3' is not finite in SI units: 'nan'"),
+        (["calibrate-cvt", "--runs", "RUNS_INF", "--inert", "argon", "--es-i", "5000"], "E_VALIDATION",
+         "line 2: value of 'tflame_K' is not finite in SI units: 'inf'"),
     ], ids=["calibrate-db", "calibrate-unwritable", "cvt-no-name", "cvt-no-base", "mix-fractions", "mix-no-energy", "mvo1-zero-a",
-            "sweep-no-energy"])
-    def test_exit_2_prints_nothing(self, capsys, tmp_path, points_nc13, argv, prefix):
-        # each once printed its result or header before the error
-        runs, garbage, no_e = tmp_path / "runs.csv", tmp_path / "garbage.eosdb", tmp_path / "no_e.eosdb"
+            "sweep-no-energy", "mix-empty-fraction", "mix-three-names", "mix-fraction-above-1", "mix-rho-word",
+            "tflame-inf", "gamma-inf", "cvt-tflame-inf", "es-i-inf", "t0-nan", "na-negative-b", "na-packed-b",
+            "na-r-overflows", "vo1-singular", "vo1-r-underflows", "db-range-one-value", "db-key-outside",
+            "db-duplicate-key", "db-word", "db-inf", "db-overflow", "csv-fields", "csv-overflow", "csv-nan",
+            "runs-inf"])
+    def test_exit_2_prints_nothing(self, capsys, tmp_path, points_nc13, argv, prefix, named):
+        # the first eight once printed their result or header before the error; the non-finite
+        # flags and file values once named the record field they fill (R, Cv, e_s_eff, P_max) or
+        # ended in E_NUMERICAL, and a short rho_range named its section's header line
+        runs = tmp_path / "runs.csv"
         write_dilution_runs_csv(runs)
-        garbage.write_text("garbage\n")
-        # X carries no effective energy and Z has a = 0, which the MVO1 solve refuses
-        no_e.write_text('[material "X" model NA]\nR = 338.9\nb = 0.001484\nCv = 1637.1\n\n'
-                        '[material "Z" model VO1]\nR = 322\na = 0\nCv = 1640.5\ne_s_eff_kJ = 5371.9\n\n'
-                        '[material "NC-13" model VO1]\nR = 322\na = 0.002359\nCv = 1640.5\ne_s_eff_kJ = 5371.9\n\n'
-                        '[material "NC-13" model NA]\nR = 338.9\nb = 0.001484\nCv = 1637.1\ne_s_eff_kJ = 5360.7\n')
-        names = {"POINTS": points_nc13, "GARBAGE": str(garbage), "UNWRITABLE": str(tmp_path / "no" / "x.eosdb"),
-                 "RUNS": str(runs), "NEW": str(tmp_path / "new.eosdb"), "NO_E": str(no_e)}
+        names = {"POINTS": points_nc13, "UNWRITABLE": str(tmp_path / "no" / "x.eosdb"), "RUNS": str(runs),
+                 "NEW": str(tmp_path / "new.eosdb")}
+        for name, text in _EXIT_2_FILES.items():
+            names[name] = str(tmp_path / name)
+            (tmp_path / name).write_text(text)
         code, out, err = run_cli(capsys, *[names.get(arg, arg) for arg in argv])
         assert code == 2 and out == ""
         assert_one_error_line(err, prefix)
+        assert named in err
+
+
+_NA_X = '[material "X" model NA]\nR = 338.9\nb = 0.001484\nCv = 1637.1\n'
+
+#: The input files of ``test_exit_2_prints_nothing``, by the name its argv gives them.
+_EXIT_2_FILES = {
+    "GARBAGE": "garbage\n",
+    # X carries no effective energy and Z has a = 0, which the MVO1 solve refuses
+    "NO_E": ('[material "X" model NA]\nR = 338.9\nb = 0.001484\nCv = 1637.1\n\n'
+             '[material "Z" model VO1]\nR = 322\na = 0\nCv = 1640.5\ne_s_eff_kJ = 5371.9\n\n'
+             '[material "NC-13" model VO1]\nR = 322\na = 0.002359\nCv = 1640.5\ne_s_eff_kJ = 5371.9\n\n'
+             '[material "NC-13" model NA]\nR = 338.9\nb = 0.001484\nCv = 1637.1\ne_s_eff_kJ = 5360.7\n'),
+    "B_NEGATIVE": "rho_kg_m3,pmax_MPa\n100,130\n150,150\n",   # P1 v1 > P2 v2 while P2 > P1
+    "B_PACKED": "rho_kg_m3,pmax_MPa\n100,214.1\n150,130.3\n",  # the pressure falls as the density rises
+    "SINGULAR": "rho_kg_m3,pmax_MPa\n100,100\n200,400\n",      # P1 rho2^2 = P2 rho1^2
+    "DB_RANGE": _NA_X + "rho_range = 100\n",
+    "DB_OUTSIDE": "R = 338.9\n" + _NA_X,
+    "DB_TWICE": _NA_X + "R = 338.9\n",
+    "DB_WORD": _NA_X.replace("0.001484", "small"),
+    "DB_INF": _NA_X.replace("338.9", "inf"),
+    "DB_OVERFLOW": _NA_X + "e_s_eff_kJ = 1e306\n",
+    "P_FIELDS": "rho_kg_m3,pmax_MPa\n100,130.3\n150,214.1,9\n",
+    "P_OVERFLOW": "rho_kg_m3,pmax_MPa\n100,1e308\n150,214.1\n",
+    "P_NAN": "rho_kg_m3,pmax_MPa\nnan,120\n150,214.1\n",
+    "RUNS_INF": "Y,tflame_K\n0.5,inf\n0.7,2900\n1.0,3275\n",
+}

@@ -93,6 +93,23 @@ class TestMnaIsNobleAbelOnTheRecord:
                 assert state.P == rx.na_pressure_vt(mixed, v, rx.cvt_temperature(mixed, e))
                 assert state.T == rx.cvt_temperature(mixed, e)
 
+    def test_closure_of_the_record_is_the_mixture_route(self, db):
+        # what `eos mix-sweep --model mna` evaluates; c now reads rho where mna_sound_speed read
+        # 1/v = 1/(1/rho), so it may differ in the last bits, up to the packing limit 1/b
+        rng = random.Random(2101)
+        names = ("NC-13", "RDX", "HMX", "NG")
+        for _ in range(200):
+            a, b = rng.sample(names, 2)
+            y = rng.random()
+            mix = rx.MixtureSpec(((db.get(a, rx.Model.NA), 1.0 - y), (db.get(b, rx.Model.NA), y)))
+            for _ in range(10):
+                rho, T = rng.uniform(1e-4, 0.999) / mix.mixed.b, rng.uniform(300.0, 6000.0)
+                P, T_got, c = rx.closure_from_rho_T(mix.mixed, rho, T)
+                v = 1.0 / rho
+                P_mix = rx.mna_pressure_vt(mix, v, T)
+                assert (P.hex(), T_got) == (P_mix.hex(), T), (mix, rho, T)
+                assert abs(c - rx.mna_sound_speed(mix, P_mix, v)) <= 4.0 * math.ulp(c), (mix, rho, T)
+
     def test_flame_is_the_closed_bomb_rule(self, mix, half_vo1):
         for each in (mix, half_vo1):
             assert rx.mixture_flame_temperature(each).T_flame == rx.predict_closed_bomb(each.mixed, 150.0).T_flame
