@@ -172,7 +172,7 @@ def cmd_calibrate(args):
              f"e_s_eff (kJ/kg) = {_fmt(params.e_s_eff / 1e3)}",
              f"{thermal} (m3/kg) = {_fmt(getattr(params, thermal))}",
              f"T_flame (K) = {_fmt(params.T_flame)}",
-             f"gamma = {_fmt(params.gamma_cal)}",
+             f"gamma = {params.gamma_cal!r}",  # as given, exactly: 10 digits could round it onto 1
              f"rho_range (kg/m3) = {_fmt(params.rho_range[0])} {_fmt(params.rho_range[1])}"]
     if args.db:
         lines.append(_save_record(args.db, _load_existing(args.db), params, f"calibrated from {args.points}"))

@@ -225,6 +225,8 @@ def load_closed_bomb_csv(path) -> list[ClosedBombPoint]:
     for lineno, (rho, pmax_mpa) in _parse_csv_rows(path, "rho_kg_m3,pmax_MPa", (1.0, 1e6)):
         if rho <= 0.0:
             raise ValidationError(f"line {lineno}: loading density must be positive, got {rho!r}")
+        if 1.0 / rho == math.inf:
+            raise ValidationError(f"line {lineno}: loading density {rho!r} kg/m3 has no finite specific volume")
         if pmax_mpa <= 0.0:
             raise ValidationError(f"line {lineno}: peak pressure must be positive, got {pmax_mpa!r}")
         points.append(ClosedBombPoint(rho_load=rho, P_max=pmax_mpa * 1e6))

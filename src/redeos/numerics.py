@@ -36,7 +36,11 @@ def solve_monotone(g, lo, hi, *, tol_rel=1e-12, max_iter=100, x0=None, ends=None
     bracket.  The residual at the bracket endpoints is evaluated only when
     a step needs the bracket: no slope; a zero, non-finite or wrongly
     signed slope; or a Newton step that would leave it.  Until then the
-    sign of the slope gives the orientation of the residual.
+    sign of the slope gives the orientation of the residual.  A Newton step
+    ``x + dx`` inside the bracket with ``|dx| <= sqrt(0.1 tol_rel) |x|`` is
+    returned without evaluating ``g`` there: the step after it would move
+    by about ``|x g''/(2 g')| (dx/x)^2 |x|``, a tenth of ``tol_rel |x|``
+    where ``|x g''/(2 g')| <= 1``, as for every residual solved here.
 
     Parameters
     ----------
@@ -68,6 +72,7 @@ def solve_monotone(g, lo, hi, *, tol_rel=1e-12, max_iter=100, x0=None, ends=None
     # roots below machine epsilon times the problem scale are unresolvable,
     # so the relative criterion carries an absolute floor tied to the bracket
     tol_floor = 1e-15 * (hi - lo)
+    accept_rel = (0.1 * tol_rel) ** 0.5  # a converged Newton step, see above
     x = 0.5 * (lo + hi) if x0 is None else min(max(x0, lo), hi)
     side = 0
     for it in range(1, max_iter + 1):
@@ -80,6 +85,8 @@ def solve_monotone(g, lo, hi, *, tol_rel=1e-12, max_iter=100, x0=None, ends=None
             sign_high = d > 0.0
             cand = x - gx / d
             if xl < cand < xh:
+                if abs(cand - x) <= accept_rel * abs(x):
+                    return RootResult(cand, it)
                 xn = cand
         if xn is None and (unchecked or gl is None or gh is None):
             unchecked = False
@@ -155,42 +162,41 @@ def fd_partial(f, point, arg, scale_floor=1.0):
     return fd_derivative(along, point[arg], scale_floor)
 
 
-def _bracket_start(p_fn, rho, T_guess):
-    """The first bracket of a temperature inversion at ``rho``, T_guess (1 -/+ 1e-4), with ``p_fn`` at its ends."""
-    lo = T_guess * (1.0 - 1e-4)
-    hi = T_guess * (1.0 + 1e-4)
-    return lo, hi, p_fn(rho, lo), p_fn(rho, hi)
-
-
-def _invert_temperature(p_fn, rho, P_target, T_guess, start=None):
+def _invert_temperature(p_fn, rho, P_target, T_guess, P_T, T_start):
     """Solve ``p_fn(rho, T) = P_target`` for T near ``T_guess``.
 
     Assumes pressure strictly increasing in temperature, which holds for
-    every model in this library.  ``start``, the :func:`_bracket_start` of
-    ``(rho, T_guess)``, lets inversions to several targets share its two
-    pressures.  Each end widens (halving or doubling T) until the bracket
-    holds the target; the residuals at its final ends seed the solve.
+    every model in this library.  Newton steps from ``T_start`` take the
+    fixed slope ``P_T``; every law here is linear in T, so from the
+    oracle's seeded start the first step is returned as converged.  The
+    first bracket, ``T_guess (1 -/+ 1e-4)``, is evaluated only when a step
+    leaves it.  When it misses the target, each end widens (halving or
+    doubling T) until the bracket holds it, and a solve without the slope
+    starts from the residuals at its final ends.
     """
+    lo, hi = T_guess * (1.0 - 1e-4), T_guess * (1.0 + 1e-4)
+    try:
+        return solve_monotone(lambda T: (p_fn(rho, T) - P_target, P_T), lo, hi,
+                              tol_rel=1e-13, max_iter=200, x0=T_start).root
+    except BracketError:
+        pass
 
     def g(T):
         return p_fn(rho, T) - P_target, None
 
-    lo, hi, p_lo, p_hi = _bracket_start(p_fn, rho, T_guess) if start is None else start
-    g_lo = p_lo - P_target
-    for _ in range(79):
+    for _ in range(80):
+        g_lo = g(lo)[0]
         if g_lo <= 0.0:
             break
         lo *= 0.5
-        g_lo = g(lo)[0]
-    if not g_lo <= 0.0:
+    else:
         raise NumericalError("temperature inversion failed to bracket from below")
-    g_hi = p_hi - P_target
-    for _ in range(79):
+    for _ in range(80):
+        g_hi = g(hi)[0]
         if g_hi >= 0.0:
             break
         hi *= 2.0
-        g_hi = g(hi)[0]
-    if not g_hi >= 0.0:
+    else:
         raise NumericalError("temperature inversion failed to bracket from above")
     return solve_monotone(g, lo, hi, tol_rel=1e-13, max_iter=200, ends=(g_lo, g_hi)).root
 
@@ -203,11 +209,12 @@ class FdPartials(NamedTuple):
     e_T: float
     e_rho: float
     P_T: float
+    P_rho: float
     c2: float
 
     def convexity(self) -> ConvexityReport:
         """The four convexity criteria in density form, from these partials alone."""
-        rho, P, eT, erho, pT, c2 = self
+        rho, P, eT, erho, pT, _, c2 = self
         m = P - rho**2 * erho
         criteria = (rho**2 * c2, m / (pT * eT), -m / eT,
                     m / eT**2 * ((eT / pT) * rho**2 * c2 + rho**2 * erho - P))
@@ -221,7 +228,7 @@ def _fd_partials(e_fn, p_fn, rho, T) -> FdPartials:
     pT = fd_derivative(lambda t: p_fn(rho, t), T, STEP_FLOOR)
     prho = fd_derivative(lambda r: p_fn(r, T), rho, STEP_FLOOR)
     cp = (eT + pT / rho) - (erho + prho / rho - P / rho**2) * pT / prho
-    return FdPartials(rho, P, eT, erho, pT, (cp / eT) * prho)
+    return FdPartials(rho, P, eT, erho, pT, prho, (cp / eT) * prho)
 
 
 class OracleSoundSpeed(NamedTuple):
@@ -248,6 +255,11 @@ class OracleSoundSpeed(NamedTuple):
 def sound_speed_fd_oracle(e_fn, p_fn, rho, T) -> OracleSoundSpeed:
     """Frozen sound speed of an EOS given only its primitive evaluators.
 
+    Its eight temperature inversions start from the linearisation of
+    ``p_fn`` at (rho, T) by the oracle's own differences P_T and P_rho, and
+    take P_T as their slope: with the nine pressures of the partials, 17
+    pressure and 16 energy evaluations per call.
+
     Parameters
     ----------
     e_fn, p_fn : callable
@@ -256,12 +268,11 @@ def sound_speed_fd_oracle(e_fn, p_fn, rho, T) -> OracleSoundSpeed:
         Evaluation point.
     """
     partials = _fd_partials(e_fn, p_fn, rho, T)
-    P = partials.P
-
-    dedrho_P = fd_derivative(lambda r: e_fn(r, _invert_temperature(p_fn, r, P, T)), rho, STEP_FLOOR)
-    # the four inversions at constant density share one first bracket
-    start = _bracket_start(p_fn, rho, T)
-    dedP_rho = fd_derivative(lambda p: e_fn(rho, _invert_temperature(p_fn, rho, p, T, start)), P, STEP_FLOOR)
+    _, P, _, _, P_T, P_rho, _ = partials
+    dedrho_P = fd_derivative(
+        lambda r: e_fn(r, _invert_temperature(p_fn, r, P, T, P_T, T - P_rho * (r - rho) / P_T)), rho, STEP_FLOOR)
+    dedP_rho = fd_derivative(
+        lambda p: e_fn(rho, _invert_temperature(p_fn, rho, p, T, P_T, T + (p - P) / P_T)), P, STEP_FLOOR)
     c2_energy = (P / rho**2 - dedrho_P) / dedP_rho
     return OracleSoundSpeed(c2_energy=c2_energy, c2_gamma=partials.c2, partials=partials)
 

@@ -217,6 +217,8 @@ class ClosedBombPoint:
     def __post_init__(self):
         _positive("rho_load", self.rho_load)
         _positive("P_max", self.P_max)
+        if 1.0 / self.rho_load == math.inf:  # a subnormal density, whose v would overflow
+            raise ValidationError(f"loading density {self.rho_load!r} kg/m3 has no finite specific volume")
 
     @property
     def v(self):

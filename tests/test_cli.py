@@ -60,6 +60,17 @@ class TestCalibrate:
         assert float(values["a (m3/kg)"]) == pytest.approx(0.002249, rel=1e-3)
         assert float(values["R (J/kg/K)"]) == pytest.approx(330.2, rel=1e-3)
 
+    @pytest.mark.parametrize("model", ["na", "vo1"])
+    def test_printed_gamma_reads_back(self, capsys, points_nc13, model):
+        # 10 digits once printed 1.0000000000000002 as 1, which the calibration refuses
+        argv = ["calibrate", model, "--points", points_nc13, "--tflame", "3275", "--gamma"]
+        code, out, _ = run_cli(capsys, *argv, "1.0000000000000002")
+        assert code == 0
+        printed = dict(line.split(" = ") for line in out.strip().split("\n")[1:])["gamma"]
+        assert printed == "1.0000000000000002"
+        code, again, _ = run_cli(capsys, *argv, printed)
+        assert code == 0 and again == out
+
     def test_three_points_rejected(self, capsys, tmp_path):
         path = tmp_path / "three.csv"
         path.write_text("rho_kg_m3,pmax_MPa\n100,130.3\n125,170\n150,214.1\n")
@@ -753,16 +764,21 @@ class TestBoundaryRegressions:
          "line 2: value of 'rho_kg_m3' is not finite in SI units: 'nan'"),
         (["calibrate-cvt", "--runs", "RUNS_INF", "--inert", "argon", "--es-i", "5000"], "E_VALIDATION",
          "line 2: value of 'tflame_K' is not finite in SI units: 'inf'"),
+        (["calibrate", "na", "--points", "RHO_SUBNORMAL", "--tflame", "3000", "--gamma", "1.2"], "E_VALIDATION",
+         "line 2: loading density 1e-320 kg/m3 has no finite specific volume"),
+        (["calibrate", "vo1", "--points", "RHO_SUBNORMAL", "--tflame", "3000", "--gamma", "1.2"], "E_VALIDATION",
+         "line 2: loading density 1e-320 kg/m3 has no finite specific volume"),
     ], ids=["calibrate-db", "calibrate-unwritable", "cvt-no-name", "cvt-no-base", "mix-fractions", "mix-no-energy", "mvo1-zero-a",
             "sweep-no-energy", "mix-empty-fraction", "mix-three-names", "mix-fraction-above-1", "mix-rho-word",
             "tflame-inf", "gamma-inf", "cvt-tflame-inf", "es-i-inf", "t0-nan", "na-negative-b", "na-packed-b",
             "na-r-overflows", "vo1-singular", "vo1-r-underflows", "db-range-one-value", "db-key-outside",
             "db-duplicate-key", "db-word", "db-inf", "db-overflow", "csv-fields", "csv-overflow", "csv-nan",
-            "runs-inf"])
+            "runs-inf", "na-rho-subnormal", "vo1-rho-subnormal"])
     def test_exit_2_prints_nothing(self, capsys, tmp_path, points_nc13, argv, prefix, named):
         # the first eight once printed their result or header before the error; the non-finite
         # flags and file values once named the record field they fill (R, Cv, e_s_eff, P_max) or
-        # ended in E_NUMERICAL, and a short rho_range named its section's header line
+        # ended in E_NUMERICAL, a short rho_range named its section's header line, and a subnormal
+        # loading density, whose 1/rho overflows, was blamed on the calibrated covolume or virial coefficient
         runs = tmp_path / "runs.csv"
         write_dilution_runs_csv(runs)
         names = {"POINTS": points_nc13, "UNWRITABLE": str(tmp_path / "no" / "x.eosdb"), "RUNS": str(runs),
@@ -799,4 +815,5 @@ _EXIT_2_FILES = {
     "P_OVERFLOW": "rho_kg_m3,pmax_MPa\n100,1e308\n150,214.1\n",
     "P_NAN": "rho_kg_m3,pmax_MPa\nnan,120\n150,214.1\n",
     "RUNS_INF": "Y,tflame_K\n0.5,inf\n0.7,2900\n1.0,3275\n",
+    "RHO_SUBNORMAL": "rho_kg_m3,pmax_MPa\n1e-320,130.3\n150,214.1\n",  # 1/rho overflows
 }

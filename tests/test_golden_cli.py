@@ -15,8 +15,12 @@ eigen-solve of the same normal equations, the ``residual norm`` line of the
 two ``calibrate-cvt`` commands (3.157201804e-06 to 3.157201798e-06 kJ/kg,
 the rounding noise of a clean fit) and the Cv0, c, q_kJ and e_s_eff_kJ of
 the written ``QX-cvt`` record (each within 2e-11 relative) were
-re-recorded; the printed Cv0, c, q and condition did not change.  The
-commands are
+re-recorded; the printed Cv0, c, q and condition did not change.  When
+the difference oracle's temperature inversions began to start from its own
+linearisation and to take its own P_T as their slope, the sound-speed and
+oracle-forms residual lines of the four ``audit`` commands were re-recorded
+(each now below 1e-9, where they read up to 8.7e-9; every verdict and the
+Maxwell line did not change).  The commands are
 the 13 of acceptance criterion 11 and, for each model, ``state``, ``sweep``
 and ``audit`` on a record whose caloric reference q is nonzero: the built-in
 records all have q = 0, so they cannot show how the caloric law treats it.

@@ -5,6 +5,7 @@ import pytest
 
 import redeos as rx
 from redeos.errors import DomainError, ModelMismatchError, NumericalError, ValidationError
+from redeos.mixture import _mixture_volume
 from redeos.types import MODEL_FIELDS
 
 
@@ -247,6 +248,27 @@ class TestMvo1Pressure:
             sol = rx.mvo1_pressure(mix, rng.uniform(10.0, 600.0), rng.uniform(1500.0, 4500.0))
             assert sol.iterations <= 3
             assert sol.residual_rel <= 1e-12
+
+    def test_wide_cells_return_a_converged_newton_step(self, db):
+        # 2-4 components over rho 1e-3-2e3 kg/m3 and T 316-1e4 K; a Newton step below
+        # sqrt(0.1 MVO1_TOL) |P| is returned without a residual pass at it, against a
+        # reference that takes secant steps on the same residual down to 1e-15
+        rng = random.Random(2202)
+        names = ("NC-13", "RDX", "HMX", "NG")
+        iterations = []
+        for _ in range(500):
+            parts = rng.sample(names, rng.randint(2, 4))
+            weights = [rng.random() for _ in parts]
+            mix = rx.MixtureSpec(tuple((db.get(name, rx.Model.VO1), w / sum(weights))
+                                       for name, w in zip(parts, weights)))
+            rho, T = 10.0 ** rng.uniform(-3.0, 3.3), 10.0 ** rng.uniform(2.5, 4.0)
+            sol = rx.mvo1_pressure(mix, rho, T)
+            ref = rx.solve_monotone(lambda P: (_mixture_volume(mix.virial_terms, P, T)[1] - 1.0 / rho, None),
+                                    0.5 * sol.P, 2.0 * sol.P, tol_rel=1e-15).root
+            iterations.append(sol.iterations)
+            assert sol.residual_rel <= 1e-13
+            assert abs(sol.P - ref) <= 1e-13 * ref
+        assert sum(iterations) / len(iterations) < 2.0
 
     def test_rejects_non_positive_virial(self, nc13_vo1):
         flat = rx.GasParams.virial("flat", R=322.0, a=0.0, Cv=1640.5)

@@ -49,6 +49,20 @@ class TestSolveMonotone:
         assert result.root == pytest.approx(math.sqrt(2.0), rel=1e-12)
         assert result.iterations <= 8
 
+    def test_converged_newton_step_is_returned_unevaluated(self):
+        # from 1.5 the fourth step moves by 1.6e-12, below sqrt(0.1 tol_rel) |x|: it is returned
+        # without a fifth evaluation, where the step itself once had to fall below tol_rel |x|
+        seen = []
+
+        def g(x):
+            seen.append(x)
+            return x * x - 2.0, 2.0 * x
+
+        result = rx.solve_monotone(g, 0.0, 2.0, tol_rel=1e-13, x0=1.5)
+        assert abs(result.root - math.sqrt(2.0)) <= 1e-13 * math.sqrt(2.0)
+        assert result.iterations == len(seen) == 4
+        assert result.root not in seen
+
     def test_same_sign_bracket_rejected_after_newton_leaves_it(self):
         # the slope is good, so the endpoints are first read when the step to -5 leaves [0, 10]
         with pytest.raises(BracketError):
@@ -160,9 +174,9 @@ class TestSoundSpeedOracle:
 
     @pytest.mark.parametrize("model", [rx.Model.NA, rx.Model.VO1, rx.Model.VO1_CVT])
     def test_evaluations_per_call(self, db, model):
-        # 9 pressures for the partials, 2 for the bracket the four constant-density
-        # inversions share, 2 per constant-pressure inversion and 2 secant steps in
-        # each of the 8 inversions; the solve once evaluated every bracket again
+        # 9 pressures for the partials and 1 per inversion: each of the 8 starts from the
+        # oracle's own linearisation, and its first Newton step on P_T is returned as
+        # converged; the inversions once took 26 pressures, their brackets included
         params = db.get("NC-13", model)
         pressure = rx.state.LAWS[model].pressure
         calls = {"P": 0, "e": 0}
@@ -176,7 +190,7 @@ class TestSoundSpeedOracle:
             return pressure(params, rho, T)
 
         rx.sound_speed_fd_oracle(e_fn, p_fn, 200.0, 3000.0)
-        assert calls == {"P": 35, "e": 16}
+        assert calls == {"P": 17, "e": 16}
 
     def test_forms_agree(self, nc13_vo1):
         oracle = rx.sound_speed_fd_oracle(
@@ -190,11 +204,21 @@ def _curved_pressure(rho, T):
     return rho * 322.0 * T + 50.0 * T**1.5
 
 
+_CURVED_P_T = 200.0 * 322.0 + 75.0 * 3000.0**0.5  # at (200 kg/m3, 3000 K)
+
+
+def _invert_curved(target, slope_scale):
+    """The inversion at (200 kg/m3, 3000 K) from T_guess with ``slope_scale`` times the true P_T."""
+    return numerics._invert_temperature(_curved_pressure, 200.0, target, 3000.0, slope_scale * _CURVED_P_T, 3000.0)
+
+
 class TestTemperatureInversion:
     """Edge paths of the inversion behind the oracle's constant-P and constant-rho paths.
 
-    The expected temperatures are the results before the bracket pressures
-    were shared, bit for bit.
+    Each starts at T_guess; half the true slope makes the first Newton step
+    leave the first bracket, whose ends are then evaluated.  The widened
+    temperatures are those of the inversion before it took a slope, bit for
+    bit: a widened bracket is solved without one.
     """
 
     @pytest.mark.parametrize("T_true, want", [
@@ -202,16 +226,29 @@ class TestTemperatureInversion:
         (23456.7, 23456.700000000004),    # it misses high: T doubles three times
     ], ids=["widen-below", "widen-above"])
     def test_guess_far_off_widens_the_bracket(self, T_true, want):
-        got = numerics._invert_temperature(_curved_pressure, 200.0, _curved_pressure(200.0, T_true), 3000.0)
-        assert got.hex() == want.hex()
+        for slope_scale in (1.0, 0.5):
+            assert _invert_curved(_curved_pressure(200.0, T_true), slope_scale).hex() == want.hex()
 
     @pytest.mark.parametrize("end", [
         3000.0 * (1.0 - 1e-4), 3000.0 * (1.0 + 1e-4),
         3000.0 * (1.0 - 1e-4) * 0.25, 3000.0 * (1.0 + 1e-4) * 4.0,
     ], ids=["first-low", "first-high", "widened-low", "widened-high"])
     def test_zero_residual_at_a_bracket_end_returns_that_end(self, end):
-        got = numerics._invert_temperature(_curved_pressure, 200.0, _curved_pressure(200.0, end), 3000.0)
-        assert got.hex() == end.hex()
+        assert _invert_curved(_curved_pressure(200.0, end), 0.5).hex() == end.hex()
+
+    def test_seeded_start_takes_one_evaluation(self):
+        seen = []
+
+        def p_fn(rho, T):
+            seen.append(T)
+            return _curved_pressure(rho, T)
+
+        P = _curved_pressure(200.0, 3000.0)
+        target = P * (1.0 + 1e-6)
+        start = 3000.0 + (target - P) / _CURVED_P_T  # the oracle's seed at constant density
+        got = numerics._invert_temperature(p_fn, 200.0, target, 3000.0, _CURVED_P_T, start)
+        assert len(seen) == 1
+        assert abs(_curved_pressure(200.0, got) - target) <= 1e-13 * target
 
     @pytest.mark.parametrize("p_fn, target, side", [
         (_curved_pressure, -1.0, "below"),
@@ -219,7 +256,7 @@ class TestTemperatureInversion:
     ])
     def test_no_bracket_is_a_numerical_error(self, p_fn, target, side):
         with pytest.raises(NumericalError, match=f"failed to bracket from {side}"):
-            numerics._invert_temperature(p_fn, 200.0, target, 3000.0)
+            numerics._invert_temperature(p_fn, 200.0, target, 3000.0, 1.0, 3000.0)
 
 
 class TestConvexityAudit:
@@ -304,16 +341,26 @@ class TestAuditRecord:
         assert len(calls) == 6 * report.points
 
     @pytest.mark.parametrize("model, residuals", [
-        (rx.Model.NA, ("0x1.137b10f070fe0p-31", "0x1.943b00e488749p-26", "0x1.954473ab5d3d2p-25")),
-        (rx.Model.VO1, ("0x1.3948da103bf23p-31", "0x1.3fd30d3735d7ep-31", "0x1.46f509dde2adcp-30")),
-        (rx.Model.VO1_CVT, ("0x1.3948da103bf23p-31", "0x1.5966d9b455b03p-31", "0x1.59f99f35ec31cp-30")),
+        (rx.Model.NA, ("0x1.137b10f070fe0p-31", "0x1.76b4f7d4ef44ap-32", "0x1.0e784a522cf83p-31")),
+        (rx.Model.VO1, ("0x1.3948da103bf23p-31", "0x1.460888e2e4970p-32", "0x1.b1d5e09b7eb55p-31")),
+        (rx.Model.VO1_CVT, ("0x1.3948da103bf23p-31", "0x1.cd626ed6978d2p-32", "0x1.8325ffd56d012p-31")),
     ])
     def test_default_grid_residuals_are_pinned(self, db, model, residuals):
-        # the bits of the 156-point default grid of `eos audit NC-13`; sharing
-        # bracket pressures in the oracle must not move one of them
+        # the bits of the 156-point default grid of `eos audit NC-13`, as the seeded
+        # inversions give them; the Maxwell residual takes no inversion and never moved
         report = rx.audit_record(db.get("NC-13", model), _parse_range("10:600:50"), _parse_range("1500:4500:250"))
         assert (report.points, report.skipped_rho) == (156, 0)
         assert tuple(x.hex() for x in report.residuals) == residuals
+
+    @pytest.mark.parametrize("material, model", [
+        (name, model) for name in ("NC-13", "RDX", "HMX", "NG") for model in (rx.Model.NA, rx.Model.VO1)
+    ] + [("NC-13", rx.Model.VO1_CVT)])
+    def test_default_grid_oracle_error_is_below_1e_8(self, db, material, model):
+        # inversions solved to tol_rel = 1e-13 left up to 4e-8 in c and 8e-8 between the
+        # oracle's forms (the 1e-6 difference step amplifies them); seeded ones leave < 1e-9
+        report = rx.audit_record(db.get(material, model), _parse_range("10:600:50"), _parse_range("1500:4500:250"))
+        assert report.points == 156 and report.passed
+        assert report.sound_speed <= 1e-8 and report.forms <= 1e-8
 
     @pytest.mark.parametrize("material, model, rho, T, c2", [
         ("NC-13", rx.Model.VO1, 0.001004133605308749, 6.810794049859548e+301, "inf"),

@@ -136,6 +136,13 @@ def test_closed_bomb_point_positivity():
     assert rx.ClosedBombPoint(rho_load=100.0, P_max=1e6).v == 0.01
 
 
+def test_closed_bomb_point_needs_a_finite_specific_volume():
+    # 1/rho overflows at a subnormal density; the calibrations once blamed their covolume or a
+    with pytest.raises(ValidationError, match="loading density 1e-320 kg/m3 has no finite specific volume"):
+        rx.ClosedBombPoint(rho_load=1e-320, P_max=1e6)
+    assert rx.ClosedBombPoint(rho_load=1e-300, P_max=1e6).v == 1.0 / 1e-300
+
+
 def test_inert_run_record_bounds():
     with pytest.raises(ValidationError):
         rx.InertRunRecord(Y=0.0, T_flame=2000.0)
