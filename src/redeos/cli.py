@@ -10,11 +10,11 @@ Exit codes: 0 success, 2 parse/validation, 3 numerical/convergence,
 4 physical-domain violation.  A stdout whose reader stops early (a pipe into
 `head`) ends the command quietly with exit 0: no `E_*` line, no traceback.
 
-A number flag that is not finite is refused, naming the flag, before any
-command runs.  A command imports the library modules it runs when it
-starts, so `state` never loads `calibration`, `mixture` or `numerics`.  A
-`mix-sweep` row is one closure call: the single-gas closure of the mixed
-record for MNA, the virial-mixture closure for MVO1.
+A number flag not finite as typed or in SI units is refused, naming the
+flag, before any command runs.  A command imports the library modules it
+runs when it starts, so `state` never loads `calibration`, `mixture` or
+`numerics`.  A `mix-sweep` row is one closure call: the single-gas closure
+of the mixed record for MNA, the virial-mixture closure for MVO1.
 """
 
 from __future__ import annotations
@@ -69,8 +69,9 @@ _ERROR_TABLE = (
 )
 
 #: Options that carry the numbers a command evaluates, named by a floating-point failure;
-#: ``main`` refuses a float-typed one that is not finite.
+#: ``main`` refuses a float-typed one that is not finite, also once converted by ``_SI_FACTORS``.
 _NUMERIC_OPTIONS = ("rho", "P", "T", "e", "fraction_sweep", "tflame", "gamma", "es_i", "t0")
+_SI_FACTORS = {"P": 1e6, "e": 1e3, "es_i": 1e3}  # MPa and kJ/kg
 
 _AUDIT_LABELS = ("maxwell max|res|/P", "sound-speed max|c_analytic - c_oracle|/c",
                  "oracle-forms max disagreement")
@@ -440,9 +441,10 @@ def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
         for k in _NUMERIC_OPTIONS:
-            value = getattr(args, k, None)
-            if isinstance(value, float) and not math.isfinite(value):  # grids and lists are texts here
-                raise ValidationError(f"--{k.replace('_', '-')} must be finite, got {value!r}")
+            value = getattr(args, k, None)  # a text for grids and lists
+            if isinstance(value, float) and not math.isfinite(value * _SI_FACTORS.get(k, 1.0)):
+                in_si = " in SI units" if math.isfinite(value) else ""
+                raise ValidationError(f"--{k.replace('_', '-')} must be finite{in_si}, got {value!r}")
         code = args.func(args)
         sys.stdout.flush()  # a reader that stopped early shows here, not at interpreter exit
         return code

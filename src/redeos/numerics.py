@@ -28,7 +28,7 @@ class RootResult(NamedTuple):
     iterations: int
 
 
-def solve_monotone(g, lo, hi, *, tol_rel=1e-12, max_iter=100, x0=None, ends=None) -> RootResult:
+def solve_monotone(g, lo, hi, *, tol_rel=1e-12, max_iter=100, x0=None) -> RootResult:
     """Find the root of a monotone scalar function on a bracket.
 
     Newton steps where ``g`` gives a slope, damped secant steps otherwise,
@@ -56,16 +56,11 @@ def solve_monotone(g, lo, hi, *, tol_rel=1e-12, max_iter=100, x0=None, ends=None
         Iteration budget; exceeding it raises :class:`ConvergenceError`.
     x0 : float, optional
         Initial guess, clipped into the bracket.
-    ends : (float, float), optional
-        ``g(lo)[0]`` and ``g(hi)[0]``, when the caller has evaluated them;
-        they are checked where evaluated ones would be, and ``g`` is then
-        never called at an endpoint.
     """
-    gl, gh = (None, None) if ends is None else ends  # residual at xl and xh, once known
     if hi < lo:
-        lo, hi, gl, gh = hi, lo, gh, gl
+        lo, hi = hi, lo
     xl, xh = lo, hi
-    unchecked = ends is not None  # given endpoint residuals not yet checked
+    gl = gh = None  # residual at xl and xh, once known
     # orientation is fixed for a monotone residual; never re-read it from the
     # damped endpoint values below (damping can underflow them to zero)
     sign_high = None
@@ -88,8 +83,7 @@ def solve_monotone(g, lo, hi, *, tol_rel=1e-12, max_iter=100, x0=None, ends=None
                 if abs(cand - x) <= accept_rel * abs(x):
                     return RootResult(cand, it)
                 xn = cand
-        if xn is None and (unchecked or gl is None or gh is None):
-            unchecked = False
+        if xn is None and (gl is None or gh is None):
             gl = g(xl)[0] if gl is None else gl
             gh = g(xh)[0] if gh is None else gh
             if gl == 0.0:
@@ -163,42 +157,20 @@ def fd_partial(f, point, arg, scale_floor=1.0):
 
 
 def _invert_temperature(p_fn, rho, P_target, T_guess, P_T, T_start):
-    """Solve ``p_fn(rho, T) = P_target`` for T near ``T_guess``.
+    """Solve ``p_fn(rho, T) = P_target`` for T in ``[T_guess/10, 10 T_guess]``.
 
-    Assumes pressure strictly increasing in temperature, which holds for
-    every model in this library.  Newton steps from ``T_start`` take the
-    fixed slope ``P_T``; every law here is linear in T, so from the
-    oracle's seeded start the first step is returned as converged.  The
-    first bracket, ``T_guess (1 -/+ 1e-4)``, is evaluated only when a step
-    leaves it.  When it misses the target, each end widens (halving or
-    doubling T) until the bracket holds it, and a solve without the slope
-    starts from the residuals at its final ends.
+    Assumes pressure strictly increasing in temperature, as in every model
+    here.  Steps from ``T_start`` are Newton steps on the oracle's ``P_T``
+    within 1e-4 T_guess of ``T_guess``, where it was differenced, and secant
+    steps elsewhere, where a fixed slope is only a chord.  Every law here is
+    linear in T, so from the oracle's seeded start the first step is
+    returned as converged.
     """
-    lo, hi = T_guess * (1.0 - 1e-4), T_guess * (1.0 + 1e-4)
-    try:
-        return solve_monotone(lambda T: (p_fn(rho, T) - P_target, P_T), lo, hi,
-                              tol_rel=1e-13, max_iter=200, x0=T_start).root
-    except BracketError:
-        pass
-
     def g(T):
-        return p_fn(rho, T) - P_target, None
+        return p_fn(rho, T) - P_target, (P_T if abs(T - T_guess) <= 1e-4 * T_guess else None)
 
-    for _ in range(80):
-        g_lo = g(lo)[0]
-        if g_lo <= 0.0:
-            break
-        lo *= 0.5
-    else:
-        raise NumericalError("temperature inversion failed to bracket from below")
-    for _ in range(80):
-        g_hi = g(hi)[0]
-        if g_hi >= 0.0:
-            break
-        hi *= 2.0
-    else:
-        raise NumericalError("temperature inversion failed to bracket from above")
-    return solve_monotone(g, lo, hi, tol_rel=1e-13, max_iter=200, ends=(g_lo, g_hi)).root
+    # ends ten times apart keep the solver's absolute floor, 1e-15 of the bracket, a tenth of the tolerance
+    return solve_monotone(g, T_guess / 10.0, 10.0 * T_guess, tol_rel=1e-13, max_iter=200, x0=T_start).root
 
 
 class FdPartials(NamedTuple):

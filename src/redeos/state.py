@@ -113,7 +113,7 @@ def closure_from_rho_e(params: GasParams, rho, e) -> Closure:
 
 def state_from_rho_T(params: GasParams, rho, T) -> ThermoState:
     """Consistent state from density and temperature; :class:`NumericalError` if it
-    degenerates in floating point (1/rho, P, c or Cp overflows, gamma rounds to 1).
+    degenerates in floating point (1/rho, P, c, h, s or Cp overflows, gamma rounds to 1).
 
     P and c come first, and an overflow in s or Cp is a :class:`NumericalError`,
     so a state raises what its :func:`closure_from_rho_T` raises.

@@ -19,6 +19,7 @@ from .errors import ModelMismatchError, ValidationError
 
 #: Tolerance on the mass-fraction closure sum of a mixture.
 MASS_FRACTION_TOL = 1e-12
+_INF = math.inf  # ThermoState's checks read a global, not math's attribute, on every state built
 
 
 class Model(str, Enum):
@@ -166,8 +167,8 @@ class InertGasParams:
 class ThermoState:
     """One thermodynamically consistent point for a gas or a mixture.
 
-    Entropy is ``None`` for models without a closed-form entropy
-    (the Cv(T) virial variant).
+    Entropy is ``None`` for models without a closed-form entropy (the
+    Cv(T) virial variant).  P, T, rho, c, h, gamma and a given s are finite.
 
     Every state builder returns one, so the constructor is written by hand
     (``init=False``): it stores the ten fields in one write and checks a
@@ -189,8 +190,9 @@ class ThermoState:
     def __init__(self, P, T, rho, v, e, h, s, c, Cp, gamma):
         self.__dict__.update(P=P, T=T, rho=rho, v=v, e=e, h=h, s=s, c=c, Cp=Cp, gamma=gamma)
         try:
-            if (0.0 < P < math.inf and 0.0 < T < math.inf and 0.0 < rho < math.inf
-                    and abs(v * rho - 1.0) <= 1e-12 and gamma > 1.0 and 0.0 < c < math.inf):
+            if (0.0 < P < _INF and 0.0 < T < _INF and 0.0 < rho < _INF
+                    and abs(v * rho - 1.0) <= 1e-12 and 1.0 < gamma < _INF and 0.0 < c < _INF
+                    and abs(h) < _INF and (s is None or abs(s) < _INF)):
                 return
         except TypeError:  # a None field, which the checks below name
             pass
@@ -205,6 +207,8 @@ class ThermoState:
         if not self.gamma > 1.0:
             raise ValidationError(f"gamma must exceed 1, got {self.gamma!r}")
         _positive("c", self.c)
+        for name in ("gamma", "h") if self.s is None else ("gamma", "h", "s"):
+            _finite(name, getattr(self, name))
 
 
 @dataclass(frozen=True)

@@ -121,7 +121,7 @@ def vo1_entropy(params: GasParams, P, T, ref: EntropyReference = DEFAULT_ENTROPY
     u0 = math.sqrt(1.0 + x0)
     du = (x - x0) / (u + u0)
     # (u - 1)/(u0 - 1) = (x/x0) (1 + u0)/(1 + u), free of cancellation
-    log_ratio = math.log((P * T0) / (P0 * T) * (1.0 + u0) / (1.0 + u))
+    log_ratio = math.log((P / P0) * (T0 / T) * (1.0 + u0) / (1.0 + u))  # P T0 overflows above ~6e305 Pa
     return s0 + Cv * math.log(T / T0) - 0.5 * R * (du + 2.0 * log_ratio)
 
 

@@ -49,8 +49,9 @@ def cvt_temperature(params: GasParams, e):
 
     is free of that cancellation for either sign of the slope.
     """
-    if not e > params.q:
-        raise DomainError(f"internal energy {e!r} J/kg does not exceed the reference q = {params.q!r}")
+    if not params.q < e < math.inf:
+        raise DomainError(f"internal energy {e!r} J/kg is not finite" if e == math.inf else
+                          f"internal energy {e!r} J/kg does not exceed the reference q = {params.q!r}")
     Cv0, c = params.cv_law
     E = e - params.q
     if c == 0.0:
@@ -58,7 +59,7 @@ def cvt_temperature(params: GasParams, e):
     disc = Cv0 * Cv0 + 2.0 * c * E
     if disc < 0.0:
         raise DomainError(f"caloric law has no real temperature for e = {e!r} J/kg")
-    return 2.0 * E / (Cv0 + math.sqrt(disc))
+    return E / (0.5 * (Cv0 + math.sqrt(disc)))  # 2 E would overflow above ~9e307 J/kg
 
 
 def cvt_effective_energy(params: GasParams, T_flame):

@@ -587,6 +587,18 @@ class TestBoundaryRegressions:
         assert code == 3 and out == ""
         assert err == "E_NUMERICAL: floating-point evaluation failed at --rho 1e-300 --T 1e-25\n"
 
+    def test_state_whose_enthalpy_overflows_prints_nothing(self, capsys):
+        # the state was returned with h = inf, so its header printed before the row failed
+        code, out, err = run_cli(capsys, "state", "NC-13", "--model", "na", "--rho", "1e-3", "--T", "1e305")
+        assert code == 3 and out == ""
+        assert err == "E_NUMERICAL: floating-point evaluation failed at --rho 0.001 --T 1e+305\n"
+
+    def test_state_above_6e305_pa_prints_its_entropy(self, capsys):
+        # the entropy was nan here, so the header printed and the row ended in E_NUMERICAL
+        code, out, err = run_cli(capsys, "state", "NC-13", "--model", "vo1", "--rho", "1", "--e", "1e305")
+        assert code == 0 and err == ""
+        assert float(out.splitlines()[1].split(",")[6]) == pytest.approx(1.14e6, rel=1e-2)
+
     @pytest.mark.parametrize("model", ["na", "vo1", "vo1cvt"])
     def test_sweep_row_at_a_subnormal_density_is_numerical(self, capsys, model):
         # 1/rho overflows here; a sound speed taken without the state's guards printed a subnormal
@@ -768,17 +780,26 @@ class TestBoundaryRegressions:
          "line 2: loading density 1e-320 kg/m3 has no finite specific volume"),
         (["calibrate", "vo1", "--points", "RHO_SUBNORMAL", "--tflame", "3000", "--gamma", "1.2"], "E_VALIDATION",
          "line 2: loading density 1e-320 kg/m3 has no finite specific volume"),
+        # a flag finite as typed whose value overflows in SI units
+        (["state", "NC-13", "--model", "na", "--P", "1e303", "--T", "3000"], "E_VALIDATION",
+         "--P must be finite in SI units, got 1e+303"),
+        (["state", "NC-13", "--model", "vo1cvt", "--rho", "1", "--e", "1.7e308"], "E_VALIDATION",
+         "--e must be finite in SI units, got 1.7e+308"),
+        (["calibrate-cvt", "--runs", "RUNS", "--inert", "argon", "--es-i", "1e306"], "E_VALIDATION",
+         "--es-i must be finite in SI units, got 1e+306"),
     ], ids=["calibrate-db", "calibrate-unwritable", "cvt-no-name", "cvt-no-base", "mix-fractions", "mix-no-energy", "mvo1-zero-a",
             "sweep-no-energy", "mix-empty-fraction", "mix-three-names", "mix-fraction-above-1", "mix-rho-word",
             "tflame-inf", "gamma-inf", "cvt-tflame-inf", "es-i-inf", "t0-nan", "na-negative-b", "na-packed-b",
             "na-r-overflows", "vo1-singular", "vo1-r-underflows", "db-range-one-value", "db-key-outside",
             "db-duplicate-key", "db-word", "db-inf", "db-overflow", "csv-fields", "csv-overflow", "csv-nan",
-            "runs-inf", "na-rho-subnormal", "vo1-rho-subnormal"])
+            "runs-inf", "na-rho-subnormal", "vo1-rho-subnormal", "p-overflows-in-si", "e-overflows-in-si",
+            "es-i-overflows-in-si"])
     def test_exit_2_prints_nothing(self, capsys, tmp_path, points_nc13, argv, prefix, named):
         # the first eight once printed their result or header before the error; the non-finite
         # flags and file values once named the record field they fill (R, Cv, e_s_eff, P_max) or
         # ended in E_NUMERICAL, a short rho_range named its section's header line, and a subnormal
-        # loading density, whose 1/rho overflows, was blamed on the calibrated covolume or virial coefficient
+        # loading density, whose 1/rho overflows, was blamed on the calibrated covolume or virial coefficient;
+        # a flag that overflows in SI units ended in E_NUMERICAL or, for --e, in E_DOMAIN naming T=nan
         runs = tmp_path / "runs.csv"
         write_dilution_runs_csv(runs)
         names = {"POINTS": points_nc13, "UNWRITABLE": str(tmp_path / "no" / "x.eosdb"), "RUNS": str(runs),

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 import sys
@@ -34,6 +35,11 @@ class TestNobleAbelStates:
         with pytest.raises(rx.DomainError, match=r"^temperature must be positive, got -5\.0"):
             rx.state_from_rho_T(nc13_na, 700.0, -5.0)
 
+    def test_enthalpy_overflow_is_numerical(self, nc13_na):
+        # e + P/rho overflows here; the state was returned with h = inf
+        with pytest.raises(rx.NumericalError, match=r"^the state at rho=0\.001, T=1e\+305 is degenerate: h must be finite"):
+            rx.state_from_rho_T(nc13_na, 1e-3, 1e305)
+
     def test_root_on_the_covolume_is_numerical(self, nc13_na):
         # R T / P underflows against b, so the root is b itself
         with pytest.raises(rx.NumericalError, match=r"underflows against the covolume"):
@@ -52,6 +58,12 @@ class TestVirialStates:
         assert st.h == pytest.approx(st.e + st.P * st.v, rel=1e-12)
         assert st.gamma == pytest.approx(rx.vo1_cp(nc13_vo1, 100.0, 3275.0) / nc13_vo1.Cv, rel=1e-15)
         assert st.s == pytest.approx(rx.vo1_entropy(nc13_vo1, st.P, st.T), rel=1e-15)
+
+    def test_entropy_above_6e305_pa_is_finite(self, nc13_vo1):
+        # P T0 overflowed in the entropy's log argument, so s was nan with every other field finite
+        st = rx.state_from_rho_e(nc13_vo1, 1.0, 1e308)
+        assert st.P > 6e305
+        assert st.s == pytest.approx(1.14e6, rel=1e-2)
 
 
 class TestCvtStates:
@@ -156,16 +168,33 @@ class TestClosure:
         assert returned > 1000  # the grid reaches the states, not only their refusals
 
     def test_state_fails_beyond_the_closure_only_in_s_cp_or_gamma(self, db, monkeypatch):
-        # with s and Cp that cannot fail, a state exists wherever its closure does
+        # with s and Cp = 2 Cv(T) (gamma = 2), which cannot fail, a state exists wherever its
+        # closure does, unless the enthalpy e + P/rho, which the closure does not form, overflows
         for model, laws in list(state.LAWS.items()):
-            monkeypatch.setitem(state.LAWS, model, laws._replace(derived=lambda *args: (None, math.inf)))
+            monkeypatch.setitem(state.LAWS, model, laws._replace(
+                derived=lambda params, rho, T, P: (None, 2.0 * rx.cvt_cv(params, T))))
+        h_only = 0
         for params, pair, rho, y in _extreme_points(db):
             closure, build = _PAIRS[pair]
             got, got_exc = _outcome(closure, params, rho, y)
             st, st_exc = _outcome(build, params, rho, y)
+            if got is not None and st is None:
+                h_only += 1
+                assert str(st_exc).endswith("is degenerate: h must be finite, got inf"), (params, pair, rho, y)
+                continue
             assert (st is None) == (got is None), (params, pair, rho, y)
             if got is None:
                 assert type(st_exc) is type(got_exc)
+        assert h_only > 0
+
+    def test_no_state_holds_a_non_finite_field(self, db):
+        returned = 0
+        for params, pair, rho, y in _extreme_points(db):
+            st, _ = _outcome(_PAIRS[pair][1], params, rho, y)
+            if st is not None:
+                returned += 1
+                assert all(math.isfinite(x) for x in dataclasses.astuple(st) if x is not None), st
+        assert returned > 1000
 
     def test_closure_fields(self, nc13_vo1):
         got = rx.closure_from_rho_e(nc13_vo1, 100.0, rx.cvt_energy(nc13_vo1, 3275.0))

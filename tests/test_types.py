@@ -106,6 +106,12 @@ class TestThermoState:
         ({"gamma": 0.9}, "gamma must exceed 1, got 0.9"),
         ({"gamma": math.nan}, "gamma must exceed 1, got nan"),
         ({"P": -1.0, "c": 0.0, "gamma": 0.5}, "P must be positive and finite, got -1.0"),
+        ({"gamma": math.inf}, "gamma must be finite, got inf"),
+        ({"h": math.inf}, "h must be finite, got inf"),
+        ({"h": math.nan}, "h must be finite, got nan"),
+        ({"s": -math.inf}, "s must be finite, got -inf"),
+        ({"s": math.nan}, "s must be finite, got nan"),
+        ({"h": math.inf, "s": math.nan, "gamma": math.inf}, "gamma must be finite, got inf"),
     ])
     def test_first_failing_check_is_reported(self, changes, message):
         with pytest.raises(ValidationError) as exc:

@@ -167,6 +167,14 @@ class TestEntropy:
         shifted = rx.EntropyReference(P0=5e5, T0=500.0, s0=-77.7)
         assert rx.vo1_entropy(nc13_vo1, shifted.P0, shifted.T0, shifted) == -77.7
 
+    def test_finite_where_p_t0_overflows(self, nc13_vo1):
+        # P T0 overflows above ~6e305 Pa, and the log of inf / inf was nan
+        P, T = 1e308, 1e305
+        s = rx.vo1_entropy(nc13_vo1, P, T)
+        # scaling P and T together keeps u and P/T, so only Cv ln(T/T0) moves
+        below = rx.vo1_entropy(nc13_vo1, P / 1e10, T / 1e10)
+        assert s - below == pytest.approx(nc13_vo1.Cv * math.log(1e10), rel=1e-12)
+
     def test_temperature_slope_is_cv_over_t(self, nc13_vo1):
         # at constant density: s(rho, T) through the thermal law
         rho, T = 100.0, 3275.0

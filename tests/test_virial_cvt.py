@@ -98,6 +98,27 @@ class TestTemperature:
         with pytest.raises(DomainError):
             rx.cvt_temperature(nc13_cvt, nc13_cvt.q)
 
+    def test_huge_energy_has_a_finite_root(self, nc13_cvt):
+        # 2 (e-q) overflowed above ~9e307 J/kg, and T came back inf
+        T = rx.cvt_temperature(nc13_cvt, 1e308)
+        assert T == pytest.approx(5.6e154, rel=1e-2)
+        assert rx.cvt_energy(nc13_cvt, T) == pytest.approx(1e308, rel=1e-12)
+        assert rx.closure_from_rho_e(nc13_cvt, 1.0, 1e308).T == T
+
+    @pytest.mark.parametrize("c", [0.0, 0.0637])
+    def test_infinite_energy_is_refused(self, c):
+        params = rx.GasParams.virial_cvt("probe", R=322.0, a=0.002359, Cv0=1416.8, c=c)
+        with pytest.raises(DomainError, match=r"^internal energy inf J/kg is not finite$"):
+            rx.cvt_temperature(params, math.inf)
+
+    @given(st.floats(min_value=1e-3, max_value=8e307), st.floats(min_value=-1e-3, max_value=1.0))
+    def test_root_is_the_rationalized_form_bit_for_bit(self, E, c):
+        # halving the denominator instead of doubling E changes no bit where 2 E is finite
+        params = rx.GasParams.virial_cvt("probe", R=322.0, a=0.002359, Cv0=1416.8, c=c)
+        disc = 1416.8 * 1416.8 + 2.0 * c * E
+        assume(disc >= 0.0 and c != 0.0)
+        assert rx.cvt_temperature(params, E) == 2.0 * E / (1416.8 + math.sqrt(disc))
+
 
 class TestPressure:
     def test_thermal_law_is_shared_with_constant_cv_variant(self, nc13_cvt, nc13_vo1):
