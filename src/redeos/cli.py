@@ -13,8 +13,9 @@ Exit codes: 0 success, 2 parse/validation, 3 numerical/convergence,
 A number flag not finite as typed or in SI units is refused, naming the
 flag, before any command runs.  A command imports the library modules it
 runs when it starts, so `state` never loads `calibration`, `mixture` or
-`numerics`.  A `mix-sweep` row is one closure call: the single-gas closure
-of the mixed record for MNA, the virial-mixture closure for MVO1.
+`numerics`.  A sweep row is one closure call: `sweep` calls the record's
+closure at its flame temperature, `mix-sweep` the single-gas closure of the
+mixed record for MNA and the virial-mixture closure for MVO1.
 """
 
 from __future__ import annotations
@@ -50,6 +51,7 @@ from .materials import (
 )
 from .state import closure_from_rho_T, state_from_P_T, state_from_rho_T, state_from_rho_e
 from .types import MODEL_FIELDS, GasParams, MixtureSpec, Model
+from .virial_cvt import cvt_temperature
 
 _MODEL_FLAGS = {"na": Model.NA, "vo1": Model.VO1, "vo1cvt": Model.VO1_CVT}
 
@@ -135,6 +137,8 @@ def _parse_float_list(text):
         values = [float(p) for p in text.split(",") if p.strip()]
     except ValueError:
         raise ValidationError(f"expected a comma-separated list of numbers, got {text!r}") from None
+    if not values:
+        raise ValidationError(f"--rho needs at least one density, got {text!r}")
     for value in values:
         if not math.isfinite(value):
             raise ValidationError(f"--rho must be finite, got {value!r}")
@@ -215,30 +219,31 @@ def cmd_calibrate_cvt(args):
 
 
 def cmd_sweep(args):
-    from .calibration import predict_closed_bomb
-
     db = _load_db(args.db)
     params = db.get(args.material, _MODEL_FLAGS[args.model])
     _require_convex_record(params)
-    if params.e_s_eff is None:  # predict_closed_bomb refuses it too, but only after the header
+    if params.e_s_eff is None:
         raise ValidationError(f"record {params.name!r} carries no effective energy")
     densities = _parse_range(args.rho)
     reference = {}
     if args.reference:
         for point in load_closed_bomb_csv(args.reference):
             reference[point.rho_load] = point.P_max
+    lo, hi = params.rho_range or (-math.inf, math.inf)
 
     header = "rho_kg_m3,tflame_K,pmax_MPa,extrapolated,c_m_s"
     if reference:
         header += ",pref_MPa"
     print(header)
     had_domain_error = False
+    T_flame = flame = None
     for rho in densities:
         try:
-            pred = predict_closed_bomb(params, rho)
-            c = closure_from_rho_T(params, rho, pred.T_flame).c  # a row prints c, not a full state
-            row = [_fmt(rho), _fmt(pred.T_flame), _fmt(pred.P_max / 1e6),
-                   "1" if pred.extrapolated else "0", _fmt(c)]
+            # found once; a refused flame makes every row E_DOMAIN, an overflowed one never prints
+            T_flame = T_flame or cvt_temperature(params, params.q + params.e_s_eff)
+            P, _, c = closure_from_rho_T(params, rho, T_flame)
+            flame = flame or _fmt(T_flame)
+            row = [_fmt(rho), flame, _fmt(P / 1e6), "0" if lo <= rho <= hi else "1", _fmt(c)]
         except DomainError:
             had_domain_error = True
             row = [_fmt(rho), "", "", "E_DOMAIN", ""]
@@ -251,6 +256,8 @@ def cmd_sweep(args):
 
 def _parse_mixture_spec(spec, sweep_arg):
     if "=" in spec:
+        if sweep_arg is not None:
+            raise ValidationError(f"--fraction-sweep needs an A+B mixture spec, got fixed fractions {spec!r}")
         names, fractions = [], []
         for part in spec.split(","):
             name, _, value = part.partition("=")

@@ -23,6 +23,15 @@ from . import virial_cvt
 STEP_FLOOR = 1e6 * sys.float_info.min
 
 
+def _accept_rel(tol_rel):
+    """The relative Newton step that :func:`solve_monotone` returns as converged, unevaluated."""
+    return (0.1 * tol_rel) ** 0.5
+
+
+_INVERT_TOL = 1e-13  # the relative root tolerance of the oracle's temperature inversions
+_INVERT_ACCEPT = _accept_rel(_INVERT_TOL)
+
+
 class RootResult(NamedTuple):
     root: float
     iterations: int
@@ -67,7 +76,7 @@ def solve_monotone(g, lo, hi, *, tol_rel=1e-12, max_iter=100, x0=None) -> RootRe
     # roots below machine epsilon times the problem scale are unresolvable,
     # so the relative criterion carries an absolute floor tied to the bracket
     tol_floor = 1e-15 * (hi - lo)
-    accept_rel = (0.1 * tol_rel) ** 0.5  # a converged Newton step, see above
+    accept_rel = _accept_rel(tol_rel)  # a converged Newton step, see above
     x = 0.5 * (lo + hi) if x0 is None else min(max(x0, lo), hi)
     side = 0
     for it in range(1, max_iter + 1):
@@ -163,14 +172,22 @@ def _invert_temperature(p_fn, rho, P_target, T_guess, P_T, T_start):
     here.  Steps from ``T_start`` are Newton steps on the oracle's ``P_T``
     within 1e-4 T_guess of ``T_guess``, where it was differenced, and secant
     steps elsewhere, where a fixed slope is only a chord.  Every law here is
-    linear in T, so from the oracle's seeded start the first step is
-    returned as converged.
+    linear in T, so from the oracle's seeded start the first step converges;
+    it is taken here at one pressure evaluation, under the rules by which
+    :func:`solve_monotone` returns it, and a step they refuse goes there.
     """
+    lo, hi, near = T_guess / 10.0, 10.0 * T_guess, 1e-4 * T_guess
+    T = min(max(T_start, lo), hi)
+    if abs(T - T_guess) <= near and 0.0 < abs(P_T) < math.inf:  # a zero residual steps by zero
+        step = T - (p_fn(rho, T) - P_target) / P_T
+        if lo < step < hi and abs(step - T) <= _INVERT_ACCEPT * abs(T):
+            return step
+
     def g(T):
-        return p_fn(rho, T) - P_target, (P_T if abs(T - T_guess) <= 1e-4 * T_guess else None)
+        return p_fn(rho, T) - P_target, (P_T if abs(T - T_guess) <= near else None)
 
     # ends ten times apart keep the solver's absolute floor, 1e-15 of the bracket, a tenth of the tolerance
-    return solve_monotone(g, T_guess / 10.0, 10.0 * T_guess, tol_rel=1e-13, max_iter=200, x0=T_start).root
+    return solve_monotone(g, lo, hi, tol_rel=_INVERT_TOL, max_iter=200, x0=T_start).root
 
 
 class FdPartials(NamedTuple):

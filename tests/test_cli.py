@@ -179,6 +179,21 @@ class TestSweep:
         _, rows = csv_rows(out)
         assert float(rows[0][2]) == pytest.approx(130.3, rel=2e-3)
 
+    @pytest.mark.parametrize("record, model, rows, code, err", [
+        # Cv0^2 + 2 c e < 0: the caloric law has no real flame temperature, so no row has one
+        ('[material "X" model VO1_CVT]\nR = 322\na = 0.002359\nCv0 = 1000\nc = -0.5\ne_s_eff_kJ = 2000\n',
+         "vo1cvt", ["-10", "0", "10"], 4, ""),
+        # e / Cv overflows: the rows before the first positive density still read E_DOMAIN
+        ('[material "X" model NA]\nR = 338.9\nb = 0.001484\nCv = 1e-310\ne_s_eff_kJ = 5360.7\n',
+         "na", ["-10", "0"], 3, "E_NUMERICAL: floating-point evaluation failed at --rho -10:10:10\n"),
+    ], ids=["flame-refused", "flame-overflows"])
+    def test_flame_edges(self, capsys, tmp_path, record, model, rows, code, err):
+        db = tmp_path / "flame.eosdb"
+        db.write_text(record)
+        got = run_cli(capsys, "sweep", "X", "--model", model, "--rho", "-10:10:10", "--db", str(db))
+        out = "rho_kg_m3,tflame_K,pmax_MPa,extrapolated,c_m_s\n" + "".join(f"{rho},,,E_DOMAIN,\n" for rho in rows)
+        assert got == (code, out, err)
+
 
 class TestMixSweep:
     def test_equal_split_flame_temperature(self, capsys):
@@ -209,6 +224,19 @@ class TestMixSweep:
         assert code == 2
         assert err.startswith("E_VALIDATION:")
         assert "oxygen-balance" in err
+
+    @pytest.mark.parametrize("argv, named", [
+        (["NC-13+RDX", "--rho", "", "--fraction-sweep", "0:1:0.5"], "--rho needs at least one density, got ''"),
+        (["NC-13+RDX", "--rho", ",", "--fraction-sweep", "0:1:0.5"], "--rho needs at least one density, got ','"),
+        (["NC-13=0.5,RDX=0.5", "--rho", "100", "--fraction-sweep", "0:1:0.5"],
+         "--fraction-sweep needs an A+B mixture spec, got fixed fractions 'NC-13=0.5,RDX=0.5'"),
+    ], ids=["rho-empty", "rho-comma", "fixed-fractions-swept"])
+    def test_refuses_what_it_would_ignore(self, capsys, argv, named):
+        # each once exited 0: an empty --rho with a bare header, a fraction sweep of fixed fractions
+        # with the fixed fractions' rows
+        code, out, err = run_cli(capsys, "mix-sweep", argv[0], "--model", "mna", *argv[1:], "--same-oxygen-balance")
+        assert (code, out) == (2, "")
+        assert err == f"E_VALIDATION: {named}\n"
 
     def test_ng_mixture_runs_only_with_declaration(self, capsys):
         argv = ["mix-sweep", "NC-13=0.5,NG=0.5", "--model", "mna", "--rho", "200"]

@@ -96,7 +96,7 @@ def test_commands_load_only_the_modules_they_run(tmp_path):
     assert json.loads(proc.stdout) == [
         ["import", [], 0],
         ["state", [], 0],
-        ["sweep", ["redeos.calibration"], 0],
+        ["sweep", [], 0],
         ["calibrate", ["redeos.calibration"], 0],
         ["calibrate-cvt", ["redeos.calibration"], 0],
     ]

@@ -240,6 +240,16 @@ class TestTemperatureInversion:
         assert len(seen) == 1
         assert abs(_curved_pressure(200.0, got) - target) <= 1e-13 * target
 
+    @pytest.mark.parametrize("P_T", [0.0, math.inf, -math.inf, math.nan], ids=["zero", "inf", "-inf", "nan"])
+    def test_unusable_slope_falls_back_to_the_solver(self, P_T):
+        # from the seeded start, a zero slope would divide by zero and an infinite one would
+        # return the start unconverged; both, and nan, leave the root to the slope-less solve
+        P = _curved_pressure(200.0, 3000.0)
+        target = P * (1.0 + 1e-6)
+        start = 3000.0 + (target - P) / _CURVED_P_T
+        got = numerics._invert_temperature(_curved_pressure, 200.0, target, 3000.0, P_T, start)
+        assert got.hex() == "0x1.77001815b47cep+11"
+
     @pytest.mark.parametrize("p_fn, target, side", [
         (_curved_pressure, -1.0, "below"),
         (lambda rho, T: min(T, 5000.0), 1e4, "above"),
