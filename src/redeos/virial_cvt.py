@@ -59,7 +59,10 @@ def cvt_temperature(params: GasParams, e):
     disc = Cv0 * Cv0 + 2.0 * c * E
     if disc < 0.0:
         raise DomainError(f"caloric law has no real temperature for e = {e!r} J/kg")
-    return E / (0.5 * (Cv0 + math.sqrt(disc)))  # 2 E would overflow above ~9e307 J/kg
+    if disc < math.inf:
+        return E / (0.5 * (Cv0 + math.sqrt(disc)))  # 2 E would overflow above ~9e307 J/kg
+    # 2c(e-q) overflows (so c > 0): half the root, sqrt(Cv0^2/4 + c E/2), as a hypotenuse
+    return E / (0.5 * Cv0 + math.hypot(0.5 * Cv0, math.sqrt(0.5 * c) * math.sqrt(E)))
 
 
 def cvt_effective_energy(params: GasParams, T_flame):

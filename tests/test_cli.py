@@ -574,16 +574,23 @@ class TestBoundaryRegressions:
         assert named in err
 
     @pytest.mark.parametrize("argv", [
-        ["audit", "NC-13", "--model", "vo1", "--rho", "0.001004133605308749:0.001004133605308749:1",
-         "--T", "6.810794049859548e+301:6.810794049859548e+301:1"],
+        ["audit", "NC-13", "--model", "vo1", "--rho", "0.01:0.01:1", "--T", "1e303:1e303:1"],
         ["audit", "RDX", "--model", "na", "--rho", "0.041467826828875134:0.041467826828875134:1",
          "--T", "1.4416867988549154e+304:1.4416867988549154e+304:1"],
     ])
     def test_audit_with_non_finite_oracle_is_no_pass(self, capsys, argv):
-        # the oracle's c^2 is not finite here; both once printed a residual of 0 and RESULT PASS
+        # the oracle's c^2 is inf here; a non-finite c^2 once printed a residual of 0 and RESULT PASS
         code, out, err = run_cli(capsys, *argv)
         assert code == 3 and out == ""
         assert err == f"E_NUMERICAL: floating-point evaluation failed at --rho {argv[5]} --T {argv[7]}\n"
+
+    @pytest.mark.parametrize("model", ["na", "vo1", "vo1cvt"])
+    def test_audit_where_the_pressure_overflows_names_the_grid(self, capsys, model):
+        # once E_DOMAIN (exit 4) naming an internal probe, rho=100.0001, T=nan
+        code, out, err = run_cli(capsys, "audit", "NC-13", "--model", model,
+                                 "--rho", "100:100:1", "--T", "1e304:1e304:1")
+        assert code == 3 and out == ""
+        assert err == "E_NUMERICAL: floating-point evaluation failed at --rho 100:100:1 --T 1e304:1e304:1\n"
 
     @pytest.mark.parametrize("model", ["na", "vo1", "vo1cvt"])
     @pytest.mark.parametrize("rho, T, named", [

@@ -20,7 +20,11 @@ the difference oracle's temperature inversions began to start from its own
 linearisation and to take its own P_T as their slope, the sound-speed and
 oracle-forms residual lines of the four ``audit`` commands were re-recorded
 (each now below 1e-9, where they read up to 8.7e-9; every verdict and the
-Maxwell line did not change).  The commands are
+Maxwell line did not change).  When the oracle's differences dropped
+their Richardson pass for one central difference, the three residual
+lines of the same four ``audit`` commands were re-recorded again (each
+now below 1.3e-10, where they read up to 8.9e-10; every verdict did not
+change).  The commands are
 the 13 of acceptance criterion 11 and, for each model, ``state``, ``sweep``
 and ``audit`` on a record whose caloric reference q is nonzero: the built-in
 records all have q = 0, so they cannot show how the caloric law treats it.

@@ -152,9 +152,10 @@ class TestSoundSpeedOracle:
 
     @pytest.mark.parametrize("model", [rx.Model.NA, rx.Model.VO1, rx.Model.VO1_CVT])
     def test_evaluations_per_call(self, db, model):
-        # 9 pressures for the partials and 1 per inversion: each of the 8 starts from the
+        # 5 pressures for the partials and 1 per inversion: each of the 4 starts from the
         # oracle's own linearisation, and its first Newton step on P_T is returned as
-        # converged; the inversions once took 26 pressures, their brackets included
+        # converged; the inversions once took 26 pressures, their brackets included, and
+        # Richardson-extrapolated differences took 17 pressures and 16 energies
         params = db.get("NC-13", model)
         pressure = rx.state.LAWS[model].pressure
         calls = {"P": 0, "e": 0}
@@ -168,13 +169,13 @@ class TestSoundSpeedOracle:
             return pressure(params, rho, T)
 
         rx.sound_speed_fd_oracle(e_fn, p_fn, 200.0, 3000.0)
-        assert calls == {"P": 17, "e": 16}
+        assert calls == {"P": 9, "e": 8}
 
     def test_evaluations_at_the_covolume_skip_edge(self, nc13_na):
-        # at rho = 1/(1.01 b), where the audit starts to skip densities, the two outer
+        # at rho = 1/(1.01 b), where the audit starts to skip densities, the two
         # constant-pressure seeds lie 1.01e-4 T from T, outside the slope's neighbourhood;
-        # each takes 4 pressures by secant on the one wide bracket, 23 in all, where a
-        # re-solve on a widened bracket once took 31
+        # each takes 4 pressures by secant on the one wide bracket, 15 in all, where the
+        # Richardson differences took 23 and a re-solve on a widened bracket once took 31
         calls = []
 
         def p_fn(rho, T):
@@ -182,7 +183,7 @@ class TestSoundSpeedOracle:
             return rx.na_pressure_vt(nc13_na, 1.0 / rho, T)
 
         rx.sound_speed_fd_oracle(lambda r, t: rx.cvt_energy(nc13_na, t), p_fn, 1.0 / (1.01 * nc13_na.b), 3000.0)
-        assert len(calls) == 23
+        assert len(calls) == 15
 
     def test_forms_agree(self, nc13_vo1):
         oracle = rx.sound_speed_fd_oracle(
@@ -311,6 +312,11 @@ def _golden_audits():
     return [case for case in cases if case.get("argv", [""])[0] == "audit"]
 
 
+_BUILTIN_RECORDS = [
+    (name, model) for name in ("NC-13", "RDX", "HMX", "NG") for model in (rx.Model.NA, rx.Model.VO1)
+] + [("NC-13", rx.Model.VO1_CVT)]
+
+
 class TestAuditRecord:
     @pytest.mark.parametrize("case", _golden_audits(), ids=lambda case: " ".join(case["argv"][1:4]))
     def test_reports_the_numbers_eos_audit_prints(self, case, tmp_path):
@@ -345,20 +351,19 @@ class TestAuditRecord:
         assert len(calls) == 6 * report.points
 
     @pytest.mark.parametrize("model, residuals", [
-        (rx.Model.NA, ("0x1.137b10f070fe0p-31", "0x1.76b4f7d4ef44ap-32", "0x1.0e784a522cf83p-31")),
-        (rx.Model.VO1, ("0x1.3948da103bf23p-31", "0x1.460888e2e4970p-32", "0x1.b1d5e09b7eb55p-31")),
-        (rx.Model.VO1_CVT, ("0x1.3948da103bf23p-31", "0x1.cd626ed6978d2p-32", "0x1.8325ffd56d012p-31")),
+        (rx.Model.NA, ("0x1.61b87cd71f9cfp-33", "0x1.ffb73f0d968c2p-34", "0x1.9f9e485e839efp-33")),
+        (rx.Model.VO1, ("0x1.664035b5d7178p-33", "0x1.098342404e8c5p-33", "0x1.f060bfb7fe7cep-33")),
+        (rx.Model.VO1_CVT, ("0x1.664035b5d7178p-33", "0x1.79b82a8593d88p-33", "0x1.85b9191b4936ep-32")),
     ])
     def test_default_grid_residuals_are_pinned(self, db, model, residuals):
         # the bits of the 156-point default grid of `eos audit NC-13`, as the seeded
-        # inversions give them; the Maxwell residual takes no inversion and never moved
+        # inversions and single central differences give them; the Maxwell residual
+        # takes no inversion, but its P_T and e_rho moved with the difference rule
         report = rx.audit_record(db.get("NC-13", model), _parse_range("10:600:50"), _parse_range("1500:4500:250"))
         assert (report.points, report.skipped_rho) == (156, 0)
         assert tuple(x.hex() for x in report.residuals) == residuals
 
-    @pytest.mark.parametrize("material, model", [
-        (name, model) for name in ("NC-13", "RDX", "HMX", "NG") for model in (rx.Model.NA, rx.Model.VO1)
-    ] + [("NC-13", rx.Model.VO1_CVT)])
+    @pytest.mark.parametrize("material, model", _BUILTIN_RECORDS)
     def test_default_grid_oracle_error_is_below_1e_8(self, db, material, model):
         # inversions solved to tol_rel = 1e-13 left up to 4e-8 in c and 8e-8 between the
         # oracle's forms (the 1e-6 difference step amplifies them); seeded ones leave < 1e-9
@@ -366,14 +371,49 @@ class TestAuditRecord:
         assert report.points == 156 and report.passed
         assert report.sound_speed <= 1e-8 and report.forms <= 1e-8
 
-    @pytest.mark.parametrize("material, model, rho, T, c2", [
-        ("NC-13", rx.Model.VO1, 0.001004133605308749, 6.810794049859548e+301, "inf"),
-        ("RDX", rx.Model.NA, 0.041467826828875134, 1.4416867988549154e+304, "nan"),
+    @pytest.mark.parametrize("material, model", _BUILTIN_RECORDS)
+    def test_default_grid_oracle_error_is_below_5e_10(self, db, material, model):
+        # one central difference leaves at most 1.7e-10 in c and 3.5e-10 between the forms;
+        # the Richardson pass amplified rounding to 4.2e-10 and 7.9e-10
+        report = rx.audit_record(db.get(material, model), _parse_range("10:600:50"), _parse_range("1500:4500:250"))
+        assert report.sound_speed <= 5e-10 and report.forms <= 5e-10
+
+    def test_near_the_covolume_every_residual_is_below_1e_7(self, nc13_na):
+        # the O(h^2) truncation grows as 1/rho nears b: the forms residual reaches 8.2e-9 at
+        # 1/rho = 1.0101 b, still 120 times below its limit; the Richardson pass left 3.1e-10
+        rhos = [1.0 / (k * nc13_na.b) for k in (1.0101, 1.05, 2.0)]
+        report = rx.audit_record(nc13_na, rhos, [300.0, 3000.0, 1e5])
+        assert (report.points, report.skipped_rho) == (9, 0) and report.passed
+        assert max(report.residuals) <= 1e-7
+
+    @pytest.mark.parametrize("material, model, rho, T", [
+        ("NC-13", rx.Model.VO1, 0.01, 1e303),
+        ("RDX", rx.Model.NA, 0.041467826828875134, 1.4416867988549154e+304),
     ])
-    def test_non_finite_oracle_is_a_numerical_error(self, db, material, model, rho, T, c2):
-        # max() once dropped the nan residual there, and the audit passed
-        with pytest.raises(NumericalError, match=re.escape(f"c^2 = {c2} at rho={rho!r}, T={T!r}")):
+    def test_non_finite_oracle_is_a_numerical_error(self, db, material, model, rho, T):
+        # max() once dropped a nan residual at such a point, and the audit passed; the RDX
+        # point gave c^2 = nan with the Richardson pass
+        with pytest.raises(NumericalError, match=re.escape(f"c^2 = inf at rho={rho!r}, T={T!r}")):
             rx.audit_record(db.get(material, model), [rho], [T])
+
+    def test_point_whose_richardson_pass_overflowed_audits(self, db):
+        # 4 d2 of the extrapolation overflowed here, and the oracle's c^2 was inf
+        assert rx.audit_record(db.get("NC-13", rx.Model.VO1), [0.001004133605308749], [6.810794049859548e+301]).passed
+
+    @pytest.mark.parametrize("model", [rx.Model.NA, rx.Model.VO1, rx.Model.VO1_CVT])
+    def test_overflowing_pressure_is_a_numerical_error(self, db, model):
+        # a nan inversion start reached the law, and a DomainError named T=nan, an internal probe
+        with pytest.raises(NumericalError, match=re.escape("the pressure is not finite at rho=100.0, T=1e+304")):
+            rx.audit_record(db.get("NC-13", model), [100.0, 200.0], [3000.0, 1e304])
+
+    @pytest.mark.parametrize("model, T", [
+        (rx.Model.NA, 4.5173069e303), (rx.Model.VO1, 4.5172727e303), (rx.Model.VO1_CVT, 4.5172727e303),
+    ])
+    def test_pressure_overflowing_at_a_difference_point_is_a_numerical_error(self, db, model, T):
+        # P is finite within 1e-6 below its overflow, but not at rho + h: the seed of a
+        # constant-pressure inversion was inf/inf, and the law refused T=nan as a DomainError
+        with pytest.raises(NumericalError):
+            rx.audit_record(db.get("NC-13", model), [100.0], [T])
 
     @pytest.mark.parametrize("model", [rx.Model.NA, rx.Model.VO1, rx.Model.VO1_CVT])
     @pytest.mark.parametrize("rhos, temps, named", [

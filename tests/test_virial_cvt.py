@@ -105,6 +105,26 @@ class TestTemperature:
         assert rx.cvt_energy(nc13_cvt, T) == pytest.approx(1e308, rel=1e-12)
         assert rx.closure_from_rho_e(nc13_cvt, 1.0, 1e308).T == T
 
+    def test_root_where_the_discriminant_overflows(self):
+        # 2 c (e-q) overflowed to inf, and T came back 0.0, which the closure blamed
+        params = rx.GasParams.virial_cvt("probe", R=322.0, a=0.002359, Cv0=1416.8, c=1.0)
+        T = rx.cvt_temperature(params, 1e308)
+        assert T == pytest.approx(2.0**0.5 * 1e154, rel=1e-15)
+        assert rx.closure_from_rho_e(params, 100.0, 1e308).T == T
+
+    @given(st.one_of(st.floats(min_value=1e-3, max_value=1e300), st.floats(min_value=1e300, max_value=1.7e308)),
+           st.one_of(st.floats(min_value=1e-12, max_value=1e3), st.floats(min_value=1e3, max_value=1.7e308)))
+    def test_overflowing_discriminant_changes_no_finite_root(self, E, c):
+        # the hypotenuse is taken only where disc is inf; elsewhere the root keeps its bits
+        params = rx.GasParams.virial_cvt("probe", R=322.0, a=0.002359, Cv0=1416.8, c=c)
+        disc = 1416.8 * 1416.8 + 2.0 * c * E
+        T = rx.cvt_temperature(params, E)
+        if disc < math.inf:
+            assert T == E / (0.5 * (1416.8 + math.sqrt(disc)))
+        else:
+            assert 0.0 < T < math.inf
+            assert rx.cvt_energy(params, T) == pytest.approx(E, rel=1e-14)
+
     @pytest.mark.parametrize("c", [0.0, 0.0637])
     def test_infinite_energy_is_refused(self, c):
         params = rx.GasParams.virial_cvt("probe", R=322.0, a=0.002359, Cv0=1416.8, c=c)
