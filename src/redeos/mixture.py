@@ -8,9 +8,11 @@ law is that record's.  The Noble-Abel mixture is a Noble-Abel gas with that
 record and stays explicit: its laws are the kernels of
 :mod:`redeos.noble_abel` applied to it.  The virial mixture couples the
 component densities through the pressure and needs a scalar iterative
-solve; its residual and its slope evaluate each component through the
-virial density root :func:`~redeos.virial.virial_density_pt`, so this
-module writes no thermal or caloric law of its own.  A flow solver's cell
+solve, whose Newton path runs inline here.  Two laws are written inline
+too, once each and bound bit for bit to their kernels by tests: the
+component density root of :func:`~redeos.virial.virial_density_pt` in
+:func:`_mixture_volume`, and the Cp of :func:`~redeos.virial.vo1_cp` in
+:func:`_sound_speed`, each in its kernel's operation order.  A flow solver's cell
 update calls :func:`mvo1_closure_from_rho_e`, which takes c from the
 component densities of the solve's last pass: one solve per cell, where
 :func:`mvo1_pressure` followed by :func:`mvo1_sound_speed` finds every
@@ -20,14 +22,15 @@ component density once more.
 from __future__ import annotations
 
 import math
+from math import sqrt
 from typing import NamedTuple
 
 from .errors import DomainError, NumericalError, ValidationError
 from .noble_abel import na_pressure_vt, na_sound_speed
-from .numerics import solve_monotone
+from .numerics import _accept_rel, solve_monotone
 from .state import Closure
 from .types import GasParams, MixtureSpec, Model
-from .virial import virial_density_pt, virial_pressure_rt, vo1_cp
+from .virial import virial_pressure_rt
 from .virial_cvt import cvt_temperature
 
 #: Relative tolerance on the mixture pressure solve.
@@ -35,6 +38,8 @@ MVO1_TOL = 1e-13
 
 #: Iteration budget for the mixture pressure solve.
 MVO1_MAX_ITER = 100
+
+_ACCEPT_REL = _accept_rel(MVO1_TOL)  # the solve's converged Newton step, see solve_monotone
 
 
 def mna_coefficients(mix: MixtureSpec) -> GasParams:
@@ -78,7 +83,9 @@ def _mixture_volume(terms, P, T):
     """Component densities rho_k(P, T), one virial density root each, with
     the mixture volume v = sum_k Y_k / rho_k and S = -dv/dP at fixed T.
 
-    ``terms`` is :attr:`~redeos.types.MixtureSpec.virial_terms`.  S is the
+    ``terms`` is :attr:`~redeos.types.MixtureSpec.virial_terms`.  The root is
+    :func:`~redeos.virial.virial_density_pt`'s expression in its operation
+    order, whose discriminant guard is dead here (a > 0, P >= 0).  S is the
     thermal law's dP/drho, inverted and mass-weighted:
 
         S = sum_k Y_k / (rho_k^2 R_k T (1 + 2 a_k rho_k))
@@ -86,7 +93,7 @@ def _mixture_volume(terms, P, T):
     rhos = []
     v = S = 0.0
     for R, a, y in terms:
-        rho = virial_density_pt(R, a, P, T)
+        rho = 2.0 * P / (R * T * (1.0 + sqrt(1.0 + 4.0 * a * P / (R * T))))
         rhos.append(rho)
         v += y / rho
         S += y / (rho * rho * R * T * (1.0 + 2.0 * a * rho))
@@ -95,12 +102,18 @@ def _mixture_volume(terms, P, T):
 
 def _sound_speed(mix, T, volume):
     """c from the ``(rhos, v, S)`` of one :func:`_mixture_volume` pass at (P, T);
-    see :func:`mvo1_sound_speed`."""
+    see :func:`mvo1_sound_speed`.  Each Cp_k is :func:`~redeos.virial.vo1_cp`'s
+    formula; its Cv(T) and pole guards are dead for VO1 records with a > 0,
+    and a nan density (from P = inf) gives a nan c, which the callers refuse."""
     rhos, v, S = volume
     cp_mix = 0.0
     for (gas, y), rho in zip(mix.components, rhos):
-        cp_mix += y * vo1_cp(gas, rho, T)
-    return math.sqrt(cp_mix * v * v / (mix.mixed.Cv * S))
+        ar = gas.a * rho
+        cp_mix += y * (gas.Cv + gas.R * (1.0 + ar) ** 2 / (1.0 + 2.0 * ar))
+    try:
+        return sqrt(cp_mix * v * v / (mix.mixed.Cv * S))
+    except ZeroDivisionError:  # S underflows to zero, where c^2 ~ 1/S
+        return math.inf
 
 
 class Mvo1Solution(NamedTuple):
@@ -115,28 +128,63 @@ class Mvo1Solution(NamedTuple):
 
 def _solve_pressure(mix, rho_mix, T):
     """The pressure solve of :func:`mvo1_pressure`: ``(P, iterations, (rhos, v, S))``,
-    the last from the :func:`_mixture_volume` pass at the root."""
+    the last from the :func:`_mixture_volume` pass at the root.
+
+    The loop is the Newton path of :func:`~redeos.numerics.solve_monotone` on
+    the residual ``v - v_mix`` with slope ``-S``, in its arithmetic: the same
+    clipped start, step, bracket test, converged-step acceptance, bracket
+    narrowing and stop test.  On any other branch (a zero residual, S not in
+    (0, inf), a step leaving the bracket, an exhausted budget) the solve
+    starts again in :func:`~redeos.numerics.solve_monotone`, which retraces
+    the same iterates, so every result and refusal is its own.
+    """
     R_min, R_max, a_n = mix.virial_bracket
     if not (rho_mix > 0.0 and T > 0.0):
         raise DomainError(f"density and temperature must be positive, got rho={rho_mix!r}, T={T!r}")
     terms = mix.virial_terms
     v_mix = 1.0 / rho_mix
-
-    def g(P):
-        _, v, S = _mixture_volume(terms, P, T)
-        return v - v_mix, -S
-
     P_lo = rho_mix * R_min * T * (1.0 - 1e-7)
     if not P_lo < math.inf:  # the root lies above P_lo; P_hi may overflow while the root is finite
         raise NumericalError(f"the mixture pressure overflows at rho={rho_mix!r}, T={T!r}")
     P_hi = rho_mix * R_max * T * (1.0 + a_n * rho_mix) * (1.0 + 1e-7)
     mixed = mix.mixed
     x0 = virial_pressure_rt(mixed.R, mixed.a, rho_mix, T)
+    xl, xh = P_lo, P_hi  # P_lo <= P_hi, so solve_monotone swaps no ends
+    tol_floor = 1e-15 * (P_hi - P_lo)
+    x = min(max(x0, P_lo), P_hi)
+    try:
+        for iterations in range(1, MVO1_MAX_ITER + 1):
+            _, v, S = _mixture_volume(terms, x, T)
+            gx = v - v_mix
+            if gx == 0.0 or not 0.0 < S < math.inf:
+                break
+            P = x - gx / -S
+            if not xl < P < xh:
+                break
+            if abs(P - x) <= _ACCEPT_REL * abs(x):
+                return P, iterations, _mixture_volume(terms, P, T)
+            if gx > 0.0:  # the residual falls with P, so the root lies above x
+                xl = x
+            else:
+                xh = x
+            ax, aP = abs(x), abs(P)
+            tol = MVO1_TOL * (aP if aP > ax else ax)
+            if tol_floor > tol:
+                tol = tol_floor
+            if abs(P - x) <= tol or (xh - xl) <= tol:
+                return P, iterations, _mixture_volume(terms, P, T)
+            x = P
 
-    P, iterations = solve_monotone(g, P_lo, P_hi, tol_rel=MVO1_TOL, max_iter=MVO1_MAX_ITER, x0=x0)
-    if P == math.inf:
-        raise NumericalError(f"the mixture pressure overflows at rho={rho_mix!r}, T={T!r}")
-    return P, iterations, _mixture_volume(terms, P, T)
+        def g(P):
+            _, v, S = _mixture_volume(terms, P, T)
+            return v - v_mix, -S
+
+        P, iterations = solve_monotone(g, P_lo, P_hi, tol_rel=MVO1_TOL, max_iter=MVO1_MAX_ITER, x0=x0)
+        if P == math.inf:
+            raise NumericalError(f"the mixture pressure overflows at rho={rho_mix!r}, T={T!r}")
+        return P, iterations, _mixture_volume(terms, P, T)
+    except ZeroDivisionError:  # a component density or its square underflows to zero
+        raise NumericalError(f"the component densities underflow at rho={rho_mix!r}, T={T!r}") from None
 
 
 def mvo1_pressure(mix: MixtureSpec, rho_mix, T) -> Mvo1Solution:
@@ -153,11 +201,15 @@ def mvo1_pressure(mix: MixtureSpec, rho_mix, T) -> Mvo1Solution:
     converges.  It starts from the mixture record's own virial law and
     rarely needs the bracket [rho_mix min_k(R_k) T, rho_mix max_k(R_k) T
     (1 + max_k(a_k) rho_mix N)], which is widened by a small margin to
-    absorb rounding at analytic endpoints.
+    absorb rounding at analytic endpoints.  Raises :class:`NumericalError`
+    naming rho_mix and T where the pressure overflows, a component density
+    underflows or ``residual_rel`` exceeds 1e-12.
     """
     P, iterations, (rhos, _, _) = _solve_pressure(mix, rho_mix, T)
     v_mix = 1.0 / rho_mix
     residual = abs(math.fsum([y / rho for (_, _, y), rho in zip(mix.virial_terms, rhos)]) - v_mix) / v_mix
+    if not residual <= 1e-12:  # the acceptance contract on the mixture volume
+        raise NumericalError(f"the mixture volume residual {residual!r} exceeds 1e-12 at rho={rho_mix!r}, T={T!r}")
     return Mvo1Solution(P=P, T=T, rho_components=tuple(rhos), iterations=iterations, residual_rel=residual)
 
 
@@ -174,12 +226,19 @@ def mvo1_sound_speed(mix: MixtureSpec, P, T):
     with S = -d(v_mix)/dP at fixed T (see :func:`_mixture_volume`), the
     component densities at the common (P, T) and each Cp_k from the
     density-dependent Mayer relation at its own rho_k.  Collapses to the
-    single-gas sound speed at N = 1.
+    single-gas sound speed at N = 1.  Raises :class:`NumericalError` unless
+    c is positive and finite.
     """
     terms = mix.virial_terms  # raises unless every component is a VO1 record with a > 0
     if not (P > 0.0 and T > 0.0):
         raise DomainError(f"pressure and temperature must be positive, got P={P!r}, T={T!r}")
-    return _sound_speed(mix, T, _mixture_volume(terms, P, T))
+    try:
+        c = _sound_speed(mix, T, _mixture_volume(terms, P, T))
+    except ZeroDivisionError:  # a component density or its square underflows to zero
+        c = math.nan
+    if not 0.0 < c < math.inf:
+        raise NumericalError(f"the sound speed at P={P!r}, T={T!r} is degenerate: c={c!r}")
+    return c
 
 
 def mvo1_closure_from_rho_T(mix: MixtureSpec, rho_mix, T) -> Closure:
@@ -187,10 +246,15 @@ def mvo1_closure_from_rho_T(mix: MixtureSpec, rho_mix, T) -> Closure:
 
     c comes from the component densities of the solve's last pass, so P, T
     and c are bit for bit those of :func:`mvo1_pressure` followed by
-    :func:`mvo1_sound_speed`, with the refusals of :func:`mvo1_pressure`.
+    :func:`mvo1_sound_speed`.  It refuses what the solve of
+    :func:`mvo1_pressure` refuses, and raises :class:`NumericalError` naming
+    rho and T unless P and c are positive and finite.
     """
     P, _, volume = _solve_pressure(mix, rho_mix, T)
-    return Closure(P, T, _sound_speed(mix, T, volume))
+    c = _sound_speed(mix, T, volume)
+    if not (0.0 < P < math.inf and 0.0 < c < math.inf):
+        raise NumericalError(f"the state at rho={rho_mix!r}, T={T!r} is degenerate: P={P!r}, c={c!r}")
+    return Closure(P, T, c)
 
 
 def mvo1_closure_from_rho_e(mix: MixtureSpec, rho_mix, e_mix) -> Closure:

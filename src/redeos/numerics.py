@@ -244,7 +244,10 @@ def sound_speed_fd_oracle(e_fn, p_fn, rho, T) -> OracleSoundSpeed:
     Its four temperature inversions start from the linearisation of
     ``p_fn`` at (rho, T) by the oracle's own differences P_T and P_rho, and
     take P_T as their slope: with the five pressures of the partials, 9
-    pressure and 8 energy evaluations per call.
+    pressure and 8 energy evaluations per call.  Raises
+    :class:`NumericalError` naming (rho, T) where an inversion cannot
+    bracket its target: where P_T or P_rho is not finite or a target P + h
+    overflows.
 
     Parameters
     ----------
@@ -255,10 +258,13 @@ def sound_speed_fd_oracle(e_fn, p_fn, rho, T) -> OracleSoundSpeed:
     """
     partials = _fd_partials(e_fn, p_fn, rho, T)
     _, P, _, _, P_T, P_rho, _ = partials
-    dedrho_P = fd_derivative(
-        lambda r: e_fn(r, _invert_temperature(p_fn, r, P, T, P_T, T - P_rho * (r - rho) / P_T)), rho, STEP_FLOOR)
-    dedP_rho = fd_derivative(
-        lambda p: e_fn(rho, _invert_temperature(p_fn, rho, p, T, P_T, T + (p - P) / P_T)), P, STEP_FLOOR)
+    try:
+        dedrho_P = fd_derivative(
+            lambda r: e_fn(r, _invert_temperature(p_fn, r, P, T, P_T, T - P_rho * (r - rho) / P_T)), rho, STEP_FLOOR)
+        dedP_rho = fd_derivative(
+            lambda p: e_fn(rho, _invert_temperature(p_fn, rho, p, T, P_T, T + (p - P) / P_T)), P, STEP_FLOOR)
+    except BracketError:  # a non-finite P_T or P_rho, or a target P + h that overflows
+        raise NumericalError(f"the difference oracle's inversions overflow at rho={rho!r}, T={T!r}") from None
     c2_energy = (P / rho**2 - dedrho_P) / dedP_rho
     return OracleSoundSpeed(c2_energy=c2_energy, c2_gamma=partials.c2, partials=partials)
 

@@ -592,6 +592,13 @@ class TestBoundaryRegressions:
         assert code == 3 and out == ""
         assert err == "E_NUMERICAL: floating-point evaluation failed at --rho 100:100:1 --T 1e304:1e304:1\n"
 
+    @pytest.mark.parametrize("model, T", [("na", "4.5173069e303"), ("vo1", "4.51727e303"), ("vo1cvt", "4.5173069e303")])
+    def test_audit_where_an_oracle_inversion_overflows_names_the_grid(self, capsys, model, T):
+        # once E_BRACKET naming the inversion's bracket, g(4.51731e+302) = -inf and g(4.51731e+304) = nan
+        code, out, err = run_cli(capsys, "audit", "NC-13", "--model", model, "--rho", "100:100:1", "--T", f"{T}:{T}:1")
+        assert code == 3 and out == ""
+        assert err == f"E_NUMERICAL: floating-point evaluation failed at --rho 100:100:1 --T {T}:{T}:1\n"
+
     @pytest.mark.parametrize("model", ["na", "vo1", "vo1cvt"])
     @pytest.mark.parametrize("rho, T, named", [
         ("1e-310", "3000", "density 1e-310 kg/m3 does not exceed its difference step 2.2250738585072014e-308 kg/m3"),

@@ -1,12 +1,14 @@
 import math
 import random
+import sys
 
 import pytest
 
 import redeos as rx
-from redeos.errors import DomainError, ModelMismatchError, NumericalError, ValidationError
-from redeos.mixture import _mixture_volume
+from redeos.errors import DomainError, EosError, ModelMismatchError, NumericalError, ValidationError
+from redeos.mixture import MVO1_MAX_ITER, MVO1_TOL, _mixture_volume
 from redeos.types import MODEL_FIELDS
+from redeos.virial import virial_density_pt, virial_pressure_rt
 
 
 def bisect_mixture_pressure(mix, rho_mix, T, iters=200):
@@ -407,20 +409,162 @@ class TestMvo1Closure:
 
     @pytest.mark.parametrize("spec", ["NC-13=0.5,RDX=0.5", "NC-13=0.2,RDX=0.3,HMX=0.5"])
     def test_a_mix_sweep_row_finds_each_density_once_per_pass(self, db, monkeypatch, capsys, spec):
-        # N components, one root each per residual pass of the solve and one at the root;
-        # a sound speed taken after the solve would find every rho_k once more
+        # one _mixture_volume pass (every rho_k once) per residual of the solve and one at the
+        # root; a sound speed taken after the solve would make one pass more
         from redeos import mixture
         from redeos.cli import main
         parts = [part.split("=") for part in spec.split(",")]
         mix = rx.MixtureSpec(tuple((db.get(name, rx.Model.VO1), float(y)) for name, y in parts))
         T = rx.mixture_flame_temperature(mix).T_flame
         iterations = rx.mvo1_pressure(mix, 200.0, T).iterations
-        calls = []
-        root = mixture.virial_density_pt
-        monkeypatch.setattr(mixture, "virial_density_pt", lambda *args: calls.append(args) or root(*args))
+        passes = []
+        volume = mixture._mixture_volume
+        monkeypatch.setattr(mixture, "_mixture_volume", lambda *args: passes.append(args) or volume(*args))
         assert main(["mix-sweep", spec, "--model", "mvo1", "--rho", "200", "--same-oxygen-balance"]) == 0
         assert len(capsys.readouterr().out.splitlines()) == 2
-        assert len(calls) == len(parts) * (iterations + 1)
+        assert len(passes) == iterations + 1
+
+
+def _kernel_volume(terms, P, T):
+    """A residual pass that takes each rho_k from the kernel, virial_density_pt."""
+    rhos = []
+    v = S = 0.0
+    for R, a, y in terms:
+        rho = virial_density_pt(R, a, P, T)
+        rhos.append(rho)
+        v += y / rho
+        S += y / (rho * rho * R * T * (1.0 + 2.0 * a * rho))
+    return rhos, v, S
+
+
+def _kernel_solve(mix, rho_mix, T):
+    """``(P, iterations, rhos, residual_rel, c)`` as solve_monotone finds them from the
+    bracket and start of mvo1_pressure on the kernels' residual, each Cp_k from vo1_cp;
+    c is None where its division by S fails."""
+    R_min, R_max, a_n = mix.virial_bracket
+    if not (rho_mix > 0.0 and T > 0.0):
+        raise DomainError(f"density and temperature must be positive, got rho={rho_mix!r}, T={T!r}")
+    terms, v_mix, mixed = mix.virial_terms, 1.0 / rho_mix, mix.mixed
+    P_lo = rho_mix * R_min * T * (1.0 - 1e-7)
+    if not P_lo < math.inf:
+        raise NumericalError(f"the mixture pressure overflows at rho={rho_mix!r}, T={T!r}")
+    P_hi = rho_mix * R_max * T * (1.0 + a_n * rho_mix) * (1.0 + 1e-7)
+
+    def g(P):
+        _, v, S = _kernel_volume(terms, P, T)
+        return v - v_mix, -S
+
+    P, iterations = rx.solve_monotone(g, P_lo, P_hi, tol_rel=MVO1_TOL, max_iter=MVO1_MAX_ITER,
+                                      x0=virial_pressure_rt(mixed.R, mixed.a, rho_mix, T))
+    if P == math.inf:
+        raise NumericalError(f"the mixture pressure overflows at rho={rho_mix!r}, T={T!r}")
+    rhos, v, S = _kernel_volume(terms, P, T)
+    residual = abs(math.fsum([y / rho for (_, _, y), rho in zip(terms, rhos)]) - v_mix) / v_mix
+    cp = 0.0
+    for (gas, y), rho in zip(mix.components, rhos):
+        cp += y * rx.vo1_cp(gas, rho, T)
+    c = math.sqrt(cp * v * v / (mixed.Cv * S)) if mixed.Cv * S else None
+    return P, iterations, rhos, residual, c
+
+
+def _assert_is_the_kernel_solve(mix, rho, T):
+    """mvo1_pressure and the closure against :func:`_kernel_solve`: the same bits where it
+    returns an accepted state, the same refusal where it raises an EosError, and a
+    NumericalError where it fails otherwise (a zero division) or breaks the 1e-12 residual."""
+    want, refused = _outcome(_kernel_solve, mix, rho, T)
+    sol, sol_refused = _outcome(rx.mvo1_pressure, mix, rho, T)
+    closure, closure_refused = _outcome(rx.mvo1_closure_from_rho_T, mix, rho, T)
+    if refused is not None:
+        if isinstance(refused, EosError):
+            for got in (sol_refused, closure_refused):
+                assert (type(got), str(got)) == (type(refused), str(refused)), (mix, rho, T)
+        else:
+            assert isinstance(refused, ZeroDivisionError), (mix, rho, T)
+            assert type(sol_refused) is type(closure_refused) is NumericalError, (mix, rho, T)
+        return
+    P, iterations, rhos, residual, c = want
+    if residual <= 1e-12:
+        assert sol is not None, (mix, rho, T, sol_refused)
+        assert (_hex((sol.P, *sol.rho_components, sol.residual_rel)), sol.iterations) == (
+            _hex((P, *rhos, residual)), iterations), (mix, rho, T)
+    else:
+        assert type(sol_refused) is NumericalError, (mix, rho, T)
+    if c is not None and 0.0 < P < math.inf and 0.0 < c < math.inf:
+        assert closure is not None and _hex(closure) == _hex((P, T, c)), (mix, rho, T, closure_refused)
+    else:
+        assert type(closure_refused) is NumericalError, (mix, rho, T)
+
+
+class TestInlineSolve:
+    """The solve's inline Newton path and inline laws are solve_monotone on the kernels' residual."""
+
+    def test_seeded_cells_are_the_kernel_solve(self, db, monkeypatch):
+        # 20,000 cells of NC-13/RDX/HMX pairs, rho 1e-3-2e3 kg/m3, T 300-6000 K; the solve
+        # hands the ~1% that leave Newton's path to solve_monotone, which retraces the inline
+        # iterates, and a bracket narrowed wrongly would hand over most of them
+        from redeos import mixture
+        fallbacks = []
+        solve = mixture.solve_monotone
+        monkeypatch.setattr(mixture, "solve_monotone", lambda *args, **kw: fallbacks.append(args) or solve(*args, **kw))
+        rng = random.Random(2604)
+        names = ("NC-13", "RDX", "HMX")
+        for _ in range(200):
+            a, b = rng.sample(names, 2)
+            y = rng.random()
+            mix = rx.MixtureSpec(((db.get(a, rx.Model.VO1), 1.0 - y), (db.get(b, rx.Model.VO1), y)))
+            for _ in range(100):
+                _assert_is_the_kernel_solve(mix, 10.0 ** rng.uniform(-3.0, math.log10(2e3)),
+                                            rng.uniform(300.0, 6000.0))
+        assert 20 <= len(fallbacks) <= 400
+
+    @pytest.mark.parametrize("rho", [0.0, -1.0, 5e-324, 1e-300, 1e-170, 1e-160, 1e-100, 1.0, 200.0,
+                                     1e100, 3.254852618965709e150, 1e300, sys.float_info.max,
+                                     math.inf, math.nan])
+    def test_edge_cells_are_the_kernel_solve(self, db, rho):
+        mix = rx.MixtureSpec(tuple((db.get(name, rx.Model.VO1), y) for name, y in (("NC-13", 0.5), ("RDX", 0.5))))
+        for T in (0.0, 5e-324, 1e-300, 1.0, rx.mixture_flame_temperature(mix).T_flame, 1e300, math.inf, math.nan):
+            _assert_is_the_kernel_solve(mix, rho, T)
+
+    @pytest.mark.parametrize("rho, T", [(1e-160, 3600.0), (1e-170, 3600.0), (3.254852618965709e150, None)])
+    def test_degenerate_cells_are_refused_naming_the_input(self, half_vo1, rho, T):
+        T = T or rx.mixture_flame_temperature(half_vo1).T_flame
+        for call in (rx.mvo1_closure_from_rho_T, rx.mvo1_pressure):
+            _, refused = _outcome(call, half_vo1, rho, T)
+            if call is rx.mvo1_pressure and refused is None:
+                continue  # at 1e-160 P and its residual are fine; only c is not
+            assert type(refused) is NumericalError
+            assert f"rho={rho!r}, T={T!r}" in str(refused)
+
+    @pytest.mark.parametrize("a", [1e-300, 0.002359, 1e300])
+    @pytest.mark.parametrize("R", [1e-300, 322.0, 1e300])
+    def test_density_root_is_virial_density_pt(self, R, a):
+        edges = (0.0, 5e-324, 1e-310, 1e-160, 1.0, 3.7e8, 1e154, 1e300, sys.float_info.max, math.inf, math.nan)
+        for P in edges:
+            for T in edges[1:]:
+                want, want_raised = _outcome(virial_density_pt, R, a, P, T)
+                got, got_raised = _outcome(_mixture_volume, ((R, a, 1.0),), P, T)
+                if got_raised is None:
+                    assert got[0][0].hex() == want.hex(), (P, T)
+                else:  # R T underflows, or the pass divides by a root or a square that does
+                    assert type(got_raised) is ZeroDivisionError, (P, T)
+                    assert (type(want_raised) is ZeroDivisionError or want == 0.0
+                            or want * want * R * T * (1.0 + 2.0 * a * want) == 0.0), (P, T)
+
+    @pytest.mark.parametrize("a", [1e-300, 0.002359, 1e300])
+    @pytest.mark.parametrize("R", [1e-300, 322.0, 1e300])
+    def test_cp_is_vo1_cp(self, monkeypatch, R, a):
+        # with v = S = Cv = Y = 1 and the square root taken out, the sound speed is the inline Cp
+        from redeos import mixture
+        monkeypatch.setattr(mixture, "sqrt", lambda x: x)
+        gas = rx.GasParams.virial("edge", R=R, a=a, Cv=1.0)
+        mix = rx.MixtureSpec(((gas, 1.0),))
+        for rho in (5e-324, 1e-310, 1e-160, 1.0, 200.0, 1e154, 1e300, sys.float_info.max, math.inf):
+            got, got_raised = _outcome(mixture._sound_speed, mix, 3000.0, ([rho], 1.0, 1.0))
+            want, want_raised = _outcome(rx.vo1_cp, gas, rho, 3000.0)
+            if want_raised is None:
+                assert got.hex() == want.hex(), rho
+            else:
+                assert (type(got_raised), str(got_raised)) == (type(want_raised), str(want_raised)), rho
 
 
 class TestMixtureFlameTemperature:

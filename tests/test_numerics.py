@@ -415,6 +415,18 @@ class TestAuditRecord:
         with pytest.raises(NumericalError):
             rx.audit_record(db.get("NC-13", model), [100.0], [T])
 
+    @pytest.mark.parametrize("model, T", [
+        (rx.Model.NA, 4.5173069e303), (rx.Model.NA, 4.5173046e303), (rx.Model.VO1, 4.51727e303),
+        (rx.Model.VO1, 4.5172695e303), (rx.Model.VO1_CVT, 4.5173069e303),
+    ])
+    def test_oracle_inversion_that_cannot_bracket_names_the_grid_point(self, db, model, T):
+        # P is finite, but P_T or the inversion target P + h overflows: a BracketError once
+        # named the bracket, g(4.51731e+302) = -inf and g(4.51731e+304) = nan
+        with pytest.raises(NumericalError) as raised:
+            rx.audit_record(db.get("NC-13", model), [100.0], [T])
+        assert type(raised.value) is NumericalError
+        assert f"at rho=100.0, T={T!r}" in str(raised.value)
+
     @pytest.mark.parametrize("model", [rx.Model.NA, rx.Model.VO1, rx.Model.VO1_CVT])
     @pytest.mark.parametrize("rhos, temps, named", [
         ([100.0, 1e-310], [3000.0],
