@@ -8,15 +8,16 @@ law is that record's.  The Noble-Abel mixture is a Noble-Abel gas with that
 record and stays explicit: its laws are the kernels of
 :mod:`redeos.noble_abel` applied to it.  The virial mixture couples the
 component densities through the pressure and needs a scalar iterative
-solve, whose Newton path runs inline here.  Two laws are written inline
+solve: its Newton path runs inline here, and off that path it falls back
+to :func:`~redeos.numerics.solve_monotone`.  Two laws are written inline
 too, once each and bound bit for bit to their kernels by tests: the
 component density root of :func:`~redeos.virial.virial_density_pt` in
 :func:`_mixture_volume`, and the Cp of :func:`~redeos.virial.vo1_cp` in
-:func:`_sound_speed`, each in its kernel's operation order.  A flow solver's cell
-update calls :func:`mvo1_closure_from_rho_e`, which takes c from the
-component densities of the solve's last pass: one solve per cell, where
-:func:`mvo1_pressure` followed by :func:`mvo1_sound_speed` finds every
-component density once more.
+:func:`_sound_speed`, each in its kernel's operation order.  A flow
+solver's cell update calls :func:`mvo1_closure_from_rho_e`, which takes c
+from the component densities of the solve's last pass: one solve per cell,
+where :func:`mvo1_pressure` followed by :func:`mvo1_sound_speed` finds
+every component density once more.
 """
 
 from __future__ import annotations
@@ -132,9 +133,9 @@ def _solve_pressure(mix, rho_mix, T):
 
     The loop is the Newton path of :func:`~redeos.numerics.solve_monotone` on
     the residual ``v - v_mix`` with slope ``-S``, in its arithmetic: the same
-    clipped start, step, bracket test, converged-step acceptance, bracket
-    narrowing and stop test.  On any other branch (a zero residual, S not in
-    (0, inf), a step leaving the bracket, an exhausted budget) the solve
+    clipped start, exact-root return, step, bracket test, converged-step
+    acceptance, bracket narrowing and stop test.  Where S is not in
+    (0, inf), a step leaves the bracket or the budget runs out, the solve
     starts again in :func:`~redeos.numerics.solve_monotone`, which retraces
     the same iterates, so every result and refusal is its own.
     """
@@ -143,10 +144,10 @@ def _solve_pressure(mix, rho_mix, T):
         raise DomainError(f"density and temperature must be positive, got rho={rho_mix!r}, T={T!r}")
     terms = mix.virial_terms
     v_mix = 1.0 / rho_mix
-    P_lo = rho_mix * R_min * T * (1.0 - 1e-7)
-    if not P_lo < math.inf:  # the root lies above P_lo; P_hi may overflow while the root is finite
-        raise NumericalError(f"the mixture pressure overflows at rho={rho_mix!r}, T={T!r}")
     P_hi = rho_mix * R_max * T * (1.0 + a_n * rho_mix) * (1.0 + 1e-7)
+    if not P_hi < math.inf:  # the stop floor, 1e-15 (P_hi - P_lo), would be inf and pass any step
+        raise NumericalError(f"the mixture pressure overflows at rho={rho_mix!r}, T={T!r}")
+    P_lo = rho_mix * R_min * T * (1.0 - 1e-7)
     mixed = mix.mixed
     x0 = virial_pressure_rt(mixed.R, mixed.a, rho_mix, T)
     xl, xh = P_lo, P_hi  # P_lo <= P_hi, so solve_monotone swaps no ends
@@ -154,9 +155,11 @@ def _solve_pressure(mix, rho_mix, T):
     x = min(max(x0, P_lo), P_hi)
     try:
         for iterations in range(1, MVO1_MAX_ITER + 1):
-            _, v, S = _mixture_volume(terms, x, T)
+            volume = _, v, S = _mixture_volume(terms, x, T)
             gx = v - v_mix
-            if gx == 0.0 or not 0.0 < S < math.inf:
+            if gx == 0.0:
+                return x, iterations, volume
+            if not 0.0 < S < math.inf:
                 break
             P = x - gx / -S
             if not xl < P < xh:
@@ -180,8 +183,6 @@ def _solve_pressure(mix, rho_mix, T):
             return v - v_mix, -S
 
         P, iterations = solve_monotone(g, P_lo, P_hi, tol_rel=MVO1_TOL, max_iter=MVO1_MAX_ITER, x0=x0)
-        if P == math.inf:
-            raise NumericalError(f"the mixture pressure overflows at rho={rho_mix!r}, T={T!r}")
         return P, iterations, _mixture_volume(terms, P, T)
     except ZeroDivisionError:  # a component density or its square underflows to zero
         raise NumericalError(f"the component densities underflow at rho={rho_mix!r}, T={T!r}") from None

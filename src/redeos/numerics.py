@@ -40,12 +40,12 @@ class RootResult(NamedTuple):
 def solve_monotone(g, lo, hi, *, tol_rel=1e-12, max_iter=100, x0=None) -> RootResult:
     """Find the root of a monotone scalar function on a bracket.
 
-    Newton steps where ``g`` gives a slope, damped secant steps otherwise,
-    each safeguarded by bisection so the iterate never leaves the initial
-    bracket.  The residual at the bracket endpoints is evaluated only when
-    a step needs the bracket: no slope; a zero, non-finite or wrongly
-    signed slope; or a Newton step that would leave it.  Until then the
-    sign of the slope gives the orientation of the residual.  A Newton step
+    The residual is evaluated at both ends first: ends of one sign raise
+    :class:`BracketError`, an end where it vanishes is returned after 0
+    iterations, and their signs give the orientation of the residual.  Then
+    Newton steps where ``g`` gives a finite, non-zero slope of that
+    orientation, Illinois-damped secant steps otherwise, each safeguarded by
+    bisection so the iterate never leaves the bracket.  A Newton step
     ``x + dx`` inside the bracket with ``|dx| <= sqrt(0.1 tol_rel) |x|`` is
     returned without evaluating ``g`` there: the step after it would move
     by about ``|x g''/(2 g')| (dx/x)^2 |x|``, a tenth of ``tol_rel |x|``
@@ -69,10 +69,14 @@ def solve_monotone(g, lo, hi, *, tol_rel=1e-12, max_iter=100, x0=None) -> RootRe
     if hi < lo:
         lo, hi = hi, lo
     xl, xh = lo, hi
-    gl = gh = None  # residual at xl and xh, once known
+    gl, gh = g(xl)[0], g(xh)[0]
+    if gl == 0.0 or gh == 0.0:
+        return RootResult(xl if gl == 0.0 else xh, 0)
+    if (gl > 0.0) == (gh > 0.0):
+        raise BracketError(f"g({xl:g}) = {gl:g} and g({xh:g}) = {gh:g} have the same sign")
     # orientation is fixed for a monotone residual; never re-read it from the
     # damped endpoint values below (damping can underflow them to zero)
-    sign_high = None
+    sign_high = gh > 0.0
     # roots below machine epsilon times the problem scale are unresolvable,
     # so the relative criterion carries an absolute floor tied to the bracket
     tol_floor = 1e-15 * (hi - lo)
@@ -85,34 +89,22 @@ def solve_monotone(g, lo, hi, *, tol_rel=1e-12, max_iter=100, x0=None) -> RootRe
             return RootResult(x, it)
         xn = None
         # a zero, non-finite or wrongly signed slope takes no Newton step
-        if d and -math.inf < d < math.inf and sign_high in (None, d > 0.0):
-            sign_high = d > 0.0
+        if d and -math.inf < d < math.inf and (d > 0.0) == sign_high:
             cand = x - gx / d
             if xl < cand < xh:
                 if abs(cand - x) <= accept_rel * abs(x):
                     return RootResult(cand, it)
                 xn = cand
-        if xn is None and (gl is None or gh is None):
-            gl = g(xl)[0] if gl is None else gl
-            gh = g(xh)[0] if gh is None else gh
-            if gl == 0.0:
-                return RootResult(xl, it)
-            if gh == 0.0:
-                return RootResult(xh, it)
-            if (gl > 0.0) == (gh > 0.0):
-                raise BracketError(f"g({xl:g}) = {gl:g} and g({xh:g}) = {gh:g} have the same sign")
-            if sign_high is None:
-                sign_high = gh > 0.0
         # a Newton step taken above lies on the far side of x, so it stays
         # inside the bracket narrowed here
         if (gx > 0.0) == sign_high:
             xh, gh = x, gx
-            if side == +1 and gl is not None:
+            if side == +1:
                 gl *= 0.5  # Illinois damping against endpoint stagnation
             side = +1
         else:
             xl, gl = x, gx
-            if side == -1 and gh is not None:
+            if side == -1:
                 gh *= 0.5
             side = -1
 
@@ -125,11 +117,7 @@ def solve_monotone(g, lo, hi, *, tol_rel=1e-12, max_iter=100, x0=None) -> RootRe
         if xn is None:
             xn = 0.5 * (xl + xh)
 
-        # max(tol_rel * max(|x|, |xn|), tol_floor); max() calls cost more than a secant step
-        ax, axn = abs(x), abs(xn)
-        tol = tol_rel * (axn if axn > ax else ax)
-        if tol_floor > tol:
-            tol = tol_floor
+        tol = max(tol_rel * max(abs(x), abs(xn)), tol_floor)
         if abs(xn - x) <= tol or (xh - xl) <= tol:
             return RootResult(xn, it)
         x = xn
@@ -171,7 +159,9 @@ def _invert_temperature(p_fn, rho, P_target, T_guess, P_T, T_start):
     steps elsewhere, where a fixed slope is only a chord.  Every law here is
     linear in T, so from the oracle's seeded start the first step converges;
     it is taken here at one pressure evaluation, under the rules by which
-    :func:`solve_monotone` returns it, and a step they refuse goes there.
+    :func:`solve_monotone` returns it.  A start or step they refuse goes to
+    :func:`solve_monotone` from the same start, which reads the bracket
+    ends first.
     """
     lo, hi, near = T_guess / 10.0, 10.0 * T_guess, 1e-4 * T_guess
     T = min(max(lo, T_start), hi)  # a nan start, from an overflowed seed, clips to lo
@@ -327,7 +317,8 @@ def audit_record(params: GasParams, rhos, temperatures) -> AuditReport:
     density or temperature that does not exceed its step (a subnormal value),
     at a convex point whose closed-form criteria underflow to zero, or when
     no point is left; raises :class:`NumericalError` where the pressure,
-    the oracle or a residual is not finite.
+    the oracle or a residual is not finite, or at a convex point whose
+    closed-form criteria overflow to nan.
     """
     laws = LAWS[params.model]
     pressure = laws.pressure
@@ -346,11 +337,14 @@ def audit_record(params: GasParams, rhos, temperatures) -> AuditReport:
             if not P < math.inf:  # an overflowed P would start the oracle's inversions at nan
                 raise NumericalError(f"the pressure is not finite at rho={rho!r}, T={T!r}")
             closed = laws.convexity(params, rho, P, T)
-            # a convex point whose criteria underflow (P^2 or rho P below the smallest float)
-            # shows no sign to audit, and calling it a violation would fail a convex record
+            # a convex point whose criteria underflow (P^2 or rho P below the smallest float) or reach
+            # inf/inf (P^2 and R Cv(T) (1 + a rho)^2 above the largest) shows no sign to audit, and
+            # calling it a violation would fail a convex record
             if closed.convex and 0.0 in closed.criteria:
                 raise DomainError(f"the closed-form convexity criteria underflow to zero at rho={rho!r}, T={T!r}")
             if not (closed.convex and convexity_signs_ok(closed.criteria)):
+                if closed.convex and any(map(math.isnan, closed.criteria)):
+                    raise NumericalError(f"the closed-form convexity criteria are nan at rho={rho!r}, T={T!r}")
                 violations += 1
                 continue
             oracle = sound_speed_fd_oracle(e_fn, p_fn, rho, T)

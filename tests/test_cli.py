@@ -328,6 +328,16 @@ class TestAudit:
         assert "convexity violations" in out
         assert out.strip().endswith("RESULT FAIL")
 
+    def test_criteria_of_other_sign_than_the_oracle_fail(self, capsys, monkeypatch):
+        from redeos import numerics
+        from test_numerics import _flipped_fd_convexity
+        monkeypatch.setattr(numerics.FdPartials, "convexity", _flipped_fd_convexity)
+        code, out, err = run_cli(capsys, "audit", "NC-13", "--model", "vo1",
+                                 "--rho", "50:600:275", "--T", "1500:4500:1500")
+        assert code == 3 and err == ""
+        assert out.splitlines()[5:] == ["convexity sign mismatches = 9 FAIL", "convexity violations = 0 PASS",
+                                        "RESULT FAIL"]
+
 
 class TestNonConvexRecordGuard:
     def test_sweep_refuses_negative_virial(self, capsys, tmp_path):
@@ -623,6 +633,14 @@ class TestBoundaryRegressions:
         code, out, err = run_cli(capsys, "audit", "NC-13", "--model", model,
                                  "--rho", "1e-160:1e-160:1", "--T", "3000:3000:1")
         assert code == 0 and err == "" and out.endswith("RESULT PASS\n")
+
+    def test_audit_where_the_criteria_overflow_is_numerical(self, capsys):
+        # once `convexity violations = 1 FAIL` and RESULT FAIL (exit 3) for a convex record, every
+        # residual 0: criterion (d), P^2 / (R Cv(T) (1 + a rho)^2), is inf/inf here
+        code, out, err = run_cli(capsys, "audit", "NC-13", "--model", "vo1cvt",
+                                 "--rho", "1e-10:1e-10:1", "--T", "1.7e307:1.7e307:1")
+        assert code == 3 and out == ""
+        assert err == "E_NUMERICAL: floating-point evaluation failed at --rho 1e-10:1e-10:1 --T 1.7e307:1.7e307:1\n"
 
     def test_state_whose_entropy_underflows_is_numerical(self, capsys):
         code, out, err = run_cli(capsys, "state", "NC-13", "--model", "na", "--rho", "1e-300", "--T", "1e-25")

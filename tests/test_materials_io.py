@@ -38,6 +38,13 @@ class TestClosedBombCsv:
         with pytest.raises(ValidationError, match="line 2"):
             rx.load_closed_bomb_csv(path)
 
+    @pytest.mark.parametrize("rho", ["0", "-100"])
+    def test_non_positive_density_reports_line(self, tmp_path, rho):
+        path = tmp_path / "rho.csv"
+        path.write_text(f"rho_kg_m3,pmax_MPa\n100,130.3\n{rho},214.1\n")
+        with pytest.raises(ValidationError, match=f"line 3: loading density must be positive, got {float(rho)!r}"):
+            rx.load_closed_bomb_csv(path)
+
     def test_non_numeric_reports_line_and_column(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("rho_kg_m3,pmax_MPa\n100,130.3\n150,fast\n")

@@ -1,11 +1,13 @@
 import math
 import random
+import re
 import sys
 
 import pytest
 
 import redeos as rx
 from redeos.errors import DomainError, EosError, ModelMismatchError, NumericalError, ValidationError
+from redeos.cli import _parse_range
 from redeos.mixture import MVO1_MAX_ITER, MVO1_TOL, _mixture_volume
 from redeos.types import MODEL_FIELDS
 from redeos.virial import virial_density_pt, virial_pressure_rt
@@ -146,6 +148,11 @@ class TestMnaCoefficients:
         with pytest.raises(ModelMismatchError):
             rx.mna_coefficients(rx.MixtureSpec(((nc13_na, 0.5), (nc13_vo1, 0.5))))
 
+    def test_virial_mixture_rejected(self, half_vo1):
+        # the mixed record of VO1 components carries a, not b
+        with pytest.raises(ModelMismatchError, match="requires NA components, got VO1"):
+            rx.mna_coefficients(half_vo1)
+
 
 class TestMnaPressure:
     def test_equal_split_example(self, half_na):
@@ -281,10 +288,13 @@ class TestMvo1Pressure:
         with pytest.raises(ModelMismatchError):
             rx.mvo1_pressure(rx.MixtureSpec(((nc13_na, 0.5), (nc13_vo1, 0.5))), 100.0, 3000.0)
 
-    def test_overflowing_pressure_is_numerical(self, half_vo1):
-        # the solve once returned P = inf with nan component densities and residual
-        with pytest.raises(NumericalError, match=r"mixture pressure overflows at rho=1e\+300"):
-            rx.mvo1_pressure(half_vo1, 1e300, 3657.7)
+    @pytest.mark.parametrize("rho, T", [(1e300, 3657.7), (1.7929302344219824e152, 3600.0)])
+    def test_overflowing_pressure_is_numerical(self, half_vo1, rho, T):
+        # the solve once returned P = inf with nan component densities and residual; where only the
+        # bracket top overflowed, its stop floor was inf and it returned after one step, 41% off
+        for call in (rx.mvo1_pressure, rx.mvo1_closure_from_rho_T):
+            with pytest.raises(NumericalError, match=re.escape(f"mixture pressure overflows at rho={rho!r}, T={T!r}")):
+                call(half_vo1, rho, T)
 
 
 class TestMvo1PressureFromEnergy:
@@ -445,10 +455,10 @@ def _kernel_solve(mix, rho_mix, T):
     if not (rho_mix > 0.0 and T > 0.0):
         raise DomainError(f"density and temperature must be positive, got rho={rho_mix!r}, T={T!r}")
     terms, v_mix, mixed = mix.virial_terms, 1.0 / rho_mix, mix.mixed
-    P_lo = rho_mix * R_min * T * (1.0 - 1e-7)
-    if not P_lo < math.inf:
-        raise NumericalError(f"the mixture pressure overflows at rho={rho_mix!r}, T={T!r}")
     P_hi = rho_mix * R_max * T * (1.0 + a_n * rho_mix) * (1.0 + 1e-7)
+    if not P_hi < math.inf:
+        raise NumericalError(f"the mixture pressure overflows at rho={rho_mix!r}, T={T!r}")
+    P_lo = rho_mix * R_min * T * (1.0 - 1e-7)
 
     def g(P):
         _, v, S = _kernel_volume(terms, P, T)
@@ -456,8 +466,6 @@ def _kernel_solve(mix, rho_mix, T):
 
     P, iterations = rx.solve_monotone(g, P_lo, P_hi, tol_rel=MVO1_TOL, max_iter=MVO1_MAX_ITER,
                                       x0=virial_pressure_rt(mixed.R, mixed.a, rho_mix, T))
-    if P == math.inf:
-        raise NumericalError(f"the mixture pressure overflows at rho={rho_mix!r}, T={T!r}")
     rhos, v, S = _kernel_volume(terms, P, T)
     residual = abs(math.fsum([y / rho for (_, _, y), rho in zip(terms, rhos)]) - v_mix) / v_mix
     cp = 0.0
@@ -495,17 +503,29 @@ def _assert_is_the_kernel_solve(mix, rho, T):
         assert type(closure_refused) is NumericalError, (mix, rho, T)
 
 
+@pytest.fixture
+def fallbacks(monkeypatch):
+    """The arguments of every solve_monotone call the library makes, the oracle's and the solve's."""
+    from redeos import mixture, numerics
+    calls = []
+    solve = rx.solve_monotone  # bound in the package now, so _kernel_solve's calls are not counted
+
+    def counted(*args, **kw):
+        calls.append(args[1:])
+        return solve(*args, **kw)
+
+    monkeypatch.setattr(numerics, "solve_monotone", counted)
+    monkeypatch.setattr(mixture, "solve_monotone", counted)
+    return calls
+
+
 class TestInlineSolve:
     """The solve's inline Newton path and inline laws are solve_monotone on the kernels' residual."""
 
-    def test_seeded_cells_are_the_kernel_solve(self, db, monkeypatch):
-        # 20,000 cells of NC-13/RDX/HMX pairs, rho 1e-3-2e3 kg/m3, T 300-6000 K; the solve
-        # hands the ~1% that leave Newton's path to solve_monotone, which retraces the inline
-        # iterates, and a bracket narrowed wrongly would hand over most of them
-        from redeos import mixture
-        fallbacks = []
-        solve = mixture.solve_monotone
-        monkeypatch.setattr(mixture, "solve_monotone", lambda *args, **kw: fallbacks.append(args) or solve(*args, **kw))
+    def test_seeded_cells_are_the_kernel_solve(self, db, fallbacks):
+        # 20,000 cells of NC-13/RDX/HMX pairs, rho 1e-3-2e3 kg/m3, T 300-6000 K; none leaves
+        # Newton's path, not even the ~1% whose start is the root to the last bit, and a
+        # bracket narrowed wrongly would hand many of them to solve_monotone
         rng = random.Random(2604)
         names = ("NC-13", "RDX", "HMX")
         for _ in range(200):
@@ -515,7 +535,19 @@ class TestInlineSolve:
             for _ in range(100):
                 _assert_is_the_kernel_solve(mix, 10.0 ** rng.uniform(-3.0, math.log10(2e3)),
                                             rng.uniform(300.0, 6000.0))
-        assert 20 <= len(fallbacks) <= 400
+        assert not fallbacks
+
+    def test_only_edge_cells_reach_solve_monotone(self, db, half_vo1, fallbacks):
+        # the inline Newton paths alone serve the default-grid audits, as they serve the seeded cells
+        from test_numerics import _BUILTIN_RECORDS
+        for material, model in _BUILTIN_RECORDS:
+            report = rx.audit_record(db.get(material, model), _parse_range("10:600:50"),
+                                     _parse_range("1500:4500:250"))
+            assert report.points == 156 and report.passed
+        assert not fallbacks
+        # at 1e-160 kg/m3 the slope S overflows to inf, and the solve falls back to the bracket
+        assert rx.mvo1_pressure(half_vo1, 1e-160, 3600.0).residual_rel <= 1e-12
+        assert len(fallbacks) == 1
 
     @pytest.mark.parametrize("rho", [0.0, -1.0, 5e-324, 1e-300, 1e-170, 1e-160, 1e-100, 1.0, 200.0,
                                      1e100, 3.254852618965709e150, 1e300, sys.float_info.max,

@@ -51,7 +51,8 @@ class TestSolveMonotone:
 
     def test_converged_newton_step_is_returned_unevaluated(self):
         # from 1.5 the fourth step moves by 1.6e-12, below sqrt(0.1 tol_rel) |x|: it is returned
-        # without a fifth evaluation, where the step itself once had to fall below tol_rel |x|
+        # without a fifth evaluation, where the step itself once had to fall below tol_rel |x|;
+        # the two other evaluations are the ends, read before the first step
         seen = []
 
         def g(x):
@@ -60,13 +61,24 @@ class TestSolveMonotone:
 
         result = rx.solve_monotone(g, 0.0, 2.0, tol_rel=1e-13, x0=1.5)
         assert abs(result.root - math.sqrt(2.0)) <= 1e-13 * math.sqrt(2.0)
-        assert result.iterations == len(seen) == 4
+        assert result.iterations == 4 and len(seen) == 6 and seen[:2] == [0.0, 2.0]
         assert result.root not in seen
 
-    def test_same_sign_bracket_rejected_after_newton_leaves_it(self):
-        # the slope is good, so the endpoints are first read when the step to -5 leaves [0, 10]
+    def test_same_sign_bracket_rejected_before_a_newton_step(self):
+        # the slope is good and its step to -5 would leave [0, 10], but the ends are read first
+        seen = []
+
+        def g(x):
+            seen.append(x)
+            return x + 5.0, 1.0
+
         with pytest.raises(BracketError):
-            rx.solve_monotone(lambda x: (x + 5.0, 1.0), 0.0, 10.0, x0=5.0)
+            rx.solve_monotone(g, 0.0, 10.0, x0=5.0)
+        assert seen == [0.0, 10.0]
+
+    @pytest.mark.parametrize("root", [0.0, 10.0])
+    def test_root_at_an_end_is_returned_after_no_iteration(self, root):
+        assert rx.solve_monotone(lambda x: (x - root, 1.0), 0.0, 10.0, x0=5.0) == (root, 0)
 
     @pytest.mark.parametrize("slope", [math.nan, math.inf, 0.0])
     def test_unusable_slope_falls_back_to_the_bracket(self, slope):
@@ -79,17 +91,6 @@ class TestSolveMonotone:
         result = rx.solve_monotone(g, 0.0, 10.0, x0=7.0)
         assert result.root == pytest.approx(2.0, rel=1e-12)
         assert 0.0 in seen and 10.0 in seen
-
-    def test_endpoints_unread_while_newton_stays_inside(self):
-        seen = []
-
-        def g(x):
-            seen.append(x)
-            return x * x - 2.0, 2.0 * x
-
-        result = rx.solve_monotone(g, 0.0, 2.0, x0=1.5)
-        assert result.root == pytest.approx(math.sqrt(2.0), rel=1e-12)
-        assert 0.0 not in seen and 2.0 not in seen
 
     @given(st.floats(min_value=-500.0, max_value=500.0, allow_nan=False))
     def test_root_stays_inside_bracket(self, offset):
@@ -312,6 +313,15 @@ def _golden_audits():
     return [case for case in cases if case.get("argv", [""])[0] == "audit"]
 
 
+_fd_convexity = numerics.FdPartials.convexity
+
+
+def _flipped_fd_convexity(partials):
+    """The oracle's convexity report with criterion (b) negated, as a non-convex law would give it."""
+    a, b, c, d = _fd_convexity(partials).criteria
+    return rx.ConvexityReport(convex=False, criteria=(a, -b, c, d))
+
+
 _BUILTIN_RECORDS = [
     (name, model) for name in ("NC-13", "RDX", "HMX", "NG") for model in (rx.Model.NA, rx.Model.VO1)
 ] + [("NC-13", rx.Model.VO1_CVT)]
@@ -447,6 +457,26 @@ class TestAuditRecord:
         with pytest.raises(DomainError, match=re.escape("criteria underflow to zero at rho=1e-200, T=3000.0")):
             rx.audit_record(db.get("NC-13", model), [100.0, 1e-200], [3000.0])
         assert rx.audit_record(db.get("NC-13", model), [1e-160], [3000.0]).passed
+
+    def test_convex_point_whose_criteria_overflow_to_nan_is_refused(self, db):
+        # P^2 and R Cv(T) (1 + a rho)^2 both overflow, so criterion (d) is inf/inf; the point was
+        # counted as a violation, and the audit of a convex record failed with every residual 0
+        with pytest.raises(NumericalError, match=re.escape("criteria are nan at rho=1e-10, T=1.7e+307")):
+            rx.audit_record(db.get("NC-13", rx.Model.VO1_CVT), [1e-10], [1.7e307])
+
+    def test_non_convex_point_at_a_pole_is_a_violation(self):
+        # at a rho = -1 the pressure is 0 and _div gives criterion (b) as 0/0 = nan: counted, not refused
+        probe = rx.GasParams.virial("probe", R=322.0, a=-0.5, Cv=1640.0)
+        assert math.isnan(rx.vo1_convexity(probe, 2.0, 0.0, 3000.0).criteria[1])
+        report = rx.audit_record(probe, [0.5, 2.0], [3000.0])
+        assert (report.points, report.violations, report.sign_mismatches) == (2, 1, 0)
+        assert not report.passed
+
+    def test_criteria_of_other_sign_than_the_oracle_are_mismatches(self, db, monkeypatch):
+        monkeypatch.setattr(numerics.FdPartials, "convexity", _flipped_fd_convexity)
+        report = rx.audit_record(db.get("NC-13", rx.Model.VO1), [50.0, 325.0, 600.0], [1500.0, 3000.0])
+        assert report.violations == 0 and report.sign_mismatches == report.points == 6
+        assert report.passed is False
 
     def test_non_convex_point_is_a_violation_even_where_its_criteria_underflow(self):
         # past a rho = -1 the verdict is not convex: counted, never refused; at 1e-300 K the
