@@ -8,16 +8,14 @@ law is that record's.  The Noble-Abel mixture is a Noble-Abel gas with that
 record and stays explicit: its laws are the kernels of
 :mod:`redeos.noble_abel` applied to it.  The virial mixture couples the
 component densities through the pressure and needs a scalar iterative
-solve: its Newton path runs inline here, and off that path it falls back
-to :func:`~redeos.numerics.solve_monotone`.  Two laws are written inline
-too, once each and bound bit for bit to their kernels by tests: the
-component density root of :func:`~redeos.virial.virial_density_pt` in
-:func:`_mixture_volume`, and the Cp of :func:`~redeos.virial.vo1_cp` in
-:func:`_sound_speed`, each in its kernel's operation order.  A flow
-solver's cell update calls :func:`mvo1_closure_from_rho_e`, which takes c
-from the component densities of the solve's last pass: one solve per cell,
-where :func:`mvo1_pressure` followed by :func:`mvo1_sound_speed` finds
-every component density once more.
+solve, :func:`_solve_pressure`: Newton's path runs inline, off it the solve
+falls back to :func:`~redeos.numerics.solve_monotone`, and every entry point
+gets its 1e-12 volume contract from it.  The component density root of
+:func:`~redeos.virial.virial_density_pt` and the Cp of
+:func:`~redeos.virial.vo1_cp` are written inline in their kernels' operation
+order, and tests bind them to the kernels bit for bit.  A flow solver's cell
+update calls :func:`mvo1_closure_from_rho_e`, which takes c from the
+component densities of the solve's last pass: one solve per cell.
 """
 
 from __future__ import annotations
@@ -26,7 +24,7 @@ import math
 from math import sqrt
 from typing import NamedTuple
 
-from .errors import DomainError, NumericalError, ValidationError
+from .errors import BracketError, DomainError, NumericalError, ValidationError
 from .noble_abel import na_pressure_vt, na_sound_speed
 from .numerics import _accept_rel, solve_monotone
 from .state import Closure
@@ -131,13 +129,14 @@ def _solve_pressure(mix, rho_mix, T):
     """The pressure solve of :func:`mvo1_pressure`: ``(P, iterations, (rhos, v, S))``,
     the last from the :func:`_mixture_volume` pass at the root.
 
-    The loop is the Newton path of :func:`~redeos.numerics.solve_monotone` on
-    the residual ``v - v_mix`` with slope ``-S``, in its arithmetic: the same
-    clipped start, exact-root return, step, bracket test, converged-step
-    acceptance, bracket narrowing and stop test.  Where S is not in
-    (0, inf), a step leaves the bracket or the budget runs out, the solve
-    starts again in :func:`~redeos.numerics.solve_monotone`, which retraces
-    the same iterates, so every result and refusal is its own.
+    The loop is Newton's path of :func:`~redeos.numerics.solve_monotone` on the
+    residual ``v - v_mix`` with slope ``-S``.  Each component volume is convex and
+    decreasing in P, so a step inside (P_lo, P_hi) lies inside the bracket that
+    solve_monotone narrows, and its stop test cannot fire before the converged-step
+    acceptance where its floor 1e-15 (P_hi - P_lo) lies below.  Where it does not,
+    where S is not in (0, inf), a step leaves the bracket or the budget runs out,
+    the result is solve_monotone's.  The refusals of :func:`mvo1_pressure`,
+    its 1e-12 volume contract among them, are made here.
     """
     R_min, R_max, a_n = mix.virial_bracket
     if not (rho_mix > 0.0 and T > 0.0):
@@ -145,47 +144,50 @@ def _solve_pressure(mix, rho_mix, T):
     terms = mix.virial_terms
     v_mix = 1.0 / rho_mix
     P_hi = rho_mix * R_max * T * (1.0 + a_n * rho_mix) * (1.0 + 1e-7)
-    if not P_hi < math.inf:  # the stop floor, 1e-15 (P_hi - P_lo), would be inf and pass any step
+    if not P_hi < math.inf:  # solve_monotone's stop floor, 1e-15 (P_hi - P_lo), would be inf and pass any step
         raise NumericalError(f"the mixture pressure overflows at rho={rho_mix!r}, T={T!r}")
     P_lo = rho_mix * R_min * T * (1.0 - 1e-7)
-    mixed = mix.mixed
-    x0 = virial_pressure_rt(mixed.R, mixed.a, rho_mix, T)
-    xl, xh = P_lo, P_hi  # P_lo <= P_hi, so solve_monotone swaps no ends
-    tol_floor = 1e-15 * (P_hi - P_lo)
-    x = min(max(x0, P_lo), P_hi)
+    x0 = x = min(max(virial_pressure_rt(mix.mixed.R, mix.mixed.a, rho_mix, T), P_lo), P_hi)
+    P = None
     try:
-        for iterations in range(1, MVO1_MAX_ITER + 1):
-            volume = _, v, S = _mixture_volume(terms, x, T)
-            gx = v - v_mix
-            if gx == 0.0:
-                return x, iterations, volume
-            if not 0.0 < S < math.inf:
-                break
-            P = x - gx / -S
-            if not xl < P < xh:
-                break
-            if abs(P - x) <= _ACCEPT_REL * abs(x):
-                return P, iterations, _mixture_volume(terms, P, T)
-            if gx > 0.0:  # the residual falls with P, so the root lies above x
-                xl = x
-            else:
-                xh = x
-            ax, aP = abs(x), abs(P)
-            tol = MVO1_TOL * (aP if aP > ax else ax)
-            if tol_floor > tol:
-                tol = tol_floor
-            if abs(P - x) <= tol or (xh - xl) <= tol:
-                return P, iterations, _mixture_volume(terms, P, T)
-            x = P
+        if 1e-15 * (P_hi - P_lo) <= _ACCEPT_REL * P_lo:  # else solve_monotone's stop floor may end it sooner
+            for iterations in range(1, MVO1_MAX_ITER + 1):
+                volume = _, v, S = _mixture_volume(terms, x, T)
+                gx = v - v_mix
+                if gx == 0.0:
+                    return x, iterations, volume
+                if not 0.0 < S < math.inf:
+                    break
+                step = x - gx / -S
+                if not P_lo < step < P_hi:
+                    break
+                if abs(step - x) <= _ACCEPT_REL * abs(x):
+                    P = step
+                    break
+                x = step
+        if P is None:
+            def g(P):
+                _, v, S = _mixture_volume(terms, P, T)
+                return v - v_mix, -S
 
-        def g(P):
-            _, v, S = _mixture_volume(terms, P, T)
-            return v - v_mix, -S
-
-        P, iterations = solve_monotone(g, P_lo, P_hi, tol_rel=MVO1_TOL, max_iter=MVO1_MAX_ITER, x0=x0)
-        return P, iterations, _mixture_volume(terms, P, T)
+            P, iterations = solve_monotone(g, P_lo, P_hi, tol_rel=MVO1_TOL, max_iter=MVO1_MAX_ITER, x0=x0)
+        volume = _mixture_volume(terms, P, T)
     except ZeroDivisionError:  # a component density or its square underflows to zero
         raise NumericalError(f"the component densities underflow at rho={rho_mix!r}, T={T!r}") from None
+    except BracketError:  # the bracket is analytic, so only nan or overflowing ends share a sign
+        raise NumericalError(f"the mixture volume is degenerate at rho={rho_mix!r}, T={T!r}") from None
+    # v lies within (N - 1) 2^-53 v of the exact sum, so passing here keeps the exact residual
+    # below 1e-12 for any mixture of fewer than 4,500 components
+    if not abs(volume[1] - v_mix) <= 5e-13 * v_mix:
+        residual = _residual_rel(terms, volume[0], v_mix)
+        if not residual <= 1e-12:  # the acceptance contract on the mixture volume
+            raise NumericalError(f"the mixture volume residual {residual!r} exceeds 1e-12 at rho={rho_mix!r}, T={T!r}")
+    return P, iterations, volume
+
+
+def _residual_rel(terms, rhos, v_mix):
+    """|sum_k Y_k / rho_k - v_mix| / v_mix, the sum exact."""
+    return abs(math.fsum([y / rho for (_, _, y), rho in zip(terms, rhos)]) - v_mix) / v_mix
 
 
 def mvo1_pressure(mix: MixtureSpec, rho_mix, T) -> Mvo1Solution:
@@ -203,14 +205,11 @@ def mvo1_pressure(mix: MixtureSpec, rho_mix, T) -> Mvo1Solution:
     rarely needs the bracket [rho_mix min_k(R_k) T, rho_mix max_k(R_k) T
     (1 + max_k(a_k) rho_mix N)], which is widened by a small margin to
     absorb rounding at analytic endpoints.  Raises :class:`NumericalError`
-    naming rho_mix and T where the pressure overflows, a component density
-    underflows or ``residual_rel`` exceeds 1e-12.
+    naming rho_mix and T where the pressure overflows, a bracket end or a
+    component density degenerates or ``residual_rel`` exceeds 1e-12.
     """
     P, iterations, (rhos, _, _) = _solve_pressure(mix, rho_mix, T)
-    v_mix = 1.0 / rho_mix
-    residual = abs(math.fsum([y / rho for (_, _, y), rho in zip(mix.virial_terms, rhos)]) - v_mix) / v_mix
-    if not residual <= 1e-12:  # the acceptance contract on the mixture volume
-        raise NumericalError(f"the mixture volume residual {residual!r} exceeds 1e-12 at rho={rho_mix!r}, T={T!r}")
+    residual = _residual_rel(mix.virial_terms, rhos, 1.0 / rho_mix)
     return Mvo1Solution(P=P, T=T, rho_components=tuple(rhos), iterations=iterations, residual_rel=residual)
 
 
@@ -247,9 +246,9 @@ def mvo1_closure_from_rho_T(mix: MixtureSpec, rho_mix, T) -> Closure:
 
     c comes from the component densities of the solve's last pass, so P, T
     and c are bit for bit those of :func:`mvo1_pressure` followed by
-    :func:`mvo1_sound_speed`.  It refuses what the solve of
-    :func:`mvo1_pressure` refuses, and raises :class:`NumericalError` naming
-    rho and T unless P and c are positive and finite.
+    :func:`mvo1_sound_speed`.  It refuses every cell :func:`mvo1_pressure`
+    refuses, its 1e-12 volume contract included, and raises
+    :class:`NumericalError` naming rho and T unless P and c are positive and finite.
     """
     P, _, volume = _solve_pressure(mix, rho_mix, T)
     c = _sound_speed(mix, T, volume)

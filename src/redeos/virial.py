@@ -143,9 +143,9 @@ def vo1_entropy_dP(params: GasParams, P, T):
 def vo1_convexity(params: GasParams, rho, P, T) -> ConvexityReport:
     """Convexity verdict plus the four criterion values at (rho, P, T).
 
-    Convex exactly when a > -1/rho, always satisfied for a >= 0.  The
-    criterion values use the caller-supplied (P, T) so constructed
-    negative-a records can be probed past the a rho = -1 boundary.
+    Convex exactly when 1 + 2 a rho > 0, the factor of criterion (d), always
+    so for a >= 0.  The criterion values use the caller-supplied (P, T) so
+    constructed negative-a records can be probed past the a rho = -1/2 boundary.
     """
     if params.a is None:
         require_model(params, Model.VO1, Model.VO1_CVT)
@@ -159,4 +159,4 @@ def vo1_convexity(params: GasParams, rho, P, T) -> ConvexityReport:
         -P / Cv,
         _div(P * P * (1.0 + 2.0 * ar), R * Cv * (1.0 + ar) ** 2),
     )
-    return ConvexityReport(convex=ar > -1.0, criteria=criteria)
+    return ConvexityReport(convex=1.0 + 2.0 * ar > 0.0, criteria=criteria)

@@ -263,11 +263,12 @@ def test_criterion_10_convexity_suite(db, nc13_na, nc13_vo1):
     assert not rx.na_convexity(nc13_na, 0.999 * nc13_na.b, 1e8, 3000.0).convex
     assert rx.na_convexity(nc13_na, nc13_na.b * (1.0 + 1e-12), 1e8, 3000.0).convex
 
-    # constructed negative-a record, boundary at a rho = -1, exact
+    # constructed negative-a record, boundary at a rho = -1/2 (criterion (d)), exact
     probe = rx.GasParams.virial("probe", R=322.0, a=-0.002, Cv=1640.5)
-    assert not rx.vo1_convexity(probe, 500.0, 1e8, 3000.0).convex
-    assert rx.vo1_convexity(probe, 500.0 * (1.0 - 1e-12), 1e8, 3000.0).convex
-    assert rx.vo1_convexity(probe, 400.0, 1e8, 3000.0).convex
+    assert not rx.vo1_convexity(probe, 250.0, 1e8, 3000.0).convex
+    assert rx.vo1_convexity(probe, 250.0 * (1.0 - 1e-12), 1e8, 3000.0).convex
+    assert rx.vo1_convexity(probe, 200.0, 1e8, 3000.0).convex
+    assert not rx.vo1_convexity(probe, 400.0, 1e8, 3000.0).convex
 
     # the attainable non-convex state is seen identically by both routes
     strong = rx.GasParams.virial("strong", R=322.0, a=-0.02, Cv=1640.5)

@@ -159,6 +159,12 @@ class TestPredictClosedBomb:
         with pytest.raises(DomainError):
             rx.predict_closed_bomb(nc13_na, 1.05 / nc13_na.b)
 
+    @pytest.mark.parametrize("rho", [0.0, -100.0, math.nan])
+    def test_non_positive_loading_density_is_refused(self, nc13_vo1, rho):
+        with pytest.raises(DomainError) as refused:
+            rx.predict_closed_bomb(nc13_vo1, rho)
+        assert str(refused.value) == f"loading density must be positive, got {rho!r}"
+
     def test_cvt_record(self, nc13_cvt):
         pred = rx.predict_closed_bomb(nc13_cvt, 100.0)
         # tabulated e_s_eff is 0.02% below the exact value, so the inverted

@@ -238,6 +238,18 @@ class TestMixSweep:
         assert (code, out) == (2, "")
         assert err == f"E_VALIDATION: {named}\n"
 
+    def test_mvo1_state_outside_the_volume_contract_is_refused(self, capsys, tmp_path):
+        # the closure once printed 9.0000015e+72 MPa here and exited 0, while mvo1_pressure
+        # refuses the cell with a volume residual of 0.9989
+        dbfile = tmp_path / "wide.eosdb"
+        dbfile.write_text(''.join(f'[material "{name}" model VO1]\nR = {R}\na = {a}\nCv = 1000\n'
+                                  'e_s_eff_kJ = 3000\nT_flame = 3000\n\n'
+                                  for name, R, a in (("IDEAL", 300, 1e-300), ("STIFF", 350, 0.001))))
+        code, out, err = run_cli(capsys, "mix-sweep", "IDEAL=0.999999,STIFF=0.000001", "--model", "mvo1",
+                                 "--rho", "1e41", "--same-oxygen-balance", "--db", str(dbfile))
+        assert (code, out) == (3, "Y,rho_kg_m3,tflame_K,pmax_MPa,c_m_s\n")
+        assert err == "E_NUMERICAL: floating-point evaluation failed at --rho 1e41\n"
+
     def test_ng_mixture_runs_only_with_declaration(self, capsys):
         argv = ["mix-sweep", "NC-13=0.5,NG=0.5", "--model", "mna", "--rho", "200"]
         code, _, err = run_cli(capsys, *argv)
@@ -336,6 +348,18 @@ class TestAudit:
                                  "--rho", "50:600:275", "--T", "1500:4500:1500")
         assert code == 3 and err == ""
         assert out.splitlines()[5:] == ["convexity sign mismatches = 9 FAIL", "convexity violations = 0 PASS",
+                                        "RESULT FAIL"]
+
+
+    def test_point_on_the_convexity_boundary_is_a_violation(self, capsys, tmp_path):
+        # at a rho = -1/2 criterion (d) is exactly 0; the verdict once called the point convex,
+        # and the audit refused it in E_DOMAIN as an underflow that did not happen
+        dbfile = tmp_path / "neg.eosdb"
+        dbfile.write_text('[material "PROBE" model VO1]\nR = 322\na = -0.005\nCv = 1640\n')
+        code, out, err = run_cli(capsys, "audit", "PROBE", "--model", "vo1", "--db", str(dbfile),
+                                 "--rho", "100:100:1", "--T", "3000:3000:1")
+        assert (code, err) == (3, "")
+        assert out.splitlines()[5:] == ["convexity sign mismatches = 0 PASS", "convexity violations = 1 FAIL",
                                         "RESULT FAIL"]
 
 
@@ -815,6 +839,15 @@ class TestBoundaryRegressions:
          "the virial system is singular"),
         (["calibrate", "vo1", "--points", "POINTS", "--tflame", "1e305", "--gamma", "1.2"], "E_VALIDATION",
          "calibrated gas constant 0.0 J/(kg K) is not positive and finite at flame temperature 1e+305 K"),
+        (["calibrate", "na", "--points", "POINTS", "--tflame", "-5", "--gamma", "1.2"], "E_VALIDATION",
+         "flame temperature must be positive, got -5.0"),
+        (["calibrate", "vo1", "--points", "POINTS", "--tflame", "3275", "--gamma", "0.9"], "E_VALIDATION",
+         "heat-capacity ratio must exceed 1, got 0.9"),
+        (["calibrate-cvt", "--runs", "RUNS_NEG", "--inert", "argon", "--es-i", "5000"], "E_VALIDATION",
+         "line 3: flame temperature must be positive, got -5.0"),
+        (["calibrate-cvt", "--runs", "RUNS", "--inert", "argon", "--es-i", "5000", "--db", "NEW",
+          "--name", "N", "--base", "Y", "--base-db", "NO_FLAME"], "E_VALIDATION",
+         "no flame temperature available; pass --tflame"),
         # file values, named by line and by key or column in file units
         (["state", "X", "--model", "na", "--rho", "100", "--T", "3000", "--db", "DB_RANGE"], "E_PARSE",
          "line 5: rho_range needs two values, got '100'"),
@@ -850,7 +883,8 @@ class TestBoundaryRegressions:
     ], ids=["calibrate-db", "calibrate-unwritable", "cvt-no-name", "cvt-no-base", "mix-fractions", "mix-no-energy", "mvo1-zero-a",
             "sweep-no-energy", "mix-empty-fraction", "mix-three-names", "mix-fraction-above-1", "mix-rho-word",
             "tflame-inf", "gamma-inf", "cvt-tflame-inf", "es-i-inf", "t0-nan", "na-negative-b", "na-packed-b",
-            "na-r-overflows", "vo1-singular", "vo1-r-underflows", "db-range-one-value", "db-key-outside",
+            "na-r-overflows", "vo1-singular", "vo1-r-underflows", "na-tflame-negative", "vo1-gamma-below-1",
+            "runs-tflame-negative", "cvt-base-no-flame", "db-range-one-value", "db-key-outside",
             "db-duplicate-key", "db-word", "db-inf", "db-overflow", "csv-fields", "csv-overflow", "csv-nan",
             "runs-inf", "na-rho-subnormal", "vo1-rho-subnormal", "p-overflows-in-si", "e-overflows-in-si",
             "es-i-overflows-in-si"])
@@ -896,5 +930,7 @@ _EXIT_2_FILES = {
     "P_OVERFLOW": "rho_kg_m3,pmax_MPa\n100,1e308\n150,214.1\n",
     "P_NAN": "rho_kg_m3,pmax_MPa\nnan,120\n150,214.1\n",
     "RUNS_INF": "Y,tflame_K\n0.5,inf\n0.7,2900\n1.0,3275\n",
+    "RUNS_NEG": "Y,tflame_K\n0.5,2500\n0.7,-5\n1.0,3275\n",
+    "NO_FLAME": '[material "Y" model VO1]\nR = 322\na = 0.002359\nCv = 1640.5\n',  # no T_flame
     "RHO_SUBNORMAL": "rho_kg_m3,pmax_MPa\n1e-320,130.3\n150,214.1\n",  # 1/rho overflows
 }

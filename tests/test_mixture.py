@@ -6,7 +6,7 @@ import sys
 import pytest
 
 import redeos as rx
-from redeos.errors import DomainError, EosError, ModelMismatchError, NumericalError, ValidationError
+from redeos.errors import BracketError, DomainError, EosError, ModelMismatchError, NumericalError, ValidationError
 from redeos.cli import _parse_range
 from redeos.mixture import MVO1_MAX_ITER, MVO1_TOL, _mixture_volume
 from redeos.types import MODEL_FIELDS
@@ -354,6 +354,19 @@ class TestMvo1SoundSpeed:
         assert rx.mvo1_sound_speed(half_vo1, P, T) == pytest.approx(
             math.sqrt(oracle.c2_energy), rel=1e-5)
 
+    @pytest.mark.parametrize("P, T, error, message", [
+        (0.0, 3000.0, DomainError, "pressure and temperature must be positive, got P=0.0, T=3000.0"),
+        (1e8, -1.0, DomainError, "pressure and temperature must be positive, got P=100000000.0, T=-1.0"),
+        (math.nan, 3000.0, DomainError, "pressure and temperature must be positive, got P=nan, T=3000.0"),
+        # the component densities underflow to zero, or c^2 overflows
+        (1e-320, 3000.0, NumericalError, "the sound speed at P=1e-320, T=3000.0 is degenerate: c=nan"),
+        (sys.float_info.max, 3000.0, NumericalError,
+         "the sound speed at P=1.7976931348623157e+308, T=3000.0 is degenerate: c=inf"),
+    ])
+    def test_refusals_name_the_input(self, half_vo1, P, T, error, message):
+        _, refused = _outcome(rx.mvo1_sound_speed, half_vo1, P, T)
+        assert (type(refused), str(refused)) == (error, message)
+
 
 def _outcome(fn, *args):
     try:
@@ -464,8 +477,11 @@ def _kernel_solve(mix, rho_mix, T):
         _, v, S = _kernel_volume(terms, P, T)
         return v - v_mix, -S
 
-    P, iterations = rx.solve_monotone(g, P_lo, P_hi, tol_rel=MVO1_TOL, max_iter=MVO1_MAX_ITER,
-                                      x0=virial_pressure_rt(mixed.R, mixed.a, rho_mix, T))
+    try:
+        P, iterations = rx.solve_monotone(g, P_lo, P_hi, tol_rel=MVO1_TOL, max_iter=MVO1_MAX_ITER,
+                                          x0=virial_pressure_rt(mixed.R, mixed.a, rho_mix, T))
+    except BracketError:  # the bracket is analytic, so only nan or overflowing ends share a sign
+        raise NumericalError(f"the mixture volume is degenerate at rho={rho_mix!r}, T={T!r}") from None
     rhos, v, S = _kernel_volume(terms, P, T)
     residual = abs(math.fsum([y / rho for (_, _, y), rho in zip(terms, rhos)]) - v_mix) / v_mix
     cp = 0.0
@@ -477,8 +493,8 @@ def _kernel_solve(mix, rho_mix, T):
 
 def _assert_is_the_kernel_solve(mix, rho, T):
     """mvo1_pressure and the closure against :func:`_kernel_solve`: the same bits where it
-    returns an accepted state, the same refusal where it raises an EosError, and a
-    NumericalError where it fails otherwise (a zero division) or breaks the 1e-12 residual."""
+    returns an accepted state, the same refusal where it raises an EosError or breaks the
+    1e-12 residual, and a NumericalError where it fails otherwise (a zero division)."""
     want, refused = _outcome(_kernel_solve, mix, rho, T)
     sol, sol_refused = _outcome(rx.mvo1_pressure, mix, rho, T)
     closure, closure_refused = _outcome(rx.mvo1_closure_from_rho_T, mix, rho, T)
@@ -491,16 +507,37 @@ def _assert_is_the_kernel_solve(mix, rho, T):
             assert type(sol_refused) is type(closure_refused) is NumericalError, (mix, rho, T)
         return
     P, iterations, rhos, residual, c = want
-    if residual <= 1e-12:
-        assert sol is not None, (mix, rho, T, sol_refused)
-        assert (_hex((sol.P, *sol.rho_components, sol.residual_rel)), sol.iterations) == (
-            _hex((P, *rhos, residual)), iterations), (mix, rho, T)
-    else:
-        assert type(sol_refused) is NumericalError, (mix, rho, T)
+    if not residual <= 1e-12:  # the solve's volume contract, which the closure keeps as well
+        for got in (sol_refused, closure_refused):
+            assert (type(got), str(got)) == (NumericalError, f"the mixture volume residual {residual!r} "
+                                             f"exceeds 1e-12 at rho={rho!r}, T={T!r}"), (mix, rho, T)
+        return
+    assert sol is not None, (mix, rho, T, sol_refused)
+    assert (_hex((sol.P, *sol.rho_components, sol.residual_rel)), sol.iterations) == (
+        _hex((P, *rhos, residual)), iterations), (mix, rho, T)
     if c is not None and 0.0 < P < math.inf and 0.0 < c < math.inf:
         assert closure is not None and _hex(closure) == _hex((P, T, c)), (mix, rho, T, closure_refused)
     else:
         assert type(closure_refused) is NumericalError, (mix, rho, T)
+
+
+def _wide_range_cells(n, seed):
+    """``(mix, rho, T)`` of contrived VO1 mixtures of 1-3 components: R 1e-3-1e6 J/(kg K),
+    a 1e-300-1e3 m3/kg, rho 1e-50-1e160 kg/m3 and T 1e-3-1e8 K, log-uniform; in every third
+    cell the added components' mass fractions reach down to 1e-12."""
+    rng = random.Random(seed)
+
+    def log_uniform(lo, hi):
+        return 10.0 ** rng.uniform(math.log10(lo), math.log10(hi))
+
+    for i in range(n):
+        k = rng.choice((1, 2, 2, 3))
+        ys = [log_uniform(1e-12, 1.0) if i % 3 == 0 else rng.random() for _ in range(k - 1)]
+        ys = [y / (1.0 + math.fsum(ys)) for y in ys]
+        gases = [rx.GasParams.virial(f"g{j}", R=log_uniform(1e-3, 1e6), a=log_uniform(1e-300, 1e3), Cv=1000.0)
+                 for j in range(k)]
+        yield (rx.MixtureSpec(tuple(zip(gases, [1.0 - math.fsum(ys), *ys]))),
+               log_uniform(1e-50, 1e160), log_uniform(1e-3, 1e8))
 
 
 @pytest.fixture
@@ -537,6 +574,18 @@ class TestInlineSolve:
                                             rng.uniform(300.0, 6000.0))
         assert not fallbacks
 
+    def test_wide_range_cells_are_the_kernel_solve(self):
+        # the closures once returned 54 of these states although mvo1_pressure refuses their volume
+        # residual, and the inline loop would accept 2 states that solve_monotone's stop floor ends
+        # short of the root if wide brackets did not go to solve_monotone at once
+        refused = 0
+        for mix, rho, T in _wide_range_cells(2000, 2801):
+            _assert_is_the_kernel_solve(mix, rho, T)
+            if _outcome(rx.mvo1_pressure, mix, rho, T)[1] is not None:
+                refused += 1
+                assert _outcome(rx.mvo1_closure_from_rho_T, mix, rho, T)[1] is not None, (mix, rho, T)
+        assert refused > 50
+
     def test_only_edge_cells_reach_solve_monotone(self, db, half_vo1, fallbacks):
         # the inline Newton paths alone serve the default-grid audits, as they serve the seeded cells
         from test_numerics import _BUILTIN_RECORDS
@@ -557,7 +606,8 @@ class TestInlineSolve:
         for T in (0.0, 5e-324, 1e-300, 1.0, rx.mixture_flame_temperature(mix).T_flame, 1e300, math.inf, math.nan):
             _assert_is_the_kernel_solve(mix, rho, T)
 
-    @pytest.mark.parametrize("rho, T", [(1e-160, 3600.0), (1e-170, 3600.0), (3.254852618965709e150, None)])
+    @pytest.mark.parametrize("rho, T", [(1e-160, 3600.0), (1e-170, 3600.0), (3.254852618965709e150, None),
+                                        (0.1, 2.7925438412375077e306)])
     def test_degenerate_cells_are_refused_naming_the_input(self, half_vo1, rho, T):
         T = T or rx.mixture_flame_temperature(half_vo1).T_flame
         for call in (rx.mvo1_closure_from_rho_T, rx.mvo1_pressure):

@@ -230,6 +230,13 @@ class TestConvexity:
         assert a > 0 and b > 0 and c < 0 and d > 0
 
     def test_boundary_is_exact(self):
+        # criterion (d) carries the factor 1 + 2 a rho, so the verdict turns at a rho = -1/2
         probe = rx.GasParams.virial("probe", R=322.0, a=-0.01, Cv=1640.5)
-        assert not rx.vo1_convexity(probe, 100.0, 1e8, 3000.0).convex      # a rho = -1
-        assert rx.vo1_convexity(probe, 100.0 * (1 - 1e-12), 1e8, 3000.0).convex
+        assert not rx.vo1_convexity(probe, 50.0, 1e8, 3000.0).convex       # a rho = -1/2
+        assert rx.vo1_convexity(probe, 50.0 * (1 - 1e-12), 1e8, 3000.0).convex
+
+    @pytest.mark.parametrize("rho", [10.0, 49.0, 50.0, 51.0, 75.0, 99.0, 100.0, 150.0])
+    def test_verdict_is_the_sign_test_of_its_criteria(self, rho):
+        # between a rho = -1 and -1/2 the verdict once said convex while (a) and (d) were negative
+        report = rx.vo1_convexity(rx.GasParams.virial("probe", R=322.0, a=-0.01, Cv=1640.5), rho, 1e8, 3000.0)
+        assert report.convex == rx.convexity_signs_ok(report.criteria)
