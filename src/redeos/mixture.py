@@ -29,7 +29,7 @@ from .noble_abel import na_pressure_vt, na_sound_speed
 from .numerics import _accept_rel, solve_monotone
 from .state import Closure
 from .types import GasParams, MixtureSpec, Model
-from .virial import virial_pressure_rt
+from .virial import vo1_pressure
 from .virial_cvt import cvt_temperature
 
 #: Relative tolerance on the mixture pressure solve.
@@ -147,7 +147,7 @@ def _solve_pressure(mix, rho_mix, T):
     if not P_hi < math.inf:  # solve_monotone's stop floor, 1e-15 (P_hi - P_lo), would be inf and pass any step
         raise NumericalError(f"the mixture pressure overflows at rho={rho_mix!r}, T={T!r}")
     P_lo = rho_mix * R_min * T * (1.0 - 1e-7)
-    x0 = x = min(max(virial_pressure_rt(mix.mixed.R, mix.mixed.a, rho_mix, T), P_lo), P_hi)
+    x0 = x = min(max(vo1_pressure(mix.mixed, rho_mix, T), P_lo), P_hi)
     P = None
     try:
         if 1e-15 * (P_hi - P_lo) <= _ACCEPT_REL * P_lo:  # else solve_monotone's stop floor may end it sooner

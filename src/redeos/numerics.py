@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import sys
+from functools import partial
 from typing import NamedTuple
 
 from .errors import BracketError, ConvergenceError, DomainError, NumericalError
@@ -190,19 +191,23 @@ class FdPartials(NamedTuple):
 
     def convexity(self) -> ConvexityReport:
         """The four convexity criteria in density form, from these partials alone."""
-        rho, P, eT, erho, pT, _, c2 = self
+        rho, P, eT, erho, pT, prho, c2 = self
         m = P - rho**2 * erho
-        criteria = (rho**2 * c2, m / (pT * eT), -m / eT,
-                    m / eT**2 * ((eT / pT) * rho**2 * c2 + rho**2 * erho - P))
+        b = m / (pT * eT)
+        # (d) is m/e_T^2 ((e_T/P_T) rho^2 c^2 + rho^2 e_rho - P) with c^2 and Cp substituted; as written,
+        # its terms of size R a rho^2 T cancel, and its sign is noise from rho ~ 2e19 kg/m3 up
+        criteria = (rho**2 * c2, b, -m / eT, b * rho**2 * prho)
         return ConvexityReport(convex=convexity_signs_ok(criteria), criteria=criteria)
 
 
 def _fd_partials(e_fn, p_fn, rho, T) -> FdPartials:
+    """P and its partials at (rho, T): :func:`fd_derivative`'s four differences, written out in place."""
     P = p_fn(rho, T)
-    eT = fd_derivative(lambda t: e_fn(rho, t), T, STEP_FLOOR)
-    erho = fd_derivative(lambda r: e_fn(r, T), rho, STEP_FLOOR)
-    pT = fd_derivative(lambda t: p_fn(rho, t), T, STEP_FLOOR)
-    prho = fd_derivative(lambda r: p_fn(r, T), rho, STEP_FLOOR)
+    hT, hr = max(abs(T), STEP_FLOOR) * 1e-6, max(abs(rho), STEP_FLOOR) * 1e-6
+    eT = (e_fn(rho, T + hT) - e_fn(rho, T - hT)) / (2.0 * hT)
+    erho = (e_fn(rho + hr, T) - e_fn(rho - hr, T)) / (2.0 * hr)
+    pT = (p_fn(rho, T + hT) - p_fn(rho, T - hT)) / (2.0 * hT)
+    prho = (p_fn(rho + hr, T) - p_fn(rho - hr, T)) / (2.0 * hr)
     cp = (eT + pT / rho) - (erho + prho / rho - P / rho**2) * pT / prho
     return FdPartials(rho, P, eT, erho, pT, prho, (cp / eT) * prho)
 
@@ -234,7 +239,8 @@ def sound_speed_fd_oracle(e_fn, p_fn, rho, T) -> OracleSoundSpeed:
     Its four temperature inversions start from the linearisation of
     ``p_fn`` at (rho, T) by the oracle's own differences P_T and P_rho, and
     take P_T as their slope: with the five pressures of the partials, 9
-    pressure and 8 energy evaluations per call.  Raises
+    pressure and 8 energy evaluations per call, each difference written out
+    in place.  Raises
     :class:`NumericalError` naming (rho, T) where an inversion cannot
     bracket its target: where P_T or P_rho is not finite or a target P + h
     overflows.
@@ -248,11 +254,13 @@ def sound_speed_fd_oracle(e_fn, p_fn, rho, T) -> OracleSoundSpeed:
     """
     partials = _fd_partials(e_fn, p_fn, rho, T)
     _, P, _, _, P_T, P_rho, _ = partials
+    hr, hP = max(abs(rho), STEP_FLOOR) * 1e-6, max(abs(P), STEP_FLOOR) * 1e-6
+    r_hi, r_lo, P_hi, P_lo = rho + hr, rho - hr, P + hP, P - hP
     try:
-        dedrho_P = fd_derivative(
-            lambda r: e_fn(r, _invert_temperature(p_fn, r, P, T, P_T, T - P_rho * (r - rho) / P_T)), rho, STEP_FLOOR)
-        dedP_rho = fd_derivative(
-            lambda p: e_fn(rho, _invert_temperature(p_fn, rho, p, T, P_T, T + (p - P) / P_T)), P, STEP_FLOOR)
+        dedrho_P = (e_fn(r_hi, _invert_temperature(p_fn, r_hi, P, T, P_T, T - P_rho * (r_hi - rho) / P_T))
+                    - e_fn(r_lo, _invert_temperature(p_fn, r_lo, P, T, P_T, T - P_rho * (r_lo - rho) / P_T))) / (2.0 * hr)
+        dedP_rho = (e_fn(rho, _invert_temperature(p_fn, rho, P_hi, T, P_T, T + (P_hi - P) / P_T))
+                    - e_fn(rho, _invert_temperature(p_fn, rho, P_lo, T, P_T, T + (P_lo - P) / P_T))) / (2.0 * hP)
     except BracketError:  # a non-finite P_T or P_rho, or a target P + h that overflows
         raise NumericalError(f"the difference oracle's inversions overflow at rho={rho!r}, T={T!r}") from None
     c2_energy = (P / rho**2 - dedrho_P) / dedP_rho
@@ -311,8 +319,10 @@ def audit_record(params: GasParams, rhos, temperatures) -> AuditReport:
 
     A point that fails the closed-form convexity criteria has no meaningful
     sound speed: it is a violation, not differenced.  Elsewhere one oracle
-    pass (six differences) serves every check.  Each difference step is
-    relative to its value, 1e-6 |x|, down to the smallest normal float.
+    pass (six differences, 10 pressures with the point's own) serves every
+    check, and the oracle's verdict alone decides a sign mismatch.  Each
+    difference step is relative to its value, 1e-6 |x|, down to the smallest
+    normal float; a grid value is tested against it once.
     Raises :class:`DomainError` at a point outside the domain, at a grid
     density or temperature that does not exceed its step (a subnormal value),
     at a convex point whose closed-form criteria underflow to zero, or when
@@ -321,22 +331,25 @@ def audit_record(params: GasParams, rhos, temperatures) -> AuditReport:
     closed-form criteria overflow to nan.
     """
     laws = LAWS[params.model]
-    pressure = laws.pressure
-    e_fn, p_fn = (lambda r, t: virial_cvt.cvt_energy(params, t)), (lambda r, t: pressure(params, r, t))
+    convexity, closed_sound_speed = laws.convexity, laws.sound_speed
+    e_fn, p_fn = (lambda r, t: virial_cvt.cvt_energy(params, t)), partial(laws.pressure, params)
+    temps = [(T, T - _fd_step(T, STEP_FLOOR) > 0.0) for T in temperatures]
     maxwell = sound_speed = forms = 0.0
     points = skipped = mismatches = violations = 0
     for rho in rhos:
         if params.b is not None and rho > 0.0 and 1.0 / rho <= params.b * (1.0 + 1e-2):
             skipped += 1
             continue
-        for T in temperatures:
+        rho_above_step = rho - _fd_step(rho, STEP_FLOOR) > 0.0
+        for T, T_above_step in temps:
             P = p_fn(rho, T)
             points += 1
-            _require_above_step("density", rho, "kg/m3")
-            _require_above_step("temperature", T, "K")
+            if not (rho_above_step and T_above_step):
+                _require_above_step("density", rho, "kg/m3")
+                _require_above_step("temperature", T, "K")
             if not P < math.inf:  # an overflowed P would start the oracle's inversions at nan
                 raise NumericalError(f"the pressure is not finite at rho={rho!r}, T={T!r}")
-            closed = laws.convexity(params, rho, P, T)
+            closed = convexity(params, rho, P, T)
             # a convex point whose criteria underflow (P^2 or rho P below the smallest float) or reach
             # inf/inf (P^2 and R Cv(T) (1 + a rho)^2 above the largest) shows no sign to audit, and
             # calling it a violation would fail a convex record
@@ -354,16 +367,18 @@ def audit_record(params: GasParams, rhos, temperatures) -> AuditReport:
                 raise NumericalError(f"the difference oracle gives c^2 = {c2!r} at rho={rho!r}, T={T!r}")
             c = c2**0.5
             r_maxwell = abs(d.e_rho * rho * rho + T * d.P_T - P) / P
-            r_c = abs(laws.sound_speed(params, rho, T, P) - c) / c
+            r_c = abs(closed_sound_speed(params, rho, T, P) - c) / c
             r_forms = oracle.rel_disagreement
-            # max() would drop a nan; each residual is >= 0, so < inf means finite
+            # a comparison would drop a nan; each residual is >= 0, so < inf means finite
             if not (r_maxwell < math.inf and r_c < math.inf and r_forms < math.inf):
                 raise NumericalError(f"an audit residual is not finite at rho={rho!r}, T={T!r}")
-            maxwell = max(maxwell, r_maxwell)
-            sound_speed = max(sound_speed, r_c)
-            forms = max(forms, r_forms)
-            fd = d.convexity()
-            if not (fd.convex and all((x > 0.0) == (y > 0.0) for x, y in zip(closed.criteria, fd.criteria))):
+            if r_maxwell > maxwell:
+                maxwell = r_maxwell
+            if r_c > sound_speed:
+                sound_speed = r_c
+            if r_forms > forms:
+                forms = r_forms
+            if not d.convexity().convex:
                 mismatches += 1
     if points == 0:
         raise DomainError(f"no point to evaluate, all {skipped} densities lie at or too near the covolume")

@@ -25,18 +25,13 @@ from .types import (
 from .virial_cvt import cvt_cv
 
 
-def virial_pressure_rt(R, a, rho, T):
-    """Raw thermal law rho R T (1 + a rho); shared by both virial models."""
-    return rho * R * T * (1.0 + a * rho)
-
-
 def vo1_pressure(params: GasParams, rho, T):
     """Pressure from density and temperature: rho R T (1 + a rho); VO1 or VO1_CVT."""
     if params.a is None:  # only NA records lack a; one identity test keeps this path cheap
         require_model(params, Model.VO1, Model.VO1_CVT)
     if not (rho > 0.0 and T > 0.0):
         raise DomainError(f"density and temperature must be positive, got rho={rho!r}, T={T!r}")
-    return virial_pressure_rt(params.R, params.a, rho, T)
+    return rho * params.R * T * (1.0 + params.a * rho)
 
 
 def virial_density_pt(R, a, P, T):

@@ -351,6 +351,16 @@ class TestAudit:
                                         "RESULT FAIL"]
 
 
+    @pytest.mark.parametrize("model", ["vo1", "vo1cvt"])
+    def test_virial_record_at_large_a_rho_passes(self, capsys, model):
+        # the oracle's criterion (d) lost its sign to cancellation from rho ~ 2e19 kg/m3 up:
+        # `convexity sign mismatches = 1 FAIL` and RESULT FAIL (exit 3) on a convex record
+        code, out, err = run_cli(capsys, "audit", "NC-13", "--model", model,
+                                 "--rho", "1e20:1e20:1", "--T", "3000:3000:1")
+        assert (code, err) == (0, "")
+        assert out.splitlines()[5:] == ["convexity sign mismatches = 0 PASS", "convexity violations = 0 PASS",
+                                        "RESULT PASS"]
+
     def test_point_on_the_convexity_boundary_is_a_violation(self, capsys, tmp_path):
         # at a rho = -1/2 criterion (d) is exactly 0; the verdict once called the point convex,
         # and the audit refused it in E_DOMAIN as an underflow that did not happen
@@ -644,6 +654,22 @@ class TestBoundaryRegressions:
                                  "--rho", f"{rho}:{rho}:1", "--T", f"{T}:{T}:1")
         assert code == 4 and out == ""
         assert err == f"E_DOMAIN: audit grid rho={rho}:{rho}:1 T={T}:{T}:1: {named}\n"
+
+    @pytest.mark.parametrize("model", ["na", "vo1", "vo1cvt"])
+    @pytest.mark.parametrize("rho, T, named", [
+        ("1e-320:1e-320:1", "-5:3000:3005", "{positive}"),
+        ("1e-310:1e-310:1", "1e-310:1e-310:1",
+         "density 1e-310 kg/m3 does not exceed its difference step 2.2250738585072014e-308 kg/m3"),
+        ("1e-320:1e-320:1", "1e-310:3000:3000",
+         "density 1e-320 kg/m3 does not exceed its difference step 2.2250738585072014e-308 kg/m3"),
+    ], ids=["law-first", "rho-before-T", "rho-at-first-T"])
+    def test_audit_names_the_first_refusal_on_the_grid(self, capsys, model, rho, T, named):
+        # at each point the law refuses first, then the density and the temperature steps
+        positive = ("temperature must be positive, got -5.0" if model == "na" else
+                    "density and temperature must be positive, got rho=1e-320, T=-5.0")
+        code, out, err = run_cli(capsys, "audit", "NC-13", "--model", model, "--rho", rho, "--T", T)
+        assert code == 4 and out == ""
+        assert err == f"E_DOMAIN: audit grid rho={rho} T={T}: {named.format(positive=positive)}\n"
 
     @pytest.mark.parametrize("model", ["na", "vo1", "vo1cvt"])
     def test_audit_where_the_criteria_underflow_is_a_domain_error(self, capsys, model):

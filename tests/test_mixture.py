@@ -10,7 +10,7 @@ from redeos.errors import BracketError, DomainError, EosError, ModelMismatchErro
 from redeos.cli import _parse_range
 from redeos.mixture import MVO1_MAX_ITER, MVO1_TOL, _mixture_volume
 from redeos.types import MODEL_FIELDS
-from redeos.virial import virial_density_pt, virial_pressure_rt
+from redeos.virial import virial_density_pt
 
 
 def bisect_mixture_pressure(mix, rho_mix, T, iters=200):
@@ -479,7 +479,7 @@ def _kernel_solve(mix, rho_mix, T):
 
     try:
         P, iterations = rx.solve_monotone(g, P_lo, P_hi, tol_rel=MVO1_TOL, max_iter=MVO1_MAX_ITER,
-                                          x0=virial_pressure_rt(mixed.R, mixed.a, rho_mix, T))
+                                          x0=rx.vo1_pressure(mixed, rho_mix, T))
     except BracketError:  # the bracket is analytic, so only nan or overflowing ends share a sign
         raise NumericalError(f"the mixture volume is degenerate at rho={rho_mix!r}, T={T!r}") from None
     rhos, v, S = _kernel_volume(terms, P, T)

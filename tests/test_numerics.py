@@ -327,6 +327,9 @@ _BUILTIN_RECORDS = [
 ] + [("NC-13", rx.Model.VO1_CVT)]
 
 
+_BELOW_STEP = "{0} {1} does not exceed its difference step 2.2250738585072014e-308 {1}"
+
+
 class TestAuditRecord:
     @pytest.mark.parametrize("case", _golden_audits(), ids=lambda case: " ".join(case["argv"][1:4]))
     def test_reports_the_numbers_eos_audit_prints(self, case, tmp_path):
@@ -347,30 +350,49 @@ class TestAuditRecord:
                               f"convexity violations = {report.violations} PASS"]
         assert report.passed and lines[7] == "RESULT PASS"
 
-    def test_six_differences_per_evaluated_point(self, monkeypatch, nc13_cvt):
-        calls = []
-        original = numerics.fd_derivative
+    @pytest.mark.parametrize("model", [rx.Model.NA, rx.Model.VO1, rx.Model.VO1_CVT])
+    def test_evaluations_per_evaluated_point(self, monkeypatch, db, model):
+        # the budget of a default-grid point: the oracle's 9 pressures (5 for the partials, 1 per
+        # inversion) and 8 energies, and with the point's own pressure 10 pressures in the audit
+        params = db.get("NC-13", model)
+        laws = rx.state.LAWS[model]
+        calls = {"P": 0, "e": 0}
 
-        def counted(*args):
-            calls.append(1)
-            return original(*args)
+        def e_fn(rho, T):
+            calls["e"] += 1
+            return rx.cvt_energy(params, T)
 
-        monkeypatch.setattr(numerics, "fd_derivative", counted)
-        report = rx.audit_record(nc13_cvt, [50.0, 200.0, 600.0], [1500.0, 3000.0, 4500.0])
-        assert report.points == 9 and report.violations == 0
-        assert len(calls) == 6 * report.points
+        def p_fn(rho, T):
+            calls["P"] += 1
+            return laws.pressure(params, rho, T)
 
-    @pytest.mark.parametrize("model, residuals", [
-        (rx.Model.NA, ("0x1.61b87cd71f9cfp-33", "0x1.ffb73f0d968c2p-34", "0x1.9f9e485e839efp-33")),
-        (rx.Model.VO1, ("0x1.664035b5d7178p-33", "0x1.098342404e8c5p-33", "0x1.f060bfb7fe7cep-33")),
-        (rx.Model.VO1_CVT, ("0x1.664035b5d7178p-33", "0x1.79b82a8593d88p-33", "0x1.85b9191b4936ep-32")),
+        rx.sound_speed_fd_oracle(e_fn, p_fn, 210.0, 3000.0)
+        assert calls == {"P": 9, "e": 8}
+        calls.update(P=0, e=0)
+        monkeypatch.setitem(rx.state.LAWS, model, laws._replace(pressure=lambda *args: p_fn(*args[1:])))
+        monkeypatch.setattr(numerics.virial_cvt, "cvt_energy", lambda params, T: e_fn(None, T))
+        report = rx.audit_record(params, _parse_range("10:600:50"), _parse_range("1500:4500:250"))
+        assert (report.points, report.violations) == (156, 0)
+        assert calls == {"P": 10 * 156, "e": 8 * 156}
+
+    @pytest.mark.parametrize("material, model, residuals", [
+        ("NC-13", rx.Model.NA, ("0x1.61b87cd71f9cfp-33", "0x1.ffb73f0d968c2p-34", "0x1.9f9e485e839efp-33")),
+        ("NC-13", rx.Model.VO1, ("0x1.664035b5d7178p-33", "0x1.098342404e8c5p-33", "0x1.f060bfb7fe7cep-33")),
+        ("RDX", rx.Model.NA, ("0x1.44841562d818bp-33", "0x1.079894a894bc5p-33", "0x1.d554f81b79335p-33")),
+        ("RDX", rx.Model.VO1, ("0x1.d2f2c7e79c491p-33", "0x1.fc2b03c6d519ep-34", "0x1.1426816ddd637p-32")),
+        ("HMX", rx.Model.NA, ("0x1.bf1d4cdc8082fp-33", "0x1.e55d66bbb29aap-34", "0x1.9f35504c26066p-33")),
+        ("HMX", rx.Model.VO1, ("0x1.54f30098842dcp-33", "0x1.46b4e81063be3p-33", "0x1.d7256ddf03984p-33")),
+        ("NG", rx.Model.NA, ("0x1.40bbabf070784p-33", "0x1.4dbb68306a0e7p-33", "0x1.002c49f884150p-32")),
+        ("NG", rx.Model.VO1, ("0x1.6ab6786655999p-33", "0x1.18bf5cff38d0cp-33", "0x1.c89e053966119p-33")),
+        ("NC-13", rx.Model.VO1_CVT, ("0x1.664035b5d7178p-33", "0x1.79b82a8593d88p-33", "0x1.85b9191b4936ep-32")),
     ])
-    def test_default_grid_residuals_are_pinned(self, db, model, residuals):
-        # the bits of the 156-point default grid of `eos audit NC-13`, as the seeded
-        # inversions and single central differences give them; the Maxwell residual
-        # takes no inversion, but its P_T and e_rho moved with the difference rule
-        report = rx.audit_record(db.get("NC-13", model), _parse_range("10:600:50"), _parse_range("1500:4500:250"))
+    def test_default_grid_residuals_are_pinned(self, db, material, model, residuals):
+        # the bits of the 156-point default grid of `eos audit`, as the seeded inversions
+        # and single central differences give them; the Maxwell residual takes no
+        # inversion, but its P_T and e_rho moved with the difference rule
+        report = rx.audit_record(db.get(material, model), _parse_range("10:600:50"), _parse_range("1500:4500:250"))
         assert (report.points, report.skipped_rho) == (156, 0)
+        assert (report.sign_mismatches, report.violations) == (0, 0)
         assert tuple(x.hex() for x in report.residuals) == residuals
 
     @pytest.mark.parametrize("material, model", _BUILTIN_RECORDS)
@@ -449,6 +471,40 @@ class TestAuditRecord:
         # one of zero; it is refused before the closed-form criteria, which underflow there
         with pytest.raises(DomainError, match=named):
             rx.audit_record(db.get("NC-13", model), rhos, temps)
+
+    @pytest.mark.parametrize("model, rhos, temps, error", [
+        (model, rhos, temps, error) for model, positive in (
+            (rx.Model.NA, "temperature must be positive, got -5.0"),
+            (rx.Model.VO1, "density and temperature must be positive, got rho={rho}, T=-5.0"),
+            (rx.Model.VO1_CVT, "density and temperature must be positive, got rho={rho}, T=-5.0"),
+        ) for rhos, temps, error in (
+            # the law refuses the point before its subnormal density is checked
+            ([1e-320], [-5.0, 3000.0], positive.format(rho=1e-320)),
+            ([1e-320], [3000.0, -5.0], _BELOW_STEP.format("density 1e-320", "kg/m3")),
+            ([100.0, 1e-320], [3000.0, -5.0], positive.format(rho=100.0)),
+            ([100.0, 200.0], [3000.0, 1e-310], _BELOW_STEP.format("temperature 1e-310", "K")),
+            ([100.0, 1e-310], [3000.0, 4000.0], _BELOW_STEP.format("density 1e-310", "kg/m3")),
+            ([100.0, 1e-320], [1e-310, 3000.0], _BELOW_STEP.format("temperature 1e-310", "K")),
+            ([1e-310], [1e-310], _BELOW_STEP.format("density 1e-310", "kg/m3")),
+            ([200.0, -1.0], [3000.0, 1e-310], _BELOW_STEP.format("temperature 1e-310", "K")),
+        )
+    ])
+    def test_first_refusal_on_the_grid_is_reported(self, db, model, rhos, temps, error):
+        # the grid runs rho by rho, T within; at each point the law is evaluated first, then the
+        # density and the temperature are checked against their difference steps
+        with pytest.raises(DomainError) as raised:
+            rx.audit_record(db.get("NC-13", model), rhos, temps)
+        assert type(raised.value) is DomainError and str(raised.value) == error
+
+    @pytest.mark.parametrize("material, model", [(m, model) for m, model in _BUILTIN_RECORDS if model is not rx.Model.NA])
+    def test_virial_records_show_no_mismatch_up_to_1e150_kg_m3(self, db, material, model):
+        # the oracle's criterion (d) was a bracket whose terms of size R a rho^2 T cancel: from
+        # rho ~ 2e19 kg/m3 up its sign was rounding noise, and about 700 of these 2,402 points
+        # were counted as mismatches on every virial record
+        rhos = [10.0 ** (k / 4) for k in range(-600, 601)]
+        report = rx.audit_record(db.get(material, model), rhos, [300.0, 3000.0])
+        assert (report.points, report.sign_mismatches, report.violations) == (2402, 0, 0)
+        assert report.passed
 
     @pytest.mark.parametrize("model", [rx.Model.NA, rx.Model.VO1, rx.Model.VO1_CVT])
     def test_convex_point_whose_criteria_underflow_is_refused(self, db, model):
