@@ -21,21 +21,21 @@ for k in range(6):
     y = 0.1 * k
     mix_na = rx.MixtureSpec(((nc_na, 1.0 - y), (rdx_na, y)), oxygen_balance_declared_uniform=True)
     mix_vo = rx.MixtureSpec(((nc_vo, 1.0 - y), (rdx_vo, y)), oxygen_balance_declared_uniform=True)
-    flame = rx.mixture_flame_temperature(mix_na)
-    p_mna, _ = rx.mna_pressure(mix_na, 1.0 / 200.0, flame.e_s_eff_mix)
+    t_flame = rx.mixture_flame_temperature(mix_na)
+    p_mna, _ = rx.mna_pressure(mix_na, 1.0 / 200.0, mix_na.mixed.e_s_eff)
     c_mna = rx.mna_sound_speed(mix_na, p_mna, 1.0 / 200.0)
-    flame_vo = rx.mixture_flame_temperature(mix_vo)
-    sol = rx.mvo1_pressure(mix_vo, 200.0, flame_vo.T_flame)
-    c_mvo = rx.mvo1_sound_speed(mix_vo, sol.P, flame_vo.T_flame)
-    print(f"{y:6.1f}{flame.T_flame:12.1f}{p_mna / 1e6:13.1f}{sol.P / 1e6:14.1f}"
+    t_flame_vo = rx.mixture_flame_temperature(mix_vo)
+    sol = rx.mvo1_pressure(mix_vo, 200.0, t_flame_vo)
+    c_mvo = rx.mvo1_sound_speed(mix_vo, sol.P, t_flame_vo)
+    print(f"{y:6.1f}{t_flame:12.1f}{p_mna / 1e6:13.1f}{sol.P / 1e6:14.1f}"
           f"{c_mna:13.1f}{c_mvo:14.1f}{sol.iterations:6d}")
 
 print()
 print("Extrapolating the 50/50 mixture to higher loading densities:")
 mix_na = rx.MixtureSpec(((nc_na, 0.5), (rdx_na, 0.5)), oxygen_balance_declared_uniform=True)
 mix_vo = rx.MixtureSpec(((nc_vo, 0.5), (rdx_vo, 0.5)), oxygen_balance_declared_uniform=True)
-t_na = rx.mixture_flame_temperature(mix_na).T_flame
-t_vo = rx.mixture_flame_temperature(mix_vo).T_flame
+t_na = rx.mixture_flame_temperature(mix_na)
+t_vo = rx.mixture_flame_temperature(mix_vo)
 print(f"{'rho (kg/m3)':>12s}{'P_MNA (MPa)':>13s}{'P_MVO1 (MPa)':>14s}{'gap (MPa)':>11s}")
 for rho in (100.0, 200.0, 300.0, 400.0):
     p_na = rx.mna_pressure_vt(mix_na, 1.0 / rho, t_na)

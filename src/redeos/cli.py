@@ -29,8 +29,6 @@ import sys
 
 from . import __version__
 from .errors import (
-    BracketError,
-    ConvergenceError,
     DegenerateDataError,
     DomainError,
     EosError,
@@ -61,8 +59,6 @@ _ERROR_TABLE = (
     (ModelMismatchError, "E_MODEL_MISMATCH", 2),
     (ValidationError, "E_VALIDATION", 2),
     (RankDeficiencyError, "E_RANK_DEFICIENT", 3),
-    (BracketError, "E_BRACKET", 3),
-    (ConvergenceError, "E_CONVERGENCE", 3),
     # a degenerate state, float overflow, division by an underflowed zero or a
     # math-domain error: each at extreme inputs
     ((NumericalError, ArithmeticError, ValueError), "E_NUMERICAL", 3),
@@ -303,8 +299,8 @@ def cmd_mix_sweep(args):
     for fractions in fraction_sets:
         mix = MixtureSpec(tuple(zip(gases, fractions)), oxygen_balance_declared_uniform=True)
         if not mna:
-            mix.virial_bracket  # raises unless every component has a > 0
-        mixtures.append((fractions[-1], mix.mixed if mna else mix, mixture_flame_temperature(mix).T_flame))
+            mix.virial  # raises unless every component has a > 0
+        mixtures.append((fractions[-1], mix.mixed if mna else mix, mixture_flame_temperature(mix)))
 
     print("Y,rho_kg_m3,tflame_K,pmax_MPa,c_m_s")
     for y, target, T_flame in mixtures:

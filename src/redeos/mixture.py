@@ -82,16 +82,16 @@ def _mixture_volume(terms, P, T):
     """Component densities rho_k(P, T), one virial density root each, with
     the mixture volume v = sum_k Y_k / rho_k and S = -dv/dP at fixed T.
 
-    ``terms`` is :attr:`~redeos.types.MixtureSpec.virial_terms`.  The root is
-    :func:`~redeos.virial.virial_density_pt`'s expression in its operation
-    order, whose discriminant guard is dead here (a > 0, P >= 0).  S is the
-    thermal law's dP/drho, inverted and mass-weighted:
+    ``terms`` is the last entry of :attr:`~redeos.types.MixtureSpec.virial`.
+    The root is :func:`~redeos.virial.virial_density_pt`'s expression in its
+    operation order, whose discriminant guard is dead here (a > 0, P >= 0).
+    S is the thermal law's dP/drho, inverted and mass-weighted:
 
         S = sum_k Y_k / (rho_k^2 R_k T (1 + 2 a_k rho_k))
     """
     rhos = []
     v = S = 0.0
-    for R, a, y in terms:
+    for R, a, y, _ in terms:
         rho = 2.0 * P / (R * T * (1.0 + sqrt(1.0 + 4.0 * a * P / (R * T))))
         rhos.append(rho)
         v += y / rho
@@ -106,9 +106,9 @@ def _sound_speed(mix, T, volume):
     and a nan density (from P = inf) gives a nan c, which the callers refuse."""
     rhos, v, S = volume
     cp_mix = 0.0
-    for (gas, y), rho in zip(mix.components, rhos):
-        ar = gas.a * rho
-        cp_mix += y * (gas.Cv + gas.R * (1.0 + ar) ** 2 / (1.0 + 2.0 * ar))
+    for (R, a, y, Cv), rho in zip(mix.virial[3], rhos):
+        ar = a * rho
+        cp_mix += y * (Cv + R * (1.0 + ar) ** 2 / (1.0 + 2.0 * ar))
     try:
         return sqrt(cp_mix * v * v / (mix.mixed.Cv * S))
     except ZeroDivisionError:  # S underflows to zero, where c^2 ~ 1/S
@@ -138,10 +138,9 @@ def _solve_pressure(mix, rho_mix, T):
     the result is solve_monotone's.  The refusals of :func:`mvo1_pressure`,
     its 1e-12 volume contract among them, are made here.
     """
-    R_min, R_max, a_n = mix.virial_bracket
+    R_min, R_max, a_n, terms = mix.virial
     if not (rho_mix > 0.0 and T > 0.0):
         raise DomainError(f"density and temperature must be positive, got rho={rho_mix!r}, T={T!r}")
-    terms = mix.virial_terms
     v_mix = 1.0 / rho_mix
     P_hi = rho_mix * R_max * T * (1.0 + a_n * rho_mix) * (1.0 + 1e-7)
     if not P_hi < math.inf:  # solve_monotone's stop floor, 1e-15 (P_hi - P_lo), would be inf and pass any step
@@ -187,7 +186,7 @@ def _solve_pressure(mix, rho_mix, T):
 
 def _residual_rel(terms, rhos, v_mix):
     """|sum_k Y_k / rho_k - v_mix| / v_mix, the sum exact."""
-    return abs(math.fsum([y / rho for (_, _, y), rho in zip(terms, rhos)]) - v_mix) / v_mix
+    return abs(math.fsum([y / rho for (_, _, y, _), rho in zip(terms, rhos)]) - v_mix) / v_mix
 
 
 def mvo1_pressure(mix: MixtureSpec, rho_mix, T) -> Mvo1Solution:
@@ -209,7 +208,7 @@ def mvo1_pressure(mix: MixtureSpec, rho_mix, T) -> Mvo1Solution:
     component density degenerates or ``residual_rel`` exceeds 1e-12.
     """
     P, iterations, (rhos, _, _) = _solve_pressure(mix, rho_mix, T)
-    residual = _residual_rel(mix.virial_terms, rhos, 1.0 / rho_mix)
+    residual = _residual_rel(mix.virial[3], rhos, 1.0 / rho_mix)
     return Mvo1Solution(P=P, T=T, rho_components=tuple(rhos), iterations=iterations, residual_rel=residual)
 
 
@@ -229,7 +228,7 @@ def mvo1_sound_speed(mix: MixtureSpec, P, T):
     single-gas sound speed at N = 1.  Raises :class:`NumericalError` unless
     c is positive and finite.
     """
-    terms = mix.virial_terms  # raises unless every component is a VO1 record with a > 0
+    terms = mix.virial[3]  # raises unless every component is a VO1 record with a > 0
     if not (P > 0.0 and T > 0.0):
         raise DomainError(f"pressure and temperature must be positive, got P={P!r}, T={T!r}")
     try:
@@ -262,20 +261,16 @@ def mvo1_closure_from_rho_e(mix: MixtureSpec, rho_mix, e_mix) -> Closure:
     return mvo1_closure_from_rho_T(mix, rho_mix, cvt_temperature(mix.mixed, e_mix))
 
 
-class MixtureFlame(NamedTuple):
-    T_flame: float      # K
-    e_s_eff_mix: float  # J/kg
-
-
-def mixture_flame_temperature(mix: MixtureSpec) -> MixtureFlame:
-    """Constant-volume flame state of the mixture.
+def mixture_flame_temperature(mix: MixtureSpec):
+    """Constant-volume flame temperature of the mixture, K.
 
     The closed-bomb rule of a single record applied to the mixture record:
     the flame temperature follows from its caloric law at its effective
-    energy, the mass-weighted sum of the component effective energies.
+    energy, ``mix.mixed.e_s_eff``, the mass-weighted sum of the component
+    effective energies.
     """
     mixed = mix.mixed
     for gas, _ in mix.components:
         if gas.e_s_eff is None:
             raise ValidationError(f"record {gas.name!r} carries no effective energy")
-    return MixtureFlame(T_flame=cvt_temperature(mixed, mixed.q + mixed.e_s_eff), e_s_eff_mix=mixed.e_s_eff)
+    return cvt_temperature(mixed, mixed.q + mixed.e_s_eff)

@@ -328,7 +328,7 @@ def audit_record(params: GasParams, rhos, temperatures) -> AuditReport:
     at a convex point whose closed-form criteria underflow to zero, or when
     no point is left; raises :class:`NumericalError` where the pressure,
     the oracle or a residual is not finite, or at a convex point whose
-    closed-form criteria overflow to nan.
+    closed-form criteria overflow to nan or to zero.
     """
     laws = LAWS[params.model]
     convexity, closed_sound_speed = laws.convexity, laws.sound_speed
@@ -354,6 +354,10 @@ def audit_record(params: GasParams, rhos, temperatures) -> AuditReport:
             # inf/inf (P^2 and R Cv(T) (1 + a rho)^2 above the largest) shows no sign to audit, and
             # calling it a violation would fail a convex record
             if closed.convex and 0.0 in closed.criteria:
+                # each criterion is P or P^2 times a factor of (rho, T): the factors, the criteria at P = 1,
+                # tell an underflowed P from a factor that overflowed, as rho R Cv (1 + a rho) can
+                if not all(0.0 < abs(x) < math.inf for x in convexity(params, rho, 1.0, T).criteria):
+                    raise NumericalError(f"the closed-form convexity criteria overflow at rho={rho!r}, T={T!r}")
                 raise DomainError(f"the closed-form convexity criteria underflow to zero at rho={rho!r}, T={T!r}")
             if not (closed.convex and convexity_signs_ok(closed.criteria)):
                 if closed.convex and any(map(math.isnan, closed.criteria)):

@@ -274,9 +274,10 @@ class MixtureSpec:
         return GasParams(name="+".join(gas.name for gas, _ in pairs), model=model, **fields)
 
     @cached_property
-    def virial_bracket(self) -> tuple[float, float, float]:
-        """``(min R_k, max R_k, N max a_k)``, the bracket constants of the virial mixture's
-        pressure solve, which needs VO1 components with a > 0."""
+    def virial(self) -> tuple[float, float, float, tuple[tuple[float, float, float, float], ...]]:
+        """``(min R_k, max R_k, N max a_k, terms)``: the bracket constants of the virial
+        mixture's pressure solve and the ``(R_k, a_k, Y_k, Cv_k)`` of each component, all
+        that solve and its sound speed read.  It needs VO1 components with a > 0."""
         self.uniform_model(Model.VO1)
         pairs = self.components
         for gas, _ in pairs:
@@ -284,14 +285,8 @@ class MixtureSpec:
                 raise ValidationError(
                     f"mixture pressure solve requires a > 0 for every component; {gas.name!r} has a = {gas.a!r}")
         Rs = [gas.R for gas, _ in pairs]
-        return min(Rs), max(Rs), max(gas.a for gas, _ in pairs) * len(pairs)
-
-    @cached_property
-    def virial_terms(self) -> tuple[tuple[float, float, float], ...]:
-        """``(R_k, a_k, Y_k)`` of each component, what the virial mixture's volume
-        sum reads; raises as :attr:`virial_bracket` does."""
-        self.virial_bracket
-        return tuple((gas.R, gas.a, y) for gas, y in self.components)
+        terms = tuple((gas.R, gas.a, y, gas.Cv) for gas, y in pairs)
+        return min(Rs), max(Rs), max(gas.a for gas, _ in pairs) * len(pairs), terms
 
     def uniform_model(self, *allowed: Model) -> Model:
         """Return the shared model of all components, checking it is allowed."""

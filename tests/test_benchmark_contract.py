@@ -3,15 +3,17 @@
 The harness under ``benchmarks/`` traces functions by name (``SPANS`` and
 ``COUNTS`` in ``tracing.py``), times scalar kernels by name (``KERNELS`` in
 ``workloads.py``), calls the closure operations as ``redeos`` attributes
-(``Closure._ops``) and reads fields of their results.  A renamed or deleted
-name would otherwise show only in a traced benchmark run.  The tables are
-read from the harness source with ``ast``: nothing of it is imported or
-run, and ``sys.path`` is left alone.
+(``Closure._ops``), reads fields of their results and passes keywords to
+the mixture constructor (``_mixture_cell`` in ``inputs.py``).  A renamed or
+deleted name would otherwise show only in a traced benchmark run.  The
+tables are read from the harness source with ``ast``: nothing of it is
+imported or run, and ``sys.path`` is left alone.
 """
 
 import ast
 import dataclasses
 import importlib
+import inspect
 import pathlib
 
 import pytest
@@ -44,12 +46,25 @@ def _closure_ops(tree):
     raise LookupError("no Closure._ops in the harness")
 
 
+def _call_keywords(tree, function, callee):
+    """The keywords ``function`` passes to its calls of ``callee``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and node.name == function:
+            calls = [n for n in ast.walk(node)
+                     if isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == callee]
+            if calls:
+                return sorted({kw.arg for call in calls for kw in call.keywords})
+    raise LookupError(f"no call of {callee} in {function} in the harness")
+
+
 TRACING = _tree("tracing.py")
 WORKLOADS = _tree("workloads.py")
 SPANS = _constant(TRACING, "SPANS")
 COUNTS = _constant(TRACING, "COUNTS")
 KERNELS = _constant(WORKLOADS, "KERNELS")
 CLOSURE_OPS = _closure_ops(WORKLOADS)
+#: ``_mixture_cell`` builds each mixture with the constructor ``Closure`` hands it, ``redeos.MixtureSpec``
+MIXTURE_KEYWORDS = _call_keywords(_tree("inputs.py"), "_mixture_cell", "mixture_spec")
 
 
 @pytest.mark.parametrize("module, functions, span", SPANS)
@@ -87,3 +102,9 @@ def test_closure_operations_exist():
 def test_result_fields_read_by_the_checks_exist(result, fields):
     names = set(result._fields) if hasattr(result, "_fields") else {f.name for f in dataclasses.fields(result)}
     assert fields <= names
+
+
+@pytest.mark.parametrize("keyword", MIXTURE_KEYWORDS)
+def test_mixture_constructor_keywords_exist(keyword):
+    # the library itself never reads oxygen_balance_declared_uniform, so only this names its user
+    assert keyword in inspect.signature(redeos.MixtureSpec).parameters

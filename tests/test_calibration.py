@@ -241,3 +241,30 @@ class TestFrozennessCheck:
     def test_needs_two_entries(self):
         with pytest.raises(ValidationError):
             rx.frozenness_check([(1.0, 25.82)])
+
+
+#: a VO1_CVT record whose Cv(T) slope is negative, so a large energy has no flame temperature
+_FALLING_CV = rx.GasParams.virial_cvt("falling", R=300.0, a=0.001, Cv0=1000.0, c=-1.0)
+
+
+@pytest.mark.parametrize("call, raised, message", [
+    (lambda p: rx.lsq_fit_3(5.0, [1.0, 2.0, 3.0]), ValidationError,
+     "temperatures and targets must be 1-d arrays of equal length"),
+    (lambda p: rx.lsq_fit_3([[1.0], [2.0], [3.0]], [1.0, 2.0, 3.0]), ValidationError,
+     "temperatures and targets must be 1-d arrays of equal length"),
+    (lambda p: rx.lsq_fit_3([1.0, 2.0, 3.0], [1.0, 2.0]), ValidationError,
+     "temperatures and targets must be 1-d arrays of equal length"),
+    (lambda p: rx.dilution_flame_temperature(p, rx.INERT_GASES["argon"], 0.0, 4.5e6), DomainError,
+     "reactant mass fraction must lie in (0,1], got 0.0"),
+    (lambda p: rx.dilution_flame_temperature(p, rx.INERT_GASES["argon"], 1.0, p.q), DomainError,
+     "the mixture holds no energy above the caloric reference"),
+    (lambda p: rx.dilution_flame_temperature(_FALLING_CV, rx.INERT_GASES["argon"], 1.0, 1e6), DomainError,
+     "energy balance has no real flame temperature"),
+    (lambda p: rx.frozenness_check([(0.2, 28.0), (0.5, 0.0)]), ValidationError,
+     "molar mass must be positive, got 0.0"),
+], ids=["lsq-scalar", "lsq-2d", "lsq-lengths", "dilution-Y", "dilution-no-energy", "dilution-no-root",
+        "frozenness-molar-mass"])
+def test_refusals_name_their_input(nc13_cvt, call, raised, message):
+    with pytest.raises(raised) as info:
+        call(nc13_cvt)
+    assert (type(info.value), str(info.value)) == (raised, message)

@@ -411,6 +411,28 @@ class TestErrorSurface:
         assert code == 3
         assert err.startswith("E_RANK_DEFICIENT:")
 
+    @pytest.mark.parametrize("error", [
+        rx.errors.BracketError("g(4.51731e+302) = -inf and g(4.51731e+304) = nan have the same sign"),
+        rx.errors.ConvergenceError("no convergence within 100 iterations (bracket [1, 2])"),
+    ], ids=["bracket", "convergence"])
+    @pytest.mark.parametrize("target, argv, given", [
+        ("mixture.mvo1_closure_from_rho_T",
+         ("mix-sweep", "NC-13=0.5,RDX=0.5", "--model", "mvo1", "--rho", "200", "--same-oxygen-balance"),
+         "--rho 200"),
+        ("numerics.audit_record", ("audit", "NC-13", "--model", "vo1", "--rho", "100:100:1", "--T", "3000:3000:1"),
+         "--rho 100:100:1 --T 3000:3000:1"),
+    ], ids=["mix-sweep", "audit"])
+    def test_solver_failures_name_the_given_flags(self, capsys, monkeypatch, error, target, argv, given):
+        # a solver's message names its bracket, not the input; these once printed E_BRACKET or
+        # E_CONVERGENCE with that message
+        def fail(*args):
+            raise error
+
+        monkeypatch.setattr(f"redeos.{target}", fail)
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 3
+        assert err == f"E_NUMERICAL: floating-point evaluation failed at {given}\n"
+
 
 def assert_one_error_line(err, prefix):
     assert err.startswith(prefix + ":"), err
@@ -691,6 +713,15 @@ class TestBoundaryRegressions:
                                  "--rho", "1e-10:1e-10:1", "--T", "1.7e307:1.7e307:1")
         assert code == 3 and out == ""
         assert err == "E_NUMERICAL: floating-point evaluation failed at --rho 1e-10:1e-10:1 --T 1.7e307:1.7e307:1\n"
+
+    @pytest.mark.parametrize("material, rho", [("NC-13", "5.623413251903491e152"), ("NG", "1e153")])
+    def test_audit_where_a_criterion_overflows_to_zero_is_numerical(self, capsys, material, rho):
+        # criterion (b)'s denominator rho R Cv (1 + a rho) overflows at a finite P; once an
+        # `E_DOMAIN: ... criteria underflow to zero` with exit 4
+        grid = f"{rho}:{rho}:1"
+        code, out, err = run_cli(capsys, "audit", material, "--model", "vo1", "--rho", grid, "--T", "300:300:1")
+        assert code == 3 and out == ""
+        assert err == f"E_NUMERICAL: floating-point evaluation failed at --rho {grid} --T 300:300:1\n"
 
     def test_state_whose_entropy_underflows_is_numerical(self, capsys):
         code, out, err = run_cli(capsys, "state", "NC-13", "--model", "na", "--rho", "1e-300", "--T", "1e-25")

@@ -144,3 +144,15 @@ class TestInertTable:
     def test_xenon_monatomic_relation(self):
         xenon = rx.INERT_GASES["xenon"]
         assert xenon.Cv_in == pytest.approx(1.5 * rx.R_UNIVERSAL / (xenon.W_in * 1e-3), rel=1e-12)
+
+
+@pytest.mark.parametrize("load, header", [
+    (rx.load_closed_bomb_csv, "rho_kg_m3,pmax_MPa"),
+    (rx.load_inert_runs_csv, "Y,tflame_K"),
+], ids=["closed-bomb", "inert-runs"])
+def test_a_wrong_header_is_refused_naming_its_line(tmp_path, load, header):
+    path = tmp_path / "wrong.csv"
+    path.write_text("# measured\nrho,P\n100,130\n")
+    with pytest.raises(ParseError) as raised:
+        load(path)
+    assert (type(raised.value), str(raised.value)) == (ParseError, f"line 2: expected header {header!r}, got 'rho,P'")

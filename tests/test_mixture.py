@@ -117,7 +117,7 @@ class TestMnaIsNobleAbelOnTheRecord:
 
     def test_flame_is_the_closed_bomb_rule(self, mix, half_vo1):
         for each in (mix, half_vo1):
-            assert rx.mixture_flame_temperature(each).T_flame == rx.predict_closed_bomb(each.mixed, 150.0).T_flame
+            assert rx.mixture_flame_temperature(each) == rx.predict_closed_bomb(each.mixed, 150.0).T_flame
 
     @pytest.mark.parametrize("v", [0.0, -0.01, math.nan])
     def test_sound_speed_refuses_non_positive_volume(self, mix, v):
@@ -228,7 +228,7 @@ class TestMvo1Pressure:
         assert v_mix == pytest.approx(1.0 / 400.0, rel=1e-12)
 
     def test_bounded_by_pure_pressures(self, half_vo1, nc13_vo1, rdx_vo1):
-        T = rx.mixture_flame_temperature(half_vo1).T_flame
+        T = rx.mixture_flame_temperature(half_vo1)
         sol = rx.mvo1_pressure(half_vo1, 400.0, T)
         bounds = sorted((rx.vo1_pressure(nc13_vo1, 400.0, T), rx.vo1_pressure(rdx_vo1, 400.0, T)))
         assert bounds[0] < sol.P < bounds[1]
@@ -272,12 +272,19 @@ class TestMvo1Pressure:
                                        for name, w in zip(parts, weights)))
             rho, T = 10.0 ** rng.uniform(-3.0, 3.3), 10.0 ** rng.uniform(2.5, 4.0)
             sol = rx.mvo1_pressure(mix, rho, T)
-            ref = rx.solve_monotone(lambda P: (_mixture_volume(mix.virial_terms, P, T)[1] - 1.0 / rho, None),
+            ref = rx.solve_monotone(lambda P: (_mixture_volume(mix.virial[3], P, T)[1] - 1.0 / rho, None),
                                     0.5 * sol.P, 2.0 * sol.P, tol_rel=1e-15).root
             iterations.append(sol.iterations)
             assert sol.residual_rel <= 1e-13
             assert abs(sol.P - ref) <= 1e-13 * ref
         assert sum(iterations) / len(iterations) < 2.0
+
+    def test_virial_view_holds_the_bracket_and_component_terms(self, nc13_vo1, rdx_vo1):
+        mix = rx.MixtureSpec(((nc13_vo1, 0.25), (rdx_vo1, 0.75)))
+        gases = (nc13_vo1, rdx_vo1)
+        assert mix.virial == (min(g.R for g in gases), max(g.R for g in gases), 2 * max(g.a for g in gases),
+                              ((nc13_vo1.R, nc13_vo1.a, 0.25, nc13_vo1.Cv), (rdx_vo1.R, rdx_vo1.a, 0.75, rdx_vo1.Cv)))
+        assert mix.virial is mix.virial  # built once
 
     def test_rejects_non_positive_virial(self, nc13_vo1):
         flat = rx.GasParams.virial("flat", R=322.0, a=0.0, Cv=1640.5)
@@ -438,7 +445,7 @@ class TestMvo1Closure:
         from redeos.cli import main
         parts = [part.split("=") for part in spec.split(",")]
         mix = rx.MixtureSpec(tuple((db.get(name, rx.Model.VO1), float(y)) for name, y in parts))
-        T = rx.mixture_flame_temperature(mix).T_flame
+        T = rx.mixture_flame_temperature(mix)
         iterations = rx.mvo1_pressure(mix, 200.0, T).iterations
         passes = []
         volume = mixture._mixture_volume
@@ -452,7 +459,7 @@ def _kernel_volume(terms, P, T):
     """A residual pass that takes each rho_k from the kernel, virial_density_pt."""
     rhos = []
     v = S = 0.0
-    for R, a, y in terms:
+    for R, a, y, _ in terms:
         rho = virial_density_pt(R, a, P, T)
         rhos.append(rho)
         v += y / rho
@@ -464,10 +471,10 @@ def _kernel_solve(mix, rho_mix, T):
     """``(P, iterations, rhos, residual_rel, c)`` as solve_monotone finds them from the
     bracket and start of mvo1_pressure on the kernels' residual, each Cp_k from vo1_cp;
     c is None where its division by S fails."""
-    R_min, R_max, a_n = mix.virial_bracket
+    R_min, R_max, a_n, terms = mix.virial
     if not (rho_mix > 0.0 and T > 0.0):
         raise DomainError(f"density and temperature must be positive, got rho={rho_mix!r}, T={T!r}")
-    terms, v_mix, mixed = mix.virial_terms, 1.0 / rho_mix, mix.mixed
+    v_mix, mixed = 1.0 / rho_mix, mix.mixed
     P_hi = rho_mix * R_max * T * (1.0 + a_n * rho_mix) * (1.0 + 1e-7)
     if not P_hi < math.inf:
         raise NumericalError(f"the mixture pressure overflows at rho={rho_mix!r}, T={T!r}")
@@ -483,7 +490,7 @@ def _kernel_solve(mix, rho_mix, T):
     except BracketError:  # the bracket is analytic, so only nan or overflowing ends share a sign
         raise NumericalError(f"the mixture volume is degenerate at rho={rho_mix!r}, T={T!r}") from None
     rhos, v, S = _kernel_volume(terms, P, T)
-    residual = abs(math.fsum([y / rho for (_, _, y), rho in zip(terms, rhos)]) - v_mix) / v_mix
+    residual = abs(math.fsum([y / rho for (_, _, y, _), rho in zip(terms, rhos)]) - v_mix) / v_mix
     cp = 0.0
     for (gas, y), rho in zip(mix.components, rhos):
         cp += y * rx.vo1_cp(gas, rho, T)
@@ -603,13 +610,13 @@ class TestInlineSolve:
                                      math.inf, math.nan])
     def test_edge_cells_are_the_kernel_solve(self, db, rho):
         mix = rx.MixtureSpec(tuple((db.get(name, rx.Model.VO1), y) for name, y in (("NC-13", 0.5), ("RDX", 0.5))))
-        for T in (0.0, 5e-324, 1e-300, 1.0, rx.mixture_flame_temperature(mix).T_flame, 1e300, math.inf, math.nan):
+        for T in (0.0, 5e-324, 1e-300, 1.0, rx.mixture_flame_temperature(mix), 1e300, math.inf, math.nan):
             _assert_is_the_kernel_solve(mix, rho, T)
 
     @pytest.mark.parametrize("rho, T", [(1e-160, 3600.0), (1e-170, 3600.0), (3.254852618965709e150, None),
                                         (0.1, 2.7925438412375077e306)])
     def test_degenerate_cells_are_refused_naming_the_input(self, half_vo1, rho, T):
-        T = T or rx.mixture_flame_temperature(half_vo1).T_flame
+        T = T or rx.mixture_flame_temperature(half_vo1)
         for call in (rx.mvo1_closure_from_rho_T, rx.mvo1_pressure):
             _, refused = _outcome(call, half_vo1, rho, T)
             if call is rx.mvo1_pressure and refused is None:
@@ -624,7 +631,7 @@ class TestInlineSolve:
         for P in edges:
             for T in edges[1:]:
                 want, want_raised = _outcome(virial_density_pt, R, a, P, T)
-                got, got_raised = _outcome(_mixture_volume, ((R, a, 1.0),), P, T)
+                got, got_raised = _outcome(_mixture_volume, ((R, a, 1.0, None),), P, T)
                 if got_raised is None:
                     assert got[0][0].hex() == want.hex(), (P, T)
                 else:  # R T underflows, or the pass divides by a root or a square that does
@@ -651,15 +658,14 @@ class TestInlineSolve:
 
 class TestMixtureFlameTemperature:
     def test_equal_split(self, half_na):
-        flame = rx.mixture_flame_temperature(half_na)
-        assert flame.e_s_eff_mix == pytest.approx(5_995_000.0, rel=1e-12)
-        assert flame.T_flame == pytest.approx(3657.7, rel=1e-4)
+        assert half_na.mixed.e_s_eff == pytest.approx(5_995_000.0, rel=1e-12)
+        assert rx.mixture_flame_temperature(half_na) == pytest.approx(3657.7, rel=1e-4)
 
     def test_pure_components(self, nc13_na, rdx_na):
         assert rx.mixture_flame_temperature(
-            rx.MixtureSpec(((nc13_na, 1.0),))).T_flame == pytest.approx(3275.0, rel=1e-3)
+            rx.MixtureSpec(((nc13_na, 1.0),))) == pytest.approx(3275.0, rel=1e-3)
         assert rx.mixture_flame_temperature(
-            rx.MixtureSpec(((nc13_na, 0.0), (rdx_na, 1.0)))).T_flame == pytest.approx(4040.0, rel=1e-3)
+            rx.MixtureSpec(((nc13_na, 0.0), (rdx_na, 1.0)))) == pytest.approx(4040.0, rel=1e-3)
 
     def test_requires_effective_energy(self):
         bare = rx.GasParams.virial("bare", R=322.0, a=0.002359, Cv=1640.5)

@@ -224,3 +224,14 @@ class TestModelGuard:
     def test_virial_records_are_refused(self, request, kernel, args, record):
         with pytest.raises(ModelMismatchError):
             kernel(request.getfixturevalue(record), *args)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda p: rx.na_sound_speed(p, 1e8, 1000.0), "density 1000.0 kg/m3 reaches the covolume packing limit"),
+    (lambda p: rx.na_entropy(p, 0.0, 3000.0), "pressure and temperature must be positive, got P=0.0, T=3000.0"),
+    (lambda p: rx.na_entropy(p, 1e8, -1.0), "pressure and temperature must be positive, got P=100000000.0, T=-1.0"),
+], ids=["sound-speed-past-1/b", "entropy-P", "entropy-T"])
+def test_refusals_name_their_input(nc13_na, call, message):
+    with pytest.raises(DomainError) as raised:
+        call(nc13_na)
+    assert (type(raised.value), str(raised.value)) == (DomainError, message)

@@ -514,6 +514,31 @@ class TestAuditRecord:
             rx.audit_record(db.get("NC-13", model), [100.0, 1e-200], [3000.0])
         assert rx.audit_record(db.get("NC-13", model), [1e-160], [3000.0]).passed
 
+    @pytest.mark.parametrize("model, rho, T", [
+        (rx.Model.NA, 5.623413251903491e-165, 300.0),
+        (rx.Model.VO1_CVT, 5.623413251903491e-165, 300.0),
+        (rx.Model.VO1, 1.7782794100389227e69, 1e-300),
+    ])
+    def test_criteria_underflow_through_subnormals_is_a_domain_error(self, db, model, rho, T):
+        # P^2 or rho P is subnormal here, not zero, and the criterion built on it underflows; the
+        # factors of (rho, T) in the criteria are all finite, so no overflow is reported
+        with pytest.raises(DomainError, match=re.escape(f"criteria underflow to zero at rho={rho!r}, T={T!r}")):
+            rx.audit_record(db.get("NC-13", model), [rho], [T])
+
+    @pytest.mark.parametrize("material, model, rho, T", [
+        ("NC-13", rx.Model.VO1, 5.623413251903491e152, 300.0),
+        ("NG", rx.Model.VO1, 1e153, 300.0),
+        ("NC-13", rx.Model.VO1, 5.6234132519034906e156, 1e-10),
+        ("NC-13", rx.Model.VO1_CVT, 1e-200, 1.7e308),
+    ])
+    def test_convex_point_whose_criteria_overflow_to_zero_is_numerical(self, db, material, model, rho, T):
+        # criterion (b)'s rho R Cv (1 + a rho), or (d)'s R Cv(T), overflows to inf at a finite P, so the
+        # criterion is 0; the audit once refused it as an underflow with a DomainError
+        params = db.get(material, model)
+        assert 0.0 in rx.vo1_convexity(params, rho, rx.vo1_pressure(params, rho, T), T).criteria
+        with pytest.raises(NumericalError, match=re.escape(f"criteria overflow at rho={rho!r}, T={T!r}")):
+            rx.audit_record(params, [rho], [T])
+
     def test_convex_point_whose_criteria_overflow_to_nan_is_refused(self, db):
         # P^2 and R Cv(T) (1 + a rho)^2 both overflow, so criterion (d) is inf/inf; the point was
         # counted as a violation, and the audit of a convex record failed with every residual 0

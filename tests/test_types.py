@@ -166,3 +166,14 @@ def test_inert_run_record_bounds():
 ])
 def test_result_records_keep_their_fields(record, fields):
     assert record._fields == fields
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: rx.GasParams.noble_abel("x", R=300.0, b=0.001, Cv=1500.0, gamma_cal=1.0),
+     "gamma_cal must exceed 1, got 1.0"),
+    (lambda: rx.MixtureSpec(()), "mixture needs at least one component"),
+], ids=["gamma-cal", "empty-mixture"])
+def test_refusals_name_their_input(call, message):
+    with pytest.raises(ValidationError) as raised:
+        call()
+    assert (type(raised.value), str(raised.value)) == (ValidationError, message)

@@ -240,3 +240,29 @@ class TestConvexity:
         # between a rho = -1 and -1/2 the verdict once said convex while (a) and (d) were negative
         report = rx.vo1_convexity(rx.GasParams.virial("probe", R=322.0, a=-0.01, Cv=1640.5), rho, 1e8, 3000.0)
         assert report.convex == rx.convexity_signs_ok(report.criteria)
+
+
+#: a rho = -0.875 exactly at 56 kg/m3, where 1 + a rho > 0 but c^2 < 0
+_PAST_THE_BOUNDARY = rx.GasParams.virial("probe", R=322.0, a=-0.015625, Cv=1640.0)
+
+
+@pytest.mark.parametrize("call, raised, message", [
+    (lambda na, vo: rx.vo1_density(na, 1e8, 3000.0), ModelMismatchError,
+     "operation requires a VO1 or VO1_CVT record, got NA ('NC-13')"),
+    (lambda na, vo: rx.vo1_density(vo, 0.0, 3000.0), DomainError,
+     "pressure and temperature must be positive, got P=0.0, T=3000.0"),
+    (lambda na, vo: rx.vo1_sound_speed(_PAST_THE_BOUNDARY, 1e8, 56.0, 3000.0), DomainError,
+     "squared sound speed is not positive at rho=56.0 (a rho = -0.875)"),
+    (lambda na, vo: rx.vo1_entropy(vo, -1.0, 3000.0), DomainError,
+     "pressure and temperature must be positive, got P=-1.0, T=3000.0"),
+    (lambda na, vo: rx.vo1_entropy_dP(na, 1e8, 3000.0), ModelMismatchError,
+     "operation requires a VO1 record, got NA ('NC-13')"),
+    (lambda na, vo: rx.vo1_entropy_dP(vo, 1e8, 0.0), DomainError,
+     "pressure and temperature must be positive, got P=100000000.0, T=0.0"),
+    (lambda na, vo: rx.vo1_convexity(vo, 0.0, 1e8, 3000.0), DomainError, "density must be positive, got 0.0"),
+], ids=["density-model", "density-P", "sound-speed-c2", "entropy-P", "entropy-dP-model", "entropy-dP-T",
+        "convexity-rho"])
+def test_refusals_name_their_input(nc13_na, nc13_vo1, call, raised, message):
+    with pytest.raises(raised) as info:
+        call(nc13_na, nc13_vo1)
+    assert (type(info.value), str(info.value)) == (raised, message)

@@ -256,3 +256,13 @@ class TestMaxwellCompatibility:
                 dedrho = rx.fd_derivative(lambda r: rx.cvt_energy(nc13_cvt, T), rho, 1.0)
                 dpdT = rx.fd_derivative(lambda t: rx.vo1_pressure(nc13_cvt, rho, t), T, STEP_FLOOR)
                 assert abs(dedrho * rho * rho + T * dpdT - P) < 1e-8 * P
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda p: rx.cvt_energy(p, 0.0), "temperature must be positive, got 0.0"),
+    (lambda p: rx.cvt_effective_energy(p, -1.0), "flame temperature must be non-negative, got -1.0"),
+], ids=["energy-T", "effective-energy-T"])
+def test_refusals_name_their_input(nc13_cvt, call, message):
+    with pytest.raises(DomainError) as raised:
+        call(nc13_cvt)
+    assert (type(raised.value), str(raised.value)) == (DomainError, message)
