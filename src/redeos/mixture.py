@@ -24,21 +24,16 @@ import math
 from math import sqrt
 from typing import NamedTuple
 
-from .errors import BracketError, DomainError, NumericalError, ValidationError
+from .errors import BracketError, ConvergenceError, DomainError, NumericalError, ValidationError
 from .noble_abel import na_pressure_vt, na_sound_speed
-from .numerics import _accept_rel, solve_monotone
+from .numerics import _ROOT_STEP, solve_monotone
 from .state import Closure
 from .types import GasParams, MixtureSpec, Model
 from .virial import vo1_pressure
 from .virial_cvt import cvt_temperature
 
-#: Relative tolerance on the mixture pressure solve.
-MVO1_TOL = 1e-13
-
 #: Iteration budget for the mixture pressure solve.
 MVO1_MAX_ITER = 100
-
-_ACCEPT_REL = _accept_rel(MVO1_TOL)  # the solve's converged Newton step, see solve_monotone
 
 
 def mna_coefficients(mix: MixtureSpec) -> GasParams:
@@ -132,49 +127,50 @@ def _solve_pressure(mix, rho_mix, T):
     The loop is Newton's path of :func:`~redeos.numerics.solve_monotone` on the
     residual ``v - v_mix`` with slope ``-S``.  Each component volume is convex and
     decreasing in P, so a step inside (P_lo, P_hi) lies inside the bracket that
-    solve_monotone narrows, and its stop test cannot fire before the converged-step
-    acceptance where its floor 1e-15 (P_hi - P_lo) lies below.  Where it does not,
-    where S is not in (0, inf), a step leaves the bracket or the budget runs out,
-    the result is solve_monotone's.  The refusals of :func:`mvo1_pressure`,
-    its 1e-12 volume contract among them, are made here.
+    solve_monotone narrows, and on a positive bracket its only stop on that path is
+    the converged step taken here.  Where S is not in (0, inf), a step leaves the
+    bracket or the budget runs out, the result is solve_monotone's.  The refusals
+    of :func:`mvo1_pressure`, its 1e-12 volume contract among them, are made here,
+    each naming rho and T.
     """
     R_min, R_max, a_n, terms = mix.virial
     if not (rho_mix > 0.0 and T > 0.0):
         raise DomainError(f"density and temperature must be positive, got rho={rho_mix!r}, T={T!r}")
     v_mix = 1.0 / rho_mix
     P_hi = rho_mix * R_max * T * (1.0 + a_n * rho_mix) * (1.0 + 1e-7)
-    if not P_hi < math.inf:  # solve_monotone's stop floor, 1e-15 (P_hi - P_lo), would be inf and pass any step
+    if not P_hi < math.inf:  # the solve could return P = inf there, with nan component densities
         raise NumericalError(f"the mixture pressure overflows at rho={rho_mix!r}, T={T!r}")
     P_lo = rho_mix * R_min * T * (1.0 - 1e-7)
     x0 = x = min(max(vo1_pressure(mix.mixed, rho_mix, T), P_lo), P_hi)
     P = None
     try:
-        if 1e-15 * (P_hi - P_lo) <= _ACCEPT_REL * P_lo:  # else solve_monotone's stop floor may end it sooner
-            for iterations in range(1, MVO1_MAX_ITER + 1):
-                volume = _, v, S = _mixture_volume(terms, x, T)
-                gx = v - v_mix
-                if gx == 0.0:
-                    return x, iterations, volume
-                if not 0.0 < S < math.inf:
-                    break
-                step = x - gx / -S
-                if not P_lo < step < P_hi:
-                    break
-                if abs(step - x) <= _ACCEPT_REL * abs(x):
-                    P = step
-                    break
-                x = step
+        for iterations in range(1, MVO1_MAX_ITER + 1):
+            volume = _, v, S = _mixture_volume(terms, x, T)
+            gx = v - v_mix
+            if gx == 0.0:
+                return x, iterations, volume
+            if not 0.0 < S < math.inf:
+                break
+            step = x - gx / -S
+            if not P_lo < step < P_hi:
+                break
+            if abs(step - x) <= _ROOT_STEP * abs(x):
+                P = step
+                break
+            x = step
         if P is None:
             def g(P):
                 _, v, S = _mixture_volume(terms, P, T)
                 return v - v_mix, -S
 
-            P, iterations = solve_monotone(g, P_lo, P_hi, tol_rel=MVO1_TOL, max_iter=MVO1_MAX_ITER, x0=x0)
+            P, iterations = solve_monotone(g, P_lo, P_hi, max_iter=MVO1_MAX_ITER, x0=x0)
         volume = _mixture_volume(terms, P, T)
     except ZeroDivisionError:  # a component density or its square underflows to zero
         raise NumericalError(f"the component densities underflow at rho={rho_mix!r}, T={T!r}") from None
     except BracketError:  # the bracket is analytic, so only nan or overflowing ends share a sign
         raise NumericalError(f"the mixture volume is degenerate at rho={rho_mix!r}, T={T!r}") from None
+    except ConvergenceError:
+        raise NumericalError(f"the mixture pressure solve runs out of iterations at rho={rho_mix!r}, T={T!r}") from None
     # v lies within (N - 1) 2^-53 v of the exact sum, so passing here keeps the exact residual
     # below 1e-12 for any mixture of fewer than 4,500 components
     if not abs(volume[1] - v_mix) <= 5e-13 * v_mix:
@@ -205,7 +201,8 @@ def mvo1_pressure(mix: MixtureSpec, rho_mix, T) -> Mvo1Solution:
     (1 + max_k(a_k) rho_mix N)], which is widened by a small margin to
     absorb rounding at analytic endpoints.  Raises :class:`NumericalError`
     naming rho_mix and T where the pressure overflows, a bracket end or a
-    component density degenerates or ``residual_rel`` exceeds 1e-12.
+    component density degenerates, the solve runs out of iterations or
+    ``residual_rel`` exceeds 1e-12.
     """
     P, iterations, (rhos, _, _) = _solve_pressure(mix, rho_mix, T)
     residual = _residual_rel(mix.virial[3], rhos, 1.0 / rho_mix)

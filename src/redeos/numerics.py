@@ -24,13 +24,9 @@ from . import virial_cvt
 STEP_FLOOR = 1e6 * sys.float_info.min
 
 
-def _accept_rel(tol_rel):
-    """The relative Newton step that :func:`solve_monotone` returns as converged, unevaluated."""
-    return (0.1 * tol_rel) ** 0.5
-
-
-_INVERT_TOL = 1e-13  # the relative root tolerance of the oracle's temperature inversions
-_INVERT_ACCEPT = _accept_rel(_INVERT_TOL)
+#: The relative root tolerance of :func:`solve_monotone` and the Newton step it returns unevaluated
+_ROOT_TOL = 1e-13
+_ROOT_STEP = (0.1 * _ROOT_TOL) ** 0.5
 
 
 class RootResult(NamedTuple):
@@ -38,8 +34,8 @@ class RootResult(NamedTuple):
     iterations: int
 
 
-def solve_monotone(g, lo, hi, *, tol_rel=1e-12, max_iter=100, x0=None) -> RootResult:
-    """Find the root of a monotone scalar function on a bracket.
+def solve_monotone(g, lo, hi, *, max_iter=100, x0=None) -> RootResult:
+    """Find the root of a monotone scalar function on a bracket, to a relative 1e-13.
 
     The residual is evaluated at both ends first: ends of one sign raise
     :class:`BracketError`, an end where it vanishes is returned after 0
@@ -47,10 +43,13 @@ def solve_monotone(g, lo, hi, *, tol_rel=1e-12, max_iter=100, x0=None) -> RootRe
     Newton steps where ``g`` gives a finite, non-zero slope of that
     orientation, Illinois-damped secant steps otherwise, each safeguarded by
     bisection so the iterate never leaves the bracket.  A Newton step
-    ``x + dx`` inside the bracket with ``|dx| <= sqrt(0.1 tol_rel) |x|`` is
+    ``x + dx`` inside the bracket with ``|dx| <= sqrt(0.1 tol) |x|`` is
     returned without evaluating ``g`` there: the step after it would move
-    by about ``|x g''/(2 g')| (dx/x)^2 |x|``, a tenth of ``tol_rel |x|``
-    where ``|x g''/(2 g')| <= 1``, as for every residual solved here.
+    by about ``|x g''/(2 g')| (dx/x)^2 |x|``, a tenth of ``tol |x|``
+    where ``|x g''/(2 g')| <= 1``, as for every residual solved here.  A
+    secant or bisection step is returned once its bracket is ``tol |x|``
+    wide.  A bracket that holds zero, where a root below eps times the
+    bracket is unresolvable, adds ``1e-15 (hi - lo)`` to both tests.
 
     Parameters
     ----------
@@ -60,8 +59,6 @@ def solve_monotone(g, lo, hi, *, tol_rel=1e-12, max_iter=100, x0=None) -> RootRe
         (or vanish).
     lo, hi : float
         Bracket endpoints.
-    tol_rel : float
-        Relative tolerance on the root.
     max_iter : int
         Iteration budget; exceeding it raises :class:`ConvergenceError`.
     x0 : float, optional
@@ -78,10 +75,7 @@ def solve_monotone(g, lo, hi, *, tol_rel=1e-12, max_iter=100, x0=None) -> RootRe
     # orientation is fixed for a monotone residual; never re-read it from the
     # damped endpoint values below (damping can underflow them to zero)
     sign_high = gh > 0.0
-    # roots below machine epsilon times the problem scale are unresolvable,
-    # so the relative criterion carries an absolute floor tied to the bracket
-    tol_floor = 1e-15 * (hi - lo)
-    accept_rel = _accept_rel(tol_rel)  # a converged Newton step, see above
+    tol_floor = 1e-15 * (hi - lo) if lo <= 0.0 <= hi else 0.0
     x = 0.5 * (lo + hi) if x0 is None else min(max(x0, lo), hi)
     side = 0
     for it in range(1, max_iter + 1):
@@ -93,7 +87,7 @@ def solve_monotone(g, lo, hi, *, tol_rel=1e-12, max_iter=100, x0=None) -> RootRe
         if d and -math.inf < d < math.inf and (d > 0.0) == sign_high:
             cand = x - gx / d
             if xl < cand < xh:
-                if abs(cand - x) <= accept_rel * abs(x):
+                if abs(cand - x) <= _ROOT_STEP * abs(x):
                     return RootResult(cand, it)
                 xn = cand
         # a Newton step taken above lies on the far side of x, so it stays
@@ -115,11 +109,13 @@ def solve_monotone(g, lo, hi, *, tol_rel=1e-12, max_iter=100, x0=None) -> RootRe
                 cand = (xl * gh - xh * gl) / denom
                 if xl < cand < xh:
                     xn = cand
-        if xn is None:
-            xn = 0.5 * (xl + xh)
+            if xn is None:
+                xn = 0.5 * (xl + xh)
+            span = xh - xl  # the bracket bounds the error of a secant or bisection step
+        else:
+            span = abs(xn - x)  # a Newton step is about x's distance from the root, so it bounds xn's error
 
-        tol = max(tol_rel * max(abs(x), abs(xn)), tol_floor)
-        if abs(xn - x) <= tol or (xh - xl) <= tol:
+        if span <= max(_ROOT_TOL * max(abs(x), abs(xn)), tol_floor):
             return RootResult(xn, it)
         x = xn
     raise ConvergenceError(f"no convergence within {max_iter} iterations (bracket [{xl:g}, {xh:g}])")
@@ -159,23 +155,21 @@ def _invert_temperature(p_fn, rho, P_target, T_guess, P_T, T_start):
     within 1e-4 T_guess of ``T_guess``, where it was differenced, and secant
     steps elsewhere, where a fixed slope is only a chord.  Every law here is
     linear in T, so from the oracle's seeded start the first step converges;
-    it is taken here at one pressure evaluation, under the rules by which
-    :func:`solve_monotone` returns it.  A start or step they refuse goes to
-    :func:`solve_monotone` from the same start, which reads the bracket
-    ends first.
+    it is taken here at one pressure evaluation, under the rule by which
+    :func:`solve_monotone` returns a converged Newton step.  A start or step
+    that rule refuses goes to :func:`solve_monotone` from the same start.
     """
     lo, hi, near = T_guess / 10.0, 10.0 * T_guess, 1e-4 * T_guess
     T = min(max(lo, T_start), hi)  # a nan start, from an overflowed seed, clips to lo
     if abs(T - T_guess) <= near and 0.0 < abs(P_T) < math.inf:  # a zero residual steps by zero
         step = T - (p_fn(rho, T) - P_target) / P_T
-        if lo < step < hi and abs(step - T) <= _INVERT_ACCEPT * abs(T):
+        if lo < step < hi and abs(step - T) <= _ROOT_STEP * abs(T):
             return step
 
     def g(T):
         return p_fn(rho, T) - P_target, (P_T if abs(T - T_guess) <= near else None)
 
-    # ends ten times apart keep the solver's absolute floor, 1e-15 of the bracket, a tenth of the tolerance
-    return solve_monotone(g, lo, hi, tol_rel=_INVERT_TOL, max_iter=200, x0=T).root
+    return solve_monotone(g, lo, hi, max_iter=200, x0=T).root
 
 
 class FdPartials(NamedTuple):
@@ -208,7 +202,10 @@ def _fd_partials(e_fn, p_fn, rho, T) -> FdPartials:
     erho = (e_fn(rho + hr, T) - e_fn(rho - hr, T)) / (2.0 * hr)
     pT = (p_fn(rho, T + hT) - p_fn(rho, T - hT)) / (2.0 * hT)
     prho = (p_fn(rho + hr, T) - p_fn(rho - hr, T)) / (2.0 * hr)
-    cp = (eT + pT / rho) - (erho + prho / rho - P / rho**2) * pT / prho
+    try:
+        cp = (eT + pT / rho) - (erho + prho / rho - P / rho**2) * pT / prho
+    except ZeroDivisionError:  # rho^2 underflows to zero, or P_rho is zero
+        raise NumericalError(f"the difference oracle divides by zero at rho={rho!r}, T={T!r}") from None
     return FdPartials(rho, P, eT, erho, pT, prho, (cp / eT) * prho)
 
 
@@ -242,8 +239,8 @@ def sound_speed_fd_oracle(e_fn, p_fn, rho, T) -> OracleSoundSpeed:
     pressure and 8 energy evaluations per call, each difference written out
     in place.  Raises
     :class:`NumericalError` naming (rho, T) where an inversion cannot
-    bracket its target: where P_T or P_rho is not finite or a target P + h
-    overflows.
+    bracket its target (where P_T or P_rho is not finite or a target P + h
+    overflows) or does not converge within its budget.
 
     Parameters
     ----------
@@ -261,8 +258,8 @@ def sound_speed_fd_oracle(e_fn, p_fn, rho, T) -> OracleSoundSpeed:
                     - e_fn(r_lo, _invert_temperature(p_fn, r_lo, P, T, P_T, T - P_rho * (r_lo - rho) / P_T))) / (2.0 * hr)
         dedP_rho = (e_fn(rho, _invert_temperature(p_fn, rho, P_hi, T, P_T, T + (P_hi - P) / P_T))
                     - e_fn(rho, _invert_temperature(p_fn, rho, P_lo, T, P_T, T + (P_lo - P) / P_T))) / (2.0 * hP)
-    except BracketError:  # a non-finite P_T or P_rho, or a target P + h that overflows
-        raise NumericalError(f"the difference oracle's inversions overflow at rho={rho!r}, T={T!r}") from None
+    except (BracketError, ConvergenceError):
+        raise NumericalError(f"the difference oracle's temperature inversions fail at rho={rho!r}, T={T!r}") from None
     c2_energy = (P / rho**2 - dedrho_P) / dedP_rho
     return OracleSoundSpeed(c2_energy=c2_energy, c2_gamma=partials.c2, partials=partials)
 

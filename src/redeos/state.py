@@ -57,9 +57,11 @@ def _na_pressure(params, rho, T):
 
 
 def _na_density(params, P, T):
-    rho = 1.0 / noble_abel.na_volume(params, P, T)
-    if not 1.0 / rho > params.b:
-        raise NumericalError(f"R T / P underflows against the covolume at P={P!r}, T={T!r}")
+    v = noble_abel.na_volume(params, P, T)
+    rho = 1.0 / v
+    if not (rho > 0.0 and 1.0 / rho > params.b):  # state_from_rho_T reads v back as 1/rho
+        raise NumericalError(f"R T / P {'overflows' if v == math.inf else 'underflows against the covolume'} "
+                             f"at P={P!r}, T={T!r}")
     return rho
 
 

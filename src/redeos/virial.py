@@ -152,6 +152,6 @@ def vo1_convexity(params: GasParams, rho, P, T) -> ConvexityReport:
         rho * P * ((R / Cv) * (1.0 + ar) + _div(1.0 + 2.0 * ar, 1.0 + ar)),  # rho^2 c^2
         _div(P, rho * R * Cv * (1.0 + ar)),
         -P / Cv,
-        _div(P * P * (1.0 + 2.0 * ar), R * Cv * (1.0 + ar) ** 2),
+        _div(P * P * (1.0 + 2.0 * ar), R * Cv * ((1.0 + ar) * (1.0 + ar))),  # a product overflows to inf
     )
     return ConvexityReport(convex=1.0 + 2.0 * ar > 0.0, criteria=criteria)

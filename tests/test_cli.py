@@ -238,17 +238,25 @@ class TestMixSweep:
         assert (code, out) == (2, "")
         assert err == f"E_VALIDATION: {named}\n"
 
-    def test_mvo1_state_outside_the_volume_contract_is_refused(self, capsys, tmp_path):
-        # the closure once printed 9.0000015e+72 MPa here and exited 0, while mvo1_pressure
-        # refuses the cell with a volume residual of 0.9989
+    def test_mvo1_wide_bracket_state_is_the_pressure_solve(self, capsys, tmp_path):
+        # the closure once printed 9.0000015e+72 MPa here and exited 0 while mvo1_pressure refused
+        # the cell with a volume residual of 0.9989; later both refused it, as solve_monotone stopped
+        # short of the root on a bracket 2e38 times its bottom.  Now the row is the converged
+        # pressure solve, where STIFF's part in a million takes nearly all the volume
         dbfile = tmp_path / "wide.eosdb"
         dbfile.write_text(''.join(f'[material "{name}" model VO1]\nR = {R}\na = {a}\nCv = 1000\n'
                                   'e_s_eff_kJ = 3000\nT_flame = 3000\n\n'
                                   for name, R, a in (("IDEAL", 300, 1e-300), ("STIFF", 350, 0.001))))
         code, out, err = run_cli(capsys, "mix-sweep", "IDEAL=0.999999,STIFF=0.000001", "--model", "mvo1",
                                  "--rho", "1e41", "--same-oxygen-balance", "--db", str(dbfile))
-        assert (code, out) == (3, "Y,rho_kg_m3,tflame_K,pmax_MPa,c_m_s\n")
-        assert err == "E_NUMERICAL: floating-point evaluation failed at --rho 1e41\n"
+        assert (code, err) == (0, "")
+        db = rx.load_material_db(dbfile)
+        mix = rx.MixtureSpec(((db.get("IDEAL", rx.Model.VO1), 0.999999), (db.get("STIFF", rx.Model.VO1), 0.000001)))
+        sol = rx.mvo1_pressure(mix, 1e41, rx.mixture_flame_temperature(mix))
+        assert sol.residual_rel <= 1e-12
+        header, rows = csv_rows(out)
+        assert header == ["Y", "rho_kg_m3", "tflame_K", "pmax_MPa", "c_m_s"] and len(rows) == 1
+        assert float(rows[0][3]) == pytest.approx(sol.P / 1e6, rel=1e-9)
 
     def test_ng_mixture_runs_only_with_declaration(self, capsys):
         argv = ["mix-sweep", "NC-13=0.5,NG=0.5", "--model", "mna", "--rho", "200"]

@@ -1,3 +1,4 @@
+import collections
 import math
 import random
 import re
@@ -6,9 +7,10 @@ import sys
 import pytest
 
 import redeos as rx
-from redeos.errors import BracketError, DomainError, EosError, ModelMismatchError, NumericalError, ValidationError
+from redeos.errors import (BracketError, ConvergenceError, DomainError, EosError, ModelMismatchError, NumericalError,
+                           ValidationError)
 from redeos.cli import _parse_range
-from redeos.mixture import MVO1_MAX_ITER, MVO1_TOL, _mixture_volume
+from redeos.mixture import MVO1_MAX_ITER, _mixture_volume
 from redeos.types import MODEL_FIELDS
 from redeos.virial import virial_density_pt
 
@@ -260,8 +262,8 @@ class TestMvo1Pressure:
 
     def test_wide_cells_return_a_converged_newton_step(self, db):
         # 2-4 components over rho 1e-3-2e3 kg/m3 and T 316-1e4 K; a Newton step below
-        # sqrt(0.1 MVO1_TOL) |P| is returned without a residual pass at it, against a
-        # reference that takes secant steps on the same residual down to 1e-15
+        # sqrt(1e-14) |P| is returned without a residual pass at it, against a reference
+        # that takes secant steps on the same residual until its bracket is within 1e-13 |P|
         rng = random.Random(2202)
         names = ("NC-13", "RDX", "HMX", "NG")
         iterations = []
@@ -273,7 +275,7 @@ class TestMvo1Pressure:
             rho, T = 10.0 ** rng.uniform(-3.0, 3.3), 10.0 ** rng.uniform(2.5, 4.0)
             sol = rx.mvo1_pressure(mix, rho, T)
             ref = rx.solve_monotone(lambda P: (_mixture_volume(mix.virial[3], P, T)[1] - 1.0 / rho, None),
-                                    0.5 * sol.P, 2.0 * sol.P, tol_rel=1e-15).root
+                                    0.5 * sol.P, 2.0 * sol.P).root
             iterations.append(sol.iterations)
             assert sol.residual_rel <= 1e-13
             assert abs(sol.P - ref) <= 1e-13 * ref
@@ -485,10 +487,12 @@ def _kernel_solve(mix, rho_mix, T):
         return v - v_mix, -S
 
     try:
-        P, iterations = rx.solve_monotone(g, P_lo, P_hi, tol_rel=MVO1_TOL, max_iter=MVO1_MAX_ITER,
+        P, iterations = rx.solve_monotone(g, P_lo, P_hi, max_iter=MVO1_MAX_ITER,
                                           x0=rx.vo1_pressure(mixed, rho_mix, T))
     except BracketError:  # the bracket is analytic, so only nan or overflowing ends share a sign
         raise NumericalError(f"the mixture volume is degenerate at rho={rho_mix!r}, T={T!r}") from None
+    except ConvergenceError:
+        raise NumericalError(f"the mixture pressure solve runs out of iterations at rho={rho_mix!r}, T={T!r}") from None
     rhos, v, S = _kernel_volume(terms, P, T)
     residual = abs(math.fsum([y / rho for (_, _, y, _), rho in zip(terms, rhos)]) - v_mix) / v_mix
     cp = 0.0
@@ -583,15 +587,19 @@ class TestInlineSolve:
 
     def test_wide_range_cells_are_the_kernel_solve(self):
         # the closures once returned 54 of these states although mvo1_pressure refuses their volume
-        # residual, and the inline loop would accept 2 states that solve_monotone's stop floor ends
-        # short of the root if wide brackets did not go to solve_monotone at once
-        refused = 0
+        # residual; 100 were refused on it while solve_monotone's stop floor, 1e-15 of the bracket,
+        # and its step test after a secant step ended them short of the root.  None is now, and
+        # every refusal names the cell, not the solver's bracket
+        refused = collections.Counter()
         for mix, rho, T in _wide_range_cells(2000, 2801):
             _assert_is_the_kernel_solve(mix, rho, T)
-            if _outcome(rx.mvo1_pressure, mix, rho, T)[1] is not None:
-                refused += 1
+            error = _outcome(rx.mvo1_pressure, mix, rho, T)[1]
+            if error is not None:
+                assert str(error).endswith(f" at rho={rho!r}, T={T!r}"), error
+                refused[str(error).split(" at rho=")[0]] += 1
                 assert _outcome(rx.mvo1_closure_from_rho_T, mix, rho, T)[1] is not None, (mix, rho, T)
-        assert refused > 50
+        assert refused == {"the mixture pressure overflows": 9, "the component densities underflow": 1,
+                           "the mixture pressure solve runs out of iterations": 1}
 
     def test_only_edge_cells_reach_solve_monotone(self, db, half_vo1, fallbacks):
         # the inline Newton paths alone serve the default-grid audits, as they serve the seeded cells

@@ -42,7 +42,7 @@ class TestSolveMonotone:
 
     def test_iteration_budget(self):
         with pytest.raises(ConvergenceError):
-            rx.solve_monotone(lambda x: (x**3 - 2.0, None), 0.0, 10.0, max_iter=1, tol_rel=1e-15)
+            rx.solve_monotone(lambda x: (x**3 - 2.0, None), 0.0, 10.0, max_iter=1)
 
     def test_newton_path_reports_iterations(self):
         result = rx.solve_monotone(lambda x: (x * x - 2.0, 2.0 * x), 0.0, 2.0, x0=1.5)
@@ -59,7 +59,7 @@ class TestSolveMonotone:
             seen.append(x)
             return x * x - 2.0, 2.0 * x
 
-        result = rx.solve_monotone(g, 0.0, 2.0, tol_rel=1e-13, x0=1.5)
+        result = rx.solve_monotone(g, 0.0, 2.0, x0=1.5)
         assert abs(result.root - math.sqrt(2.0)) <= 1e-13 * math.sqrt(2.0)
         assert result.iterations == 4 and len(seen) == 6 and seen[:2] == [0.0, 2.0]
         assert result.root not in seen
@@ -91,6 +91,13 @@ class TestSolveMonotone:
         result = rx.solve_monotone(g, 0.0, 10.0, x0=7.0)
         assert result.root == pytest.approx(2.0, rel=1e-12)
         assert 0.0 in seen and 10.0 in seen
+
+    def test_wide_positive_bracket_reaches_a_root_near_its_bottom(self):
+        # a volume-like residual, 1/x, slope-less on a bracket of 110 decades: an absolute stop
+        # floor of 1e-15 of the bracket, 1e85, once returned 7.9e80 for the root 1e-8, and a
+        # secant step that barely moved stopped such solves on its own size as well
+        result = rx.solve_monotone(lambda x: (1.0 / x - 1e8, None), 1e-10, 1e100)
+        assert abs(result.root - 1e-8) <= 1e-13 * 1e-8
 
     @given(st.floats(min_value=-500.0, max_value=500.0, allow_nan=False))
     def test_root_stays_inside_bracket(self, offset):
@@ -175,8 +182,9 @@ class TestSoundSpeedOracle:
     def test_evaluations_at_the_covolume_skip_edge(self, nc13_na):
         # at rho = 1/(1.01 b), where the audit starts to skip densities, the two
         # constant-pressure seeds lie 1.01e-4 T from T, outside the slope's neighbourhood;
-        # each takes 4 pressures by secant on the one wide bracket, 15 in all, where the
-        # Richardson differences took 23 and a re-solve on a widened bracket once took 31
+        # they take 4 and 5 pressures by secant on the one wide bracket, 16 in all (15 while a
+        # secant step could stop on its own size, not the bracket's), where the Richardson
+        # differences took 23 and a re-solve on a widened bracket once took 31
         calls = []
 
         def p_fn(rho, T):
@@ -184,7 +192,21 @@ class TestSoundSpeedOracle:
             return rx.na_pressure_vt(nc13_na, 1.0 / rho, T)
 
         rx.sound_speed_fd_oracle(lambda r, t: rx.cvt_energy(nc13_na, t), p_fn, 1.0 / (1.01 * nc13_na.b), 3000.0)
-        assert len(calls) == 15
+        assert len(calls) == 16
+
+    def test_inversion_out_of_budget_names_the_point(self, nc13_na, monkeypatch):
+        # the inversions at the covolume skip edge reach solve_monotone; a budget it runs out of
+        # is reported at the oracle's (rho, T), not at the inversion's bracket
+        def exhausted(*args, **kw):
+            raise ConvergenceError("no convergence within 200 iterations (bracket [300, 30000])")
+
+        monkeypatch.setattr(numerics, "solve_monotone", exhausted)
+        rho = 1.0 / (1.01 * nc13_na.b)
+        with pytest.raises(NumericalError) as caught:
+            rx.sound_speed_fd_oracle(lambda r, t: rx.cvt_energy(nc13_na, t),
+                                     lambda r, t: rx.na_pressure_vt(nc13_na, 1.0 / r, t), rho, 3000.0)
+        assert type(caught.value) is NumericalError
+        assert str(caught.value) == f"the difference oracle's temperature inversions fail at rho={rho!r}, T=3000.0"
 
     def test_forms_agree(self, nc13_vo1):
         oracle = rx.sound_speed_fd_oracle(
@@ -245,12 +267,14 @@ class TestTemperatureInversion:
     @pytest.mark.parametrize("P_T", [0.0, math.inf, -math.inf, math.nan], ids=["zero", "inf", "-inf", "nan"])
     def test_unusable_slope_falls_back_to_the_solver(self, P_T):
         # from the seeded start, a zero slope would divide by zero and an infinite one would
-        # return the start unconverged; both, and nan, leave the root to the slope-less solve
+        # return the start unconverged; both, and nan, leave the root to the slope-less solve,
+        # whose root leaves a residual of 1.5e-16 P (4.4e-16 while a secant step could stop
+        # on its own size)
         P = _curved_pressure(200.0, 3000.0)
         target = P * (1.0 + 1e-6)
         start = 3000.0 + (target - P) / _CURVED_P_T
         got = numerics._invert_temperature(_curved_pressure, 200.0, target, 3000.0, P_T, start)
-        assert got.hex() == "0x1.77001815b47cep+11"
+        assert got.hex() == "0x1.77001815b47d1p+11"
 
     @pytest.mark.parametrize("p_fn, target, side", [
         (_curved_pressure, -1.0, "below"),
@@ -530,14 +554,21 @@ class TestAuditRecord:
         ("NG", rx.Model.VO1, 1e153, 300.0),
         ("NC-13", rx.Model.VO1, 5.6234132519034906e156, 1e-10),
         ("NC-13", rx.Model.VO1_CVT, 1e-200, 1.7e308),
+        ("NC-13", rx.Model.VO1, 1e157, 1e-300),
     ])
     def test_convex_point_whose_criteria_overflow_to_zero_is_numerical(self, db, material, model, rho, T):
-        # criterion (b)'s rho R Cv (1 + a rho), or (d)'s R Cv(T), overflows to inf at a finite P, so the
-        # criterion is 0; the audit once refused it as an underflow with a DomainError
+        # criterion (b)'s rho R Cv (1 + a rho), or (d)'s R Cv(T) or (1 + a rho)^2, overflows to inf at a
+        # finite P, so the criterion is 0; the audit once refused it as an underflow with a DomainError,
+        # and the last point raised a bare OverflowError from (1 + a rho) ** 2
         params = db.get(material, model)
         assert 0.0 in rx.vo1_convexity(params, rho, rx.vo1_pressure(params, rho, T), T).criteria
         with pytest.raises(NumericalError, match=re.escape(f"criteria overflow at rho={rho!r}, T={T!r}")):
             rx.audit_record(params, [rho], [T])
+
+    def test_squared_density_underflow_is_numerical(self, db):
+        # rho^2 underflows to zero in the oracle's Cp; a bare ZeroDivisionError escaped
+        with pytest.raises(NumericalError, match=re.escape("oracle divides by zero at rho=1e-162, T=3000.0")):
+            rx.audit_record(db.get("NC-13", rx.Model.VO1), [1e-162], [3000.0])
 
     def test_convex_point_whose_criteria_overflow_to_nan_is_refused(self, db):
         # P^2 and R Cv(T) (1 + a rho)^2 both overflow, so criterion (d) is inf/inf; the point was

@@ -45,6 +45,11 @@ class TestNobleAbelStates:
         with pytest.raises(rx.NumericalError, match=r"underflows against the covolume"):
             rx.state_from_P_T(nc13_na, 1e306, 1e-300)
 
+    def test_overflowing_volume_is_numerical(self, nc13_na):
+        # R T / P overflows to an infinite volume, whose density 0 the check once divided by
+        with pytest.raises(rx.NumericalError, match=r"^R T / P overflows at P=1\.79e-291, T=1\.31e\+219$"):
+            rx.state_from_P_T(nc13_na, 1.79e-291, 1.31e219)
+
 
 class TestVirialStates:
     def test_input_pairs_agree(self, nc13_vo1):
