@@ -36,7 +36,6 @@ from .types import (
     InertRunRecord,
     MixtureSpec,
     Model,
-    ThermoState,
     convexity_signs_ok,
     require_model,
 )
@@ -83,9 +82,9 @@ from .materials import (
     save_material_db,
 )
 
-#: Exports of the modules that only some commands run, by module.  Each is
-#: imported on first access of one of its names, so `import redeos` and
-#: `eos state` do not compile or run them.
+#: Exports of the modules that only some commands run, by module.  Each is imported on first access of a
+#: name or by its first user, so `import redeos` runs none of them.  `thermo_state` holds `ThermoState`, the
+#: one dataclass (the other records are plain frozen classes), so only a full state imports `dataclasses`.
 _LAZY_EXPORTS = {
     "calibration": (
         "ClosedBombPrediction",
@@ -122,6 +121,7 @@ _LAZY_EXPORTS = {
         "solve_monotone",
         "sound_speed_fd_oracle",
     ),
+    "thermo_state": ("ThermoState",),
 }
 _HOME = {name: module for module, names in _LAZY_EXPORTS.items() for name in names}
 

@@ -22,12 +22,11 @@ from __future__ import annotations
 import importlib.resources
 import math
 import re
-from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
 from .constants import R_UNIVERSAL
 from .errors import ParseError, ValidationError
-from .types import MODEL_FIELDS, ClosedBombPoint, GasParams, InertGasParams, InertRunRecord, Model
+from .types import MODEL_FIELDS, ClosedBombPoint, GasParams, InertGasParams, InertRunRecord, Model, _Record
 
 #: Noble inert species usable in Cv(T) calibration runs.  Argon's heat
 #: capacity follows the usual monatomic tabulations; xenon is derived
@@ -51,11 +50,14 @@ class DbRecord(NamedTuple):
     note: str
 
 
-@dataclass
-class MaterialDatabase:
+class MaterialDatabase(_Record):
     """Map from (material name, model) to a parameter record."""
 
-    records: dict[tuple[str, Model], DbRecord]
+    __match_args__ = ("records",)
+    __setattr__, __delattr__, __hash__ = object.__setattr__, object.__delattr__, None  # mutable: no hash
+
+    def __init__(self, records: dict[tuple[str, Model], DbRecord]):
+        self.records = records
 
     @classmethod
     def empty(cls):
@@ -129,7 +131,7 @@ def _parse_material_db(lines: Iterable[str]) -> MaterialDatabase:
             name = m.group(1)
             try:
                 model = Model(m.group(2))
-            except ValueError:
+            except ValidationError:
                 raise ParseError(f"line {lineno}: unknown model {m.group(2)!r}") from None
             fields = {}
             continue

@@ -1,7 +1,7 @@
 """Full consistent-state assembly for any of the three gas models.
 
 Builders accept the three natural input pairs, (rho, T), (P, T) and
-(rho, e), and return a :class:`~redeos.types.ThermoState`.  A flow solver
+(rho, e), and return a :class:`~redeos.thermo_state.ThermoState`.  A flow solver
 that needs only P, T and the sound speed c of a cell calls
 :func:`closure_from_rho_e` (or :func:`closure_from_rho_T`) instead: the
 same values and refusals, without e, h, s, Cp and gamma.  A Noble-Abel
@@ -22,7 +22,7 @@ import math
 from typing import Callable, NamedTuple
 
 from .errors import DomainError, NumericalError, ValidationError
-from .types import GasParams, Model, ThermoState, _div
+from .types import GasParams, Model, _div
 from . import noble_abel, virial, virial_cvt
 
 
@@ -34,6 +34,12 @@ class Laws(NamedTuple):
     sound_speed: Callable   # c(params, rho, T, P)
     derived: Callable       # (s, Cp)(params, rho, T, P); s is None without a closed form
     convexity: Callable     # ConvexityReport(params, rho, P, T)
+
+
+def ThermoState(*fields):  # stands in until the first full state loads the class and binds it here
+    global ThermoState
+    from .thermo_state import ThermoState
+    return ThermoState(*fields)
 
 
 class Closure(NamedTuple):

@@ -1,15 +1,14 @@
 """Domain types shared by every module.
 
-All values are immutable once constructed, so they can be shared freely
-between threads.  Records with invariants validate them on construction,
-so anything constructed satisfies them; plain result records are
-``NamedTuple``s.
+All values are immutable once constructed, so they can be shared freely between threads.  Records with
+invariants validate them on construction, so anything constructed satisfies them; plain result records are
+``NamedTuple``s.  The validated records are plain frozen classes, since ``dataclasses`` took a third of the
+import time; ``ThermoState``, the one dataclass, loads with the first full state.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from typing import NamedTuple
@@ -19,7 +18,7 @@ from .errors import ModelMismatchError, ValidationError
 
 #: Tolerance on the mass-fraction closure sum of a mixture.
 MASS_FRACTION_TOL = 1e-12
-_INF = math.inf  # ThermoState's checks read a global, not math's attribute, on every state built
+_set = object.__setattr__
 
 
 class Model(str, Enum):
@@ -31,6 +30,10 @@ class Model(str, Enum):
 
     def __str__(self):  # "NA" rather than "Model.NA" in messages and files
         return self.value
+
+    @classmethod
+    def _missing_(cls, value):  # reached only by a value that names no model
+        raise ValidationError(f"unknown model {value!r}; expected NA, VO1 or VO1_CVT")
 
 
 def _positive(name, value):
@@ -59,8 +62,28 @@ MODEL_FIELDS = {
 _FIELD_CHECKS = (("Cv", _positive), ("Cv0", _positive), ("b", _covolume), ("a", _finite), ("c", _finite))
 
 
-@dataclass(frozen=True)
-class GasParams:
+class _Record:
+    """A frozen dataclass's equality, hash, repr and refused assignment, over ``__match_args__``."""
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return [getattr(self, n) for n in self.__match_args__] == [getattr(other, n) for n in other.__match_args__]
+
+    def __hash__(self):
+        return hash(tuple([getattr(self, n) for n in self.__match_args__]))
+
+    def __repr__(self):
+        return f"{self.__class__.__qualname__}({', '.join(f'{n}={getattr(self, n)!r}' for n in self.__match_args__)})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class GasParams(_Record):
     """Calibrated constants for the gas products of one reactive material.
 
     Which fields are meaningful depends on ``model``:
@@ -85,43 +108,48 @@ class GasParams:
     Cv0 + c T that every model shares; NA and VO1 records supply ``(Cv, 0)``.
     """
 
-    name: str
-    model: Model
-    R: float
-    Cv: float | None = None
-    b: float | None = None
-    a: float | None = None
-    Cv0: float | None = None
-    c: float | None = None
-    q: float = 0.0
-    e_s_eff: float | None = None
-    T_flame: float | None = None
-    gamma_cal: float | None = None
-    rho_range: tuple[float, float] | None = None
+    __match_args__ = ("name", "model", "R", "Cv", "b", "a", "Cv0", "c", "q", "e_s_eff", "T_flame", "gamma_cal",
+                      "rho_range")
 
-    def __post_init__(self):
-        object.__setattr__(self, "model", Model(self.model))
-        _positive("R", self.R)
-        _finite("q", self.q)
-        for key, check in _FIELD_CHECKS:
-            if key in MODEL_FIELDS[self.model]:
-                check(key, getattr(self, key))
-            elif getattr(self, key) is not None:
-                raise ValidationError(f"field {key!r} does not apply to model {self.model}")
-        if self.e_s_eff is not None:
-            _positive("e_s_eff", self.e_s_eff)
-        if self.T_flame is not None:
-            _positive("T_flame", self.T_flame)
-        if self.gamma_cal is not None and not self.gamma_cal > 1.0:
-            raise ValidationError(f"gamma_cal must exceed 1, got {self.gamma_cal!r}")
-        if self.rho_range is not None:
-            lo, hi = self.rho_range
+    def __init__(self, name, model, R, Cv=None, b=None, a=None, Cv0=None, c=None, q=0.0, e_s_eff=None,
+                 T_flame=None, gamma_cal=None, rho_range=None):
+        model = Model(model)
+        _positive("R", R)
+        _finite("q", q)
+        for (key, check), value in zip(_FIELD_CHECKS, (Cv, Cv0, b, a, c)):
+            if key in MODEL_FIELDS[model]:
+                check(key, value)
+            elif value is not None:
+                raise ValidationError(f"field {key!r} does not apply to model {model}")
+        if e_s_eff is not None:
+            _positive("e_s_eff", e_s_eff)
+        if T_flame is not None:
+            _positive("T_flame", T_flame)
+        if gamma_cal is not None and not gamma_cal > 1.0:
+            raise ValidationError(f"gamma_cal must exceed 1, got {gamma_cal!r}")
+        if rho_range is not None:
+            try:
+                lo, hi = rho_range
+            except (TypeError, ValueError):
+                raise ValidationError(f"rho_range must be a pair (lo, hi), got {rho_range!r}") from None
             _positive("rho_range[0]", lo)
             if not hi > lo:
-                raise ValidationError(f"rho_range must satisfy lo < hi, got {self.rho_range!r}")
-            object.__setattr__(self, "rho_range", (float(lo), float(hi)))
-        # set here rather than in a cached property, which would slow every later attribute load
-        object.__setattr__(self, "cv_law", (self.Cv, 0.0) if self.c is None else (self.Cv0, self.c))
+                raise ValidationError(f"rho_range must satisfy lo < hi, got {rho_range!r}")
+            rho_range = (float(lo), float(hi))
+        _set(self, "name", name)
+        _set(self, "model", model)
+        _set(self, "R", R)
+        _set(self, "Cv", Cv)
+        _set(self, "b", b)
+        _set(self, "a", a)
+        _set(self, "Cv0", Cv0)
+        _set(self, "c", c)
+        _set(self, "q", q)
+        _set(self, "e_s_eff", e_s_eff)
+        _set(self, "T_flame", T_flame)
+        _set(self, "gamma_cal", gamma_cal)
+        _set(self, "rho_range", rho_range)
+        _set(self, "cv_law", (Cv, 0.0) if c is None else (Cv0, c))  # a cached property would slow every load
 
     @classmethod
     def noble_abel(cls, name, R, b, Cv, **extra):
@@ -145,8 +173,7 @@ def require_model(params: GasParams, *models: Model):
     return params
 
 
-@dataclass(frozen=True)
-class InertGasParams:
+class InertGasParams(_Record):
     """Noble inert diluent used in temperature-varying closed-bomb runs.
 
     ``W_in`` is in g/mol to match the usual tabulations.  Noble gases have
@@ -154,75 +181,28 @@ class InertGasParams:
     their reference energy is zero.
     """
 
-    name: str
-    Cv_in: float           # J/(kg K)
-    W_in: float            # g/mol
+    __match_args__ = ("name", "Cv_in", "W_in")
 
-    def __post_init__(self):
-        _positive("Cv_in", self.Cv_in)
-        _positive("W_in", self.W_in)
-
-
-@dataclass(frozen=True, init=False)
-class ThermoState:
-    """One thermodynamically consistent point for a gas or a mixture.
-
-    Entropy is ``None`` for models without a closed-form entropy (the
-    Cv(T) virial variant).  P, T, rho, c, h, gamma and a given s are finite.
-
-    Every state builder returns one, so the constructor is written by hand
-    (``init=False``): it stores the ten fields in one write and checks a
-    valid state with one comparison chain.  ``dataclasses.replace`` and the
-    other dataclass helpers still apply.
-    """
-
-    P: float               # Pa
-    T: float               # K
-    rho: float             # kg/m3
-    v: float               # m3/kg
-    e: float               # J/kg
-    h: float               # J/kg
-    s: float | None        # J/(kg K)
-    c: float               # m/s
-    Cp: float              # J/(kg K)
-    gamma: float
-
-    def __init__(self, P, T, rho, v, e, h, s, c, Cp, gamma):
-        self.__dict__.update(P=P, T=T, rho=rho, v=v, e=e, h=h, s=s, c=c, Cp=Cp, gamma=gamma)
-        try:
-            if (0.0 < P < _INF and 0.0 < T < _INF and 0.0 < rho < _INF
-                    and abs(v * rho - 1.0) <= 1e-12 and 1.0 < gamma < _INF and 0.0 < c < _INF
-                    and abs(h) < _INF and (s is None or abs(s) < _INF)):
-                return
-        except TypeError:  # a None field, which the checks below name
-            pass
-        self._validate()  # the failure, with the message of the first failing check
-
-    def _validate(self):
-        _positive("P", self.P)
-        _positive("T", self.T)
-        _positive("rho", self.rho)
-        if abs(self.v * self.rho - 1.0) > 1e-12:
-            raise ValidationError(f"v and rho are inconsistent: v*rho = {self.v * self.rho!r}")
-        if not self.gamma > 1.0:
-            raise ValidationError(f"gamma must exceed 1, got {self.gamma!r}")
-        _positive("c", self.c)
-        for name in ("gamma", "h") if self.s is None else ("gamma", "h", "s"):
-            _finite(name, getattr(self, name))
+    def __init__(self, name, Cv_in, W_in):  # Cv_in in J/(kg K), W_in in g/mol
+        _positive("Cv_in", Cv_in)
+        _positive("W_in", W_in)
+        _set(self, "name", name)
+        _set(self, "Cv_in", Cv_in)
+        _set(self, "W_in", W_in)
 
 
-@dataclass(frozen=True)
-class ClosedBombPoint:
+class ClosedBombPoint(_Record):
     """One closed-bomb record: loading density and peak pressure."""
 
-    rho_load: float        # kg/m3
-    P_max: float           # Pa
+    __match_args__ = ("rho_load", "P_max")
 
-    def __post_init__(self):
-        _positive("rho_load", self.rho_load)
-        _positive("P_max", self.P_max)
-        if 1.0 / self.rho_load == math.inf:  # a subnormal density, whose v would overflow
-            raise ValidationError(f"loading density {self.rho_load!r} kg/m3 has no finite specific volume")
+    def __init__(self, rho_load, P_max):  # rho_load in kg/m3, P_max in Pa
+        _positive("rho_load", rho_load)
+        _positive("P_max", P_max)
+        if 1.0 / rho_load == math.inf:  # a subnormal density, whose v would overflow
+            raise ValidationError(f"loading density {rho_load!r} kg/m3 has no finite specific volume")
+        _set(self, "rho_load", rho_load)
+        _set(self, "P_max", P_max)
 
     @property
     def v(self):
@@ -230,8 +210,7 @@ class ClosedBombPoint:
         return 1.0 / self.rho_load
 
 
-@dataclass(frozen=True)
-class MixtureSpec:
+class MixtureSpec(_Record):
     """Ordered component list with mass fractions summing to one.
 
     ``oxygen_balance_declared_uniform`` is a user declaration that every
@@ -248,11 +227,10 @@ class MixtureSpec:
     record and raise :class:`ModelMismatchError`.
     """
 
-    components: tuple[tuple[GasParams, float], ...]
-    oxygen_balance_declared_uniform: bool = False
+    __match_args__ = ("components", "oxygen_balance_declared_uniform")
 
-    def __post_init__(self):
-        comps = tuple((gas, float(y)) for gas, y in self.components)
+    def __init__(self, components, oxygen_balance_declared_uniform=False):
+        comps = tuple((gas, float(y)) for gas, y in components)
         if not comps:
             raise ValidationError("mixture needs at least one component")
         for gas, y in comps:
@@ -261,7 +239,8 @@ class MixtureSpec:
         total = math.fsum(y for _, y in comps)
         if abs(total - 1.0) > MASS_FRACTION_TOL:
             raise ValidationError(f"mass fractions must sum to 1 within {MASS_FRACTION_TOL}, got {total!r}")
-        object.__setattr__(self, "components", comps)
+        _set(self, "components", comps)
+        _set(self, "oxygen_balance_declared_uniform", oxygen_balance_declared_uniform)
 
     @cached_property
     def mixed(self) -> GasParams:
@@ -301,17 +280,17 @@ class MixtureSpec:
         return model
 
 
-@dataclass(frozen=True)
-class InertRunRecord:
+class InertRunRecord(_Record):
     """One inert-diluted closed-bomb run used for Cv(T) fitting."""
 
-    Y: float           # reactant mass fraction
-    T_flame: float     # K
+    __match_args__ = ("Y", "T_flame")
 
-    def __post_init__(self):
-        if not 0.0 < self.Y <= 1.0:
-            raise ValidationError(f"reactant mass fraction must lie in (0,1], got {self.Y!r}")
-        _positive("T_flame", self.T_flame)
+    def __init__(self, Y, T_flame):  # Y the reactant mass fraction, T_flame in K
+        if not 0.0 < Y <= 1.0:
+            raise ValidationError(f"reactant mass fraction must lie in (0,1], got {Y!r}")
+        _positive("T_flame", T_flame)
+        _set(self, "Y", Y)
+        _set(self, "T_flame", T_flame)
 
 
 class EntropyReference(NamedTuple):
@@ -356,3 +335,10 @@ class FrozennessReport(NamedTuple):
 
     frozen: bool
     max_rel_spread: float
+
+
+def __getattr__(name):  # ThermoState loads with the first full state; see redeos.thermo_state
+    if name == "ThermoState":
+        from .thermo_state import ThermoState
+        return ThermoState
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -4,7 +4,10 @@ and a command loads only the library modules it runs.
 The Cv(T) fit, once the one numpy user, is plain Python, so every `eos`
 command runs in an interpreter started without site-packages.  `calibration`,
 `mixture` and `numerics` load on first use, so `import redeos` and `eos state`
-compile and run none of them.  The library import and the commands run in a
+compile and run none of them.  The validated records are plain frozen
+classes, and the one dataclass, `ThermoState`, loads with the first full
+state, so only `eos state` imports `dataclasses` and `inspect`, a third of
+the library's import time.  The library import and the commands run in a
 fresh interpreter here, so that no module the test runner has already
 imported can hide a regression.
 """
@@ -68,7 +71,8 @@ def test_every_command_runs_without_site_packages(tmp_path):
 _MODULES_CHILD = """
 import contextlib, io, json, sys
 import redeos, redeos.cli
-watched = ("redeos.calibration", "redeos.mixture", "redeos.numerics")
+watched = ("redeos.calibration", "redeos.mixture", "redeos.numerics", "redeos.thermo_state", "dataclasses",
+           "inspect")
 loaded = [["import", [m for m in watched if m in sys.modules], 0]]
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
@@ -83,20 +87,34 @@ def test_commands_load_only_the_modules_they_run(tmp_path):
     points.write_text("rho_kg_m3,pmax_MPa\n100,130.3\n150,214.1\n")
     e_s_i = f"{write_dilution_runs_csv(runs) / 1e3:.10g}"
     argvs = [
-        ["state", "NC-13", "--model", "vo1", "--rho", "100", "--T", "3000"],
         ["sweep", "NC-13", "--model", "na", "--rho", "50:150:50"],
         ["calibrate", "na", "--points", str(points), "--tflame", "3275", "--gamma", "1.207"],
         ["calibrate-cvt", "--runs", str(runs), "--inert", "argon", "--es-i", e_s_i],
+        ["mix-sweep", "NC-13=0.5,RDX=0.5", "--model", "mna", "--rho", "100", "--same-oxygen-balance"],
+        ["mix-sweep", "NC-13=0.5,RDX=0.5", "--model", "mvo1", "--rho", "100", "--same-oxygen-balance"],
+        ["audit", "NC-13", "--model", "vo1", "--rho", "100:200:100", "--T", "3000:3500:500"],
     ]
-    proc = subprocess.run(
-        [sys.executable, "-c", _MODULES_CHILD, json.dumps(argvs)],
-        capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": str(SRC)})
-    assert proc.returncode == 0, proc.stderr
-    # the sets accumulate: each step lists what is loaded after it
-    assert json.loads(proc.stdout) == [
+
+    def loaded(argvs):
+        proc = subprocess.run(
+            [sys.executable, "-c", _MODULES_CHILD, json.dumps(argvs)],
+            capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": str(SRC)})
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout)
+
+    # `state` runs in its own interpreter, so its row shows only what it loads
+    assert loaded([["state", "NC-13", "--model", "vo1", "--rho", "100", "--T", "3000"]]) == [
         ["import", [], 0],
-        ["state", [], 0],
+        ["state", ["redeos.thermo_state", "dataclasses", "inspect"], 0],
+    ]
+    # the sets accumulate: each step lists what is loaded after it
+    every = ["redeos.calibration", "redeos.mixture", "redeos.numerics"]
+    assert loaded(argvs) == [
+        ["import", [], 0],
         ["sweep", [], 0],
         ["calibrate", ["redeos.calibration"], 0],
         ["calibrate-cvt", ["redeos.calibration"], 0],
+        ["mix-sweep", every, 0],  # mixture imports numerics' root solver
+        ["mix-sweep", every, 0],
+        ["audit", every, 0],
     ]

@@ -33,7 +33,7 @@ class TestGasParams:
             rx.GasParams(name="x", model=rx.Model.NA, R=300.0, b=0.001, Cv=1500.0, a=0.002)
 
     def test_rejects_unknown_model(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError, match="^unknown model 'BOGUS'; expected NA, VO1 or VO1_CVT$"):
             rx.GasParams(name="x", model="BOGUS", R=300.0, b=0.001, Cv=1500.0)
 
     def test_rejects_bad_rho_range(self):
@@ -168,11 +168,54 @@ def test_result_records_keep_their_fields(record, fields):
     assert record._fields == fields
 
 
+def _one_gas_mix(y):
+    return rx.MixtureSpec(((rx.GasParams.noble_abel("x", R=300.0, b=0.001, Cv=1500.0), y),))
+
+
 @pytest.mark.parametrize("call, message", [
     (lambda: rx.GasParams.noble_abel("x", R=300.0, b=0.001, Cv=1500.0, gamma_cal=1.0),
      "gamma_cal must exceed 1, got 1.0"),
     (lambda: rx.MixtureSpec(()), "mixture needs at least one component"),
-], ids=["gamma-cal", "empty-mixture"])
+    (lambda: rx.GasParams(name="x", model="bogus", R=300.0, b=0.001, Cv=1500.0),
+     "unknown model 'bogus'; expected NA, VO1 or VO1_CVT"),
+    (lambda: rx.builtin_database().get("NC-13", "bogus"), "unknown model 'bogus'; expected NA, VO1 or VO1_CVT"),
+    (lambda: rx.GasParams.virial("x", R=300.0, a=0.002, Cv=1500.0, rho_range=(1.0,)),
+     "rho_range must be a pair (lo, hi), got (1.0,)"),
+    (lambda: rx.GasParams.virial("x", R=300.0, a=0.002, Cv=1500.0, rho_range=100.0),
+     "rho_range must be a pair (lo, hi), got 100.0"),
+    (lambda: rx.GasParams("x", "NA", -1.0, 1500.0, 0.001), "R must be positive and finite, got -1.0"),
+    (lambda: rx.GasParams.noble_abel("x", R=300.0, b=0.001, Cv=1500.0, q=math.nan), "q must be finite, got nan"),
+    (lambda: rx.GasParams("x", rx.Model.NA, 300.0, b=0.001), "Cv must be positive and finite, got None"),
+    (lambda: rx.GasParams.virial_cvt("x", R=300.0, a=0.002, Cv0=0.0, c=0.06),
+     "Cv0 must be positive and finite, got 0.0"),
+    (lambda: rx.GasParams.noble_abel("x", R=300.0, b=-0.001, Cv=1500.0), "covolume b must be >= 0, got -0.001"),
+    (lambda: rx.GasParams.virial("x", R=300.0, a=math.inf, Cv=1500.0), "a must be finite, got inf"),
+    (lambda: rx.GasParams.virial_cvt("x", R=300.0, a=0.002, Cv0=1400.0, c=math.nan), "c must be finite, got nan"),
+    (lambda: rx.GasParams("x", rx.Model.NA, 300.0, 1500.0, 0.001, 0.002), "field 'a' does not apply to model NA"),
+    (lambda: rx.GasParams.virial("x", R=300.0, a=0.002, Cv=1500.0, e_s_eff=0.0),
+     "e_s_eff must be positive and finite, got 0.0"),
+    (lambda: rx.GasParams.virial("x", R=300.0, a=0.002, Cv=1500.0, T_flame=-1.0),
+     "T_flame must be positive and finite, got -1.0"),
+    (lambda: rx.GasParams.virial("x", R=300.0, a=0.002, Cv=1500.0, rho_range=(0.0, 10.0)),
+     "rho_range[0] must be positive and finite, got 0.0"),
+    (lambda: rx.GasParams.virial("x", R=300.0, a=0.002, Cv=1500.0, rho_range=(150, 100)),
+     "rho_range must satisfy lo < hi, got (150, 100)"),
+    (lambda: rx.InertGasParams("argon", 0.0, 39.95), "Cv_in must be positive and finite, got 0.0"),
+    (lambda: rx.InertGasParams("argon", Cv_in=312.2, W_in=math.nan), "W_in must be positive and finite, got nan"),
+    (lambda: rx.ClosedBombPoint(0.0, 1e6), "rho_load must be positive and finite, got 0.0"),
+    (lambda: rx.ClosedBombPoint(rho_load=100.0, P_max=-1e6), "P_max must be positive and finite, got -1000000.0"),
+    (lambda: rx.ClosedBombPoint(1e-320, 1e6), "loading density 1e-320 kg/m3 has no finite specific volume"),
+    (lambda: _one_gas_mix(1.25), "mass fraction of 'x' out of [0,1]: 1.25"),
+    (lambda: _one_gas_mix(0.5), "mass fractions must sum to 1 within 1e-12, got 0.5"),
+    (lambda: rx.InertRunRecord(0.0, 2000.0), "reactant mass fraction must lie in (0,1], got 0.0"),
+    (lambda: rx.InertRunRecord(Y=1.5, T_flame=2000.0), "reactant mass fraction must lie in (0,1], got 1.5"),
+    (lambda: rx.InertRunRecord(0.5, -1.0), "T_flame must be positive and finite, got -1.0"),
+    (lambda: rx.MaterialDatabase({}).get("NC-13", "NA"), "material 'NC-13' with model NA is not in the database"),
+], ids=["gamma-cal", "empty-mixture", "unknown-model", "db-unknown-model", "short-rho-range", "scalar-rho-range",
+        "negative-R", "nan-q", "missing-Cv", "zero-Cv0", "negative-b", "infinite-a", "nan-c", "foreign-field",
+        "zero-e-s-eff", "negative-T-flame", "zero-rho-range-lo", "reversed-rho-range", "zero-Cv-in", "nan-W-in",
+        "zero-rho-load", "negative-P-max", "subnormal-rho-load", "fraction-above-one", "fractions-short-of-one",
+        "zero-Y", "Y-above-one", "negative-run-T-flame", "absent-record"])
 def test_refusals_name_their_input(call, message):
     with pytest.raises(ValidationError) as raised:
         call()
