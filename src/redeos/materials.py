@@ -22,6 +22,7 @@ from __future__ import annotations
 import importlib.resources
 import math
 import re
+from functools import cache
 from typing import Iterable, NamedTuple
 
 from .constants import R_UNIVERSAL
@@ -159,11 +160,15 @@ def _parse_material_db(lines: Iterable[str]) -> MaterialDatabase:
 
 
 def save_material_db(path, db: MaterialDatabase):
-    """Write the database; load(save(load(x))) reproduces the records."""
+    """Write the database for load to read back; a name or note it could not read raises ValidationError first."""
     lines = []
     for (name, model) in sorted(db.records, key=lambda k: (k[0], k[1].value)):
         record = db.records[(name, model)]
         p = record.params
+        if not (isinstance(name, str) and '"' not in name and name.splitlines() == [name]):
+            raise ValidationError(f"record {name!r} ({model}): a saved name is a one-line string without '\"'")
+        if record.note and not (isinstance(record.note, str) and record.note.splitlines() == [record.note]):
+            raise ValidationError(f"record {name!r} ({model}): a saved note is one line, got {record.note!r}")
         lines.append(f'[material "{name}" model {model}]')
         lines.append(f"R = {p.R!r}")
         lines.extend(f"{key} = {getattr(p, key)!r}" for key in MODEL_FIELDS[model])
@@ -179,16 +184,11 @@ def save_material_db(path, db: MaterialDatabase):
         fh.write("\n".join(lines))
 
 
-_BUILTIN_CACHE: MaterialDatabase | None = None
-
-
+@cache
 def builtin_database() -> MaterialDatabase:
-    """Packaged database of calibrated materials."""
-    global _BUILTIN_CACHE
-    if _BUILTIN_CACHE is None:
-        text = importlib.resources.files("redeos").joinpath("data/materials.eosdb").read_text("utf-8")
-        _BUILTIN_CACHE = _parse_material_db(text.splitlines())
-    return _BUILTIN_CACHE
+    """Packaged database of calibrated materials, read once."""
+    text = importlib.resources.files("redeos").joinpath("data/materials.eosdb").read_text("utf-8")
+    return _parse_material_db(text.splitlines())
 
 
 def _parse_csv_rows(path, header: str, units):

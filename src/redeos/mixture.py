@@ -9,13 +9,13 @@ record and stays explicit: its laws are the kernels of
 :mod:`redeos.noble_abel` applied to it.  The virial mixture couples the
 component densities through the pressure and needs a scalar iterative
 solve, :func:`_solve_pressure`: Newton's path runs inline, off it the solve
-falls back to :func:`~redeos.numerics.solve_monotone`, and every entry point
-gets its 1e-12 volume contract from it.  The component density root of
-:func:`~redeos.virial.virial_density_pt` and the Cp of
-:func:`~redeos.virial.vo1_cp` are written inline in their kernels' operation
-order, and tests bind them to the kernels bit for bit.  A flow solver's cell
-update calls :func:`mvo1_closure_from_rho_e`, which takes c from the
-component densities of the solve's last pass: one solve per cell.
+falls back to :func:`~redeos.numerics.solve_monotone`, both within the one
+iteration budget, and every entry point gets its 1e-12 volume contract from
+it.  The component density root of :func:`~redeos.virial.virial_density_pt`
+and the Cp of :func:`~redeos.virial.vo1_cp` are written inline in their
+kernels' operation order, and tests bind them to the kernels bit for bit.  A
+flow solver's cell update calls :func:`mvo1_closure_from_rho_e`, which takes
+c from the component densities of the solve's last pass: one solve per cell.
 """
 
 from __future__ import annotations
@@ -26,22 +26,17 @@ from typing import NamedTuple
 
 from .errors import BracketError, ConvergenceError, DomainError, NumericalError, ValidationError
 from .noble_abel import na_pressure_vt, na_sound_speed
-from .numerics import _ROOT_STEP, solve_monotone
+from .numerics import _ROOT_MAX_ITER, _ROOT_STEP, solve_monotone
 from .state import Closure
-from .types import GasParams, MixtureSpec, Model
+from .types import GasParams, MixtureSpec, Model, require_model
 from .virial import vo1_pressure
 from .virial_cvt import cvt_temperature
-
-#: Iteration budget for the mixture pressure solve.
-MVO1_MAX_ITER = 100
 
 
 def mna_coefficients(mix: MixtureSpec) -> GasParams:
     """The Noble-Abel mixture record: mass-weighted R, Cv, q and b."""
-    mixed = mix.mixed
-    if mixed.b is None:  # only NA records carry b
-        mix.uniform_model(Model.NA)
-    return mixed
+    mixed = mix.mixed  # only NA records carry b; one identity test keeps this path cheap
+    return mixed if mixed.b is not None else require_model(mixed, Model.NA)
 
 
 class MnaState(NamedTuple):
@@ -144,7 +139,7 @@ def _solve_pressure(mix, rho_mix, T):
     x0 = x = min(max(vo1_pressure(mix.mixed, rho_mix, T), P_lo), P_hi)
     P = None
     try:
-        for iterations in range(1, MVO1_MAX_ITER + 1):
+        for iterations in range(1, _ROOT_MAX_ITER + 1):
             volume = _, v, S = _mixture_volume(terms, x, T)
             gx = v - v_mix
             if gx == 0.0:
@@ -163,7 +158,7 @@ def _solve_pressure(mix, rho_mix, T):
                 _, v, S = _mixture_volume(terms, P, T)
                 return v - v_mix, -S
 
-            P, iterations = solve_monotone(g, P_lo, P_hi, max_iter=MVO1_MAX_ITER, x0=x0)
+            P, iterations = solve_monotone(g, P_lo, P_hi, x0=x0)
         volume = _mixture_volume(terms, P, T)
     except ZeroDivisionError:  # a component density or its square underflows to zero
         raise NumericalError(f"the component densities underflow at rho={rho_mix!r}, T={T!r}") from None

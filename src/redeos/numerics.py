@@ -1,10 +1,10 @@
 """Shared numerical machinery.
 
-Scalar root solving for monotone residuals, central differences at a
-relative step of 1e-6 (an O(h^2) truncation error that rounding
-dominates), a finite-difference frozen sound-speed oracle that stays
-independent of any closed-form sound speed, a generic convexity audit,
-and the grid consistency audit of a record's closed forms against them.
+Scalar root solving for monotone residuals to one tolerance within one
+iteration budget, central differences at a relative step of 1e-6 (an O(h^2)
+truncation error that rounding dominates), a finite-difference frozen
+sound-speed oracle independent of any closed-form sound speed, a generic
+convexity audit, and the grid audit of a record's closed forms against them.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ STEP_FLOOR = 1e6 * sys.float_info.min
 #: The relative root tolerance of :func:`solve_monotone` and the Newton step it returns unevaluated
 _ROOT_TOL = 1e-13
 _ROOT_STEP = (0.1 * _ROOT_TOL) ** 0.5
+_ROOT_MAX_ITER = 200  # the iteration budget of every solve: solve_monotone's and the MVO1 solve's inline loop
 
 
 class RootResult(NamedTuple):
@@ -34,8 +35,8 @@ class RootResult(NamedTuple):
     iterations: int
 
 
-def solve_monotone(g, lo, hi, *, max_iter=100, x0=None) -> RootResult:
-    """Find the root of a monotone scalar function on a bracket, to a relative 1e-13.
+def solve_monotone(g, lo, hi, *, x0=None) -> RootResult:
+    """Find the root of a monotone scalar function on a bracket, to a relative 1e-13 in 200 iterations.
 
     The residual is evaluated at both ends first: ends of one sign raise
     :class:`BracketError`, an end where it vanishes is returned after 0
@@ -49,7 +50,8 @@ def solve_monotone(g, lo, hi, *, max_iter=100, x0=None) -> RootResult:
     where ``|x g''/(2 g')| <= 1``, as for every residual solved here.  A
     secant or bisection step is returned once its bracket is ``tol |x|``
     wide.  A bracket that holds zero, where a root below eps times the
-    bracket is unresolvable, adds ``1e-15 (hi - lo)`` to both tests.
+    bracket is unresolvable, adds ``1e-15 (hi - lo)`` to both tests.  A
+    solve that needs more iterations raises :class:`ConvergenceError`.
 
     Parameters
     ----------
@@ -59,8 +61,6 @@ def solve_monotone(g, lo, hi, *, max_iter=100, x0=None) -> RootResult:
         (or vanish).
     lo, hi : float
         Bracket endpoints.
-    max_iter : int
-        Iteration budget; exceeding it raises :class:`ConvergenceError`.
     x0 : float, optional
         Initial guess, clipped into the bracket.
     """
@@ -78,7 +78,7 @@ def solve_monotone(g, lo, hi, *, max_iter=100, x0=None) -> RootResult:
     tol_floor = 1e-15 * (hi - lo) if lo <= 0.0 <= hi else 0.0
     x = 0.5 * (lo + hi) if x0 is None else min(max(x0, lo), hi)
     side = 0
-    for it in range(1, max_iter + 1):
+    for it in range(1, _ROOT_MAX_ITER + 1):
         gx, d = g(x)
         if gx == 0.0:
             return RootResult(x, it)
@@ -118,7 +118,7 @@ def solve_monotone(g, lo, hi, *, max_iter=100, x0=None) -> RootResult:
         if span <= max(_ROOT_TOL * max(abs(x), abs(xn)), tol_floor):
             return RootResult(xn, it)
         x = xn
-    raise ConvergenceError(f"no convergence within {max_iter} iterations (bracket [{xl:g}, {xh:g}])")
+    raise ConvergenceError(f"no convergence within {_ROOT_MAX_ITER} iterations (bracket [{xl:g}, {xh:g}])")
 
 
 def _fd_step(x, scale_floor):
@@ -169,7 +169,7 @@ def _invert_temperature(p_fn, rho, P_target, T_guess, P_T, T_start):
     def g(T):
         return p_fn(rho, T) - P_target, (P_T if abs(T - T_guess) <= near else None)
 
-    return solve_monotone(g, lo, hi, max_iter=200, x0=T).root
+    return solve_monotone(g, lo, hi, x0=T).root
 
 
 class FdPartials(NamedTuple):

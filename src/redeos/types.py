@@ -3,7 +3,7 @@
 All values are immutable once constructed, so they can be shared freely between threads.  Records with
 invariants validate them on construction, so anything constructed satisfies them; plain result records are
 ``NamedTuple``s.  The validated records are plain frozen classes, since ``dataclasses`` took a third of the
-import time; ``ThermoState``, the one dataclass, loads with the first full state.
+import time; ``ThermoState``, the one dataclass, lives in :mod:`redeos.thermo_state`.
 """
 
 from __future__ import annotations
@@ -36,18 +36,26 @@ class Model(str, Enum):
         raise ValidationError(f"unknown model {value!r}; expected NA, VO1 or VO1_CVT")
 
 
+def _is_finite(value):
+    """``math.isfinite``, and False where it refuses the value (None, a string, an int beyond any float)."""
+    try:
+        return math.isfinite(value)
+    except (TypeError, OverflowError):
+        return False
+
+
 def _positive(name, value):
-    if value is None or not math.isfinite(value) or value <= 0.0:
+    if not (_is_finite(value) and value > 0.0):
         raise ValidationError(f"{name} must be positive and finite, got {value!r}")
 
 
 def _finite(name, value):
-    if value is None or not math.isfinite(value):
+    if not _is_finite(value):
         raise ValidationError(f"{name} must be finite, got {value!r}")
 
 
 def _covolume(name, value):
-    if value is None or not math.isfinite(value) or value < 0.0:
+    if not (_is_finite(value) and value >= 0.0):
         raise ValidationError(f"covolume {name} must be >= 0, got {value!r}")
 
 
@@ -82,6 +90,10 @@ class _Record:
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
 
+    def _store(self, *values):  # the fields, in __match_args__ order
+        for name, value in zip(self.__match_args__, values):
+            _set(self, name, value)  # not self.__dict__, which would slow every later field read
+
 
 class GasParams(_Record):
     """Calibrated constants for the gas products of one reactive material.
@@ -113,7 +125,8 @@ class GasParams(_Record):
 
     def __init__(self, name, model, R, Cv=None, b=None, a=None, Cv0=None, c=None, q=0.0, e_s_eff=None,
                  T_flame=None, gamma_cal=None, rho_range=None):
-        model = Model(model)
+        if model.__class__ is not Model:  # Model(model) costs a Python-level call even for a member
+            model = Model(model)
         _positive("R", R)
         _finite("q", q)
         for (key, check), value in zip(_FIELD_CHECKS, (Cv, Cv0, b, a, c)):
@@ -121,34 +134,22 @@ class GasParams(_Record):
                 check(key, value)
             elif value is not None:
                 raise ValidationError(f"field {key!r} does not apply to model {model}")
-        if e_s_eff is not None:
-            _positive("e_s_eff", e_s_eff)
-        if T_flame is not None:
-            _positive("T_flame", T_flame)
-        if gamma_cal is not None and not gamma_cal > 1.0:
-            raise ValidationError(f"gamma_cal must exceed 1, got {gamma_cal!r}")
+        for key, value in (("e_s_eff", e_s_eff), ("T_flame", T_flame)):
+            if value is not None:
+                _positive(key, value)
+        if gamma_cal is not None and not (_is_finite(gamma_cal) and gamma_cal > 1.0):
+            raise ValidationError(f"gamma_cal must be finite and exceed 1, got {gamma_cal!r}")
         if rho_range is not None:
             try:
                 lo, hi = rho_range
             except (TypeError, ValueError):
                 raise ValidationError(f"rho_range must be a pair (lo, hi), got {rho_range!r}") from None
             _positive("rho_range[0]", lo)
+            _positive("rho_range[1]", hi)
             if not hi > lo:
                 raise ValidationError(f"rho_range must satisfy lo < hi, got {rho_range!r}")
             rho_range = (float(lo), float(hi))
-        _set(self, "name", name)
-        _set(self, "model", model)
-        _set(self, "R", R)
-        _set(self, "Cv", Cv)
-        _set(self, "b", b)
-        _set(self, "a", a)
-        _set(self, "Cv0", Cv0)
-        _set(self, "c", c)
-        _set(self, "q", q)
-        _set(self, "e_s_eff", e_s_eff)
-        _set(self, "T_flame", T_flame)
-        _set(self, "gamma_cal", gamma_cal)
-        _set(self, "rho_range", rho_range)
+        self._store(name, model, R, Cv, b, a, Cv0, c, q, e_s_eff, T_flame, gamma_cal, rho_range)
         _set(self, "cv_law", (Cv, 0.0) if c is None else (Cv0, c))  # a cached property would slow every load
 
     @classmethod
@@ -167,9 +168,8 @@ class GasParams(_Record):
 def require_model(params: GasParams, *models: Model):
     """Raise :class:`ModelMismatchError` unless ``params`` carries one of ``models``."""
     if params.model not in models:
-        wanted = " or ".join(str(m) for m in models)
         raise ModelMismatchError(
-            f"operation requires a {wanted} record, got {params.model} ({params.name!r})")
+            f"operation requires a {' or '.join(map(str, models))} record, got {params.model} ({params.name!r})")
     return params
 
 
@@ -186,9 +186,7 @@ class InertGasParams(_Record):
     def __init__(self, name, Cv_in, W_in):  # Cv_in in J/(kg K), W_in in g/mol
         _positive("Cv_in", Cv_in)
         _positive("W_in", W_in)
-        _set(self, "name", name)
-        _set(self, "Cv_in", Cv_in)
-        _set(self, "W_in", W_in)
+        self._store(name, Cv_in, W_in)
 
 
 class ClosedBombPoint(_Record):
@@ -201,8 +199,7 @@ class ClosedBombPoint(_Record):
         _positive("P_max", P_max)
         if 1.0 / rho_load == math.inf:  # a subnormal density, whose v would overflow
             raise ValidationError(f"loading density {rho_load!r} kg/m3 has no finite specific volume")
-        _set(self, "rho_load", rho_load)
-        _set(self, "P_max", P_max)
+        self._store(rho_load, P_max)
 
     @property
     def v(self):
@@ -230,22 +227,25 @@ class MixtureSpec(_Record):
     __match_args__ = ("components", "oxygen_balance_declared_uniform")
 
     def __init__(self, components, oxygen_balance_declared_uniform=False):
-        comps = tuple((gas, float(y)) for gas, y in components)
+        comps = []
+        for gas, y in components:
+            if not (_is_finite(y) and 0.0 <= y <= 1.0):
+                raise ValidationError(f"mass fraction of {gas.name!r} out of [0,1]: {y!r}")
+            comps.append((gas, float(y)))
         if not comps:
             raise ValidationError("mixture needs at least one component")
-        for gas, y in comps:
-            if not 0.0 <= y <= 1.0:
-                raise ValidationError(f"mass fraction of {gas.name!r} out of [0,1]: {y!r}")
         total = math.fsum(y for _, y in comps)
         if abs(total - 1.0) > MASS_FRACTION_TOL:
             raise ValidationError(f"mass fractions must sum to 1 within {MASS_FRACTION_TOL}, got {total!r}")
-        _set(self, "components", comps)
-        _set(self, "oxygen_balance_declared_uniform", oxygen_balance_declared_uniform)
+        self._store(tuple(comps), oxygen_balance_declared_uniform)
 
     @cached_property
     def mixed(self) -> GasParams:
-        model = self.uniform_model()
         pairs = self.components
+        model, *others = {gas.model for gas, _ in pairs}
+        if others:
+            found = ", ".join(sorted(map(str, [model, *others])))
+            raise ModelMismatchError(f"mixture components use different models: {found}")
         keys = ("R", *MODEL_FIELDS[model], "q")
         if all(gas.e_s_eff is not None for gas, _ in pairs):
             keys += ("e_s_eff",)
@@ -257,7 +257,7 @@ class MixtureSpec(_Record):
         """``(min R_k, max R_k, N max a_k, terms)``: the bracket constants of the virial
         mixture's pressure solve and the ``(R_k, a_k, Y_k, Cv_k)`` of each component, all
         that solve and its sound speed read.  It needs VO1 components with a > 0."""
-        self.uniform_model(Model.VO1)
+        require_model(self.mixed, Model.VO1)
         pairs = self.components
         for gas, _ in pairs:
             if not gas.a > 0.0:
@@ -267,18 +267,6 @@ class MixtureSpec(_Record):
         terms = tuple((gas.R, gas.a, y, gas.Cv) for gas, y in pairs)
         return min(Rs), max(Rs), max(gas.a for gas, _ in pairs) * len(pairs), terms
 
-    def uniform_model(self, *allowed: Model) -> Model:
-        """Return the shared model of all components, checking it is allowed."""
-        models = {gas.model for gas, _ in self.components}
-        if len(models) != 1:
-            found = ", ".join(sorted(str(m) for m in models))
-            raise ModelMismatchError(f"mixture components use different models: {found}")
-        model = models.pop()
-        if allowed and model not in allowed:
-            wanted = " or ".join(str(m) for m in allowed)
-            raise ModelMismatchError(f"mixture rule requires {wanted} components, got {model}")
-        return model
-
 
 class InertRunRecord(_Record):
     """One inert-diluted closed-bomb run used for Cv(T) fitting."""
@@ -286,11 +274,10 @@ class InertRunRecord(_Record):
     __match_args__ = ("Y", "T_flame")
 
     def __init__(self, Y, T_flame):  # Y the reactant mass fraction, T_flame in K
-        if not 0.0 < Y <= 1.0:
+        if not (_is_finite(Y) and 0.0 < Y <= 1.0):
             raise ValidationError(f"reactant mass fraction must lie in (0,1], got {Y!r}")
         _positive("T_flame", T_flame)
-        _set(self, "Y", Y)
-        _set(self, "T_flame", T_flame)
+        self._store(Y, T_flame)
 
 
 class EntropyReference(NamedTuple):
@@ -335,10 +322,3 @@ class FrozennessReport(NamedTuple):
 
     frozen: bool
     max_rel_spread: float
-
-
-def __getattr__(name):  # ThermoState loads with the first full state; see redeos.thermo_state
-    if name == "ThermoState":
-        from .thermo_state import ThermoState
-        return ThermoState
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -21,7 +21,7 @@ import pytest
 import redeos
 from redeos.mixture import MnaState, Mvo1Solution
 from redeos.numerics import RootResult
-from redeos.types import ThermoState
+from redeos.thermo_state import ThermoState
 
 BENCH = pathlib.Path(__file__).resolve().parents[1] / "benchmarks"
 
@@ -102,6 +102,16 @@ def test_closure_operations_exist():
 def test_result_fields_read_by_the_checks_exist(result, fields):
     names = set(result._fields) if hasattr(result, "_fields") else {f.name for f in dataclasses.fields(result)}
     assert fields <= names
+
+
+@pytest.mark.parametrize("build, y", [("state_from_rho_e", 3e6), ("state_from_rho_T", 3000.0),
+                                      ("state_from_P_T", 1e8)])
+def test_built_states_survive_replace(build, y):
+    # the harness' own tests perturb c of a built state with dataclasses.replace; tier-1 does not run them
+    state = getattr(redeos, build)(redeos.builtin_database().get("NC-13", "VO1"), 100.0, y)
+    wrong = dataclasses.replace(state, c=state.c * (1.0 + 1e-5))
+    assert type(state) is type(wrong) is ThermoState and wrong.c == state.c * (1.0 + 1e-5)
+    assert dataclasses.replace(wrong, c=state.c) == state
 
 
 @pytest.mark.parametrize("keyword", MIXTURE_KEYWORDS)

@@ -90,6 +90,20 @@ class TestCalibrate:
         saved = rx.load_material_db(dbfile)
         assert saved.get("NC-13", rx.Model.NA).R == pytest.approx(338.83, rel=1e-4)
 
+    @pytest.mark.parametrize("name", ['a"b', "a\nb"], ids=["quote", "newline"])
+    @pytest.mark.parametrize("existing", [None, '[material "X" model NA]\nR = 300\nb = 0.001\nCv = 1500\n'],
+                             ids=["new-db", "existing-db"])
+    def test_unreadable_name_leaves_the_database_untouched(self, capsys, points_nc13, tmp_path, name, existing):
+        # the record is refused before the file is opened: exit 2, stdout empty, the file as it was
+        dbfile = tmp_path / "x.eosdb"
+        if existing is not None:
+            dbfile.write_text(existing)
+        code, out, err = run_cli(capsys, "calibrate", "na", "--points", points_nc13, "--tflame", "3275",
+                                 "--gamma", "1.207", "--name", name, "--db", str(dbfile))
+        assert (code, out) == (2, "")
+        assert err == f"E_VALIDATION: record {name!r} (NA): a saved name is a one-line string without '\"'\n"
+        assert (dbfile.read_text() if existing else dbfile.exists()) == (existing or False)
+
 
 class TestCalibrateCvt:
     def test_recovers_published_cvt_parameters(self, capsys, tmp_path):

@@ -91,6 +91,37 @@ class TestMaterialDatabase:
         rx.save_material_db(path2, again)
         assert path.read_text() == path2.read_text()
 
+    @pytest.mark.parametrize("name, note, message", [
+        ('a"b', "", "record 'a\"b' (NA): a saved name is a one-line string without '\"'"),
+        ("a\nb", "", "record 'a\\nb' (NA): a saved name is a one-line string without '\"'"),
+        ("a\u2028b", "", "record 'a\\u2028b' (NA): a saved name is a one-line string without '\"'"),
+        ("", "", "record '' (NA): a saved name is a one-line string without '\"'"),
+        (5, "", "record 5 (NA): a saved name is a one-line string without '\"'"),
+        ("ab", "one\rtwo", "record 'ab' (NA): a saved note is one line, got 'one\\rtwo'"),
+        ("ab", "one\n", "record 'ab' (NA): a saved note is one line, got 'one\\n'"),
+        ("ab", 5, "record 'ab' (NA): a saved note is one line, got 5"),
+    ], ids=["quote", "newline", "line-separator", "empty", "number", "note-return", "note-trailing-newline",
+            "number-note"])
+    def test_save_refuses_what_load_cannot_read_back(self, tmp_path, name, note, message):
+        # each would write a header or note line that the parser refuses or reads back otherwise
+        db = rx.MaterialDatabase.empty()
+        db.add(rx.GasParams.noble_abel(name, R=300.0, b=0.001, Cv=1500.0), note)
+        path = tmp_path / "x.eosdb"
+        path.write_text("# kept\n")
+        with pytest.raises(ValidationError) as raised:
+            rx.save_material_db(path, db)
+        assert str(raised.value) == message
+        assert path.read_text() == "# kept\n"
+
+    @pytest.mark.parametrize("note, read_back", [("x = y \"z\" # w", "x = y \"z\" # w"), ("", ""), (None, "")])
+    def test_save_keeps_a_one_line_name_and_note(self, tmp_path, note, read_back):
+        db = rx.MaterialDatabase.empty()
+        params = rx.GasParams.noble_abel(" a]b = c # d ", R=300.0, b=0.001, Cv=1500.0)
+        db.add(params, note)
+        path = tmp_path / "x.eosdb"
+        rx.save_material_db(path, db)
+        assert rx.load_material_db(path).records == {(params.name, rx.Model.NA): (params, read_back)}
+
     def test_unknown_key_named(self, tmp_path):
         path = tmp_path / "odd.eosdb"
         path.write_text('[material "X" model NA]\nR = 300\nb = 0.001\nCv = 1500\nzeta = 4\n')

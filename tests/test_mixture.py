@@ -10,7 +10,7 @@ import redeos as rx
 from redeos.errors import (BracketError, ConvergenceError, DomainError, EosError, ModelMismatchError, NumericalError,
                            ValidationError)
 from redeos.cli import _parse_range
-from redeos.mixture import MVO1_MAX_ITER, _mixture_volume
+from redeos.mixture import _mixture_volume
 from redeos.types import MODEL_FIELDS
 from redeos.virial import virial_density_pt
 
@@ -152,7 +152,7 @@ class TestMnaCoefficients:
 
     def test_virial_mixture_rejected(self, half_vo1):
         # the mixed record of VO1 components carries a, not b
-        with pytest.raises(ModelMismatchError, match="requires NA components, got VO1"):
+        with pytest.raises(ModelMismatchError, match=r"^operation requires a NA record, got VO1 \('NC-13\+RDX'\)$"):
             rx.mna_coefficients(half_vo1)
 
 
@@ -487,8 +487,7 @@ def _kernel_solve(mix, rho_mix, T):
         return v - v_mix, -S
 
     try:
-        P, iterations = rx.solve_monotone(g, P_lo, P_hi, max_iter=MVO1_MAX_ITER,
-                                          x0=rx.vo1_pressure(mixed, rho_mix, T))
+        P, iterations = rx.solve_monotone(g, P_lo, P_hi, x0=rx.vo1_pressure(mixed, rho_mix, T))
     except BracketError:  # the bracket is analytic, so only nan or overflowing ends share a sign
         raise NumericalError(f"the mixture volume is degenerate at rho={rho_mix!r}, T={T!r}") from None
     except ConvergenceError:
@@ -589,17 +588,21 @@ class TestInlineSolve:
         # the closures once returned 54 of these states although mvo1_pressure refuses their volume
         # residual; 100 were refused on it while solve_monotone's stop floor, 1e-15 of the bracket,
         # and its step test after a secant step ended them short of the root.  None is now, and
-        # every refusal names the cell, not the solver's bracket
+        # every refusal names the cell, not the solver's bracket.  One cell takes 105 iterations: a budget
+        # of 100 refused it, and the library's one budget of 200 solves it
         refused = collections.Counter()
+        iterations = []
         for mix, rho, T in _wide_range_cells(2000, 2801):
             _assert_is_the_kernel_solve(mix, rho, T)
-            error = _outcome(rx.mvo1_pressure, mix, rho, T)[1]
+            solution, error = _outcome(rx.mvo1_pressure, mix, rho, T)
             if error is not None:
                 assert str(error).endswith(f" at rho={rho!r}, T={T!r}"), error
                 refused[str(error).split(" at rho=")[0]] += 1
                 assert _outcome(rx.mvo1_closure_from_rho_T, mix, rho, T)[1] is not None, (mix, rho, T)
-        assert refused == {"the mixture pressure overflows": 9, "the component densities underflow": 1,
-                           "the mixture pressure solve runs out of iterations": 1}
+            else:
+                iterations.append(solution.iterations)
+        assert refused == {"the mixture pressure overflows": 9, "the component densities underflow": 1}
+        assert (len(iterations), max(iterations)) == (1990, 105)
 
     def test_only_edge_cells_reach_solve_monotone(self, db, half_vo1, fallbacks):
         # the inline Newton paths alone serve the default-grid audits, as they serve the seeded cells

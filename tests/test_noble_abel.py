@@ -119,7 +119,7 @@ class TestDerived:
         def temperature_on_isentrope(r):
             return rx.solve_monotone(
                 lambda t: (rx.na_entropy_vt(nc13_na, 1.0 / r, t) - s0, None),
-                0.25 * T, 4.0 * T, max_iter=200).root
+                0.25 * T, 4.0 * T).root
 
         h = 1e-4 * rho
         P_plus = rx.na_pressure_vt(nc13_na, 1.0 / (rho + h), temperature_on_isentrope(rho + h))

@@ -40,9 +40,25 @@ class TestSolveMonotone:
         with pytest.raises(BracketError):
             rx.solve_monotone(lambda x: (x + 5.0, None), 0.0, 10.0)
 
-    def test_iteration_budget(self):
-        with pytest.raises(ConvergenceError):
-            rx.solve_monotone(lambda x: (x**3 - 2.0, None), 0.0, 10.0, max_iter=1)
+    def test_iteration_budget(self, monkeypatch):
+        # the budget is the library's one constant, so the test lowers it rather than passing one
+        assert numerics._ROOT_MAX_ITER == 200
+        monkeypatch.setattr(numerics, "_ROOT_MAX_ITER", 1)
+        with pytest.raises(ConvergenceError, match=r"^no convergence within 1 iterations "):
+            rx.solve_monotone(lambda x: (x**3 - 2.0, None), 0.0, 10.0)
+
+    @pytest.mark.parametrize("slope", [None, lambda x: 3.0 * x * x])
+    def test_reversed_bracket_is_the_ordered_bracket(self, slope):
+        # hi < lo swaps the ends: the same evaluations, root and iteration count as the ordered call
+        def traced(seen):
+            return lambda x: seen.append(x) or (x**3 - 2.0, slope and slope(x))
+
+        ordered, reversed_ = [], []
+        want = rx.solve_monotone(traced(ordered), 0.0, 10.0, x0=3.0)
+        got = rx.solve_monotone(traced(reversed_), 10.0, 0.0, x0=3.0)
+        assert abs(want.root - 2.0 ** (1.0 / 3.0)) <= 1e-13 * want.root and want.iterations > 1
+        assert (got.root.hex(), got.iterations) == (want.root.hex(), want.iterations)
+        assert reversed_ == ordered and ordered[:2] == [0.0, 10.0]
 
     def test_newton_path_reports_iterations(self):
         result = rx.solve_monotone(lambda x: (x * x - 2.0, 2.0 * x), 0.0, 2.0, x0=1.5)

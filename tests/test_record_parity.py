@@ -149,8 +149,9 @@ else:
     state = redeos.state_from_rho_T(params, 100.0, 3000.0)
     cls = redeos.ThermoState
 import redeos.types
-from redeos.types import ThermoState
-out["same"] = cls is redeos.types.ThermoState is ThermoState is redeos.state.ThermoState
+from redeos.thermo_state import ThermoState
+out["same"] = cls is redeos.thermo_state.ThermoState is ThermoState is redeos.state.ThermoState
+out["same"] = out["same"] and not hasattr(redeos.types, "ThermoState")  # the class has two routes, not three
 out["isinstance"] = isinstance(state, cls) and isinstance(redeos.state_from_rho_T(params, 200.0, 3000.0), cls)
 print(json.dumps(out))
 """

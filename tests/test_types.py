@@ -68,10 +68,14 @@ class TestMixtureSpec:
         with pytest.raises(ValidationError):
             rx.MixtureSpec(((nc13_na, -0.25), (rdx_na, 1.25)))
 
-    def test_uniform_model_check(self, nc13_na, nc13_vo1):
+    def test_model_checks(self, nc13_na, nc13_vo1, rdx_na):
+        # the mixed record refuses components of different models, and the virial view refuses through it
         mix = rx.MixtureSpec(((nc13_na, 0.5), (nc13_vo1, 0.5)))
-        with pytest.raises(ModelMismatchError):
-            mix.uniform_model()
+        for view in ("mixed", "virial"):
+            with pytest.raises(ModelMismatchError, match="^mixture components use different models: NA, VO1$"):
+                getattr(mix, view)
+        with pytest.raises(ModelMismatchError, match=r"^operation requires a VO1 record, got NA \('NC-13\+RDX'\)$"):
+            rx.MixtureSpec(((nc13_na, 0.5), (rdx_na, 0.5))).virial
 
 
 class TestInertGasParams:
@@ -174,7 +178,7 @@ def _one_gas_mix(y):
 
 @pytest.mark.parametrize("call, message", [
     (lambda: rx.GasParams.noble_abel("x", R=300.0, b=0.001, Cv=1500.0, gamma_cal=1.0),
-     "gamma_cal must exceed 1, got 1.0"),
+     "gamma_cal must be finite and exceed 1, got 1.0"),
     (lambda: rx.MixtureSpec(()), "mixture needs at least one component"),
     (lambda: rx.GasParams(name="x", model="bogus", R=300.0, b=0.001, Cv=1500.0),
      "unknown model 'bogus'; expected NA, VO1 or VO1_CVT"),
@@ -211,11 +215,30 @@ def _one_gas_mix(y):
     (lambda: rx.InertRunRecord(Y=1.5, T_flame=2000.0), "reactant mass fraction must lie in (0,1], got 1.5"),
     (lambda: rx.InertRunRecord(0.5, -1.0), "T_flame must be positive and finite, got -1.0"),
     (lambda: rx.MaterialDatabase({}).get("NC-13", "NA"), "material 'NC-13' with model NA is not in the database"),
+    (lambda: rx.GasParams.virial("x", R="300", a=0.002, Cv=1500.0), "R must be positive and finite, got '300'"),
+    (lambda: rx.GasParams.noble_abel("x", R=300.0, b="0", Cv=1500.0), "covolume b must be >= 0, got '0'"),
+    (lambda: rx.GasParams.noble_abel("x", R=300.0, b=0.001, Cv=1500.0, q="0"), "q must be finite, got '0'"),
+    (lambda: rx.GasParams.virial("x", R=300.0, a=0.002, Cv=2**1024), f"Cv must be positive and finite, got {2**1024}"),
+    (lambda: rx.GasParams.virial("x", R=300.0, a=0.002, Cv=1500.0, rho_range=(1.0, "2")),
+     "rho_range[1] must be positive and finite, got '2'"),
+    (lambda: rx.ClosedBombPoint("100", 1e8), "rho_load must be positive and finite, got '100'"),
+    (lambda: rx.InertRunRecord(0.5, "3000"), "T_flame must be positive and finite, got '3000'"),
+    (lambda: rx.InertRunRecord("0.5", 3000.0), "reactant mass fraction must lie in (0,1], got '0.5'"),
+    (lambda: rx.GasParams.virial("x", R=300.0, a=0.002, Cv=1500.0, gamma_cal="1.2"),
+     "gamma_cal must be finite and exceed 1, got '1.2'"),
+    (lambda: rx.GasParams.virial("x", R=300.0, a=0.002, Cv=1500.0, gamma_cal=math.inf),
+     "gamma_cal must be finite and exceed 1, got inf"),
+    (lambda: rx.GasParams.virial("x", R=300.0, a=0.002, Cv=1500.0, rho_range=(1.0, math.inf)),
+     "rho_range[1] must be positive and finite, got inf"),
+    (lambda: _one_gas_mix("half"), "mass fraction of 'x' out of [0,1]: 'half'"),
+    (lambda: _one_gas_mix(None), "mass fraction of 'x' out of [0,1]: None"),
 ], ids=["gamma-cal", "empty-mixture", "unknown-model", "db-unknown-model", "short-rho-range", "scalar-rho-range",
         "negative-R", "nan-q", "missing-Cv", "zero-Cv0", "negative-b", "infinite-a", "nan-c", "foreign-field",
         "zero-e-s-eff", "negative-T-flame", "zero-rho-range-lo", "reversed-rho-range", "zero-Cv-in", "nan-W-in",
         "zero-rho-load", "negative-P-max", "subnormal-rho-load", "fraction-above-one", "fractions-short-of-one",
-        "zero-Y", "Y-above-one", "negative-run-T-flame", "absent-record"])
+        "zero-Y", "Y-above-one", "negative-run-T-flame", "absent-record", "text-R", "text-b", "text-q",
+        "int-beyond-float-Cv", "text-gamma-cal", "infinite-gamma-cal", "text-rho-range-hi", "infinite-rho-range-hi",
+        "text-rho-load", "text-run-T-flame", "text-Y", "text-fraction", "none-fraction"])
 def test_refusals_name_their_input(call, message):
     with pytest.raises(ValidationError) as raised:
         call()
