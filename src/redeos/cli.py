@@ -6,9 +6,10 @@ else.  All numeric output is printed with 10 significant digits, '.' as
 the decimal separator and newline line endings, so identical inputs give
 byte-identical output.
 
-Exit codes: 0 success, 2 parse/validation, 3 numerical/convergence,
-4 physical-domain violation.  A stdout whose reader stops early (a pipe into
-`head`) ends the command quietly with exit 0: no `E_*` line, no traceback.
+A failure prints one `E_*` line and exits as `redeos.errors` sets for its class,
+an unopenable path as a `ParseError`, a bare `ArithmeticError` or `ValueError`
+as a `NumericalError`.  A stdout whose reader stops early (a pipe into `head`)
+ends the command quietly with exit 0: no `E_*` line, no traceback.
 
 A number flag not finite as typed or in SI units is refused, naming the
 flag, before any command runs.  A command imports the library modules it
@@ -28,16 +29,7 @@ import re
 import sys
 
 from . import __version__
-from .errors import (
-    DegenerateDataError,
-    DomainError,
-    EosError,
-    ModelMismatchError,
-    NumericalError,
-    ParseError,
-    RankDeficiencyError,
-    ValidationError,
-)
+from .errors import DomainError, EosError, NumericalError, ParseError, ValidationError
 from .materials import (
     INERT_GASES,
     MaterialDatabase,
@@ -52,19 +44,6 @@ from .types import MODEL_FIELDS, GasParams, MixtureSpec, Model
 from .virial_cvt import cvt_temperature
 
 _MODEL_FLAGS = {"na": Model.NA, "vo1": Model.VO1, "vo1cvt": Model.VO1_CVT}
-
-_ERROR_TABLE = (
-    (ParseError, "E_PARSE", 2),
-    (DegenerateDataError, "E_DEGENERATE", 2),
-    (ModelMismatchError, "E_MODEL_MISMATCH", 2),
-    (ValidationError, "E_VALIDATION", 2),
-    (RankDeficiencyError, "E_RANK_DEFICIENT", 3),
-    # a degenerate state, float overflow, division by an underflowed zero or a
-    # math-domain error: each at extreme inputs
-    ((NumericalError, ArithmeticError, ValueError), "E_NUMERICAL", 3),
-    (DomainError, "E_DOMAIN", 4),
-    (OSError, "E_PARSE", 2),  # a path that cannot be opened: missing, unreadable or a directory
-)
 
 #: Options that carry the numbers a command evaluates, named by a floating-point failure;
 #: ``main`` refuses a float-typed one that is not finite, also once converted by ``_SI_FACTORS``.
@@ -235,19 +214,19 @@ def cmd_sweep(args):
     T_flame = flame = None
     for rho in densities:
         try:
-            # found once; a refused flame makes every row E_DOMAIN, an overflowed one never prints
+            # found once; a refused flame marks every row a domain error, an overflowed one never prints
             T_flame = T_flame or cvt_temperature(params, params.q + params.e_s_eff)
             P, _, c = closure_from_rho_T(params, rho, T_flame)
             flame = flame or _fmt(T_flame)
             row = [_fmt(rho), flame, _fmt(P / 1e6), "0" if lo <= rho <= hi else "1", _fmt(c)]
         except DomainError:
             had_domain_error = True
-            row = [_fmt(rho), "", "", "E_DOMAIN", ""]
+            row = [_fmt(rho), "", "", DomainError.tag, ""]
         if reference:
             match = [p for r, p in reference.items() if abs(r - rho) <= 1e-9 * max(1.0, rho)]
             row.append(_fmt(match[0] / 1e6) if match else "")
         print(",".join(row))
-    return 4 if had_domain_error else 0
+    return DomainError.exit_code if had_domain_error else 0
 
 
 def _parse_mixture_spec(spec, sweep_arg):
@@ -294,7 +273,7 @@ def cmd_mix_sweep(args):
     for gas in gases:
         _require_convex_record(gas)
     densities = [(rho, _fmt(rho)) for rho in _parse_float_list(args.rho)]
-    # mixtures, flames and solve brackets are built before the header: an exit 2 leaves stdout empty
+    # mixtures, flames and solve brackets are built before the header: a refusal leaves stdout empty
     mixtures = []
     for fractions in fraction_sets:
         mix = MixtureSpec(tuple(zip(gases, fractions)), oxygen_balance_declared_uniform=True)
@@ -331,7 +310,7 @@ def cmd_audit(args):
                          ("convexity violations", report.violations)):
         print(f"{label} = {count} {'PASS' if count == 0 else 'FAIL'}")
     print(f"RESULT {'PASS' if report.passed else 'FAIL'}")
-    return 0 if report.passed else 3
+    return 0 if report.passed else NumericalError.exit_code
 
 
 def cmd_state(args):
@@ -459,15 +438,13 @@ def main(argv=None):
         os.close(devnull)
         return 0
     except (EosError, OSError, ArithmeticError, ValueError) as exc:
-        for cls, prefix, code in _ERROR_TABLE:
-            if isinstance(exc, cls):
-                if prefix == "E_NUMERICAL":  # named by the command's inputs, not by an internal value
-                    given = " ".join(f"--{k.replace('_', '-')} {getattr(args, k)}"
-                                     for k in _NUMERIC_OPTIONS if getattr(args, k, None) is not None)
-                    exc = f"floating-point evaluation failed at {given}"
-                print(f"{prefix}: {exc}", file=sys.stderr)
-                return code
-        raise
+        error = type(exc) if isinstance(exc, EosError) else ParseError if isinstance(exc, OSError) else NumericalError
+        if error.tag == NumericalError.tag:  # named by the command's inputs, not by an internal value
+            given = " ".join(f"--{k.replace('_', '-')} {getattr(args, k)}"
+                             for k in _NUMERIC_OPTIONS if getattr(args, k, None) is not None)
+            exc = f"floating-point evaluation failed at {given}"
+        print(f"{error.tag}: {exc}", file=sys.stderr)
+        return error.exit_code
 
 
 def entry():

@@ -167,8 +167,8 @@ def save_material_db(path, db: MaterialDatabase):
         p = record.params
         if not (isinstance(name, str) and '"' not in name and name.splitlines() == [name]):
             raise ValidationError(f"record {name!r} ({model}): a saved name is a one-line string without '\"'")
-        if record.note and not (isinstance(record.note, str) and record.note.splitlines() == [record.note]):
-            raise ValidationError(f"record {name!r} ({model}): a saved note is one line, got {record.note!r}")
+        if record.note and not (isinstance(record.note, str) and record.note.strip().splitlines() == [record.note]):
+            raise ValidationError(f"record {name!r} ({model}): a saved note is one unpadded line, got {record.note!r}")
         lines.append(f'[material "{name}" model {model}]')
         lines.append(f"R = {p.R!r}")
         lines.extend(f"{key} = {getattr(p, key)!r}" for key in MODEL_FIELDS[model])

@@ -228,10 +228,17 @@ class MixtureSpec(_Record):
 
     def __init__(self, components, oxygen_balance_declared_uniform=False):
         comps = []
-        for gas, y in components:
-            if not (_is_finite(y) and 0.0 <= y <= 1.0):
-                raise ValidationError(f"mass fraction of {gas.name!r} out of [0,1]: {y!r}")
-            comps.append((gas, float(y)))
+        part = components
+        try:
+            for part in components:
+                gas, y = part
+                if gas.__class__ is not GasParams:
+                    raise ValidationError(f"mixture component {part!r} does not hold a GasParams record")
+                if not (_is_finite(y) and 0.0 <= y <= 1.0):
+                    raise ValidationError(f"mass fraction of {gas.name!r} out of [0,1]: {y!r}")
+                comps.append((gas, float(y)))
+        except (TypeError, ValueError):
+            raise ValidationError(f"mixture components are (GasParams, mass fraction) pairs, got {part!r}") from None
         if not comps:
             raise ValidationError("mixture needs at least one component")
         total = math.fsum(y for _, y in comps)

@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 import resource
@@ -456,6 +457,43 @@ class TestErrorSurface:
         assert err == f"E_NUMERICAL: floating-point evaluation failed at {given}\n"
 
 
+#: The exit-code contract: each error class's stderr tag and exit code.
+CONTRACT = {
+    rx.errors.DomainError: ("E_DOMAIN", 4),
+    rx.errors.ValidationError: ("E_VALIDATION", 2),
+    rx.errors.DegenerateDataError: ("E_DEGENERATE", 2),
+    rx.errors.ModelMismatchError: ("E_MODEL_MISMATCH", 2),
+    rx.errors.ParseError: ("E_PARSE", 2),
+    rx.errors.NumericalError: ("E_NUMERICAL", 3),
+    rx.errors.BracketError: ("E_NUMERICAL", 3),
+    rx.errors.ConvergenceError: ("E_NUMERICAL", 3),
+    rx.errors.RankDeficiencyError: ("E_RANK_DEFICIENT", 3),
+}
+
+
+def test_every_error_class_carries_its_tag_and_exit_code():
+    classes = [cls for _, cls in inspect.getmembers(rx.errors, inspect.isclass)
+               if issubclass(cls, rx.errors.EosError) and cls is not rx.errors.EosError]
+    assert {cls: (cls.tag, cls.exit_code) for cls in classes} == CONTRACT
+
+
+@pytest.mark.parametrize("error, tag, code", [
+    *((cls("the library's message"), tag, code) for cls, (tag, code) in CONTRACT.items()),
+    (ZeroDivisionError("float division by zero"), "E_NUMERICAL", 3),
+    (ValueError("math domain error"), "E_NUMERICAL", 3),
+    (FileNotFoundError(2, "No such file or directory", "x.eosdb"), "E_PARSE", 2),
+], ids=[*(cls.__name__ for cls in CONTRACT), "ZeroDivisionError", "ValueError", "FileNotFoundError"])
+def test_main_reports_a_failure_by_its_class(capsys, monkeypatch, error, tag, code):
+    def fail(*args):
+        raise error
+
+    monkeypatch.setattr("redeos.cli.state_from_rho_T", fail)
+    message = ("floating-point evaluation failed at --rho 100.0 --T 3000.0" if tag == "E_NUMERICAL"
+               else str(error))
+    assert run_cli(capsys, "state", "NC-13", "--model", "na", "--rho", "100", "--T", "3000") == (
+        code, "", f"{tag}: {message}\n")
+
+
 def assert_one_error_line(err, prefix):
     assert err.startswith(prefix + ":"), err
     assert err.count("\n") == 1 and "Traceback" not in err
@@ -487,7 +525,8 @@ class TestBoundaryRegressions:
                  ["sweep", "NC-13", "--model", "vo1", "--rho", "nan:100:1"],
                  ["audit", "NC-13", "--model", "vo1", "--T", "1500:1e300:1"]]
         proc = subprocess.run([sys.executable, "-c", _CHILD, json.dumps(argvs)], capture_output=True,
-                              text=True, timeout=60, preexec_fn=_limit_memory)
+                              text=True, timeout=60, preexec_fn=_limit_memory,
+                              env={**os.environ, "PYTHONPATH": str(Path(rx.__file__).parents[1])})
         assert proc.returncode == 0, proc.stderr
         for code, err in json.loads(proc.stdout):
             assert code == 2

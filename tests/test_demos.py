@@ -1,14 +1,17 @@
+import os
 import pathlib
 import subprocess
 import sys
 
 import pytest
 
-DEMOS = sorted((pathlib.Path(__file__).parent.parent / "demos").glob("*.py"))
+ROOT = pathlib.Path(__file__).parent.parent
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 @pytest.mark.parametrize("script", DEMOS, ids=lambda p: p.name)
 def test_demo_runs_clean(script):
-    result = subprocess.run([sys.executable, str(script)], capture_output=True, text=True)
+    result = subprocess.run([sys.executable, str(script)], capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip()

@@ -3,6 +3,8 @@ import pytest
 import redeos as rx
 from redeos.errors import ParseError, ValidationError
 
+_NOTE_RULE = "a saved note is one unpadded line"
+
 
 class TestClosedBombCsv:
     def test_two_points(self, tmp_path):
@@ -97,11 +99,14 @@ class TestMaterialDatabase:
         ("a\u2028b", "", "record 'a\\u2028b' (NA): a saved name is a one-line string without '\"'"),
         ("", "", "record '' (NA): a saved name is a one-line string without '\"'"),
         (5, "", "record 5 (NA): a saved name is a one-line string without '\"'"),
-        ("ab", "one\rtwo", "record 'ab' (NA): a saved note is one line, got 'one\\rtwo'"),
-        ("ab", "one\n", "record 'ab' (NA): a saved note is one line, got 'one\\n'"),
-        ("ab", 5, "record 'ab' (NA): a saved note is one line, got 5"),
+        ("ab", "one\rtwo", f"record 'ab' (NA): {_NOTE_RULE}, got 'one\\rtwo'"),
+        ("ab", "one\n", f"record 'ab' (NA): {_NOTE_RULE}, got 'one\\n'"),
+        ("ab", 5, f"record 'ab' (NA): {_NOTE_RULE}, got 5"),
+        ("ab", "  padded  ", f"record 'ab' (NA): {_NOTE_RULE}, got '  padded  '"),
+        ("ab", "padded\t", f"record 'ab' (NA): {_NOTE_RULE}, got 'padded\\t'"),
+        ("ab", "  ", f"record 'ab' (NA): {_NOTE_RULE}, got '  '"),
     ], ids=["quote", "newline", "line-separator", "empty", "number", "note-return", "note-trailing-newline",
-            "number-note"])
+            "number-note", "note-padded", "note-trailing-tab", "note-blank"])
     def test_save_refuses_what_load_cannot_read_back(self, tmp_path, name, note, message):
         # each would write a header or note line that the parser refuses or reads back otherwise
         db = rx.MaterialDatabase.empty()

@@ -172,8 +172,12 @@ def test_result_records_keep_their_fields(record, fields):
     assert record._fields == fields
 
 
+_GAS = rx.GasParams.noble_abel("x", R=300.0, b=0.001, Cv=1500.0)
+_PAIRS = "mixture components are (GasParams, mass fraction) pairs, got"
+
+
 def _one_gas_mix(y):
-    return rx.MixtureSpec(((rx.GasParams.noble_abel("x", R=300.0, b=0.001, Cv=1500.0), y),))
+    return rx.MixtureSpec(((_GAS, y),))
 
 
 @pytest.mark.parametrize("call, message", [
@@ -232,13 +236,20 @@ def _one_gas_mix(y):
      "rho_range[1] must be positive and finite, got inf"),
     (lambda: _one_gas_mix("half"), "mass fraction of 'x' out of [0,1]: 'half'"),
     (lambda: _one_gas_mix(None), "mass fraction of 'x' out of [0,1]: None"),
+    (lambda: rx.MixtureSpec([_GAS]), f"{_PAIRS} {_GAS!r}"),
+    (lambda: rx.MixtureSpec([(_GAS,)]), f"{_PAIRS} {(_GAS,)!r}"),
+    (lambda: rx.MixtureSpec([(_GAS, 0.5, 1)]), f"{_PAIRS} {(_GAS, 0.5, 1)!r}"),
+    (lambda: rx.MixtureSpec(5), f"{_PAIRS} 5"),
+    (lambda: rx.MixtureSpec([("x", 1.0)]), "mixture component ('x', 1.0) does not hold a GasParams record"),
+    (lambda: rx.MixtureSpec([(None, 1.0)]), "mixture component (None, 1.0) does not hold a GasParams record"),
 ], ids=["gamma-cal", "empty-mixture", "unknown-model", "db-unknown-model", "short-rho-range", "scalar-rho-range",
         "negative-R", "nan-q", "missing-Cv", "zero-Cv0", "negative-b", "infinite-a", "nan-c", "foreign-field",
         "zero-e-s-eff", "negative-T-flame", "zero-rho-range-lo", "reversed-rho-range", "zero-Cv-in", "nan-W-in",
         "zero-rho-load", "negative-P-max", "subnormal-rho-load", "fraction-above-one", "fractions-short-of-one",
         "zero-Y", "Y-above-one", "negative-run-T-flame", "absent-record", "text-R", "text-b", "text-q",
         "int-beyond-float-Cv", "text-gamma-cal", "infinite-gamma-cal", "text-rho-range-hi", "infinite-rho-range-hi",
-        "text-rho-load", "text-run-T-flame", "text-Y", "text-fraction", "none-fraction"])
+        "text-rho-load", "text-run-T-flame", "text-Y", "text-fraction", "none-fraction", "bare-record",
+        "record-without-fraction", "triple", "non-iterable-components", "text-record", "none-record"])
 def test_refusals_name_their_input(call, message):
     with pytest.raises(ValidationError) as raised:
         call()
