@@ -12,7 +12,6 @@ __version__ = "0.1.0"
 from importlib import import_module as _import_module
 from types import ModuleType as _ModuleType
 
-from .constants import P_REF, R_UNIVERSAL, T_REF
 from .errors import (
     BracketError,
     ConvergenceError,
@@ -36,6 +35,9 @@ from .types import (
     InertRunRecord,
     MixtureSpec,
     Model,
+    P_REF,
+    R_UNIVERSAL,
+    T_REF,
     convexity_signs_ok,
     require_model,
 )

@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from typing import Iterable, NamedTuple, Sequence
 
-from .errors import DegenerateDataError, DomainError, RankDeficiencyError, ValidationError
+from .errors import DegenerateDataError, DomainError, NumericalError, RankDeficiencyError, ValidationError
 from .types import (
     ClosedBombPoint,
     FrozennessReport,
@@ -29,10 +29,10 @@ from .types import (
     InertGasParams,
     InertRunRecord,
     Model,
+    T_REF,
     require_model,
 )
 from . import virial_cvt
-from .constants import T_REF
 from .state import LAWS
 
 
@@ -289,6 +289,8 @@ def predict_closed_bomb(params: GasParams, rho_load) -> ClosedBombPrediction:
         raise ValidationError(f"record {params.name!r} carries no effective energy")
     T = virial_cvt.cvt_temperature(params, params.q + params.e_s_eff)
     P = LAWS[params.model].pressure(params, rho_load, T)
+    if not 0.0 < P < math.inf:  # P overflows, or 1/rho_load does and P is 0
+        raise NumericalError(f"the peak pressure at rho_load={rho_load!r} is not positive and finite, got {P!r}")
     extrapolated = False
     if params.rho_range is not None:
         lo, hi = params.rho_range

@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Human-facing units follow the usual closed-bomb tables: MPa, kJ/kg, K and
-kg/m3.  Conversion to the library's SI internals happens here and nowhere
-else.  All numeric output is printed with 10 significant digits, '.' as
+kg/m3.  This layer converts command-line values to the library's SI units and
+printed results back; `materials` converts file values (`q_kJ`, `e_s_eff_kJ`,
+`pmax_MPa`).  All numeric output is printed with 10 significant digits, '.' as
 the decimal separator and newline line endings, so identical inputs give
 byte-identical output.
 
@@ -73,6 +74,11 @@ def _fmt(x):
 
 def _load_db(path):
     return builtin_database() if path is None else load_material_db(path)
+
+
+def _record(args):
+    """The record that ``sweep``, ``audit`` and ``state`` name by MATERIAL, --model and --db."""
+    return _load_db(args.db).get(args.material, _MODEL_FLAGS[args.model])
 
 
 def _require_convex_record(params):
@@ -194,8 +200,7 @@ def cmd_calibrate_cvt(args):
 
 
 def cmd_sweep(args):
-    db = _load_db(args.db)
-    params = db.get(args.material, _MODEL_FLAGS[args.model])
+    params = _record(args)
     _require_convex_record(params)
     if params.e_s_eff is None:
         raise ValidationError(f"record {params.name!r} carries no effective energy")
@@ -293,8 +298,7 @@ def cmd_mix_sweep(args):
 def cmd_audit(args):
     from .numerics import audit_record
 
-    db = _load_db(args.db)
-    params = db.get(args.material, _MODEL_FLAGS[args.model])
+    params = _record(args)
     rhos = _parse_range(args.rho)
     temps = _parse_range(args.T)
     try:
@@ -314,8 +318,7 @@ def cmd_audit(args):
 
 
 def cmd_state(args):
-    db = _load_db(args.db)
-    params = db.get(args.material, _MODEL_FLAGS[args.model])
+    params = _record(args)
     _require_convex_record(params)
     keys = frozenset(k for k in ("rho", "T", "P", "e") if getattr(args, k) is not None)
     if keys == {"rho", "T"}:
@@ -353,6 +356,10 @@ def _build_parser():
                     "calibration, state evaluation, sweeps and consistency audits.")
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    record = argparse.ArgumentParser(add_help=False)  # the options that name one record
+    record.add_argument("material")
+    record.add_argument("--model", choices=sorted(_MODEL_FLAGS), required=True)
+    record.add_argument("--db", help="database file (default: built-in table)")
 
     p = sub.add_parser("calibrate", help="two-point closed-bomb calibration")
     p.add_argument("model", choices=["na", "vo1"])
@@ -376,11 +383,8 @@ def _build_parser():
     p.add_argument("--tflame", type=float, help="flame temperature for the record, K")
     p.set_defaults(func=cmd_calibrate_cvt)
 
-    p = sub.add_parser("sweep", help="closed-bomb prediction over a density range")
-    p.add_argument("material")
-    p.add_argument("--model", choices=sorted(_MODEL_FLAGS), required=True)
+    p = sub.add_parser("sweep", help="closed-bomb prediction over a density range", parents=[record])
     p.add_argument("--rho", required=True, help="density grid LO:HI:STEP, kg/m3")
-    p.add_argument("--db", help="database file (default: built-in table)")
     p.add_argument("--reference", help="CSV rho_kg_m3,pmax_MPa of external reference pressures")
     p.set_defaults(func=cmd_sweep)
 
@@ -395,22 +399,16 @@ def _build_parser():
     p.add_argument("--db", help="database file (default: built-in table)")
     p.set_defaults(func=cmd_mix_sweep)
 
-    p = sub.add_parser("audit", help="grid consistency audit of one material record")
-    p.add_argument("material")
-    p.add_argument("--model", choices=sorted(_MODEL_FLAGS), required=True)
+    p = sub.add_parser("audit", help="grid consistency audit of one material record", parents=[record])
     p.add_argument("--rho", default="10:600:50", help="density grid LO:HI:STEP (default 10:600:50)")
     p.add_argument("--T", default="1500:4500:250", help="temperature grid LO:HI:STEP (default 1500:4500:250)")
-    p.add_argument("--db", help="database file (default: built-in table)")
     p.set_defaults(func=cmd_audit)
 
-    p = sub.add_parser("state", help="full thermodynamic state at one point")
-    p.add_argument("material")
-    p.add_argument("--model", choices=sorted(_MODEL_FLAGS), required=True)
+    p = sub.add_parser("state", help="full thermodynamic state at one point", parents=[record])
     p.add_argument("--rho", type=float, help="density, kg/m3")
     p.add_argument("--T", type=float, help="temperature, K")
     p.add_argument("--P", type=float, help="pressure, MPa")
     p.add_argument("--e", type=float, help="specific internal energy, kJ/kg")
-    p.add_argument("--db", help="database file (default: built-in table)")
     p.set_defaults(func=cmd_state)
 
     # argparse takes only plain negative numbers for values; no option name here looks like a number

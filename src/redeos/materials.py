@@ -25,9 +25,8 @@ import re
 from functools import cache
 from typing import Iterable, NamedTuple
 
-from .constants import R_UNIVERSAL
 from .errors import ParseError, ValidationError
-from .types import MODEL_FIELDS, ClosedBombPoint, GasParams, InertGasParams, InertRunRecord, Model, _Record
+from .types import MODEL_FIELDS, R_UNIVERSAL, ClosedBombPoint, GasParams, InertGasParams, InertRunRecord, Model, _Record
 
 #: Noble inert species usable in Cv(T) calibration runs.  Argon's heat
 #: capacity follows the usual monatomic tabulations; xenon is derived

@@ -96,13 +96,15 @@ def _sound_speed(mix, T, volume):
     and a nan density (from P = inf) gives a nan c, which the callers refuse."""
     rhos, v, S = volume
     cp_mix = 0.0
-    for (R, a, y, Cv), rho in zip(mix.virial[3], rhos):
-        ar = a * rho
-        cp_mix += y * (Cv + R * (1.0 + ar) ** 2 / (1.0 + 2.0 * ar))
     try:
+        for (R, a, y, Cv), rho in zip(mix.virial[3], rhos):
+            ar = a * rho
+            cp_mix += y * (Cv + R * (1.0 + ar) ** 2 / (1.0 + 2.0 * ar))
         return sqrt(cp_mix * v * v / (mix.mixed.Cv * S))
     except ZeroDivisionError:  # S underflows to zero, where c^2 ~ 1/S
         return math.inf
+    except OverflowError:  # (1 + a rho) ** 2 passes the largest float: vo1_cp's refusal, word for word
+        raise NumericalError(f"Cp overflows at rho={rho!r}, T={T!r}") from None
 
 
 class Mvo1Solution(NamedTuple):

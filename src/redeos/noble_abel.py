@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import DomainError
+from .errors import DomainError, NumericalError
 from .types import (
     ConvexityReport,
     DEFAULT_ENTROPY_REF,
@@ -25,19 +25,14 @@ from .types import (
 )
 
 
-def _check_vt(params, v, T):
-    if not T > 0.0:
-        raise DomainError(f"temperature must be positive, got {T!r}")
-    if not v > params.b:
-        raise DomainError(
-            f"specific volume {v!r} m3/kg does not exceed the covolume {params.b!r} m3/kg")
-
-
 def na_pressure_vt(params: GasParams, v, T):
     """Pressure from specific volume and temperature: R T / (v - b)."""
     if params.b is None:  # only NA records carry b; one identity test keeps this path cheap
         require_model(params, Model.NA)
-    _check_vt(params, v, T)
+    if not T > 0.0:
+        raise DomainError(f"temperature must be positive, got {T!r}")
+    if not v > params.b:
+        raise DomainError(f"specific volume {v!r} m3/kg does not exceed the covolume {params.b!r} m3/kg")
     return params.R * T / (v - params.b)
 
 
@@ -89,7 +84,10 @@ def na_entropy(params: GasParams, P, T, ref: EntropyReference = DEFAULT_ENTROPY_
     if not (P > 0.0 and T > 0.0):
         raise DomainError(f"pressure and temperature must be positive, got P={P!r}, T={T!r}")
     P0, T0, s0 = ref
-    return s0 - params.R * math.log(P / P0) + (params.Cv + params.R) * math.log(T / T0)
+    try:
+        return s0 - params.R * math.log(P / P0) + (params.Cv + params.R) * math.log(T / T0)
+    except ValueError:  # P/P0 or T/T0 underflows to zero
+        raise NumericalError(f"the entropy is not finite at P={P!r}, T={T!r}") from None
 
 
 def na_entropy_vt(params: GasParams, v, T, ref: EntropyReference = DEFAULT_ENTROPY_REF):
@@ -109,8 +107,8 @@ def na_convexity(params: GasParams, v, P, T) -> ConvexityReport:
     R, b, Cv = params.R, params.b, params.Cv
     criteria = (
         _div(na_gamma(params) * P, v - b),     # c^2 / v^2
-        P * (v - b) / (R * Cv),
+        _div(P * (v - b), R * Cv),  # R Cv may underflow to zero, as in vo1_convexity
         -P / Cv,
-        P * P / (R * Cv),
+        _div(P * P, R * Cv),
     )
     return ConvexityReport(convex=v > b, criteria=criteria)

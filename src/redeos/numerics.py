@@ -172,10 +172,16 @@ def _invert_temperature(p_fn, rho, P_target, T_guess, P_T, T_start):
     return solve_monotone(g, lo, hi, x0=T).root
 
 
+def _oracle_failure(exc, rho, T):  # the refusal, naming (rho, T), of a float error in a difference formula
+    what = "overflows" if isinstance(exc, OverflowError) else "divides by zero"
+    return NumericalError(f"the difference oracle {what} at rho={rho!r}, T={T!r}")
+
+
 class FdPartials(NamedTuple):
     """Partials of an EOS at (rho, T) by differences, and c^2 = (Cp/Cv) P_rho."""
 
     rho: float
+    T: float
     P: float
     e_T: float
     e_rho: float
@@ -185,9 +191,12 @@ class FdPartials(NamedTuple):
 
     def convexity(self) -> ConvexityReport:
         """The four convexity criteria in density form, from these partials alone."""
-        rho, P, eT, erho, pT, prho, c2 = self
+        rho, T, P, eT, erho, pT, prho, c2 = self
         m = P - rho**2 * erho
-        b = m / (pT * eT)
+        try:
+            b = m / (pT * eT)
+        except ZeroDivisionError as exc:  # P_T e_T underflows to zero
+            raise _oracle_failure(exc, rho, T) from None
         # (d) is m/e_T^2 ((e_T/P_T) rho^2 c^2 + rho^2 e_rho - P) with c^2 and Cp substituted; as written,
         # its terms of size R a rho^2 T cancel, and its sign is noise from rho ~ 2e19 kg/m3 up
         criteria = (rho**2 * c2, b, -m / eT, b * rho**2 * prho)
@@ -204,9 +213,9 @@ def _fd_partials(e_fn, p_fn, rho, T) -> FdPartials:
     prho = (p_fn(rho + hr, T) - p_fn(rho - hr, T)) / (2.0 * hr)
     try:
         cp = (eT + pT / rho) - (erho + prho / rho - P / rho**2) * pT / prho
-    except ZeroDivisionError:  # rho^2 underflows to zero, or P_rho is zero
-        raise NumericalError(f"the difference oracle divides by zero at rho={rho!r}, T={T!r}") from None
-    return FdPartials(rho, P, eT, erho, pT, prho, (cp / eT) * prho)
+        return FdPartials(rho, T, P, eT, erho, pT, prho, (cp / eT) * prho)
+    except ArithmeticError as exc:  # rho^2 under- or overflows, or P_rho or e_T is zero
+        raise _oracle_failure(exc, rho, T) from None
 
 
 class OracleSoundSpeed(NamedTuple):
@@ -237,10 +246,10 @@ def sound_speed_fd_oracle(e_fn, p_fn, rho, T) -> OracleSoundSpeed:
     ``p_fn`` at (rho, T) by the oracle's own differences P_T and P_rho, and
     take P_T as their slope: with the five pressures of the partials, 9
     pressure and 8 energy evaluations per call, each difference written out
-    in place.  Raises
-    :class:`NumericalError` naming (rho, T) where an inversion cannot
-    bracket its target (where P_T or P_rho is not finite or a target P + h
-    overflows) or does not converge within its budget.
+    in place.  Raises :class:`NumericalError` naming (rho, T) where an
+    inversion cannot bracket its target (where P_T or P_rho is not finite
+    or a target P + h overflows) or does not converge within its budget,
+    and where a difference formula divides by zero or overflows.
 
     Parameters
     ----------
@@ -250,7 +259,7 @@ def sound_speed_fd_oracle(e_fn, p_fn, rho, T) -> OracleSoundSpeed:
         Evaluation point.
     """
     partials = _fd_partials(e_fn, p_fn, rho, T)
-    _, P, _, _, P_T, P_rho, _ = partials
+    _, _, P, _, _, P_T, P_rho, _ = partials
     hr, hP = max(abs(rho), STEP_FLOOR) * 1e-6, max(abs(P), STEP_FLOOR) * 1e-6
     r_hi, r_lo, P_hi, P_lo = rho + hr, rho - hr, P + hP, P - hP
     try:
@@ -258,9 +267,11 @@ def sound_speed_fd_oracle(e_fn, p_fn, rho, T) -> OracleSoundSpeed:
                     - e_fn(r_lo, _invert_temperature(p_fn, r_lo, P, T, P_T, T - P_rho * (r_lo - rho) / P_T))) / (2.0 * hr)
         dedP_rho = (e_fn(rho, _invert_temperature(p_fn, rho, P_hi, T, P_T, T + (P_hi - P) / P_T))
                     - e_fn(rho, _invert_temperature(p_fn, rho, P_lo, T, P_T, T + (P_lo - P) / P_T))) / (2.0 * hP)
+        c2_energy = (P / rho**2 - dedrho_P) / dedP_rho
     except (BracketError, ConvergenceError):
         raise NumericalError(f"the difference oracle's temperature inversions fail at rho={rho!r}, T={T!r}") from None
-    c2_energy = (P / rho**2 - dedrho_P) / dedP_rho
+    except ArithmeticError as exc:  # P_T or the energy's pressure derivative is zero
+        raise _oracle_failure(exc, rho, T) from None
     return OracleSoundSpeed(c2_energy=c2_energy, c2_gamma=partials.c2, partials=partials)
 
 
@@ -301,16 +312,6 @@ class AuditReport(NamedTuple):
                 and self.sign_mismatches == 0 and self.violations == 0)
 
 
-def _require_above_step(name, x, unit):
-    """Refuse a grid value that the lowest difference point, ``x - h``, would take to zero or below.
-
-    With the oracle's steps that is a value below the smallest normal float.
-    """
-    h = _fd_step(x, STEP_FLOOR)
-    if x - h <= 0.0:
-        raise DomainError(f"{name} {x!r} {unit} does not exceed its difference step {h!r} {unit}")
-
-
 def audit_record(params: GasParams, rhos, temperatures) -> AuditReport:
     """Audit a record on the grid of two sequences, skipping densities within 1 % of a covolume.
 
@@ -341,9 +342,10 @@ def audit_record(params: GasParams, rhos, temperatures) -> AuditReport:
         for T, T_above_step in temps:
             P = p_fn(rho, T)
             points += 1
-            if not (rho_above_step and T_above_step):
-                _require_above_step("density", rho, "kg/m3")
-                _require_above_step("temperature", T, "K")
+            if not (rho_above_step and T_above_step):  # x - h would reach zero: x is subnormal
+                name, x, unit = ("temperature", T, "K") if rho_above_step else ("density", rho, "kg/m3")
+                raise DomainError(f"{name} {x!r} {unit} does not exceed its difference step "
+                                  f"{_fd_step(x, STEP_FLOOR)!r} {unit}")
             if not P < math.inf:  # an overflowed P would start the oracle's inversions at nan
                 raise NumericalError(f"the pressure is not finite at rho={rho!r}, T={T!r}")
             closed = convexity(params, rho, P, T)

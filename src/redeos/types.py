@@ -13,8 +13,14 @@ from enum import Enum
 from functools import cached_property
 from typing import NamedTuple
 
-from .constants import T_REF, P_REF
 from .errors import ModelMismatchError, ValidationError
+
+#: Universal gas constant, J/(mol K) (CODATA 2018).
+R_UNIVERSAL = 8.314462618
+#: Reference temperature for energy and entropy anchors, K.
+T_REF = 298.15
+#: Reference pressure for the entropy anchor, Pa.
+P_REF = 101325.0
 
 #: Tolerance on the mass-fraction closure sum of a mixture.
 MASS_FRACTION_TOL = 1e-12

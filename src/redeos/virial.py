@@ -71,6 +71,8 @@ def vo1_cp(params: GasParams, rho, T):
         return cvt_cv(params, T) + params.R * (1.0 + ar) ** 2 / (1.0 + 2.0 * ar)
     except ZeroDivisionError:  # only a negative a reaches the pole
         raise DomainError(f"Cp has a pole at 1 + 2 a rho = 0: rho={rho!r} (a rho = {ar!r})") from None
+    except OverflowError:  # (1 + a rho) ** 2 passes the largest float
+        raise NumericalError(f"Cp overflows at rho={rho!r}, T={T!r}") from None
 
 
 def vo1_sound_speed(params: GasParams, P, rho, T):
@@ -110,14 +112,17 @@ def vo1_entropy(params: GasParams, P, T, ref: EntropyReference = DEFAULT_ENTROPY
         raise DomainError(f"pressure and temperature must be positive, got P={P!r}, T={T!r}")
     P0, T0, s0 = ref
     R, Cv, a = params.R, params.Cv, params.a
-    x = 4.0 * a * P / (R * T)
-    x0 = 4.0 * a * P0 / (R * T0)
-    u = math.sqrt(1.0 + x)
-    u0 = math.sqrt(1.0 + x0)
-    du = (x - x0) / (u + u0)
-    # (u - 1)/(u0 - 1) = (x/x0) (1 + u0)/(1 + u), free of cancellation
-    log_ratio = math.log((P / P0) * (T0 / T) * (1.0 + u0) / (1.0 + u))  # P T0 overflows above ~6e305 Pa
-    return s0 + Cv * math.log(T / T0) - 0.5 * R * (du + 2.0 * log_ratio)
+    try:
+        x = 4.0 * a * P / (R * T)
+        x0 = 4.0 * a * P0 / (R * T0)
+        u = math.sqrt(1.0 + x)
+        u0 = math.sqrt(1.0 + x0)
+        du = (x - x0) / (u + u0)
+        # (u - 1)/(u0 - 1) = (x/x0) (1 + u0)/(1 + u), free of cancellation
+        log_ratio = math.log((P / P0) * (T0 / T) * (1.0 + u0) / (1.0 + u))  # P T0 overflows above ~6e305 Pa
+        return s0 + Cv * math.log(T / T0) - 0.5 * R * (du + 2.0 * log_ratio)
+    except (ZeroDivisionError, ValueError):  # R T, or a ratio to P0 or T0, or their product, underflows to zero
+        raise NumericalError(f"the entropy is not finite at P={P!r}, T={T!r}") from None
 
 
 def vo1_entropy_dP(params: GasParams, P, T):

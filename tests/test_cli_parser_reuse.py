@@ -1,6 +1,6 @@
 """The argparse tree is built once per process, not once per command.
 
-Building it (seven parsers, ~47 arguments, a help formatter per argument)
+Building it (eight parsers, ~50 arguments, a help formatter per argument)
 costs about a millisecond, a large share of an in-process grid command.
 ``cli.main`` builds it on its first call and reuses it; each call is
 otherwise independent, so a command run after argparse and library errors
@@ -56,8 +56,8 @@ def test_parser_is_built_once_across_commands(built, capsys):
         results.append(run(capsys, argv))
         counts.append(len(built))
 
-    # the top-level parser and one per subcommand, all on the first call
-    assert counts == [7] * 6
+    # the top-level parser, one per subcommand and the record options they share, all on the first call
+    assert counts == [8] * 6
     assert built[0] == "eos"
 
     golden = [{key: GOLDEN[argv][key] for key in ("code", "stdout", "stderr")}
