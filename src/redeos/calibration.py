@@ -285,14 +285,9 @@ def predict_closed_bomb(params: GasParams, rho_load) -> ClosedBombPrediction:
     """
     if not rho_load > 0.0:
         raise DomainError(f"loading density must be positive, got {rho_load!r}")
-    if params.e_s_eff is None:
-        raise ValidationError(f"record {params.name!r} carries no effective energy")
-    T = virial_cvt.cvt_temperature(params, params.q + params.e_s_eff)
+    T = virial_cvt._flame_temperature(params)
     P = LAWS[params.model].pressure(params, rho_load, T)
     if not 0.0 < P < math.inf:  # P overflows, or 1/rho_load does and P is 0
         raise NumericalError(f"the peak pressure at rho_load={rho_load!r} is not positive and finite, got {P!r}")
-    extrapolated = False
-    if params.rho_range is not None:
-        lo, hi = params.rho_range
-        extrapolated = not (lo <= rho_load <= hi)
-    return ClosedBombPrediction(T_flame=T, P_max=P, extrapolated=extrapolated)
+    lo, hi = params.rho_range or (-math.inf, math.inf)
+    return ClosedBombPrediction(T_flame=T, P_max=P, extrapolated=not lo <= rho_load <= hi)

@@ -17,7 +17,9 @@ flag, before any command runs.  A command imports the library modules it
 runs when it starts, so `state` never loads `calibration`, `mixture` or
 `numerics`.  A sweep row is one closure call: `sweep` calls the record's
 closure at its flame temperature, `mix-sweep` the single-gas closure of the
-mixed record for MNA and the virial-mixture closure for MVO1.
+mixed record for MNA and the virial-mixture closure for MVO1.  Both find the
+flame temperature before the header: a record whose flame is refused or not
+finite ends the command with stdout empty.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from .materials import (
 )
 from .state import closure_from_rho_T, state_from_P_T, state_from_rho_T, state_from_rho_e
 from .types import MODEL_FIELDS, GasParams, MixtureSpec, Model
-from .virial_cvt import cvt_temperature
+from .virial_cvt import _flame_temperature
 
 _MODEL_FLAGS = {"na": Model.NA, "vo1": Model.VO1, "vo1cvt": Model.VO1_CVT}
 
@@ -202,27 +204,17 @@ def cmd_calibrate_cvt(args):
 def cmd_sweep(args):
     params = _record(args)
     _require_convex_record(params)
-    if params.e_s_eff is None:
-        raise ValidationError(f"record {params.name!r} carries no effective energy")
+    T_flame = _flame_temperature(params)
+    flame = _fmt(T_flame)  # a refused or overflowing flame ends the command before its header
     densities = _parse_range(args.rho)
-    reference = {}
-    if args.reference:
-        for point in load_closed_bomb_csv(args.reference):
-            reference[point.rho_load] = point.P_max
+    reference = {p.rho_load: p.P_max for p in load_closed_bomb_csv(args.reference)} if args.reference else {}
     lo, hi = params.rho_range or (-math.inf, math.inf)
 
-    header = "rho_kg_m3,tflame_K,pmax_MPa,extrapolated,c_m_s"
-    if reference:
-        header += ",pref_MPa"
-    print(header)
+    print("rho_kg_m3,tflame_K,pmax_MPa,extrapolated,c_m_s" + (",pref_MPa" if reference else ""))
     had_domain_error = False
-    T_flame = flame = None
     for rho in densities:
         try:
-            # found once; a refused flame marks every row a domain error, an overflowed one never prints
-            T_flame = T_flame or cvt_temperature(params, params.q + params.e_s_eff)
             P, _, c = closure_from_rho_T(params, rho, T_flame)
-            flame = flame or _fmt(T_flame)
             row = [_fmt(rho), flame, _fmt(P / 1e6), "0" if lo <= rho <= hi else "1", _fmt(c)]
         except DomainError:
             had_domain_error = True
@@ -275,15 +267,13 @@ def cmd_mix_sweep(args):
     closure = closure_from_rho_T if mna else mvo1_closure_from_rho_T
     names, fraction_sets = _parse_mixture_spec(args.spec, args.fraction_sweep)
     gases = [db.get(name, Model.NA if mna else Model.VO1) for name in names]
-    for gas in gases:
-        _require_convex_record(gas)
     densities = [(rho, _fmt(rho)) for rho in _parse_float_list(args.rho)]
     # mixtures, flames and solve brackets are built before the header: a refusal leaves stdout empty
     mixtures = []
     for fractions in fraction_sets:
         mix = MixtureSpec(tuple(zip(gases, fractions)), oxygen_balance_declared_uniform=True)
         if not mna:
-            mix.virial  # raises unless every component has a > 0
+            mix.virial  # raises unless every component has a > 0, so refuses non-convex records
         mixtures.append((fractions[-1], mix.mixed if mna else mix, mixture_flame_temperature(mix)))
 
     print("Y,rho_kg_m3,tflame_K,pmax_MPa,c_m_s")

@@ -19,8 +19,8 @@ line.  Inert-run CSV format: header ``Y,tflame_K``.
 
 from __future__ import annotations
 
-import importlib.resources
 import math
+import os
 import re
 from functools import cache
 from typing import Iterable, NamedTuple
@@ -186,8 +186,7 @@ def save_material_db(path, db: MaterialDatabase):
 @cache
 def builtin_database() -> MaterialDatabase:
     """Packaged database of calibrated materials, read once."""
-    text = importlib.resources.files("redeos").joinpath("data/materials.eosdb").read_text("utf-8")
-    return _parse_material_db(text.splitlines())
+    return load_material_db(os.path.join(os.path.dirname(__file__), "data", "materials.eosdb"))
 
 
 def _parse_csv_rows(path, header: str, units):

@@ -30,7 +30,7 @@ from .numerics import _ROOT_MAX_ITER, _ROOT_STEP, solve_monotone
 from .state import Closure
 from .types import GasParams, MixtureSpec, Model, require_model
 from .virial import vo1_pressure
-from .virial_cvt import cvt_temperature
+from .virial_cvt import _flame_temperature, cvt_temperature
 
 
 def mna_coefficients(mix: MixtureSpec) -> GasParams:
@@ -256,15 +256,10 @@ def mvo1_closure_from_rho_e(mix: MixtureSpec, rho_mix, e_mix) -> Closure:
 
 
 def mixture_flame_temperature(mix: MixtureSpec):
-    """Constant-volume flame temperature of the mixture, K.
-
-    The closed-bomb rule of a single record applied to the mixture record:
-    the flame temperature follows from its caloric law at its effective
-    energy, ``mix.mixed.e_s_eff``, the mass-weighted sum of the component
-    effective energies.
-    """
+    """Constant-volume flame temperature of the mixture, K: the single-record rule applied to
+    ``mix.mixed``, whose effective energy is the mass-weighted sum of the components'."""
     mixed = mix.mixed
     for gas, _ in mix.components:
         if gas.e_s_eff is None:
             raise ValidationError(f"record {gas.name!r} carries no effective energy")
-    return cvt_temperature(mixed, mixed.q + mixed.e_s_eff)
+    return _flame_temperature(mixed)

@@ -64,7 +64,7 @@ def _na_pressure(params, rho, T):
 
 def _na_density(params, P, T):
     v = noble_abel.na_volume(params, P, T)
-    rho = 1.0 / v
+    rho = 1.0 / v if v else math.inf  # R T / P underflows to v = 0 at b = 0
     if not (rho > 0.0 and 1.0 / rho > params.b):  # state_from_rho_T reads v back as 1/rho
         raise NumericalError(f"R T / P {'overflows' if v == math.inf else 'underflows against the covolume'} "
                              f"at P={P!r}, T={T!r}")

@@ -41,7 +41,10 @@ def virial_density_pt(R, a, P, T):
     small 4aP/RT; the rationalized equivalent below is free of subtraction
     for any a >= 0 and degenerates exactly to P/(RT) at a = 0.
     """
-    x = 4.0 * a * P / (R * T)
+    try:
+        x = 4.0 * a * P / (R * T)
+    except ZeroDivisionError:  # R T underflows to zero
+        raise NumericalError(f"the density root divides by zero at P={P!r}, T={T!r}") from None
     if 1.0 + x < 0.0:
         raise NumericalError(f"density root discriminant is negative (4aP/RT = {x!r})")
     return 2.0 * P / (R * T * (1.0 + math.sqrt(1.0 + x)))
@@ -136,8 +139,11 @@ def vo1_entropy_dP(params: GasParams, P, T):
         require_model(params, Model.VO1)
     if not (P > 0.0 and T > 0.0):
         raise DomainError(f"pressure and temperature must be positive, got P={P!r}, T={T!r}")
-    u = math.sqrt(1.0 + 4.0 * params.a * P / (params.R * T))
-    return -params.R * (1.0 + u) ** 2 / (4.0 * P * u)
+    try:
+        u = math.sqrt(1.0 + 4.0 * params.a * P / (params.R * T))
+        return -params.R * (1.0 + u) ** 2 / (4.0 * P * u)
+    except (ZeroDivisionError, ValueError):  # R T underflows to zero, or a < 0 takes 1 + 4aP/RT below it
+        raise NumericalError(f"the entropy derivative is not finite at P={P!r}, T={T!r}") from None
 
 
 def vo1_convexity(params: GasParams, rho, P, T) -> ConvexityReport:

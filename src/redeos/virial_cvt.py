@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import DomainError
+from .errors import DomainError, NumericalError, ValidationError
 from .types import GasParams
 
 
@@ -57,12 +57,25 @@ def cvt_temperature(params: GasParams, e):
     if c == 0.0:
         return E / Cv0
     disc = Cv0 * Cv0 + 2.0 * c * E
-    if disc < 0.0:
-        raise DomainError(f"caloric law has no real temperature for e = {e!r} J/kg")
-    if disc < math.inf:
-        return E / (0.5 * (Cv0 + math.sqrt(disc)))  # 2 E would overflow above ~9e307 J/kg
-    # 2c(e-q) overflows (so c > 0): half the root, sqrt(Cv0^2/4 + c E/2), as a hypotenuse
-    return E / (0.5 * Cv0 + math.hypot(0.5 * Cv0, math.sqrt(0.5 * c) * math.sqrt(E)))
+    if 0.0 <= disc < math.inf:
+        try:
+            return E / (0.5 * (Cv0 + math.sqrt(disc)))  # 2 E would overflow above ~9e307 J/kg
+        except ZeroDivisionError:  # a subnormal Cv0, with 2 c (e-q) underflowing too, halves to 0
+            raise NumericalError(f"the caloric law's temperature overflows at e = {e!r} J/kg") from None
+    # disc < 0, or Cv0^2 or 2c(e-q) overflows: half the root, sqrt(Cv0^2/4 + c E/2), from Cv0/2 and sqrt(|c| E/2)
+    half, k = 0.5 * Cv0, math.sqrt(0.5 * abs(c)) * math.sqrt(E)
+    if c > 0.0:
+        return E / (half + math.hypot(half, k))
+    if not disc < 0.0 and k <= half:  # c < 0: Cv0^2 overflows, alone or with 2c(e-q) into inf - inf
+        return E / (half + math.sqrt(half - k) * math.sqrt(half + k))
+    raise DomainError(f"caloric law has no real temperature for e = {e!r} J/kg")
+
+
+def _flame_temperature(params: GasParams):
+    """Closed-bomb flame temperature: the caloric law at the record's effective energy."""
+    if params.e_s_eff is None:
+        raise ValidationError(f"record {params.name!r} carries no effective energy")
+    return cvt_temperature(params, params.q + params.e_s_eff)
 
 
 def cvt_effective_energy(params: GasParams, T_flame):

@@ -194,20 +194,20 @@ class TestSweep:
         _, rows = csv_rows(out)
         assert float(rows[0][2]) == pytest.approx(130.3, rel=2e-3)
 
-    @pytest.mark.parametrize("record, model, rows, code, err", [
-        # Cv0^2 + 2 c e < 0: the caloric law has no real flame temperature, so no row has one
+    @pytest.mark.parametrize("record, model, code, err", [
+        # Cv0^2 + 2 c e < 0: the caloric law has no real flame temperature
         ('[material "X" model VO1_CVT]\nR = 322\na = 0.002359\nCv0 = 1000\nc = -0.5\ne_s_eff_kJ = 2000\n',
-         "vo1cvt", ["-10", "0", "10"], 4, ""),
-        # e / Cv overflows: the rows before the first positive density still read E_DOMAIN
+         "vo1cvt", 4, "E_DOMAIN: caloric law has no real temperature for e = 2000000.0 J/kg\n"),
+        # e / Cv overflows to an infinite flame temperature
         ('[material "X" model NA]\nR = 338.9\nb = 0.001484\nCv = 1e-310\ne_s_eff_kJ = 5360.7\n',
-         "na", ["-10", "0"], 3, "E_NUMERICAL: floating-point evaluation failed at --rho -10:10:10\n"),
+         "na", 3, "E_NUMERICAL: floating-point evaluation failed at --rho -10:10:10\n"),
     ], ids=["flame-refused", "flame-overflows"])
-    def test_flame_edges(self, capsys, tmp_path, record, model, rows, code, err):
+    def test_flame_edges(self, capsys, tmp_path, record, model, code, err):
+        # the flame is found before the header, so a refused one leaves stdout empty, as in mix-sweep
         db = tmp_path / "flame.eosdb"
         db.write_text(record)
         got = run_cli(capsys, "sweep", "X", "--model", model, "--rho", "-10:10:10", "--db", str(db))
-        out = "rho_kg_m3,tflame_K,pmax_MPa,extrapolated,c_m_s\n" + "".join(f"{rho},,,E_DOMAIN,\n" for rho in rows)
-        assert got == (code, out, err)
+        assert got == (code, "", err)
 
 
 class TestMixSweep:
@@ -406,6 +406,16 @@ class TestNonConvexRecordGuard:
         assert code == 2
         assert err.startswith("E_VALIDATION:")
         assert "audit" in err
+
+    def test_mix_sweep_refuses_negative_virial(self, capsys, tmp_path):
+        # the virial mixture's pressure solve refuses the component, before the header
+        dbfile = tmp_path / "probe.eosdb"
+        dbfile.write_text('[material "X" model VO1]\nR = 322\na = -0.02\nCv = 1640\ne_s_eff_kJ = 5000\n'
+                          '[material "Y" model VO1]\nR = 322\na = 0.002359\nCv = 1640\ne_s_eff_kJ = 5000\n')
+        got = run_cli(capsys, "mix-sweep", "X=0.5,Y=0.5", "--model", "mvo1", "--rho", "100",
+                      "--same-oxygen-balance", "--db", str(dbfile))
+        assert got == (2, "", "E_VALIDATION: mixture pressure solve requires a > 0 for every component; "
+                              "'X' has a = -0.02\n")
 
 
 class TestErrorSurface:

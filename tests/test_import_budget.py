@@ -32,8 +32,8 @@ for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
         codes[argv[0]] = redeos.cli.main(argv)
 fit = redeos.lsq_fit_3(*json.loads(sys.argv[2]))
-print(json.dumps({"codes": codes, "fit": [float.hex(x) for x in fit],
-                  "site": "site" in sys.modules, "numpy": "numpy" in sys.modules}))
+print(json.dumps({"codes": codes, "fit": [float.hex(x) for x in fit], "site": "site" in sys.modules,
+                  "numpy": "numpy" in sys.modules, "resources": "importlib.resources" in sys.modules}))
 """
 
 #: A consistent Cv(T) system: Cv0 = 1416.8 J/kg/K, c = 0.0637 J/kg/K2, q = -450 kJ/kg.
@@ -64,6 +64,9 @@ def test_every_command_runs_without_site_packages(tmp_path):
 
     assert child["codes"] == {argv[0]: 0 for argv in argvs}
     assert child["site"] is False and child["numpy"] is False
+    # the packaged table is read as a --db file is, so no command imports importlib.resources;
+    # a module once loaded stays in sys.modules, so the check after the last command covers them all
+    assert child["resources"] is False
     # the fit returns what an in-process fit returns, bit for bit
     assert child["fit"] == [float.hex(x) for x in rx.lsq_fit_3(TEMPERATURES, TARGETS)]
 

@@ -5,9 +5,9 @@ so every public call below must return or raise an :class:`EosError`; a bare
 ``ArithmeticError`` or ``ValueError`` escaping one breaks that contract.
 Inputs are drawn log-uniformly from 5e-324 to 1.7e308, as plain floats over
 that range, or from 0, -1, inf and nan, on every built-in record and on
-two-component VO1 mixtures of them; the audit also runs on records whose
-fields are drawn the same way.  The draws are derandomized, so the test is
-seeded.
+two-component VO1 mixtures of them; the audit, the kernels and the mixture
+calls also run on records whose fields are drawn the same way.  The draws
+are derandomized, so the test is seeded.
 """
 
 import math
@@ -26,12 +26,18 @@ SPECIAL = [0.0, -1.0, math.inf, math.nan, 5e-324, 1.7e308]
 POSITIVE = st.floats(math.log10(5e-324), math.log10(1.7e308)).map(lambda x: 10.0 ** x)
 NUMBERS = st.one_of(st.sampled_from(SPECIAL), POSITIVE, st.floats(min_value=5e-324, max_value=1.7e308))
 SIGNED = st.builds(lambda x, negative: -x if negative else x, POSITIVE, st.booleans())
+EXTREME_VO1_RECORDS = st.builds(rx.GasParams.virial, st.just("vo1"), R=POSITIVE, a=SIGNED, Cv=POSITIVE)
 EXTREME_RECORDS = st.one_of(
     st.builds(rx.GasParams.noble_abel, st.just("na"), R=POSITIVE, b=st.one_of(st.just(0.0), POSITIVE), Cv=POSITIVE),
-    st.builds(rx.GasParams.virial, st.just("vo1"), R=POSITIVE, a=SIGNED, Cv=POSITIVE),
+    EXTREME_VO1_RECORDS,
     st.builds(rx.GasParams.virial_cvt, st.just("vo1cvt"), R=POSITIVE, a=SIGNED, Cv0=POSITIVE, c=SIGNED))
-MIXTURES = st.builds(lambda a, b, y: rx.MixtureSpec(((a, 1.0 - y), (b, y))),
-                     VO1_RECORDS, VO1_RECORDS, st.floats(0.0, 1.0))
+
+
+def _binary_mixtures(records):
+    return st.builds(lambda a, b, y: rx.MixtureSpec(((a, 1.0 - y), (b, y))), records, records, st.floats(0.0, 1.0))
+
+
+MIXTURES = st.one_of(_binary_mixtures(VO1_RECORDS), _binary_mixtures(EXTREME_VO1_RECORDS))
 
 SINGLE_RECORD_CALLS = {
     "state_from_rho_T": rx.state_from_rho_T,
@@ -90,19 +96,34 @@ def _predict_closed_bomb(params, rho_load):
 @example(params=DB.get("NC-13", rx.Model.VO1), x=1e160, y=3000.0)
 # 1/rho_load overflows, and the Noble-Abel prediction's P is 0
 @example(params=DB.get("NC-13", rx.Model.NA), x=5e-324, y=3000.0)
+# R T / P underflows to a zero Noble-Abel volume at b = 0
+@example(params=rx.GasParams.noble_abel("x", R=2.2564718568936926e-220, b=0.0, Cv=5.454484590488076e112),
+         x=5.883372714001903e58, y=7.399646723057632e-193)
 def test_single_record_calls_raise_only_eos_errors(name, params, x, y):
     _returns_or_refuses(SINGLE_RECORD_CALLS[name], params, x, y)
 
 
 @pytest.mark.parametrize("name", KERNELS)
-@settings(max_examples=60)
-@given(params=RECORDS, x=NUMBERS, y=NUMBERS, z=NUMBERS)
+@settings(max_examples=40)
+@given(params=st.one_of(RECORDS, EXTREME_RECORDS), x=NUMBERS, y=NUMBERS, z=NUMBERS)
 # (1 + a rho) ** 2 overflows in Cp
 @example(params=DB.get("NC-13", rx.Model.VO1), x=1e160, y=3000.0, z=3000.0)
 # P/P0 underflows to zero under the entropy's logarithm, from P itself or from (v, T)
 @example(params=DB.get("NC-13", rx.Model.NA), x=1e-320, y=3000.0, z=3000.0)
 @example(params=DB.get("NC-13", rx.Model.NA), x=2.2487202936894177e168, y=1.1666991359180864e-153, z=3000.0)
 @example(params=DB.get("NC-13", rx.Model.VO1), x=1e-320, y=3000.0, z=3000.0)
+# R T underflows to zero in the virial density root and in the entropy derivative
+@example(params=rx.GasParams.virial_cvt("x", R=8.955808773798834e-305, a=1.8425131222145302e293,
+                                        Cv0=2.4899193927813445e135, c=6.011963787845538e95),
+         x=5.480724957231869e-99, y=1.0538580565289492e-94, z=3000.0)
+@example(params=rx.GasParams.virial("x", R=4.4553043819984555e-153, a=1.7175159957150723e-13, Cv=3.0656872406295786e177),
+         x=4.441691237915163e62, y=3.3540507653460284e-190, z=3000.0)
+# a subnormal Cv0 halves to zero in the caloric law's root
+@example(params=rx.GasParams.virial_cvt("x", R=322.0, a=0.002, Cv0=5e-324, c=1.1921168350632048e-222),
+         x=2.8565984075201855e-258, y=3000.0, z=3000.0)
+# Cv0^2 overflows under a negative slope, alone or with 2 c e into inf - inf
+@example(params=rx.GasParams.virial_cvt("x", R=1.0, a=1.0, Cv0=1e155, c=-1.0), x=1.0, y=3000.0, z=3000.0)
+@example(params=rx.GasParams.virial_cvt("x", R=1.0, a=1.0, Cv0=1e308, c=-1e300), x=1e300, y=3000.0, z=3000.0)
 def test_kernels_raise_only_eos_errors(name, params, x, y, z):
     _returns_or_refuses(getattr(rx, name), params, *(x, y, z)[:KERNELS[name]])
 
@@ -124,7 +145,7 @@ def test_audit_of_extreme_records_raises_only_eos_errors(params, x, y):
 
 
 @pytest.mark.parametrize("name", MIXTURE_CALLS)
-@settings(max_examples=300)
+@settings(max_examples=200)
 @given(mix=MIXTURES, x=NUMBERS, y=NUMBERS)
 def test_mixture_calls_raise_only_eos_errors(name, mix, x, y):
     _returns_or_refuses(MIXTURE_CALLS[name], mix, x, y)

@@ -645,9 +645,9 @@ class TestInlineSolve:
                 got, got_raised = _outcome(_mixture_volume, ((R, a, 1.0, None),), P, T)
                 if got_raised is None:
                     assert got[0][0].hex() == want.hex(), (P, T)
-                else:  # R T underflows, or the pass divides by a root or a square that does
+                else:  # R T underflows, which the kernel refuses, or the pass divides by a root or a square that does
                     assert type(got_raised) is ZeroDivisionError, (P, T)
-                    assert (type(want_raised) is ZeroDivisionError or want == 0.0
+                    assert (type(want_raised) is NumericalError or want == 0.0
                             or want * want * R * T * (1.0 + 2.0 * a * want) == 0.0), (P, T)
 
     @pytest.mark.parametrize("a", [1e-300, 0.002359, 1e300])
