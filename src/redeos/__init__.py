@@ -68,6 +68,7 @@ from .virial_cvt import (
 )
 from .state import (
     Closure,
+    closure_for,
     closure_from_rho_T,
     closure_from_rho_e,
     state_from_P_T,

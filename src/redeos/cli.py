@@ -15,11 +15,14 @@ ends the command quietly with exit 0: no `E_*` line, no traceback.
 A number flag not finite as typed or in SI units is refused, naming the
 flag, before any command runs.  A command imports the library modules it
 runs when it starts, so `state` never loads `calibration`, `mixture` or
-`numerics`.  A sweep row is one closure call: `sweep` calls the record's
-closure at its flame temperature, `mix-sweep` the single-gas closure of the
-mixed record for MNA and the virial-mixture closure for MVO1.  Both find the
-flame temperature before the header: a record whose flame is refused or not
-finite ends the command with stdout empty.
+`numerics`.  A sweep row is one closure call: `sweep` binds the record's
+`closure_for` once and calls it at the record's flame energy q + e_s_eff,
+which gives the flame temperature bit for bit; `mix-sweep` does the same with
+the mixed record for MNA, once per fraction set, and calls the virial-mixture
+closure at the flame temperature for MVO1.  Both find and format every flame
+temperature before the header: a record whose flame is refused ends the
+command with stdout empty, and one whose flame is not finite does so with an
+`E_NUMERICAL` line naming the record, which alone sets the flame.
 """
 
 from __future__ import annotations
@@ -42,9 +45,9 @@ from .materials import (
     load_material_db,
     save_material_db,
 )
-from .state import closure_from_rho_T, state_from_P_T, state_from_rho_T, state_from_rho_e
+from .state import closure_for, state_from_P_T, state_from_rho_T, state_from_rho_e
 from .types import MODEL_FIELDS, GasParams, MixtureSpec, Model
-from .virial_cvt import _flame_temperature
+from .virial_cvt import _flame_energy, _flame_temperature
 
 _MODEL_FLAGS = {"na": Model.NA, "vo1": Model.VO1, "vo1cvt": Model.VO1_CVT}
 
@@ -72,6 +75,20 @@ def _fmt(x):
         raise NumericalError(f"result is not finite ({x!r})")
     text = format(x, ".10g")
     return repr(x) if math.isinf(float(text)) else text
+
+
+class _FlameError(NumericalError):
+    """A flame temperature that is not finite; named by the record, not by the command's numbers."""
+
+
+def _flame(find, source, record):
+    """``find(source)``, a flame temperature, and its printed text; a flame that is not finite
+    ends the command naming the record, ``record()``, which alone sets it."""
+    try:
+        T_flame = find(source)
+        return T_flame, _fmt(T_flame)
+    except NumericalError:
+        raise _FlameError(f"floating-point evaluation failed at the flame temperature of {record()}") from None
 
 
 def _load_db(path):
@@ -204,8 +221,8 @@ def cmd_calibrate_cvt(args):
 def cmd_sweep(args):
     params = _record(args)
     _require_convex_record(params)
-    T_flame = _flame_temperature(params)
-    flame = _fmt(T_flame)  # a refused or overflowing flame ends the command before its header
+    _, flame = _flame(_flame_temperature, params, lambda: args.material)  # a refused flame ends it here
+    closure, e_flame = closure_for(params), _flame_energy(params)
     densities = _parse_range(args.rho)
     reference = {p.rho_load: p.P_max for p in load_closed_bomb_csv(args.reference)} if args.reference else {}
     lo, hi = params.rho_range or (-math.inf, math.inf)
@@ -214,7 +231,7 @@ def cmd_sweep(args):
     had_domain_error = False
     for rho in densities:
         try:
-            P, _, c = closure_from_rho_T(params, rho, T_flame)
+            P, _, c = closure(rho, e_flame)
             row = [_fmt(rho), flame, _fmt(P / 1e6), "0" if lo <= rho <= hi else "1", _fmt(c)]
         except DomainError:
             had_domain_error = True
@@ -262,25 +279,28 @@ def cmd_mix_sweep(args):
             "(no post-combustion between the product gases is modelled); "
             "pass --same-oxygen-balance to declare this holds")
     db = _load_db(args.db)
-    # the Noble-Abel mixture is the single-gas law of its mixed record; the virial one solves for P
     mna = args.model == "mna"
-    closure = closure_from_rho_T if mna else mvo1_closure_from_rho_T
     names, fraction_sets = _parse_mixture_spec(args.spec, args.fraction_sweep)
     gases = [db.get(name, Model.NA if mna else Model.VO1) for name in names]
     densities = [(rho, _fmt(rho)) for rho in _parse_float_list(args.rho)]
-    # mixtures, flames and solve brackets are built before the header: a refusal leaves stdout empty
+    # mixtures, solve brackets, flames and closures come before the header: a refusal leaves stdout empty
     mixtures = []
     for fractions in fraction_sets:
         mix = MixtureSpec(tuple(zip(gases, fractions)), oxygen_balance_declared_uniform=True)
         if not mna:
             mix.virial  # raises unless every component has a > 0, so refuses non-convex records
-        mixtures.append((fractions[-1], mix.mixed if mna else mix, mixture_flame_temperature(mix)))
+        T_flame, flame = _flame(mixture_flame_temperature, mix,
+                                lambda: ",".join(f"{name}={_fmt(y)}" for name, y in zip(names, fractions)))
+        if mna:  # the Noble-Abel mixture is the single-gas law of its mixed record
+            target, x = closure_for(mix.mixed), _flame_energy(mix.mixed)
+        else:  # the virial one solves for P at the flame temperature
+            target, x = mix, T_flame
+        mixtures.append((_fmt(fractions[-1]), flame, target, x))
 
     print("Y,rho_kg_m3,tflame_K,pmax_MPa,c_m_s")
-    for y, target, T_flame in mixtures:
-        lead, flame = _fmt(y), _fmt(T_flame)
+    for lead, flame, target, x in mixtures:
         for rho, rho_text in densities:
-            P, _, c = closure(target, rho, T_flame)
+            P, _, c = target(rho, x) if mna else mvo1_closure_from_rho_T(target, rho, x)
             print(f"{lead},{rho_text},{flame},{_fmt(P / 1e6)},{_fmt(c)}")
     return 0
 
@@ -427,7 +447,7 @@ def main(argv=None):
         return 0
     except (EosError, OSError, ArithmeticError, ValueError) as exc:
         error = type(exc) if isinstance(exc, EosError) else ParseError if isinstance(exc, OSError) else NumericalError
-        if error.tag == NumericalError.tag:  # named by the command's inputs, not by an internal value
+        if error.tag == NumericalError.tag and error is not _FlameError:  # named by the inputs, not an internal value
             given = " ".join(f"--{k.replace('_', '-')} {getattr(args, k)}"
                              for k in _NUMERIC_OPTIONS if getattr(args, k, None) is not None)
             exc = f"floating-point evaluation failed at {given}"

@@ -14,6 +14,13 @@ virial models share one entry, which reads Cv(T); only the entropy needs a
 constant Cv, so a Cv(T) state has none.  The entries call the kernels
 through their modules, so that wrappers installed on module attributes see
 those calls.
+
+:func:`closure_for` binds one record's constants into a function of
+(rho, e) for a solver's cell loop or a command's grid.  It writes three
+short formulas per model a second time, T, P and c in their kernels' order
+of operations, and hands every input it does not take to
+:func:`closure_from_rho_e`; a seeded differential test in
+``tests/test_state.py`` binds the two writings, values and refusals.
 """
 
 from __future__ import annotations
@@ -117,6 +124,56 @@ def closure_from_rho_T(params: GasParams, rho, T) -> Closure:
 def closure_from_rho_e(params: GasParams, rho, e) -> Closure:
     """P, T and c from density and specific internal energy: a flow solver's cell update."""
     return closure_from_rho_T(params, rho, virial_cvt.cvt_temperature(params, e))
+
+
+def closure_for(params: GasParams) -> Callable:
+    """``closure_from_rho_e`` of one record as a function of (rho, e), its constants bound as locals.
+
+    The happy path returns the same P, T and c; every input it does not take
+    (rho not in (0, inf) or 1/rho overflowing, e not in (q, inf), the caloric
+    root's discriminant outside [0, inf), Cv(T) not positive, v <= b, P or c
+    not positive and finite) goes to :func:`closure_from_rho_e`, which
+    refuses it or returns.
+    """
+    R, q, (Cv0, slope) = params.R, params.q, params.cv_law
+    inf, sqrt, new = math.inf, math.sqrt, tuple.__new__  # new(Closure, ...) skips NamedTuple's Python __new__
+    if params.model is Model.NA:
+        b, gamma = params.b, 1.0 + R / Cv0  # na_gamma's float: Cv0 is Cv
+
+        def closure(rho, e):
+            if q < e < inf and rho > 0.0:
+                T = (e - q) / Cv0
+                v = 1.0 / rho
+                cover = 1.0 - rho * b
+                if b < v < inf and cover > 0.0:  # v > b gave cover > 0 on every input tried; 0 would divide
+                    P = R * T / (v - b)  # 0 where T is, so a positive P has a positive T
+                    c2 = gamma * (P / rho) / cover
+                    if 0.0 < P < inf and 0.0 < c2 < inf:
+                        return new(Closure, (P, T, sqrt(c2)))
+            return closure_from_rho_e(params, rho, e)
+        return closure
+
+    a, Cv0_sq, two_slope = params.a, Cv0 * Cv0, 2.0 * slope
+
+    def closure(rho, e):
+        if q < e < inf and rho > 0.0 and 1.0 / rho < inf:
+            E = e - q
+            if not slope:
+                T = E / Cv0
+            else:  # cvt_temperature's rationalized root, where it takes no other branch
+                disc = Cv0_sq + two_slope * E
+                if not (0.0 <= disc < inf and (half := 0.5 * (Cv0 + sqrt(disc)))):
+                    return closure_from_rho_e(params, rho, e)
+                T = E / half
+            cv = Cv0 + slope * T  # exactly Cv0 at slope 0 for a finite T
+            ar = a * rho
+            P = rho * R * T * (1.0 + ar)  # 0 or nan where T or 1 + a rho is 0
+            if cv > 0.0 and 0.0 < P < inf:
+                c2 = (P / rho) * ((R / cv) * (1.0 + ar) + (1.0 + 2.0 * ar) / (1.0 + ar))
+                if 0.0 < c2 < inf:
+                    return new(Closure, (P, T, sqrt(c2)))
+        return closure_from_rho_e(params, rho, e)
+    return closure
 
 
 def state_from_rho_T(params: GasParams, rho, T) -> ThermoState:

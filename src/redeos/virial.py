@@ -106,7 +106,7 @@ def vo1_entropy(params: GasParams, P, T, ref: EntropyReference = DEFAULT_ENTROPY
     s(P0, T0) = s0 holds exactly.  The closed form is singular at a = 0;
     for an ideal gas use the Noble-Abel kernel with b = 0.
     """
-    if params.model is not Model.VO1:
+    if params.a is None or params.c is not None:  # only VO1 has a without c; Model.VO1 is a slow Enum read
         require_model(params, Model.VO1)
     if params.a <= 0.0:
         raise DomainError(
@@ -135,7 +135,7 @@ def vo1_entropy_dP(params: GasParams, P, T):
     rationalized equivalent of differentiating the entropy expression,
     stable for small a and reducing to -R/P in the ideal-gas limit.
     """
-    if params.model is not Model.VO1:
+    if params.a is None or params.c is not None:  # not VO1, tested as in vo1_entropy
         require_model(params, Model.VO1)
     if not (P > 0.0 and T > 0.0):
         raise DomainError(f"pressure and temperature must be positive, got P={P!r}, T={T!r}")

@@ -71,11 +71,16 @@ def cvt_temperature(params: GasParams, e):
     raise DomainError(f"caloric law has no real temperature for e = {e!r} J/kg")
 
 
-def _flame_temperature(params: GasParams):
-    """Closed-bomb flame temperature: the caloric law at the record's effective energy."""
+def _flame_energy(params: GasParams):
+    """Closed-bomb flame energy, J/kg: the record's effective energy above its reference q."""
     if params.e_s_eff is None:
         raise ValidationError(f"record {params.name!r} carries no effective energy")
-    return cvt_temperature(params, params.q + params.e_s_eff)
+    return params.q + params.e_s_eff
+
+
+def _flame_temperature(params: GasParams):
+    """Closed-bomb flame temperature: the caloric law at the record's flame energy."""
+    return cvt_temperature(params, _flame_energy(params))
 
 
 def cvt_effective_energy(params: GasParams, T_flame):

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import redeos as rx
-from redeos.cli import _parse_range, main
+from redeos.cli import _fmt, _parse_range, main
 
 from conftest import write_dilution_runs_csv
 
@@ -141,6 +141,10 @@ class TestCalibrateCvt:
         assert err.startswith("E_VALIDATION:")
 
 
+#: A Noble-Abel record whose flame temperature e / Cv overflows to inf.
+OVERFLOWING_FLAME = '[material "X" model NA]\nR = 338.9\nb = 0.001484\nCv = 1e-310\ne_s_eff_kJ = 5360.7\n'
+
+
 class TestSweep:
     def test_virial_density_sweep(self, capsys):
         code, out, _ = run_cli(capsys, "sweep", "NC-13", "--model", "vo1", "--rho", "100:400:50")
@@ -198,9 +202,8 @@ class TestSweep:
         # Cv0^2 + 2 c e < 0: the caloric law has no real flame temperature
         ('[material "X" model VO1_CVT]\nR = 322\na = 0.002359\nCv0 = 1000\nc = -0.5\ne_s_eff_kJ = 2000\n',
          "vo1cvt", 4, "E_DOMAIN: caloric law has no real temperature for e = 2000000.0 J/kg\n"),
-        # e / Cv overflows to an infinite flame temperature
-        ('[material "X" model NA]\nR = 338.9\nb = 0.001484\nCv = 1e-310\ne_s_eff_kJ = 5360.7\n',
-         "na", 3, "E_NUMERICAL: floating-point evaluation failed at --rho -10:10:10\n"),
+        # e / Cv overflows to an infinite flame temperature, which the record alone sets
+        (OVERFLOWING_FLAME, "na", 3, "E_NUMERICAL: floating-point evaluation failed at the flame temperature of X\n"),
     ], ids=["flame-refused", "flame-overflows"])
     def test_flame_edges(self, capsys, tmp_path, record, model, code, err):
         # the flame is found before the header, so a refused one leaves stdout empty, as in mix-sweep
@@ -208,6 +211,51 @@ class TestSweep:
         db.write_text(record)
         got = run_cli(capsys, "sweep", "X", "--model", model, "--rho", "-10:10:10", "--db", str(db))
         assert got == (code, "", err)
+
+
+class TestGridsAtBenchmarkSizes:
+    """`sweep` and `mix-sweep` at the sizes the benchmark's grid commands run, byte for byte against rows
+    formatted here from the kernels' closure at the flame temperature, which binds the commands' compiled
+    closures to the kernels row by row."""
+
+    @pytest.mark.parametrize("model, grid", [
+        ("na", "10:728.8:1.2"),  # crosses 1/b = 673.9 kg/m3 into E_DOMAIN rows
+        ("vo1", "10.5:609.5:1"),
+        ("vo1cvt", "10.5:609.5:1"),
+    ])
+    def test_600_point_sweep(self, capsys, db, model, grid):
+        params = db.get("NC-13", {"na": rx.Model.NA, "vo1": rx.Model.VO1, "vo1cvt": rx.Model.VO1_CVT}[model])
+        T_flame = rx.cvt_temperature(params, params.q + params.e_s_eff)
+        lo, hi = params.rho_range
+        rows, domain_rows = ["rho_kg_m3,tflame_K,pmax_MPa,extrapolated,c_m_s"], 0
+        for rho in _parse_range(grid):
+            try:
+                P, _, c = rx.closure_from_rho_T(params, rho, T_flame)
+                flag = "0" if lo <= rho <= hi else "1"
+                rows.append(f"{_fmt(rho)},{_fmt(T_flame)},{_fmt(P / 1e6)},{flag},{_fmt(c)}")
+            except rx.DomainError:
+                domain_rows += 1
+                rows.append(f"{_fmt(rho)},,,E_DOMAIN,")
+        assert len(rows) == 601 and (domain_rows > 0) == (model == "na")
+        code, out, err = run_cli(capsys, "sweep", "NC-13", "--model", model, "--rho", grid)
+        assert (code, err) == (4 if domain_rows else 0, "")
+        assert out == "\n".join(rows) + "\n"
+
+    def test_20_by_20_mna_fraction_sweep(self, capsys, db):
+        gases = [db.get(name, rx.Model.NA) for name in ("NC-13", "RDX")]
+        densities = [15.0 + 30.0 * k for k in range(20)]
+        rows = ["Y,rho_kg_m3,tflame_K,pmax_MPa,c_m_s"]
+        for y in _parse_range("0.05:0.905:0.045"):
+            mix = rx.MixtureSpec(((gases[0], 1.0 - y), (gases[1], y)), oxygen_balance_declared_uniform=True)
+            T_flame = rx.mixture_flame_temperature(mix)
+            for rho in densities:
+                P, _, c = rx.closure_from_rho_T(mix.mixed, rho, T_flame)
+                rows.append(f"{_fmt(y)},{_fmt(rho)},{_fmt(T_flame)},{_fmt(P / 1e6)},{_fmt(c)}")
+        assert len(rows) == 401
+        code, out, err = run_cli(capsys, "mix-sweep", "NC-13+RDX", "--model", "mna", "--fraction-sweep",
+                                 "0.05:0.905:0.045", "--rho", ",".join(map(repr, densities)), "--same-oxygen-balance")
+        assert (code, err) == (0, "")
+        assert out == "\n".join(rows) + "\n"
 
 
 class TestMixSweep:
@@ -232,6 +280,19 @@ class TestMixSweep:
         _, rows2 = csv_rows(out2)
         assert float(rows[0][3]) == pytest.approx(float(rows2[0][2]), rel=1e-9)
         assert float(rows[0][4]) == pytest.approx(float(rows2[0][4]), rel=1e-9)
+
+    @pytest.mark.parametrize("spec, sweep, named", [
+        ("X=0.5,Y=0.5", [], "X=0.5,Y=0.5"),
+        ("X+Y", ["--fraction-sweep", "0:1:0.5"], "X=1,Y=0"),  # the first fraction set of the sweep
+    ], ids=["fixed", "fraction-sweep"])
+    def test_overflowing_flame_names_the_mixture(self, capsys, tmp_path, spec, sweep, named):
+        # every flame is formatted before the header, so stdout stays empty, and the line names
+        # the fractions that set the flame, not --rho
+        db = tmp_path / "flame.eosdb"
+        db.write_text(OVERFLOWING_FLAME + "\n" + OVERFLOWING_FLAME.replace('"X"', '"Y"'))
+        got = run_cli(capsys, "mix-sweep", spec, "--model", "mna", "--rho", "100", *sweep,
+                      "--same-oxygen-balance", "--db", str(db))
+        assert got == (3, "", f"E_NUMERICAL: floating-point evaluation failed at the flame temperature of {named}\n")
 
     def test_refuses_without_declaration(self, capsys):
         code, _, err = run_cli(capsys, "mix-sweep", "NC-13+RDX", "--model", "mna",

@@ -84,7 +84,7 @@ def _predict_closed_bomb(params, rho_load):
 
 
 @pytest.mark.parametrize("name", SINGLE_RECORD_CALLS)
-@settings(max_examples=300)
+@settings(max_examples=250)  # 300 until the compiled closures' test below took its share of the time
 @given(params=RECORDS, x=NUMBERS, y=NUMBERS)
 # R T / P overflows to an infinite NA volume
 @example(params=DB.get("NC-13", rx.Model.NA), x=1.79e-291, y=1.31e219)
@@ -142,6 +142,21 @@ def test_kernels_raise_only_eos_errors(name, params, x, y, z):
          x=7.440907478781788e-185, y=9.737798867565975e256)
 def test_audit_of_extreme_records_raises_only_eos_errors(params, x, y):
     _returns_or_refuses(rx.audit_record, params, [x], [y])
+
+
+def _closure_outcome(call, *args):
+    """The closure's floats as hex, or the class and message of its refusal; any other error escapes."""
+    try:
+        return tuple(x.hex() for x in call(*args))
+    except EosError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=200)
+@given(params=st.one_of(RECORDS, EXTREME_RECORDS), x=NUMBERS, y=NUMBERS)
+def test_compiled_closures_are_closure_from_rho_e(params, x, y):
+    # closure_for's second writing of the laws returns the kernels' floats or hands the input to them
+    assert _closure_outcome(rx.closure_for(params), x, y) == _closure_outcome(rx.closure_from_rho_e, params, x, y)
 
 
 @pytest.mark.parametrize("name", MIXTURE_CALLS)

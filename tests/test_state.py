@@ -212,3 +212,103 @@ class TestClosure:
         assert rx.closure_from_rho_T(nc13_na, 1e-300, 1e-25).P == 3.5e-323
         with pytest.raises(rx.NumericalError, match=r"rho=1e-300, T=1e-25"):
             rx.state_from_rho_T(nc13_na, 1e-300, 1e-25)
+
+
+def _drawn_records(n=240):
+    """Seeded hand-built records of each model, fields log-uniform from 5e-324 to 1.7e308, a and c of either sign."""
+    rng = random.Random(3707)
+
+    def positive():
+        return 10.0 ** rng.uniform(-323.3, 308.2)
+
+    def signed():
+        return math.copysign(positive(), rng.random() - 0.5)
+
+    records = [
+        rx.GasParams.noble_abel("na-ideal", R=338.9, b=0.0, Cv=1637.1),
+        rx.GasParams.virial("vo1-negative-a", R=322.0, a=-0.002, Cv=1640.5),
+        # its discriminant Cv0^2 + 2 c (e - q) is exactly 0, so Cv(T) is 0, at e = 1.79e7 J/kg
+        rx.GasParams.virial_cvt("cvt-negative-c", R=322.0, a=0.002359, Cv0=1500.0, c=-0.0625, q=-1.0e5),
+        rx.GasParams.virial_cvt("cvt-flat", R=322.0, a=0.002359, Cv0=1640.5, c=0.0),
+        rx.GasParams.virial_cvt("cvt-subnormal-cv0", R=322.0, a=0.002, Cv0=5e-324, c=1.1921168350632048e-222),
+    ]
+    while len(records) < n:
+        kind = len(records) % 3
+        try:
+            if kind == 0:
+                records.append(rx.GasParams.noble_abel("na", R=positive(), b=positive(), Cv=positive(), q=signed()))
+            elif kind == 1:
+                records.append(rx.GasParams.virial("vo1", R=positive(), a=signed(), Cv=positive()))
+            else:
+                records.append(rx.GasParams.virial_cvt("cvt", R=positive(), a=signed(), Cv0=positive(), c=signed(),
+                                                       q=signed()))
+        except rx.ValidationError:
+            pass
+    return records
+
+
+EDGES = (0.0, -0.0, -1.0, 5e-324, 1e308, math.inf, -math.inf, math.nan)
+
+
+def _differential_inputs(params, rng):
+    """Edge values, rho at 1/b, e at q, just above it and where a negative slope takes Cv(T) to 0,
+    and seeded in-domain and log-uniform draws."""
+    rhos = [*EDGES, *(rng.uniform(1.0, 600.0) for _ in range(4)),
+            *(10.0 ** rng.uniform(-320.0, 308.0) for _ in range(4))]
+    if params.b:
+        rhos += [1.0 / params.b, math.nextafter(1.0 / params.b, 0.0)]
+    T = rng.uniform(300.0, 5000.0)
+    Cv0, c = params.cv_law
+    energies = [*EDGES, params.q, math.nextafter(params.q, math.inf), params.q + Cv0 * Cv0 / (-2.0 * c or 1.0),
+                params.q + rng.uniform(1e5, 8e6),
+                *(10.0 ** rng.uniform(-300.0, 308.0) for _ in range(4))]
+    try:
+        energies.append(rx.cvt_energy(params, T))
+    except rx.EosError:
+        pass
+    return rhos, energies
+
+
+def _bits(closure):
+    return tuple(x.hex() for x in closure)
+
+
+class TestCompiledClosure:
+    """``closure_for(params)`` is ``closure_from_rho_e(params, ...)``: the same floats, or the same refusal."""
+
+    def test_values_and_refusals_are_closure_from_rho_e(self, db):
+        rng = random.Random(3708)
+        returned = 0
+        for params in [record.params for record in db.records.values()] + _drawn_records():
+            compiled = rx.closure_for(params)
+            rhos, energies = _differential_inputs(params, rng)
+            for rho in rhos:
+                for e in energies:
+                    got, got_exc = _outcome(compiled, rho, e)
+                    want, want_exc = _outcome(rx.closure_from_rho_e, params, rho, e)
+                    if want is not None:
+                        returned += 1
+                        assert type(got) is rx.Closure and _bits(got) == _bits(want), (params, rho, e, got_exc)
+                    else:
+                        assert isinstance(got_exc, rx.EosError), (params, rho, e, got)
+                        assert (type(got_exc), str(got_exc)) == (type(want_exc), str(want_exc)), (params, rho, e)
+        assert returned > 2000
+
+    def test_in_domain_cells_take_the_compiled_path(self, db, monkeypatch):
+        # the kernels' path is the fallback: on the built-in records' calibrated range it is never reached
+        fallbacks = []
+        monkeypatch.setattr(state, "closure_from_rho_e", lambda *args: fallbacks.append(args))
+        rng = random.Random(3709)
+        for params in (record.params for record in db.records.values()):
+            compiled = rx.closure_for(params)
+            for _ in range(200):
+                rho = rng.uniform(20.0, 0.9 / params.b if params.b else 600.0)
+                assert compiled(rho, rx.cvt_energy(params, rng.uniform(1500.0, 4500.0))) is not None
+        assert fallbacks == []
+
+    @pytest.mark.parametrize("model", list(rx.Model))
+    def test_flame_energy_gives_the_flame_temperature(self, db, model):
+        # eos sweep and mix-sweep print the flame once and call the closure at q + e_s_eff
+        from redeos.virial_cvt import _flame_energy, _flame_temperature
+        params = db.get("NC-13", model)
+        assert rx.closure_for(params)(150.0, _flame_energy(params)).T == _flame_temperature(params)
