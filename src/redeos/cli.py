@@ -19,10 +19,10 @@ runs when it starts, so `state` never loads `calibration`, `mixture` or
 `closure_for` once and calls it at the record's flame energy q + e_s_eff,
 which gives the flame temperature bit for bit; `mix-sweep` does the same with
 the mixed record for MNA, once per fraction set, and calls the virial-mixture
-closure at the flame temperature for MVO1.  Both find and format every flame
-temperature before the header: a record whose flame is refused ends the
-command with stdout empty, and one whose flame is not finite does so with an
-`E_NUMERICAL` line naming the record, which alone sets the flame.
+closure at the flame temperature for MVO1.  A flame that is not finite ends
+the command with an `E_NUMERICAL` line naming the record, which alone sets it.
+Every command writes its whole output, header and rows, with one `print` after
+its last evaluation, so a refusal at any step leaves stdout empty.
 """
 
 from __future__ import annotations
@@ -63,7 +63,7 @@ _AUDIT_LABELS = ("maxwell max|res|/P", "sound-speed max|c_analytic - c_oracle|/c
 #: Arguments that argparse must take as values, not options: -1e3, -.5, -10:600:50, -inf.
 _NUMBER_LIKE = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
 
-#: Most points one LO:HI:STEP grid may hold.
+#: Most points one LO:HI:STEP grid, an audit's rho x T grid or a mix-sweep table may hold.
 MAX_GRID_POINTS = 10_000
 
 
@@ -154,8 +154,7 @@ def _load_existing(path):
 
 
 def _save_record(path, db, params, note):
-    """Add ``params`` to ``db`` (new when None), write it to ``path`` and return the line reporting
-    it; callers print only after the write, so that an error from ``--db`` leaves stdout empty."""
+    """Add ``params`` to ``db`` (new when None), write it to ``path`` and return the line reporting it."""
     db = MaterialDatabase.empty() if db is None else db
     db.add(params, note=note)
     save_material_db(path, db)
@@ -221,13 +220,13 @@ def cmd_calibrate_cvt(args):
 def cmd_sweep(args):
     params = _record(args)
     _require_convex_record(params)
-    _, flame = _flame(_flame_temperature, params, lambda: args.material)  # a refused flame ends it here
+    _, flame = _flame(_flame_temperature, params, lambda: args.material)
     closure, e_flame = closure_for(params), _flame_energy(params)
     densities = _parse_range(args.rho)
     reference = {p.rho_load: p.P_max for p in load_closed_bomb_csv(args.reference)} if args.reference else {}
     lo, hi = params.rho_range or (-math.inf, math.inf)
 
-    print("rho_kg_m3,tflame_K,pmax_MPa,extrapolated,c_m_s" + (",pref_MPa" if reference else ""))
+    lines = ["rho_kg_m3,tflame_K,pmax_MPa,extrapolated,c_m_s" + (",pref_MPa" if reference else "")]
     had_domain_error = False
     for rho in densities:
         try:
@@ -239,7 +238,8 @@ def cmd_sweep(args):
         if reference:
             match = [p for r, p in reference.items() if abs(r - rho) <= 1e-9 * max(1.0, rho)]
             row.append(_fmt(match[0] / 1e6) if match else "")
-        print(",".join(row))
+        lines.append(",".join(row))
+    print("\n".join(lines))
     return DomainError.exit_code if had_domain_error else 0
 
 
@@ -283,25 +283,23 @@ def cmd_mix_sweep(args):
     names, fraction_sets = _parse_mixture_spec(args.spec, args.fraction_sweep)
     gases = [db.get(name, Model.NA if mna else Model.VO1) for name in names]
     densities = [(rho, _fmt(rho)) for rho in _parse_float_list(args.rho)]
-    # mixtures, solve brackets, flames and closures come before the header: a refusal leaves stdout empty
-    mixtures = []
+    if len(fraction_sets) * len(densities) > MAX_GRID_POINTS:
+        given = f"{args.spec} --fraction-sweep {args.fraction_sweep}" if args.fraction_sweep else args.spec
+        raise ValidationError(f"mix-sweep grid {given} --rho {args.rho} holds more than {MAX_GRID_POINTS} points")
+    lines = ["Y,rho_kg_m3,tflame_K,pmax_MPa,c_m_s"]
     for fractions in fraction_sets:
         mix = MixtureSpec(tuple(zip(gases, fractions)), oxygen_balance_declared_uniform=True)
         if not mna:
             mix.virial  # raises unless every component has a > 0, so refuses non-convex records
         T_flame, flame = _flame(mixture_flame_temperature, mix,
                                 lambda: ",".join(f"{name}={_fmt(y)}" for name, y in zip(names, fractions)))
-        if mna:  # the Noble-Abel mixture is the single-gas law of its mixed record
-            target, x = closure_for(mix.mixed), _flame_energy(mix.mixed)
-        else:  # the virial one solves for P at the flame temperature
-            target, x = mix, T_flame
-        mixtures.append((_fmt(fractions[-1]), flame, target, x))
-
-    print("Y,rho_kg_m3,tflame_K,pmax_MPa,c_m_s")
-    for lead, flame, target, x in mixtures:
+        closure, x = ((closure_for(mix.mixed), _flame_energy(mix.mixed)) if mna  # NA: the mixed record's law
+                      else (functools.partial(mvo1_closure_from_rho_T, mix), T_flame))  # virial: P solved at T
+        lead = _fmt(fractions[-1])
         for rho, rho_text in densities:
-            P, _, c = target(rho, x) if mna else mvo1_closure_from_rho_T(target, rho, x)
-            print(f"{lead},{rho_text},{flame},{_fmt(P / 1e6)},{_fmt(c)}")
+            P, _, c = closure(rho, x)
+            lines.append(f"{lead},{rho_text},{flame},{_fmt(P / 1e6)},{_fmt(c)}")
+    print("\n".join(lines))
     return 0
 
 
@@ -311,19 +309,22 @@ def cmd_audit(args):
     params = _record(args)
     rhos = _parse_range(args.rho)
     temps = _parse_range(args.T)
+    if len(rhos) * len(temps) > MAX_GRID_POINTS:
+        raise ValidationError(f"audit grid rho={args.rho} T={args.T} holds more than {MAX_GRID_POINTS} points")
     try:
         report = audit_record(params, rhos, temps)
     except DomainError as exc:
         raise DomainError(f"audit grid rho={args.rho} T={args.T}: {exc}") from None
 
-    print(f"audit material={args.material} model={params.model}")
-    print(f"grid rho={args.rho} T={args.T} points={report.points} skipped_rho={report.skipped_rho}")
+    lines = [f"audit material={args.material} model={params.model}",
+             f"grid rho={args.rho} T={args.T} points={report.points} skipped_rho={report.skipped_rho}"]
     for label, value, limit in zip(_AUDIT_LABELS, report.residuals, report.LIMITS):
-        print(f"{label} = {_fmt(value)} limit {_fmt(limit)} {'PASS' if value <= limit else 'FAIL'}")
+        lines.append(f"{label} = {_fmt(value)} limit {_fmt(limit)} {'PASS' if value <= limit else 'FAIL'}")
     for label, count in (("convexity sign mismatches", report.sign_mismatches),
                          ("convexity violations", report.violations)):
-        print(f"{label} = {count} {'PASS' if count == 0 else 'FAIL'}")
-    print(f"RESULT {'PASS' if report.passed else 'FAIL'}")
+        lines.append(f"{label} = {count} {'PASS' if count == 0 else 'FAIL'}")
+    lines.append(f"RESULT {'PASS' if report.passed else 'FAIL'}")
+    print("\n".join(lines))
     return 0 if report.passed else NumericalError.exit_code
 
 
@@ -348,8 +349,7 @@ def cmd_state(args):
         raise ValidationError(
             "pass exactly one input pair: --rho with --T, --P with --T, or --rho with --e")
     st = build(params, x, y)
-    print("P_MPa,T_K,rho_kg_m3,v_m3_kg,e_kJ_kg,h_kJ_kg,s_J_kgK,c_m_s,Cp_J_kgK,gamma")
-    print(",".join([
+    print("P_MPa,T_K,rho_kg_m3,v_m3_kg,e_kJ_kg,h_kJ_kg,s_J_kgK,c_m_s,Cp_J_kgK,gamma\n" + ",".join([
         _fmt(st.P / 1e6), _fmt(st.T), _fmt(st.rho), _fmt(st.v),
         _fmt(st.e / 1e3), _fmt(st.h / 1e3),
         _fmt(st.s) if st.s is not None else "",

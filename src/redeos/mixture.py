@@ -247,7 +247,7 @@ def mvo1_closure_from_rho_T(mix: MixtureSpec, rho_mix, T) -> Closure:
     c = _sound_speed(mix, T, volume)
     if not (0.0 < P < math.inf and 0.0 < c < math.inf):
         raise NumericalError(f"the state at rho={rho_mix!r}, T={T!r} is degenerate: P={P!r}, c={c!r}")
-    return Closure(P, T, c)
+    return tuple.__new__(Closure, (P, T, c))  # skips NamedTuple's Python __new__
 
 
 def mvo1_closure_from_rho_e(mix: MixtureSpec, rho_mix, e_mix) -> Closure:

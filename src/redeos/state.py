@@ -118,7 +118,7 @@ def closure_from_rho_T(params: GasParams, rho, T) -> Closure:
     c = laws.sound_speed(params, rho, T, P)
     if not (0.0 < P < math.inf and 0.0 < c < math.inf):
         raise NumericalError(f"the state at rho={rho!r}, T={T!r} is degenerate: P={P!r}, c={c!r}")
-    return Closure(P, T, c)
+    return tuple.__new__(Closure, (P, T, c))  # skips NamedTuple's Python __new__
 
 
 def closure_from_rho_e(params: GasParams, rho, e) -> Closure:

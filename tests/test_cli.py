@@ -206,7 +206,7 @@ class TestSweep:
         (OVERFLOWING_FLAME, "na", 3, "E_NUMERICAL: floating-point evaluation failed at the flame temperature of X\n"),
     ], ids=["flame-refused", "flame-overflows"])
     def test_flame_edges(self, capsys, tmp_path, record, model, code, err):
-        # the flame is found before the header, so a refused one leaves stdout empty, as in mix-sweep
+        # the table prints after its last row, so a refused flame leaves stdout empty, as in mix-sweep
         db = tmp_path / "flame.eosdb"
         db.write_text(record)
         got = run_cli(capsys, "sweep", "X", "--model", model, "--rho", "-10:10:10", "--db", str(db))
@@ -241,18 +241,20 @@ class TestGridsAtBenchmarkSizes:
         assert (code, err) == (4 if domain_rows else 0, "")
         assert out == "\n".join(rows) + "\n"
 
-    def test_20_by_20_mna_fraction_sweep(self, capsys, db):
-        gases = [db.get(name, rx.Model.NA) for name in ("NC-13", "RDX")]
+    @pytest.mark.parametrize("model", ["mna", "mvo1"])
+    def test_20_by_20_fraction_sweep(self, capsys, db, model):
+        gases = [db.get(name, rx.Model.NA if model == "mna" else rx.Model.VO1) for name in ("NC-13", "RDX")]
         densities = [15.0 + 30.0 * k for k in range(20)]
         rows = ["Y,rho_kg_m3,tflame_K,pmax_MPa,c_m_s"]
         for y in _parse_range("0.05:0.905:0.045"):
             mix = rx.MixtureSpec(((gases[0], 1.0 - y), (gases[1], y)), oxygen_balance_declared_uniform=True)
             T_flame = rx.mixture_flame_temperature(mix)
             for rho in densities:
-                P, _, c = rx.closure_from_rho_T(mix.mixed, rho, T_flame)
+                P, _, c = (rx.closure_from_rho_T(mix.mixed, rho, T_flame) if model == "mna"
+                           else rx.mvo1_closure_from_rho_T(mix, rho, T_flame))
                 rows.append(f"{_fmt(y)},{_fmt(rho)},{_fmt(T_flame)},{_fmt(P / 1e6)},{_fmt(c)}")
         assert len(rows) == 401
-        code, out, err = run_cli(capsys, "mix-sweep", "NC-13+RDX", "--model", "mna", "--fraction-sweep",
+        code, out, err = run_cli(capsys, "mix-sweep", "NC-13+RDX", "--model", model, "--fraction-sweep",
                                  "0.05:0.905:0.045", "--rho", ",".join(map(repr, densities)), "--same-oxygen-balance")
         assert (code, err) == (0, "")
         assert out == "\n".join(rows) + "\n"
@@ -286,7 +288,7 @@ class TestMixSweep:
         ("X+Y", ["--fraction-sweep", "0:1:0.5"], "X=1,Y=0"),  # the first fraction set of the sweep
     ], ids=["fixed", "fraction-sweep"])
     def test_overflowing_flame_names_the_mixture(self, capsys, tmp_path, spec, sweep, named):
-        # every flame is formatted before the header, so stdout stays empty, and the line names
+        # the table prints after its last row, so stdout stays empty, and the line names
         # the fractions that set the flame, not --rho
         db = tmp_path / "flame.eosdb"
         db.write_text(OVERFLOWING_FLAME + "\n" + OVERFLOWING_FLAME.replace('"X"', '"Y"'))
@@ -469,7 +471,7 @@ class TestNonConvexRecordGuard:
         assert "audit" in err
 
     def test_mix_sweep_refuses_negative_virial(self, capsys, tmp_path):
-        # the virial mixture's pressure solve refuses the component, before the header
+        # the virial mixture's pressure solve refuses the component, and stdout stays empty
         dbfile = tmp_path / "probe.eosdb"
         dbfile.write_text('[material "X" model VO1]\nR = 322\na = -0.02\nCv = 1640\ne_s_eff_kJ = 5000\n'
                           '[material "Y" model VO1]\nR = 322\na = 0.002359\nCv = 1640\ne_s_eff_kJ = 5000\n')
@@ -583,6 +585,10 @@ print(json.dumps(results))
 """
 
 
+#: --rho lists of 100 and of 10,001 densities, 100 kg/m3 each.
+_RHO_100, _RHO_10001 = ",".join(["100"] * 100), ",".join(["100"] * 10_001)
+
+
 def _limit_memory():
     resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
 
@@ -594,7 +600,9 @@ class TestBoundaryRegressions:
         # in a child with a time and memory limit: unfixed, each of these loops while memory grows
         argvs = [["sweep", "NC-13", "--model", "vo1", "--rho", "100:inf:50"],
                  ["sweep", "NC-13", "--model", "vo1", "--rho", "nan:100:1"],
-                 ["audit", "NC-13", "--model", "vo1", "--T", "1500:1e300:1"]]
+                 ["audit", "NC-13", "--model", "vo1", "--T", "1500:1e300:1"],
+                 # each range holds 10^4 points; their 10^8 were about 50 minutes of evaluation
+                 ["audit", "NC-13", "--model", "vo1", "--rho", "10:10009:1", "--T", "1000:10999:1"]]
         proc = subprocess.run([sys.executable, "-c", _CHILD, json.dumps(argvs)], capture_output=True,
                               text=True, timeout=60, preexec_fn=_limit_memory,
                               env={**os.environ, "PYTHONPATH": str(Path(rx.__file__).parents[1])})
@@ -602,6 +610,24 @@ class TestBoundaryRegressions:
         for code, err in json.loads(proc.stdout):
             assert code == 2
             assert_one_error_line(err, "E_VALIDATION")
+
+    @pytest.mark.parametrize("argv, grid", [
+        # 101 x 100 points, each range within the bound; the audit once ran them all
+        (["audit", "NC-13", "--model", "vo1", "--rho", "10:1010:10", "--T", "1000:1990:10"],
+         "audit grid rho=10:1010:10 T=1000:1990:10"),
+        # 101 fraction sets x 100 densities, and one fixed set x 10,001 densities: once printed in full
+        (["mix-sweep", "NC-13+RDX", "--model", "mna", "--fraction-sweep", "0:1:0.01", "--rho", _RHO_100,
+          "--same-oxygen-balance"], f"mix-sweep grid NC-13+RDX --fraction-sweep 0:1:0.01 --rho {_RHO_100}"),
+        (["mix-sweep", "NC-13=0.5,RDX=0.5", "--model", "mvo1", "--rho", _RHO_10001, "--same-oxygen-balance"],
+         f"mix-sweep grid NC-13=0.5,RDX=0.5 --rho {_RHO_10001}"),
+    ], ids=["audit", "fraction-sweep", "fixed-fractions"])
+    def test_grids_past_the_point_bound_are_refused(self, capsys, argv, grid):
+        assert run_cli(capsys, *argv) == (2, "", f"E_VALIDATION: {grid} holds more than 10000 points\n")
+
+    def test_mix_sweep_at_the_point_bound_runs(self, capsys):
+        code, out, err = run_cli(capsys, "mix-sweep", "NC-13+RDX", "--model", "mna", "--fraction-sweep",
+                                 "0:0.99:0.01", "--rho", _RHO_100, "--same-oxygen-balance")
+        assert (code, err) == (0, "") and out.count("\n") == 1 + 100 * 100
 
     @pytest.mark.parametrize("argv, code, prefix", [
         (["mix-sweep", "NC-13=abc,RDX=0.5", "--model", "mna", "--rho", "100", "--same-oxygen-balance"],
@@ -670,10 +696,11 @@ class TestBoundaryRegressions:
         assert "-0.01" not in err and "-1000000" not in err and "specific volume" not in err
 
     def test_mna_packing_limit_names_the_density(self, capsys):
-        # once named the mixture's specific volume and a mixed covolume with rounding noise
+        # once named the mixture's specific volume and a mixed covolume with rounding noise; the table
+        # prints after its last row, so the refused row leaves stdout empty
         code, out, err = run_cli(capsys, "mix-sweep", "NC-13=0.5,RDX=0.5", "--model", "mna",
                                  "--rho", "700", "--same-oxygen-balance")
-        assert code == 4 and out == "Y,rho_kg_m3,tflame_K,pmax_MPa,c_m_s\n"
+        assert code == 4 and out == ""
         assert err == "E_DOMAIN: density 700.0 kg/m3 is not below the packing limit 1/b = 683.9945280437755 kg/m3\n"
 
     def test_negative_exponent_reads_as_the_plain_number(self, capsys, tmp_path):
@@ -875,9 +902,10 @@ class TestBoundaryRegressions:
     @pytest.mark.parametrize("model", ["na", "vo1", "vo1cvt"])
     def test_sweep_row_at_a_subnormal_density_is_numerical(self, capsys, model):
         # 1/rho overflows here; a sound speed taken without the state's guards printed a subnormal
-        # pressure with exit 0 (vo1) or an E_DOMAIN row (na, whose P underflows to 0)
+        # pressure with exit 0 (vo1) or an E_DOMAIN row (na, whose P underflows to 0); the refused row
+        # leaves stdout empty, header included
         code, out, err = run_cli(capsys, "sweep", "NC-13", "--model", model, "--rho", "1e-320:1e-320:1")
-        assert code == 3 and out == "rho_kg_m3,tflame_K,pmax_MPa,extrapolated,c_m_s\n"
+        assert code == 3 and out == ""
         assert err == "E_NUMERICAL: floating-point evaluation failed at --rho 1e-320:1e-320:1\n"
 
     @pytest.mark.parametrize("model", ["na", "vo1", "vo1cvt"])

@@ -5,8 +5,9 @@ so every public call below must return or raise an :class:`EosError`; a bare
 ``ArithmeticError`` or ``ValueError`` escaping one breaks that contract.
 Inputs are drawn log-uniformly from 5e-324 to 1.7e308, as plain floats over
 that range, or from 0, -1, inf and nan, on every built-in record and on
-two-component VO1 mixtures of them; the audit, the kernels and the mixture
-calls also run on records whose fields are drawn the same way.  The draws
+two-component VO1 and Noble-Abel mixtures of them; the single-record calls,
+the audit, the kernels and the mixture calls also run on records whose
+fields, energies q and e_s_eff included, are drawn the same way.  The draws
 are derandomized, so the test is seeded.
 """
 
@@ -22,15 +23,28 @@ from redeos.state import LAWS
 DB = rx.builtin_database()
 RECORDS = st.sampled_from([record.params for record in DB.records.values()])
 VO1_RECORDS = st.sampled_from([record.params for record in DB.records.values() if record.params.model is rx.Model.VO1])
+NA_RECORDS = st.sampled_from([record.params for record in DB.records.values() if record.params.model is rx.Model.NA])
 SPECIAL = [0.0, -1.0, math.inf, math.nan, 5e-324, 1.7e308]
 POSITIVE = st.floats(math.log10(5e-324), math.log10(1.7e308)).map(lambda x: 10.0 ** x)
 NUMBERS = st.one_of(st.sampled_from(SPECIAL), POSITIVE, st.floats(min_value=5e-324, max_value=1.7e308))
 SIGNED = st.builds(lambda x, negative: -x if negative else x, POSITIVE, st.booleans())
-EXTREME_VO1_RECORDS = st.builds(rx.GasParams.virial, st.just("vo1"), R=POSITIVE, a=SIGNED, Cv=POSITIVE)
-EXTREME_RECORDS = st.one_of(
-    st.builds(rx.GasParams.noble_abel, st.just("na"), R=POSITIVE, b=st.one_of(st.just(0.0), POSITIVE), Cv=POSITIVE),
-    EXTREME_VO1_RECORDS,
-    st.builds(rx.GasParams.virial_cvt, st.just("vo1cvt"), R=POSITIVE, a=SIGNED, Cv0=POSITIVE, c=SIGNED))
+#: The caloric reference q and effective energy e_s_eff of a drawn record; a built one takes 0 and None.
+ENERGIES = {"q": st.one_of(st.just(0.0), SIGNED), "e_s_eff": st.one_of(st.none(), POSITIVE)}
+
+
+def _extreme_records(**energies):
+    """Drawn NA, VO1 and VO1_CVT records, in that order."""
+    return (st.builds(rx.GasParams.noble_abel, st.just("na"), R=POSITIVE, b=st.one_of(st.just(0.0), POSITIVE),
+                      Cv=POSITIVE, **energies),
+            st.builds(rx.GasParams.virial, st.just("vo1"), R=POSITIVE, a=SIGNED, Cv=POSITIVE, **energies),
+            st.builds(rx.GasParams.virial_cvt, st.just("vo1cvt"), R=POSITIVE, a=SIGNED, Cv0=POSITIVE, c=SIGNED,
+                      **energies))
+
+
+EXTREME_VO1_RECORDS = _extreme_records()[1]
+EXTREME_RECORDS = st.one_of(_extreme_records())
+EXTREME_RECORDS_WITH_ENERGIES = st.one_of(_extreme_records(**ENERGIES))
+EXTREME_NA_RECORDS_WITH_ENERGIES = _extreme_records(**ENERGIES)[0]
 
 
 def _binary_mixtures(records):
@@ -38,6 +52,7 @@ def _binary_mixtures(records):
 
 
 MIXTURES = st.one_of(_binary_mixtures(VO1_RECORDS), _binary_mixtures(EXTREME_VO1_RECORDS))
+NA_MIXTURES = _binary_mixtures(st.one_of(NA_RECORDS, EXTREME_NA_RECORDS_WITH_ENERGIES))
 
 SINGLE_RECORD_CALLS = {
     "state_from_rho_T": rx.state_from_rho_T,
@@ -63,6 +78,8 @@ MIXTURE_CALLS = {
     "mvo1_closure_from_rho_T": rx.mvo1_closure_from_rho_T,
     "mvo1_closure_from_rho_e": rx.mvo1_closure_from_rho_e,
 }
+NA_MIXTURE_CALLS = (rx.mna_pressure, rx.mna_pressure_vt, rx.mna_sound_speed,
+                    lambda mix, x, y: rx.mixture_flame_temperature(mix))
 
 
 def _returns_or_refuses(call, *args):
@@ -84,7 +101,7 @@ def _predict_closed_bomb(params, rho_load):
 
 
 @pytest.mark.parametrize("name", SINGLE_RECORD_CALLS)
-@settings(max_examples=250)  # 300 until the compiled closures' test below took its share of the time
+@settings(max_examples=230)  # 300, then 250, as the extreme-record and mixture tests below took their shares
 @given(params=RECORDS, x=NUMBERS, y=NUMBERS)
 # R T / P overflows to an infinite NA volume
 @example(params=DB.get("NC-13", rx.Model.NA), x=1.79e-291, y=1.31e219)
@@ -101,6 +118,14 @@ def _predict_closed_bomb(params, rho_load):
          x=5.883372714001903e58, y=7.399646723057632e-193)
 def test_single_record_calls_raise_only_eos_errors(name, params, x, y):
     _returns_or_refuses(SINGLE_RECORD_CALLS[name], params, x, y)
+
+
+@settings(max_examples=100)
+@given(params=EXTREME_RECORDS_WITH_ENERGIES, x=NUMBERS, y=NUMBERS)
+def test_single_record_calls_on_extreme_records_raise_only_eos_errors(params, x, y):
+    # every call on each draw: drawing a record costs more than the calls on it
+    for call in SINGLE_RECORD_CALLS.values():
+        _returns_or_refuses(call, params, x, y)
 
 
 @pytest.mark.parametrize("name", KERNELS)
@@ -160,7 +185,14 @@ def test_compiled_closures_are_closure_from_rho_e(params, x, y):
 
 
 @pytest.mark.parametrize("name", MIXTURE_CALLS)
-@settings(max_examples=200)
+@settings(max_examples=100)  # 200 until the Noble-Abel mixture test below took its share
 @given(mix=MIXTURES, x=NUMBERS, y=NUMBERS)
 def test_mixture_calls_raise_only_eos_errors(name, mix, x, y):
     _returns_or_refuses(MIXTURE_CALLS[name], mix, x, y)
+
+
+@settings(max_examples=100)
+@given(mix=NA_MIXTURES, x=NUMBERS, y=NUMBERS)
+def test_na_mixture_calls_raise_only_eos_errors(mix, x, y):
+    for call in NA_MIXTURE_CALLS:
+        _returns_or_refuses(call, mix, x, y)
