@@ -21,8 +21,9 @@ which gives the flame temperature bit for bit; `mix-sweep` does the same with
 the mixed record for MNA, once per fraction set, and calls the virial-mixture
 closure at the flame temperature for MVO1.  A flame that is not finite ends
 the command with an `E_NUMERICAL` line naming the record, which alone sets it.
-Every command writes its whole output, header and rows, with one `print` after
-its last evaluation, so a refusal at any step leaves stdout empty.
+Every ``cmd_*`` returns its output lines, header and rows, with its exit code
+and prints nothing; ``main`` writes those lines with one `print` after the
+command returns, so a refusal at any step leaves stdout empty.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from .materials import (
 )
 from .state import closure_for, state_from_P_T, state_from_rho_T, state_from_rho_e
 from .types import MODEL_FIELDS, GasParams, MixtureSpec, Model
-from .virial_cvt import _flame_energy, _flame_temperature
+from .virial_cvt import _flame_energy, _flame_temperature, cvt_effective_energy
 
 _MODEL_FLAGS = {"na": Model.NA, "vo1": Model.VO1, "vo1cvt": Model.VO1_CVT}
 
@@ -180,8 +181,7 @@ def cmd_calibrate(args):
              f"rho_range (kg/m3) = {_fmt(params.rho_range[0])} {_fmt(params.rho_range[1])}"]
     if args.db:
         lines.append(_save_record(args.db, _load_existing(args.db), params, f"calibrated from {args.points}"))
-    print("\n".join(lines))
-    return 0
+    return lines, 0
 
 
 def cmd_calibrate_cvt(args):
@@ -200,21 +200,16 @@ def cmd_calibrate_cvt(args):
         if not (args.name and args.base):
             raise ValidationError("--db requires --name and --base (a VO1 record supplying R, a)")
         out_db = _load_existing(args.db)
-        if args.base_db is not None:
-            base_source = load_material_db(args.base_db)
-        else:
-            base_source = out_db if out_db is not None else builtin_database()
+        base_source = out_db if args.base_db is None and out_db is not None else _load_db(args.base_db)
         base = base_source.get(args.base, Model.VO1)
         tflame = args.tflame if args.tflame is not None else base.T_flame
         if tflame is None:
             raise ValidationError("no flame temperature available; pass --tflame")
-        params = GasParams.virial_cvt(
-            args.name, R=base.R, a=base.a, Cv0=fit.Cv0, c=fit.c, q=fit.q,
-            e_s_eff=fit.Cv0 * tflame + 0.5 * fit.c * tflame**2,
-            T_flame=tflame, rho_range=base.rho_range)
+        record = functools.partial(GasParams.virial_cvt, args.name, R=base.R, a=base.a, Cv0=fit.Cv0, c=fit.c,
+                                   q=fit.q, T_flame=tflame, rho_range=base.rho_range)
+        params = record(e_s_eff=cvt_effective_energy(record(), tflame))  # the caloric law's own expression
         lines.append(_save_record(args.db, out_db, params, f"Cv(T) fit from {args.runs} with inert {inert.name}"))
-    print("\n".join(lines))
-    return 0
+    return lines, 0
 
 
 def cmd_sweep(args):
@@ -239,8 +234,7 @@ def cmd_sweep(args):
             match = [p for r, p in reference.items() if abs(r - rho) <= 1e-9 * max(1.0, rho)]
             row.append(_fmt(match[0] / 1e6) if match else "")
         lines.append(",".join(row))
-    print("\n".join(lines))
-    return DomainError.exit_code if had_domain_error else 0
+    return lines, DomainError.exit_code if had_domain_error else 0
 
 
 def _parse_mixture_spec(spec, sweep_arg):
@@ -299,8 +293,7 @@ def cmd_mix_sweep(args):
         for rho, rho_text in densities:
             P, _, c = closure(rho, x)
             lines.append(f"{lead},{rho_text},{flame},{_fmt(P / 1e6)},{_fmt(c)}")
-    print("\n".join(lines))
-    return 0
+    return lines, 0
 
 
 def cmd_audit(args):
@@ -324,8 +317,7 @@ def cmd_audit(args):
                          ("convexity violations", report.violations)):
         lines.append(f"{label} = {count} {'PASS' if count == 0 else 'FAIL'}")
     lines.append(f"RESULT {'PASS' if report.passed else 'FAIL'}")
-    print("\n".join(lines))
-    return 0 if report.passed else NumericalError.exit_code
+    return lines, 0 if report.passed else NumericalError.exit_code
 
 
 def cmd_state(args):
@@ -349,13 +341,12 @@ def cmd_state(args):
         raise ValidationError(
             "pass exactly one input pair: --rho with --T, --P with --T, or --rho with --e")
     st = build(params, x, y)
-    print("P_MPa,T_K,rho_kg_m3,v_m3_kg,e_kJ_kg,h_kJ_kg,s_J_kgK,c_m_s,Cp_J_kgK,gamma\n" + ",".join([
+    return ["P_MPa,T_K,rho_kg_m3,v_m3_kg,e_kJ_kg,h_kJ_kg,s_J_kgK,c_m_s,Cp_J_kgK,gamma", ",".join([
         _fmt(st.P / 1e6), _fmt(st.T), _fmt(st.rho), _fmt(st.v),
         _fmt(st.e / 1e3), _fmt(st.h / 1e3),
         _fmt(st.s) if st.s is not None else "",
         _fmt(st.c), _fmt(st.Cp), _fmt(st.gamma),
-    ]))
-    return 0
+    ])], 0
 
 
 @functools.cache  # one tree per process: it costs ~1 ms to build, and a parse leaves no state on it
@@ -435,7 +426,8 @@ def main(argv=None):
             if isinstance(value, float) and not math.isfinite(value * _SI_FACTORS.get(k, 1.0)):
                 in_si = " in SI units" if math.isfinite(value) else ""
                 raise ValidationError(f"--{k.replace('_', '-')} must be finite{in_si}, got {value!r}")
-        code = args.func(args)
+        lines, code = args.func(args)
+        print("\n".join(lines))  # the one write of a command's output
         sys.stdout.flush()  # a reader that stopped early shows here, not at interpreter exit
         return code
     except BrokenPipeError:

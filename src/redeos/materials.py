@@ -6,15 +6,16 @@ a header line
     [material "NAME" model MODEL]
 
 with MODEL one of NA, VO1 or VO1_CVT, followed by ``key = value`` lines.
-Blank lines and lines starting with ``#`` are ignored.  Keys carry the
-file units: R and Cv in J/(kg K), covolume b and virial coefficient a in
-m3/kg, energies in kJ/kg (keys ``q_kJ`` and ``e_s_eff_kJ``), temperatures
-in K, ``rho_range`` as two space-separated densities in kg/m3, and a
-free-text ``note`` for provenance.  Every number, in a database or a CSV
-file, must be finite, also once converted to SI units.
-
-Closed-bomb CSV format: header ``rho_kg_m3,pmax_MPa`` and one point per
-line.  Inert-run CSV format: header ``Y,tflame_K``.
+Keys carry the file units: R and Cv in J/(kg K), covolume b and virial
+coefficient a in m3/kg, energies in kJ/kg (keys ``q_kJ`` and
+``e_s_eff_kJ``, each read as the decimal it states times 1000, rounded
+once, and written so that it reads back exactly), temperatures in K,
+``rho_range`` as two space-separated densities in kg/m3, and a free-text
+``note`` for provenance.  Closed-bomb CSV format: header
+``rho_kg_m3,pmax_MPa`` and one point per line.  Inert-run CSV format:
+header ``Y,tflame_K``.  Both formats share one reader: UTF-8 text, a
+leading byte-order mark allowed, blank lines and ``#`` lines skipped.
+Every number must be finite, also once converted to SI units.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import math
 import os
 import re
 from functools import cache
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 from .errors import ParseError, ValidationError
 from .types import MODEL_FIELDS, R_UNIVERSAL, ClosedBombPoint, GasParams, InertGasParams, InertRunRecord, Model, _Record
@@ -38,9 +39,8 @@ INERT_GASES = {
 
 _HEADER_RE = re.compile(r'^\[material\s+"([^"]+)"\s+model\s+(\S+)\]$')
 
-#: Scalar keys every record may carry -> (GasParams field, file unit in SI)
-_SCALAR_KEYS = {"q_kJ": ("q", 1e3), "e_s_eff_kJ": ("e_s_eff", 1e3), "T_flame": ("T_flame", 1.0),
-                "gamma": ("gamma_cal", 1.0)}
+#: Scalar keys every record may carry -> GasParams field; a key ending in ``_kJ`` holds an energy in kJ/kg
+_SCALAR_KEYS = {"q_kJ": "q", "e_s_eff_kJ": "e_s_eff", "T_flame": "T_flame", "gamma": "gamma_cal"}
 _COMMON_KEYS = ("R", *_SCALAR_KEYS, "rho_range", "note")
 _MODEL_KEYS = {model: fields + _COMMON_KEYS for model, fields in MODEL_FIELDS.items()}
 
@@ -64,8 +64,7 @@ class MaterialDatabase(_Record):
         return cls(records={})
 
     def add(self, params: GasParams, note: str = ""):
-        key = (params.name, params.model)
-        self.records[key] = DbRecord(params=params, note=note)
+        self.records[(params.name, params.model)] = DbRecord(params=params, note=note)
 
     def get(self, name: str, model: Model) -> GasParams:
         try:
@@ -77,10 +76,32 @@ class MaterialDatabase(_Record):
         return len(self.records)
 
 
+def _joules(kj_text):
+    """A finite kJ text in J: its point moved three places, so that ``float`` rounds the decimal it states once."""
+    mantissa, e, exponent = kj_text.lower().partition("e")
+    whole, _, fraction = mantissa.replace("_", "").partition(".")
+    fraction = fraction.ljust(3, "0")
+    return float(f"{whole}{fraction[:3]}.{fraction[3:]}{e}{exponent}")
+
+
+def _kj_text(joules):
+    """The kJ text that :func:`_joules` reads back as ``joules`` exactly: ``joules / 1e3`` when it
+    does, else ``repr(joules)`` with the point moved three places."""
+    text = repr(joules / 1e3)
+    if _joules(text) != joules:  # the quotient rounded: joules' own digits, with any exponent they carry
+        digits, e, exponent = repr(joules).partition("e")
+        whole, _, fraction = digits.partition(".")
+        sign, whole = "-" * whole.startswith("-"), whole.lstrip("-").rjust(4, "0")
+        text = f"{sign}{whole[:-3]}.{whole[-3:]}{fraction}{e}{exponent}"
+    return text
+
+
 def _number_in_si(lineno, key, text, unit=1.0):
-    """The number ``text`` of a file's ``key`` in SI units, refused unless finite there."""
+    """The number ``text`` of a file's ``key`` in SI units, refused unless finite there; a kJ key's
+    text reads through :func:`_joules`, any other's is multiplied by ``unit``."""
     try:
-        value = float(text) * unit
+        value = float(text)
+        value = _joules(text) if key.endswith("_kJ") and abs(value) < math.inf else value * unit
     except ValueError:
         raise ParseError(f"line {lineno}: value of {key!r} is not a number: {text!r}") from None
     if abs(value) < math.inf:
@@ -89,20 +110,19 @@ def _number_in_si(lineno, key, text, unit=1.0):
     raise ValidationError(f"line {lineno}: value of {key!r} is not finite in SI units: {text!r}")
 
 
-def _read_lines(path):
-    """The lines of a text file; :class:`ParseError` naming ``path`` unless it is UTF-8."""
+def _content_lines(path):
+    """The ``(line number, stripped line)`` of each line of a text file that is neither blank nor a
+    ``#`` comment; :class:`ParseError` naming ``path`` unless it is UTF-8, a byte-order mark allowed."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return fh.read().splitlines()
+            text = fh.read().removeprefix("\ufeff")  # decoded first, so an error's byte counts from the file's start
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+    return [(lineno, line) for lineno, raw in enumerate(text.splitlines(), start=1)
+            if (line := raw.strip()) and not line.startswith("#")]
 
 
 def load_material_db(path) -> MaterialDatabase:
-    return _parse_material_db(_read_lines(path))
-
-
-def _parse_material_db(lines: Iterable[str]) -> MaterialDatabase:
     db = MaterialDatabase.empty()
     name = model = None
 
@@ -112,17 +132,13 @@ def _parse_material_db(lines: Iterable[str]) -> MaterialDatabase:
         for key in ("R",) + MODEL_FIELDS[model]:
             if key not in fields:
                 raise ParseError(f"record {name!r} ({model}) is missing key {key!r}")
-        kwargs = {_SCALAR_KEYS[key][0] if key in _SCALAR_KEYS else key: value
-                  for key, value in fields.items() if key != "note"}
+        kwargs = {_SCALAR_KEYS.get(key, key): value for key, value in fields.items() if key != "note"}
         params = GasParams(name=name, model=model, **kwargs)
         if (name, model) in db.records:
             raise ParseError(f"duplicate record for material {name!r} model {model}")
-        db.records[(name, model)] = DbRecord(params=params, note=fields.get("note", ""))
+        db.add(params, note=fields.get("note", ""))
 
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in _content_lines(path):
         if line.startswith("["):
             m = _HEADER_RE.match(line)
             if not m:
@@ -140,8 +156,7 @@ def _parse_material_db(lines: Iterable[str]) -> MaterialDatabase:
         if name is None:
             raise ParseError(f"line {lineno}: key outside any [material ...] section")
         key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
+        key, value = key.strip(), value.strip()
         if key not in _MODEL_KEYS[model]:
             raise ParseError(f"line {lineno}: unknown key {key!r} for model {model}")
         if key in fields:
@@ -152,7 +167,7 @@ def _parse_material_db(lines: Iterable[str]) -> MaterialDatabase:
                 raise ParseError(f"line {lineno}: rho_range needs two values, got {value!r}")
             value = (_number_in_si(lineno, key, parts[0]), _number_in_si(lineno, key, parts[1]))
         elif key != "note":
-            value = _number_in_si(lineno, key, value, _SCALAR_KEYS[key][1] if key in _SCALAR_KEYS else 1.0)
+            value = _number_in_si(lineno, key, value)
         fields[key] = value
     flush()
     return db
@@ -171,9 +186,9 @@ def save_material_db(path, db: MaterialDatabase):
         lines.append(f'[material "{name}" model {model}]')
         lines.append(f"R = {p.R!r}")
         lines.extend(f"{key} = {getattr(p, key)!r}" for key in MODEL_FIELDS[model])
-        for key, (field, unit) in _SCALAR_KEYS.items():
+        for key, field in _SCALAR_KEYS.items():
             if (value := getattr(p, field)) is not None:
-                lines.append(f"{key} = {value / unit!r}")
+                lines.append(f"{key} = {_kj_text(value) if key.endswith('_kJ') else repr(value)}")
         if p.rho_range is not None:
             lines.append(f"rho_range = {p.rho_range[0]!r} {p.rho_range[1]!r}")
         if record.note:
@@ -191,18 +206,10 @@ def builtin_database() -> MaterialDatabase:
 
 def _parse_csv_rows(path, header: str, units):
     """The ``(line number, values)`` of each data row in file units; each stays finite in SI ``units``."""
-    names = header.split(",")
-    rows = []
-    seen_header = False
-    for lineno, raw in enumerate(_read_lines(path), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if not seen_header:
-            if line.replace(" ", "") != header:
-                raise ParseError(f"line {lineno}: expected header {header!r}, got {line!r}")
-            seen_header = True
-            continue
+    names, lines, rows = header.split(","), _content_lines(path), []
+    if lines and lines[0][1].replace(" ", "") != header:
+        raise ParseError(f"line {lines[0][0]}: expected header {header!r}, got {lines[0][1]!r}")
+    for lineno, line in lines[1:]:
         parts = [p.strip() for p in line.split(",")]
         if len(parts) != len(names):
             raise ParseError(f"line {lineno}: expected {len(names)} fields, got {len(parts)}")

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import redeos as rx
-from redeos.cli import _fmt, _parse_range, main
+from redeos.cli import _build_parser, _fmt, _parse_range, main
 
 from conftest import write_dilution_runs_csv
 
@@ -130,6 +130,19 @@ class TestCalibrateCvt:
         assert record.a == 0.002359
         assert record.Cv0 == pytest.approx(1416.8, rel=1e-4)
         assert record.T_flame == 3275.0
+
+    def test_written_effective_energy_is_the_caloric_laws(self, capsys, tmp_path):
+        # at 3144 K the fit's Cv0 T + (c/2) T**2, as once written, differs from the law's last bit
+        runs = tmp_path / "runs.csv"
+        e_s_i = write_dilution_runs_csv(runs)
+        dbfile = tmp_path / "local.eosdb"
+        code, _, _ = run_cli(capsys, "calibrate-cvt", "--runs", str(runs), "--inert", "argon",
+                             "--es-i", f"{e_s_i / 1e3:.10g}", "--db", str(dbfile), "--name", "N",
+                             "--base", "NC-13", "--tflame", "3144")
+        assert code == 0
+        record = rx.load_material_db(dbfile).get("N", rx.Model.VO1_CVT)
+        assert rx.cvt_effective_energy(record, record.T_flame) == record.e_s_eff
+        assert record.e_s_eff != record.Cv0 * 3144.0 + 0.5 * record.c * 3144.0**2
 
     def test_db_requires_name_and_base(self, capsys, tmp_path):
         runs = tmp_path / "runs.csv"
@@ -565,6 +578,26 @@ def test_main_reports_a_failure_by_its_class(capsys, monkeypatch, error, tag, co
                else str(error))
     assert run_cli(capsys, "state", "NC-13", "--model", "na", "--rho", "100", "--T", "3000") == (
         code, "", f"{tag}: {message}\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["calibrate", "na", "--points", "POINTS", "--tflame", "3275", "--gamma", "1.207"],
+    ["calibrate-cvt", "--runs", "RUNS", "--inert", "argon", "--es-i", "ES_I"],
+    ["sweep", "NC-13", "--model", "na", "--rho", "100:700:100"],
+    ["mix-sweep", "NC-13+RDX", "--model", "mvo1", "--rho", "100,200", "--fraction-sweep", "0:1:0.5",
+     "--same-oxygen-balance"],
+    ["audit", "NC-13", "--model", "vo1", "--rho", "50:600:275", "--T", "1500:4500:1500"],
+    ["state", "NC-13", "--model", "vo1cvt", "--rho", "100", "--T", "3275"],
+], ids=lambda argv: argv[0])
+def test_commands_return_their_lines_and_main_writes_them(capsys, tmp_path, points_nc13, argv):
+    runs = tmp_path / "runs.csv"
+    given = {"POINTS": points_nc13, "RUNS": str(runs), "ES_I": f"{write_dilution_runs_csv(runs) / 1e3:.10g}"}
+    argv = [given.get(arg, arg) for arg in argv]
+    args = _build_parser().parse_args(argv)
+    lines, code = args.func(args)
+    assert capsys.readouterr().out == ""
+    assert type(lines) is list and all(type(line) is str for line in lines) and type(code) is int
+    assert run_cli(capsys, *argv) == (code, "\n".join(lines) + "\n", "")
 
 
 def assert_one_error_line(err, prefix):
@@ -1041,6 +1074,9 @@ class TestBoundaryRegressions:
          "--gamma must be finite, got inf"),
         (["calibrate-cvt", "--runs", "RUNS", "--inert", "argon", "--es-i", "5000", "--db", "NEW",
           "--name", "N", "--base", "NC-13", "--tflame", "inf"], "E_VALIDATION", "--tflame must be finite, got inf"),
+        # named as typed: the effective energy derived from it was once named instead
+        (["calibrate-cvt", "--runs", "RUNS", "--inert", "argon", "--es-i", "5000", "--db", "NEW",
+          "--name", "N", "--base", "NC-13", "--tflame", "-5"], "E_VALIDATION", "T_flame must be positive and finite, got -5.0"),
         (["calibrate-cvt", "--runs", "RUNS", "--inert", "argon", "--es-i", "inf"], "E_VALIDATION",
          "--es-i must be finite, got inf"),
         (["calibrate-cvt", "--runs", "RUNS", "--inert", "argon", "--es-i", "5000", "--t0", "nan"], "E_VALIDATION",
@@ -1099,7 +1135,7 @@ class TestBoundaryRegressions:
          "--es-i must be finite in SI units, got 1e+306"),
     ], ids=["calibrate-db", "calibrate-unwritable", "cvt-no-name", "cvt-no-base", "mix-fractions", "mix-no-energy", "mvo1-zero-a",
             "sweep-no-energy", "mix-empty-fraction", "mix-three-names", "mix-fraction-above-1", "mix-rho-word",
-            "tflame-inf", "gamma-inf", "cvt-tflame-inf", "es-i-inf", "t0-nan", "na-negative-b", "na-packed-b",
+            "tflame-inf", "gamma-inf", "cvt-tflame-inf", "cvt-tflame-negative", "es-i-inf", "t0-nan", "na-negative-b", "na-packed-b",
             "na-r-overflows", "vo1-singular", "vo1-r-underflows", "na-tflame-negative", "vo1-gamma-below-1",
             "runs-tflame-negative", "cvt-base-no-flame", "db-range-one-value", "db-key-outside",
             "db-duplicate-key", "db-word", "db-inf", "db-overflow", "csv-fields", "csv-overflow", "csv-nan",

@@ -24,7 +24,11 @@ Maxwell line did not change).  When the oracle's differences dropped
 their Richardson pass for one central difference, the three residual
 lines of the same four ``audit`` commands were re-recorded again (each
 now below 1.3e-10, where they read up to 8.9e-10; every verdict did not
-change).  The commands are
+change).  When the database began to read a kJ text as the decimal it
+states times 1000, rounded once, and to write one that reads back exactly,
+the written ``QX-cvt`` record's ``e_s_eff_kJ = 4981.631154096602`` (which
+now reads as 4981631.154096602 J/kg) was re-recorded as
+``4981.6311540966015``; the record's value did not change.  The commands are
 the 13 of acceptance criterion 11 and, for each model, ``state``, ``sweep``
 and ``audit`` on a record whose caloric reference q is nonzero: the built-in
 records all have q = 0, so they cannot show how the caloric law treats it.

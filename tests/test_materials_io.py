@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import redeos as rx
 from redeos.errors import ParseError, ValidationError
@@ -192,3 +193,46 @@ def test_a_wrong_header_is_refused_naming_its_line(tmp_path, load, header):
     with pytest.raises(ParseError) as raised:
         load(path)
     assert (type(raised.value), str(raised.value)) == (ParseError, f"line 2: expected header {header!r}, got 'rho,P'")
+
+
+@pytest.mark.parametrize("load, text", [
+    (rx.load_material_db, '# kept\n[material "X" model NA]\nR = 300\nb = 0.001\nCv = 1500\nq_kJ = -1.5\n'),
+    (rx.load_closed_bomb_csv, "rho_kg_m3,pmax_MPa\n100,130.3\n"),
+    (rx.load_inert_runs_csv, "Y,tflame_K\n0.5,2500\n"),
+], ids=["database", "closed-bomb", "inert-runs"])
+def test_a_leading_byte_order_mark_is_accepted(tmp_path, load, text):
+    # a byte-order mark, as Windows editors write one, once made line 1 a malformed header
+    plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text(text, encoding="utf-8-sig")
+    assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+    assert load(marked) == load(plain)
+
+
+def test_a_byte_order_mark_does_not_shift_a_decoding_errors_byte(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(b"\xef\xbb\xbfY,\xff")
+    with pytest.raises(ParseError) as raised:
+        rx.load_inert_runs_csv(path)
+    assert str(raised.value) == f"{path}: not UTF-8 text (invalid start byte at byte 5)"
+
+
+#: The constants of one record of each model; the drawn energies fill q and e_s_eff.
+_MODEL_CONSTANTS = {rx.Model.NA: {"Cv": 1500.0, "b": 0.001}, rx.Model.VO1: {"Cv": 1500.0, "a": 0.002},
+                    rx.Model.VO1_CVT: {"a": 0.002, "Cv0": 1400.0, "c": 0.06}}
+_ENERGIES = st.one_of(st.floats(-1e7, 1e7), st.floats(allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=200)
+@given(model=st.sampled_from(list(_MODEL_CONSTANTS)), q=_ENERGIES,
+       e_s_eff=st.one_of(st.none(), st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)))
+# the writer's q / 1e3 once read back, times 1e3, as ...344
+@example(model=rx.Model.VO1, q=65196.93679173343, e_s_eff=None)
+@example(model=rx.Model.VO1_CVT, q=0.0, e_s_eff=4981631.1540966015)
+def test_drawn_energies_survive_save_and_load(tmp_path_factory, model, q, e_s_eff):
+    params = rx.GasParams(name="D", model=model, R=300.0, q=q, e_s_eff=e_s_eff, **_MODEL_CONSTANTS[model])
+    db = rx.MaterialDatabase.empty()
+    db.add(params, "drawn")
+    path = tmp_path_factory.getbasetemp() / "drawn.eosdb"
+    rx.save_material_db(path, db)
+    assert rx.load_material_db(path) == db
